@@ -10,65 +10,105 @@ return `(value, reach, completed)`:
 
 The reach mask is the source side of the minimum cut closest to the source,
 which is unique for a given network, so the two backends agree bit for bit.
+An early stop `(limit, None, False)` happens exactly when the max flow is at
+least `limit`.
+
+Build once, solve many: the residual structure (arc targets, base
+capacities, per-node arc-id lists) of the last network passed as three
+tuples is kept in a one-entry memo keyed on the identity of those tuples.
+The memo holds strong references to them, so an id cannot be reused while
+the entry lives, and tuples cannot change, so a repeat solve on the same
+network costs one copy of the capacity array.  Networks passed as lists are
+built afresh on every call and never memoized.
+
+Each phase's breadth-first search stops once the frontier holding t is
+labelled; the search that fails to reach t is complete and its labels are
+the returned reach mask.
 """
 
 from __future__ import annotations
 
 BACKEND_NAME = "python"
 
+# (num_nodes, tails, heads, caps, to, base, adj) of the last tuple network.
+_memo = None
+
+
+def _build(num_nodes, tails, heads, caps):
+    """Arc 2i runs tails[i] -> heads[i] with capacity caps[i]; arc 2i+1 is
+    its reverse.  adj[u] lists the ids of the arcs leaving u."""
+    num_slots = 2 * len(tails)
+    to = [0] * num_slots
+    to[0::2] = heads
+    to[1::2] = tails
+    base = [0] * num_slots
+    base[0::2] = caps
+    adj = [[] for _ in range(num_nodes)]
+    a = 0
+    for u in tails:
+        adj[u].append(a)
+        a += 2
+    a = 1
+    for v in heads:
+        adj[v].append(a)
+        a += 2
+    return to, base, adj
+
+
+def _levels(num_nodes, adj, to, cap, s, t):
+    """Residual BFS levels from s (-1 when unreached).  Stops after the
+    frontier that labels t; with t None it runs to completion."""
+    level = [-1] * num_nodes
+    level[s] = 0
+    frontier = [s]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for e in adj[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = depth
+                        nxt.append(v)
+        if t is not None and level[t] >= 0:
+            break
+        frontier = nxt
+    return level
+
 
 def solve(num_nodes, tails, heads, caps, s, t, limit):
-    num_arcs = len(tails)
-    to = [0] * (2 * num_arcs)
-    cap = [0] * (2 * num_arcs)
-    nxt = [-1] * (2 * num_arcs)
-    head = [-1] * num_nodes
-    for i in range(num_arcs):
-        u, v, c = tails[i], heads[i], caps[i]
-        a = 2 * i
-        b = a + 1
-        to[a] = v
-        cap[a] = c
-        nxt[a] = head[u]
-        head[u] = a
-        to[b] = u
-        nxt[b] = head[v]
-        head[v] = b
+    global _memo
+    memo = _memo
+    if (
+        memo is not None
+        and memo[1] is tails
+        and memo[2] is heads
+        and memo[3] is caps
+        and memo[0] == num_nodes
+    ):
+        to, base, adj = memo[4], memo[5], memo[6]
+    else:
+        to, base, adj = _build(num_nodes, tails, heads, caps)
+        if isinstance(tails, tuple) and isinstance(heads, tuple) and isinstance(caps, tuple):
+            _memo = (num_nodes, tails, heads, caps, to, base, adj)
+    cap = base[:]
 
-    level = [-1] * num_nodes
-    it = [-1] * num_nodes
-    queue = [0] * num_nodes
     flow = 0
     capped = limit is not None
-
     while not capped or flow < limit:
-        for i in range(num_nodes):
-            level[i] = -1
-        level[s] = 0
-        queue[0] = s
-        qh, qt = 0, 1
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            e = head[u]
-            while e != -1:
-                v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue[qt] = v
-                    qt += 1
-                e = nxt[e]
+        level = _levels(num_nodes, adj, to, cap, s, t)
         if level[t] < 0:
             break
-        for i in range(num_nodes):
-            it[i] = head[i]
+        it = [0] * num_nodes
 
         # Blocking flow: repeated DFS walks with current-arc pointers.
         path = []  # arc ids from s to the current node
         u = s
         while True:
             if u == t:
-                pushed = min(cap[e] for e in path)
+                pushed = min([cap[e] for e in path])
                 if capped and flow + pushed > limit:
                     pushed = limit - flow
                 for e in path:
@@ -79,39 +119,33 @@ def solve(num_nodes, tails, heads, caps, s, t, limit):
                     return limit, None, False
                 # Retreat to just before the first saturated arc.
                 cut_at = 0
-                while cut_at < len(path) and cap[path[cut_at]] > 0:
+                while cap[path[cut_at]] > 0:
                     cut_at += 1
                 del path[cut_at:]
-                u = s if not path else to[path[-1]]
+                u = to[path[-1]] if path else s
                 continue
-            e = it[u]
-            while e != -1 and not (cap[e] > 0 and level[to[e]] == level[u] + 1):
-                e = nxt[e]
-            it[u] = e
-            if e != -1:
+            arcs = adj[u]
+            i = it[u]
+            end = len(arcs)
+            want = level[u] + 1
+            while i < end:
+                e = arcs[i]
+                if cap[e] > 0 and level[to[e]] == want:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
                 path.append(e)
                 u = to[e]
             else:
                 level[u] = -1
                 if not path:
                     break
-                dead = path.pop()
-                u = s if not path else to[path[-1]]
-                it[u] = nxt[dead]
+                path.pop()
+                u = to[path[-1]] if path else s
+                it[u] += 1
+    else:
+        # Only reached when limit <= 0: no augmentation was allowed.
+        level = _levels(num_nodes, adj, to, cap, s, None)
 
-    reach = bytearray(num_nodes)
-    reach[s] = 1
-    queue[0] = s
-    qh, qt = 0, 1
-    while qh < qt:
-        u = queue[qh]
-        qh += 1
-        e = head[u]
-        while e != -1:
-            v = to[e]
-            if cap[e] > 0 and not reach[v]:
-                reach[v] = 1
-                queue[qt] = v
-                qt += 1
-            e = nxt[e]
-    return flow, bytes(reach), True
+    return flow, bytes([lv >= 0 for lv in level]), True

@@ -145,6 +145,9 @@ def cmd_compute(args) -> int:
     except InvariantError as exc:
         print(f"invariant error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    if args.algo == "gabow" and args.k is None:
+        print("usage error: --algo gabow needs --k", file=sys.stderr)
+        return EXIT_PARSE
     cfg = load_config(args.config) if args.config else DEFAULT
     stats = Counters()
     start = time.perf_counter()
@@ -162,16 +165,59 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _malformed(report):
+    """Why `report` does not carry a well-typed claim, or None."""
+    if not isinstance(report, dict):
+        return "not a JSON object"
+    if report.get("complete"):
+        return None
+    if report.get("k_connected"):
+        k = report.get("k")
+        return None if _is_int(k) and k >= 1 else "'k' must be a positive integer"
+    cut = report.get("cut")
+    if not isinstance(cut, dict) or not all(
+        isinstance(cut.get(side), list) and all(map(_is_int, cut[side])) for side in "LSR"
+    ):
+        return "'cut' must map L, S and R to lists of vertex ids"
+    if not _is_int(report.get("value")):
+        return "'value' must be an integer"
+    return None
+
+
+def _cut_below(g: Graph, k) -> bool:
+    """True when kappa(g) < k, by Even's sweep: a separator of size < k
+    misses one of v_0..v_{k-1}, and that vertex is separated from every
+    vertex on the separator's other side.  No graph on n vertices is
+    n-connected."""
+    if k > g.n - 1:
+        return True
+    for i in range(min(k, g.n)):
+        for u in range(g.n):
+            if u == i or g.has_edge(i, u):
+                continue
+            if maxflow.min_st_separator(g, i, u, limit=k)[0] < k:
+                return True
+    return False
+
+
 def cmd_verify(args) -> int:
     try:
         data = open(args.graph, "rb").read()
         graph = parse_graph(data)
         report = json.load(open(args.report))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ParseError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    reason = _malformed(report)
+    if reason is not None:
+        print(f"verify: malformed report: {reason}", file=sys.stderr)
         return EXIT_PARSE
     if report.get("input") != _digest(data):
         print("verify: input digest mismatch", file=sys.stderr)
@@ -182,12 +228,14 @@ def cmd_verify(args) -> int:
             print("verify: report claims complete but graph is not", file=sys.stderr)
             return EXIT_MISMATCH
     elif report.get("k_connected"):
-        pass
-    else:
-        cut = report.get("cut")
-        if cut is None:
-            print("verify: report has neither cut nor sentinel", file=sys.stderr)
+        if not isinstance(graph, Graph):
+            print("verify: k_connected claim needs an undirected graph", file=sys.stderr)
             return EXIT_MISMATCH
+        if _cut_below(graph, report["k"]):
+            print(f"verify: graph has a vertex cut below k={report['k']}", file=sys.stderr)
+            return EXIT_MISMATCH
+    else:
+        cut = report["cut"]
         vc = VertexCut(cut["L"], cut["S"], cut["R"], report["value"])
         if not validate_cut(graph, vc):
             print("verify: cut does not validate", file=sys.stderr)

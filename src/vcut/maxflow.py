@@ -9,6 +9,14 @@ The canonical separator returned everywhere is the minimum cut closest to
 the source (saturated split arcs on the residual source-reachable frontier),
 which is unique, so results are deterministic and backend-independent.
 
+Whole-graph flows are built once per graph: `_graph_network` caches the
+split network as immutable tuples.  A single-source, single-sink query runs
+the backend on those tuples directly, from s_out (2s+1) to t_in (2t); this
+is the bypass-arc network minus its two terminal arcs, with the same flow
+value and the same reach mask over the split nodes, and it lets the
+pure-Python backend reuse its memoized residual structure.  Multi-terminal
+queries copy the tuples and append the bypass arcs.
+
 The inner solver is the compiled `vcut._core` when available, else the
 pure-Python `vcut._pyflow`; set VCUT_PURE_PYTHON=1 to force the fallback.
 """
@@ -31,22 +39,17 @@ else:
 BACKEND = _backend.BACKEND_NAME
 
 
-def _finish(n, tails, heads, arc_caps, caps, sources, sinks, inf, limit, stats):
-    """Append terminal bypass arcs, run the solver, extract the separator."""
-    super_s, super_t = 2 * n, 2 * n + 1
-    for s in sources:
-        tails.append(super_s)
-        heads.append(2 * s + 1)
-        arc_caps.append(inf)
-    for t in sinks:
-        tails.append(2 * t)
-        heads.append(super_t)
-        arc_caps.append(inf)
+def _solve(n, num_nodes, tails, heads, arc_caps, caps, source, sink, inf, limit,
+           stats, num_arcs):
+    """Run the solver from `source` to `sink`, extract the separator.
+
+    `num_arcs` is the arc count of the bypass-arc network, recorded as
+    `flow_edges` whichever form of the network is solved."""
     if stats is not None:
         stats.add("flow_calls")
-        stats.add("flow_edges", len(tails))
+        stats.add("flow_edges", num_arcs)
     value, reach, completed = _backend.solve(
-        2 * n + 2, tails, heads, arc_caps, super_s, super_t, limit
+        num_nodes, tails, heads, arc_caps, source, sink, limit
     )
     if not completed:
         return limit, None, None, False
@@ -59,6 +62,23 @@ def _finish(n, tails, heads, arc_caps, caps, sources, sinks, inf, limit, stats):
     assert sep_weight == value, "max-flow / min-separator duality violated"
     reach_orig = [bool(reach[2 * v + 1]) for v in range(n)]
     return value, separator, reach_orig, True
+
+
+def _finish(n, tails, heads, arc_caps, caps, sources, sinks, inf, limit, stats):
+    """Append terminal bypass arcs, run the solver, extract the separator."""
+    super_s, super_t = 2 * n, 2 * n + 1
+    for s in sources:
+        tails.append(super_s)
+        heads.append(2 * s + 1)
+        arc_caps.append(inf)
+    for t in sinks:
+        tails.append(2 * t)
+        heads.append(super_t)
+        arc_caps.append(inf)
+    return _solve(
+        n, 2 * n + 2, tails, heads, arc_caps, caps, super_s, super_t, inf, limit,
+        stats, len(tails),
+    )
 
 
 def vertex_max_flow(n, arcs, caps, sources, sinks, limit=None, stats=None):
@@ -93,7 +113,8 @@ _NETWORK_CACHE: dict = {}
 
 def _graph_network(g):
     """Cached split network (tails, heads, caps, vertex caps, inf) for a
-    whole-graph flow; graphs are immutable so this is safe to share."""
+    whole-graph flow; graphs are immutable and so are the arc tuples, so
+    this is safe to share."""
     key = id(g)
     got = _NETWORK_CACHE.get(key)
     if got is not None and got[0] is g:
@@ -112,7 +133,7 @@ def _graph_network(g):
         tails.append(2 * u + 1)
         heads.append(2 * v)
         arc_caps.append(inf)
-    entry = (tails, heads, arc_caps, caps, inf)
+    entry = (tuple(tails), tuple(heads), tuple(arc_caps), caps, inf)
     if len(_NETWORK_CACHE) > 64:
         _NETWORK_CACHE.clear()
     _NETWORK_CACHE[key] = (g, entry)
@@ -121,8 +142,16 @@ def _graph_network(g):
 
 def _graph_flow(g, sources, sinks, limit=None, stats=None):
     tails, heads, arc_caps, caps, inf = _graph_network(g)
+    if len(sources) == 1 and len(sinks) == 1:
+        # From s_out to t_in on the shared network: the same flows and
+        # reach as with the two bypass arcs, counted as if they were there.
+        return _solve(
+            g.n, 2 * g.n, tails, heads, arc_caps, caps, 2 * sources[0] + 1,
+            2 * sinks[0], inf, limit, stats, len(tails) + 2,
+        )
     return _finish(
-        g.n, tails[:], heads[:], arc_caps[:], caps, sources, sinks, inf, limit, stats
+        g.n, list(tails), list(heads), list(arc_caps), caps, sources, sinks, inf,
+        limit, stats,
     )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import complete, petersen
+from conftest import complete, path, petersen
 from vcut.cli import main
 from vcut.graphs import serialize_graph
 from vcut.oracle import generate_planted
@@ -47,6 +47,12 @@ class TestCompute:
         assert code == 0 and json.loads(out)["value"] == 3
         code, out = run(capsys, "compute", petersen_file, "--algo", "gabow", "--k", "3")
         assert code == 0 and json.loads(out)["k_connected"] is True
+
+    def test_gabow_without_k_is_usage_error(self, petersen_file, capsys):
+        code = main(["compute", petersen_file, "--algo", "gabow"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "--k" in captured.err
 
     def test_deterministic_reports(self, petersen_file, capsys):
         _, a = run(capsys, "compute", petersen_file)
@@ -96,6 +102,69 @@ class TestVerify:
         rep_path = tmp_path / "rep.json"
         rep_path.write_text(json.dumps(rep))
         code, _ = run(capsys, "verify", petersen_file, str(rep_path), "--oracle")
+        assert code == 1
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rep: rep.pop("value"),
+            lambda rep: rep.update(value="3"),
+            lambda rep: rep.update(value=True),
+            lambda rep: rep.pop("cut"),
+            lambda rep: rep.update(cut=[[0], [1], [2]]),
+            lambda rep: rep["cut"].pop("S"),
+            lambda rep: rep["cut"].update(L=["0"]),
+            lambda rep: rep["cut"].update(R=None),
+        ],
+        ids=[
+            "no-value", "str-value", "bool-value", "no-cut", "cut-list", "cut-no-S",
+            "str-vertex", "null-side",
+        ],
+    )
+    def test_malformed_report_fields(self, petersen_file, tmp_path, capsys, edit):
+        _, out = run(capsys, "compute", petersen_file)
+        rep = json.loads(out)
+        edit(rep)
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(rep))
+        code = main(["verify", petersen_file, str(rep_path)])
+        captured = capsys.readouterr()
+        assert code in (1, 2)
+        assert "malformed report" in captured.err and "ok" not in captured.out
+
+    def test_report_not_an_object(self, petersen_file, tmp_path, capsys):
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text("[1, 2]")
+        code, _ = run(capsys, "verify", petersen_file, str(rep_path))
+        assert code == 2
+
+    def test_k_connected_claims_rechecked(self, tmp_path, capsys):
+        graph_path = tmp_path / "path.g"
+        graph_path.write_text(serialize_graph(path(6)))
+        rep_path = tmp_path / "rep.json"
+        _, out = run(capsys, "compute", str(graph_path), "--algo", "gabow", "--k", "1")
+        rep = json.loads(out)
+        assert rep["k_connected"] is True
+        rep_path.write_text(out)
+        code, out = run(capsys, "verify", str(graph_path), str(rep_path))
+        assert code == 0 and out.strip() == "ok"
+        for false_k in (2, 6, 7):  # kappa(path) = 1; no 6-vertex graph is 6-connected
+            rep["k"] = false_k
+            rep_path.write_text(json.dumps(rep))
+            code, out = run(capsys, "verify", str(graph_path), str(rep_path))
+            assert code == 1 and out == ""
+
+    def test_true_k_connected_claim_ok(self, petersen_file, tmp_path, capsys):
+        _, out = run(capsys, "compute", petersen_file, "--algo", "gabow", "--k", "3")
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(out)
+        code, out = run(capsys, "verify", petersen_file, str(rep_path), "--oracle")
+        assert code == 0 and out.strip() == "ok"
+        rep = json.loads(rep_path.read_text())
+        rep["k"] = 4
+        rep_path.write_text(json.dumps(rep))
+        code, _ = run(capsys, "verify", petersen_file, str(rep_path))
         assert code == 1
 
 

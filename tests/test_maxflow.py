@@ -7,8 +7,10 @@ from conftest import cycle, path, petersen, star
 from vcut import _pyflow
 from vcut.errors import InvariantError
 from vcut.graphs import Graph, NoCut, NoSeparator, validate_cut
+from vcut.instrument import Counters
 from vcut.maxflow import (
     BACKEND,
+    _graph_flow,
     min_s_to_set_separator,
     min_st_cut,
     min_st_separator,
@@ -16,7 +18,7 @@ from vcut.maxflow import (
     vertex_max_flow,
     weak_separator,
 )
-from vcut.oracle import brute_pair_kappa, brute_s_to_set_kappa, random_graph
+from vcut.oracle import brute_pair_kappa, brute_s_to_set_kappa, random_digraph, random_graph
 
 
 class TestMinStSeparator:
@@ -234,3 +236,77 @@ class TestVertexMaxFlow:
     def test_overlapping_terminals_rejected(self):
         with pytest.raises(InvariantError):
             vertex_max_flow(3, [(0, 1), (1, 2)], [1] * 3, [1], [1])
+
+
+class TestGraphFlowFastPath:
+    """A single (s,t) whole-graph flow runs from s_out to t_in on the cached
+    network; it must answer and count exactly like the bypass-arc network."""
+
+    def _cases(self):
+        two_parts = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+        graphs = [two_parts] + [random_graph(11, 0.2 + 0.1 * seed, seed) for seed in range(3)]
+        for g in graphs:
+            yield g, g.flow_arcs(), [1] * g.n, g.has_edge
+        for seed in range(3):
+            d = random_digraph(9, 0.35, 5, seed)
+            yield d, list(d.arcs()), list(d.weights), d.has_arc
+
+    def test_matches_bypass_arc_network(self):
+        for g, arcs, caps, adjacent in self._cases():
+            for s, t in itertools.permutations(range(g.n), 2):
+                if adjacent(s, t):
+                    continue
+                true_value = vertex_max_flow(g.n, arcs, caps, [s], [t])[0]
+                for limit in (None, 1, true_value, true_value + 1):
+                    fast, slow = Counters(), Counters()
+                    got = _graph_flow(g, [s], [t], limit=limit, stats=fast)
+                    want = vertex_max_flow(g.n, arcs, caps, [s], [t], limit=limit, stats=slow)
+                    assert got == want, (s, t, limit)
+                    assert fast.data == slow.data
+
+
+def _split_network(g, s, t):
+    """Bypass-arc split network of a graph, as lists."""
+    n = g.n
+    arcs = g.flow_arcs()
+    tails = [2 * v for v in range(n)] + [2 * u + 1 for u, v in arcs] + [2 * n, 2 * t]
+    heads = [2 * v + 1 for v in range(n)] + [2 * v for u, v in arcs] + [2 * s + 1, 2 * n + 1]
+    caps = [1] * n + [n + 1] * (len(arcs) + 2)
+    return 2 * n + 2, tails, heads, caps, 2 * n, 2 * n + 1
+
+
+class TestPyflowContract:
+    """The backend contract of the pure-Python solver, compiled twin or not."""
+
+    def test_limit_equal_to_max_flow_stops_early(self):
+        num, tails, heads, caps, s, t = _split_network(petersen(), 0, 7)
+        value, reach, completed = _pyflow.solve(num, tails, heads, caps, s, t, None)
+        assert (value, completed) == (3, True)
+        assert _pyflow.solve(num, tails, heads, caps, s, t, 3) == (3, None, False)
+        assert _pyflow.solve(num, tails, heads, caps, s, t, 4) == (3, reach, True)
+
+    def test_memo_with_alternating_tuple_networks(self):
+        nets = [_split_network(cycle(8), 0, 4), _split_network(petersen(), 0, 7)]
+        want = [_pyflow.solve(*net, None) for net in nets]
+        frozen = [
+            (num, tuple(tails), tuple(heads), tuple(caps), s, t)
+            for num, tails, heads, caps, s, t in nets
+        ]
+        for _ in range(3):
+            for net, expected in zip(frozen, want):
+                assert _pyflow.solve(*net, None) == expected
+                assert _pyflow.solve(*net, 1) == (1, None, False)
+
+    def test_mutated_list_network_is_rebuilt(self):
+        num, tails, heads, caps, s, t = _split_network(cycle(8), 0, 4)
+        assert _pyflow.solve(num, tails, heads, caps, s, t, None)[0] == 2
+        caps[1] = 0  # vertex 1 can no longer carry flow
+        assert _pyflow.solve(num, tails, heads, caps, s, t, None)[0] == 1
+        tails.append(2 * 1 + 1)  # a chord 1 -> 4, unused while 1 is blocked
+        heads.append(2 * 4)
+        caps.append(num)
+        assert _pyflow.solve(num, tails, heads, caps, s, t, None)[0] == 1
+        caps[1] = 1
+        value, reach, completed = _pyflow.solve(num, tails, heads, caps, s, t, None)
+        assert (value, completed) == (2, True)
+        assert reach == _pyflow.solve(num, list(tails), list(heads), list(caps), s, t, None)[1]
