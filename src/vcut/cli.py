@@ -145,8 +145,8 @@ def cmd_compute(args) -> int:
     except InvariantError as exc:
         print(f"invariant error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if args.algo == "gabow" and args.k is None:
-        print("usage error: --algo gabow needs --k", file=sys.stderr)
+    if args.algo == "gabow" and (args.k is None or args.k < 1):
+        print("usage error: --algo gabow needs --k >= 1", file=sys.stderr)
         return EXIT_PARSE
     cfg = load_config(args.config) if args.config else DEFAULT
     stats = Counters()
@@ -189,19 +189,9 @@ def _malformed(report):
 
 
 def _cut_below(g: Graph, k) -> bool:
-    """True when kappa(g) < k, by Even's sweep: a separator of size < k
-    misses one of v_0..v_{k-1}, and that vertex is separated from every
-    vertex on the separator's other side.  No graph on n vertices is
-    n-connected."""
-    if k > g.n - 1:
-        return True
-    for i in range(min(k, g.n)):
-        for u in range(g.n):
-            if u == i or g.has_edge(i, u):
-                continue
-            if maxflow.min_st_separator(g, i, u, limit=k)[0] < k:
-                return True
-    return False
+    """True when kappa(g) < k, by Even's sweep (`maxflow.even_sweep` with
+    limit k).  No graph on n vertices is n-connected."""
+    return k > g.n - 1 or isinstance(maxflow.even_sweep(g, cap=k), VertexCut)
 
 
 def cmd_verify(args) -> int:
@@ -403,10 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "unweighted", "weighted", "gabow", "unbalanced", "terminal"],
     )
     p.add_argument("--k", type=int, default=None, help="cut parameter (gabow)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config", default=None)
     p.add_argument("--oracle", action="store_true", help="include the brute-force value")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="re-validate a run report")

@@ -6,6 +6,14 @@ KConnected verdict otherwise.  All probe cuts (rooted connectivity, weak
 separators, expander pairs, enlargement rounds) are collected as candidates
 and validated in the original graph; the case analysis guarantees that one
 of them has size exactly kappa whenever kappa < k.
+
+When no positive rich-set margin exists (sparsified minimum degree <= k, or
+tau <= 0 inside `large_gap_vc`), the decision falls back to Even's sweep
+(`maxflow.even_sweep`): pairwise flows from sources v_0..v_{L-1} only, L the
+value of the best cut so far (else k).  A minimum separator S misses some
+v_i with i <= |S|, and every vertex on its far side has a larger index, so
+the sweep meets a pair that S separates unless the limit is already <= |S|.
+The fallback is recorded as the `gabow_allpairs_fallback` counter.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .graphs import (
     ni_sparsify,
     validate_cut,
 )
-from .maxflow import min_st_cut, rooted_connectivity, weak_separator
+from .maxflow import even_sweep, min_st_cut, rooted_connectivity, weak_separator
 from .pseudorandom import build_mixing_graph
 
 
@@ -132,25 +140,12 @@ def rich_set_or_cut(g: Graph, k, stats=None):
     return candidates, RichSet(cut_a.S, tau)
 
 
-def _all_pairs_probe(g: Graph, best, stats=None, cap=None):
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if g.has_edge(s, t):
-                continue
-            limit = best.value if isinstance(best, VertexCut) else cap
-            res = min_st_cut(g, s, t, limit=limit, stats=stats)
-            if res is NoSeparator or res[1] is None:
-                continue
-            best = better_cut(best, res[1])
-    return best
-
-
 def large_gap_vc(h: Graph, k, gamma, cfg: Config = DEFAULT, stats=None):
     """Decision on a graph whose gap delta - kappa is at least gamma.
 
     Rich-set route: a mixing graph sized by the certified spectral constant
     enumerates candidate pairs across the rich set.  Degenerate tau falls
-    back to all-pairs probing (recorded in the counters).
+    back to Even's exact sweep (recorded in the counters).
     """
     best = None
     candidates, rich = rich_set_or_cut(h, k, stats=stats)
@@ -160,7 +155,7 @@ def large_gap_vc(h: Graph, k, gamma, cfg: Config = DEFAULT, stats=None):
         if rich.tau <= 0:
             if stats is not None:
                 stats.add("gabow_allpairs_fallback")
-            best = _all_pairs_probe(h, best, stats=stats, cap=k)
+            best = even_sweep(h, best, cap=k, stats=stats)
         else:
             terms = list(rich.vertices)
             t_size = len(terms)
@@ -275,11 +270,10 @@ def gabow_vc(g: Graph, k, cfg: Config = DEFAULT, stats=None):
 
     offer(min_degree_cut(g))
     if delta <= k:
-        # tau would be nonpositive; resolve by the exact all-pairs fallback.
+        # tau would be nonpositive; resolve by Even's exact sweep.
         if stats is not None:
             stats.add("gabow_allpairs_fallback")
-        best = _all_pairs_probe(gs, best, stats=stats, cap=k)
-        best = best if isinstance(best, VertexCut) and validate_cut(g, best) else best
+        best = even_sweep(gs, best, cap=k, stats=stats)
     elif k < math.isqrt(g.n) + 1:
         got = large_gap_vc(gs, k, max(0, delta - k), cfg, stats)
         if isinstance(got, VertexCut):

@@ -376,10 +376,6 @@ class _NoSeparator:
 NoSeparator = _NoSeparator()
 
 
-def is_cut(obj) -> bool:
-    return isinstance(obj, VertexCut)
-
-
 def better_cut(a, b):
     """Minimum of two cut candidates; None and NoCut lose to any VertexCut."""
     if not isinstance(a, VertexCut):
@@ -482,19 +478,6 @@ def validate_cut(g, cut: VertexCut) -> bool:
             if g.out_set(u) & R:
                 return False
     return True
-
-
-def cut_from_separator(g, separator, source: int) -> VertexCut:
-    """Canonical cut for a separator: L = vertices reachable from `source`."""
-    sep = set(separator)
-    if isinstance(g, Graph):
-        reach = set(g.component_of(source, removed=frozenset(sep)))
-        value = len(sep)
-    else:
-        reach = set(g.reachable_from(source, removed=frozenset(sep)))
-        value = g.weight_of(sep)
-    rest = set(range(g.n)) - reach - sep
-    return VertexCut(reach, sep, rest, value)
 
 
 def min_degree_cut(g: Graph):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 
 from .errors import InvariantError
-from .graphs import Graph, NoCut, NoSeparator, VertexCut
+from .graphs import Graph, NoCut, NoSeparator, VertexCut, better_cut
 
 if os.environ.get("VCUT_PURE_PYTHON"):
     from . import _pyflow as _backend
@@ -227,6 +227,31 @@ def rooted_connectivity(g: Graph, a: int, stats=None):
             best_cut = cut
     assert best_cut is not None  # N(a) always separates a from a non-neighbor
     return best_value, best_cut
+
+
+def even_sweep(g: Graph, best=None, cap=None, stats=None):
+    """Even's sweep: the best of `best` and every (s,t) cut, t > s
+    non-adjacent, of value below the current limit (`best.value`, else
+    `cap`; None is no limit), probed in lexicographic pair order with
+    sources s < limit only.
+
+    Exact: let S be a minimum separator and v_i the first vertex outside
+    it.  Then i <= |S|, and every vertex on the far side of S from v_i has
+    a larger index, so source v_i finds a cut of value |S| unless the
+    limit is already <= |S|.  Once s reaches the limit, no later pair can
+    improve the result, so it equals that of probing every pair.
+    """
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            limit = best.value if isinstance(best, VertexCut) else cap
+            if limit is not None and s >= limit:
+                return best
+            if g.has_edge(s, t):
+                continue
+            res = min_st_cut(g, s, t, limit=limit, stats=stats)
+            if res[1] is not None:
+                best = better_cut(best, res[1])
+    return best
 
 
 def weak_separator(g: Graph, terminals, stats=None):

@@ -55,10 +55,6 @@ class LeftRegularBipartite:
                 deg[w] += 1
         return deg
 
-    def preimage(self, i, w):
-        """Preimage of right vertex w under slot i."""
-        return [v for v in range(self.n_left) if self.table[v][i] == w]
-
     def __repr__(self):
         return f"LeftRegularBipartite({self.n_left}x{self.n_right}, d={self.degree})"
 

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from vcut.graphs import Graph, WeightedDigraph
+from vcut.graphs import Graph, VertexCut, WeightedDigraph, better_cut
+from vcut.maxflow import min_st_cut
 
 
 def petersen() -> Graph:
@@ -52,6 +53,31 @@ def two_cliques_sharing(k, shared) -> Graph:
         for u, v in itertools.combinations(grp, 2):
             edges.add((u, v))
     return Graph.from_edges(n, sorted(edges))
+
+
+def separator_first(kappa, side) -> Graph:
+    """K_n minus all edges between two interleaved sides of `side` vertices
+    each: the unique minimum separator is {0..kappa-1}, so v_kappa is the
+    first vertex outside it."""
+    n = kappa + 2 * side
+    return Graph.from_edges(
+        n,
+        [(u, v) for u, v in itertools.combinations(range(n), 2) if u < kappa or (v - u) % 2 == 0],
+    )
+
+
+def all_pairs_probe(g, best=None, cap=None, stats=None):
+    """Reference for Even's sweep: every non-adjacent pair (s,t), t > s, in
+    lexicographic order, each limited by `best.value` (else `cap`)."""
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            if g.has_edge(s, t):
+                continue
+            limit = best.value if isinstance(best, VertexCut) else cap
+            res = min_st_cut(g, s, t, limit=limit, stats=stats)
+            if res[1] is not None:
+                best = better_cut(best, res[1])
+    return best
 
 
 def directed_cycle(weights) -> WeightedDigraph:

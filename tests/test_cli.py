@@ -54,6 +54,13 @@ class TestCompute:
         assert code == 2
         assert captured.out == "" and "--k" in captured.err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonpositive_k_is_usage_error(self, petersen_file, capsys, k):
+        code = main(["compute", petersen_file, "--algo", "gabow", "--k", k])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "--k" in captured.err
+
     def test_deterministic_reports(self, petersen_file, capsys):
         _, a = run(capsys, "compute", petersen_file)
         _, b = run(capsys, "compute", petersen_file)

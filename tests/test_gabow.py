@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import complete, cycle, petersen, two_cliques_sharing
+from conftest import all_pairs_probe, complete, cycle, petersen, separator_first, two_cliques_sharing
+import vcut.gabow
 from vcut.errors import Exhausted
 from vcut.gabow import (
     GapState,
@@ -15,6 +16,7 @@ from vcut.gabow import (
     rich_set_or_cut,
 )
 from vcut.graphs import Graph, NoCut, VertexCut, validate_cut
+from vcut.instrument import Counters
 from vcut.oracle import brute_kappa, generate_planted, random_graph
 
 
@@ -130,3 +132,49 @@ class TestGabowDriver:
                 assert isinstance(got, VertexCut), (case, n, p, k)
                 assert got.value == kappa, (case, n, p, k, got.value, kappa)
                 assert validate_cut(g, got)
+
+
+class TestEvenSweepFallback:
+    """The delta <= k and tau <= 0 fallbacks run Even's sweep; decisions
+    must equal those of probing every non-adjacent pair, with no more
+    flows."""
+
+    def _decisions(self):
+        for seed in range(16):
+            n = 10 + 2 * seed
+            g = random_graph(n, (0.15, 0.25, 0.4, 0.6)[seed % 4], seed)
+            delta = g.min_degree()
+            for k in sorted({1, delta - 1, delta, delta + 1, delta + 3} - {0}):
+                yield g, k
+        inst = generate_planted("balanced-terminal", {"side": 6, "s": 2}, seed=5)
+        for k in (2, 3, 4):
+            yield inst.graph, k
+
+    def test_matches_all_pairs_reference(self, monkeypatch):
+        fallbacks = 0
+        for g, k in self._decisions():
+            mine, ref = Counters(), Counters()
+            got = gabow_vc(g, k, stats=mine)
+            with monkeypatch.context() as m:
+                m.setattr(vcut.gabow, "even_sweep", all_pairs_probe)
+                want = gabow_vc(g, k, stats=ref)
+            assert type(got) is type(want), (g, k)
+            if isinstance(got, KConnected):
+                assert got.k == want.k
+            else:
+                assert got == want, (g, k)
+            assert mine.get("flow_calls") <= ref.get("flow_calls")
+            flowless = {key: v for key, v in mine.data.items() if not key.startswith("flow_")}
+            assert flowless == {key: v for key, v in ref.data.items() if not key.startswith("flow_")}
+            fallbacks += mine.get("gabow_allpairs_fallback") > 0
+        assert fallbacks > 0
+
+    def test_minimum_separator_on_lowest_ids(self):
+        # kappa = |S| and delta = kappa + 1, so k = kappa + 1 takes the
+        # fallback with limit kappa + 1 and only v_kappa's flows find S.
+        for kappa in (1, 2, 4):
+            g = separator_first(kappa, 2)
+            got = gabow_vc(g, kappa + 1)
+            assert isinstance(got, VertexCut) and got.S == tuple(range(kappa))
+            assert validate_cut(g, got)
+            assert isinstance(gabow_vc(g, kappa), KConnected)

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from conftest import cycle, path, petersen, star
+from conftest import all_pairs_probe, cycle, path, petersen, separator_first, star
 from vcut import _pyflow
 from vcut.errors import InvariantError
-from vcut.graphs import Graph, NoCut, NoSeparator, validate_cut
+from vcut.graphs import Graph, NoCut, NoSeparator, VertexCut, min_degree_cut, validate_cut
 from vcut.instrument import Counters
 from vcut.maxflow import (
     BACKEND,
     _graph_flow,
+    even_sweep,
     min_s_to_set_separator,
     min_st_cut,
     min_st_separator,
@@ -128,6 +129,48 @@ class TestRootedConnectivity:
                 ref = min(brute_pair_kappa(g, a, t) for t in targets)
                 assert value == ref
                 assert validate_cut(g, cut) and a in cut.L
+
+
+class TestEvenSweep:
+    """Even's sweep returns exactly what probing every pair returns, with
+    no more flows."""
+
+    def _graphs(self):
+        yield Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+        yield separator_first(3, 3)
+        for seed in range(12):
+            n = 8 + seed
+            yield random_graph(n, (0.2, 0.35, 0.5, 0.7)[seed % 4], seed)
+
+    def test_matches_all_pairs_reference(self):
+        for g in self._graphs():
+            kappa = all_pairs_probe(g).value
+            # No cap of 0: min_st_cut does not honour limit=0, and the
+            # reference would pass it on when kappa = 0.
+            for cap in (None, 1, max(kappa, 1), kappa + 1):
+                for start in (None, min_degree_cut(g)):
+                    mine, ref = Counters(), Counters()
+                    got = even_sweep(g, start, cap=cap, stats=mine)
+                    want = all_pairs_probe(g, start, cap=cap, stats=ref)
+                    assert got == want, (g, cap, start)
+                    assert mine.get("flow_calls") <= ref.get("flow_calls")
+                    if isinstance(got, VertexCut) and got is not start:
+                        assert validate_cut(g, got) and got.value == kappa
+
+    def test_reaches_first_vertex_outside_separator(self):
+        # Sources below kappa dominate the graph; with limit kappa+1 (from
+        # `cap` or from the min-degree cut) the sweep must still try v_kappa.
+        for kappa in (1, 3, 5):
+            g = separator_first(kappa, 2)
+            for start in (None, min_degree_cut(g)):
+                got = even_sweep(g, start, cap=kappa + 1)
+                assert isinstance(got, VertexCut) and got.S == tuple(range(kappa))
+
+    def test_complete_graph_probes_nothing(self):
+        g = Graph.from_edges(5, list(itertools.combinations(range(5), 2)))
+        stats = Counters()
+        assert even_sweep(g, cap=9, stats=stats) is None
+        assert stats.get("flow_calls") == 0
 
 
 class TestWeakSeparator:
