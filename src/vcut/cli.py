@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import maxflow
 from .config import DEFAULT, load_config
-from .errors import ConstructionFailed, InvariantError, ParseError, VcutError
+from .errors import ConfigError, ConstructionFailed, InvariantError, ParseError, VcutError
 from .gabow import KConnected, gabow_vc
 from .graphs import Graph, NoCut, VertexCut, parse_graph, validate_cut
 from .instrument import Counters
@@ -28,6 +28,7 @@ from .oracle import (
     check_disperser,
     check_selector,
     check_symmetric_crossing,
+    oracle_guard,
     random_digraph,
     random_graph,
 )
@@ -42,6 +43,19 @@ EXIT_INVARIANT = 3
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _oracle_too_large(graph, cfg=DEFAULT) -> bool:
+    """True, after printing a usage error, when `--oracle` cannot run on
+    `graph` because it exceeds the brute-force oracle's size guard."""
+    guard = oracle_guard(graph, cfg)
+    if graph.n <= guard:
+        return False
+    print(
+        f"usage error: --oracle needs n <= {guard} for this kind of graph, got n={graph.n}",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _terminal_loop(g, cfg, stats):
@@ -149,6 +163,8 @@ def cmd_compute(args) -> int:
         print("usage error: --algo gabow needs --k >= 1", file=sys.stderr)
         return EXIT_PARSE
     cfg = load_config(args.config) if args.config else DEFAULT
+    if args.oracle and _oracle_too_large(graph, cfg):
+        return EXIT_PARSE
     stats = Counters()
     start = time.perf_counter()
     try:
@@ -204,6 +220,8 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
     except (ParseError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.oracle and _oracle_too_large(graph):
         return EXIT_PARSE
     reason = _malformed(report)
     if reason is not None:
@@ -424,7 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

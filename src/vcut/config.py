@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Config:
@@ -54,11 +56,10 @@ class Config:
     sampled_check_trials: int = 2000
 
     # Expander decomposition: expansion target, separator budget fraction
-    # (clamped below at 1 vertex), retry floor, exhaustive piece size.
+    # (clamped below at 1 vertex), retry floor.
     expander_phi: float = 0.1
     expander_budget_frac: float = 0.01
     expander_phi_floor: float = 1.0 / 1024
-    expander_exhaustive_max: int = 16
 
     # Terminal reduction constants, verbatim from the method description.
     tr_xlow_mult: int = 1000
@@ -102,18 +103,28 @@ def _parse_value(name: str, raw: str):
 
 
 def load_config(path) -> Config:
-    """Read a ``key = value`` config file and overlay it on the defaults."""
+    """Read a ``key = value`` config file and overlay it on the defaults.
+
+    Raises ConfigError (a ValueError) when the file cannot be read or a
+    line is malformed, names an unknown key or holds a bad value."""
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
             overrides[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return DEFAULT.replace(**overrides)

@@ -104,7 +104,8 @@ def _kernel_parts(index: KernelIndex, i, s):
 
 
 def _assemble_kernel(index: KernelIndex, i, s, t):
-    """Vertex list and edge set of the kernel for (cluster i, s, t)."""
+    """Vertex list, edge set and boundary (the vertices joined to t) of the
+    kernel for (cluster i, s, t)."""
     g = index.graph
     cluster, cset, reduced, outside = _kernel_parts(index, i, s)
     nt = g.neighbor_set(t)
@@ -137,14 +138,14 @@ def _assemble_kernel(index: KernelIndex, i, s, t):
     for u in boundary:
         if u != t:
             edges.add((u, t) if u < t else (t, u))
-    return sorted(vertices), edges
+    return sorted(vertices), edges, boundary
 
 
 def kernel_graph(index: KernelIndex, i, s, t):
     """Compressed flow instance for cluster i and query pair (s,t), as a
     Graph plus the position->original id map.  Raises EmptyKernel when
     pruning t's closed neighborhood empties the cluster."""
-    ids, edges = _assemble_kernel(index, i, s, t)
+    ids, edges, _ = _assemble_kernel(index, i, s, t)
     pos = {v: j for j, v in enumerate(ids)}
     kernel = Graph.from_edges(len(ids), sorted((pos[a], pos[b]) for a, b in edges))
     return kernel, ids, pos[s], pos[t]
@@ -156,6 +157,12 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     Clusters above the size gate are skipped; kernels where s and t touch
     directly contribute nothing.  `cap` is the internal early-stop bound
     (values >= cap come back as cap); the default is the exact value.
+
+    In a kernel t is joined to every boundary vertex and s only to its own
+    neighbours, so the two-hop paths s - v - t have their middle vertices
+    in N(s) & boundary (t is never in N(s)).  When there are at least as
+    many as the flow's limit, the capped flow could not lower `best`, and
+    it is skipped (counted as `two_hop_skips`).
     """
     g = index.graph
     if s == t:
@@ -168,20 +175,25 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     best = g.n
     if g.has_edge(s, t):
         return best  # every kernel carries the direct (s,t) edge
+    ns = g.neighbor_set(s)
     for i in usable:
         try:
-            ids, edges = _assemble_kernel(index, i, s, t)
+            ids, edges, boundary = _assemble_kernel(index, i, s, t)
         except EmptyKernel:
             continue
         if stats is not None:
             stats.add("kernel_edges", len(edges))
+        limit = best if cap is None else min(best, cap)
+        if len(boundary & ns) >= limit:
+            if stats is not None:
+                stats.add("two_hop_skips")
+            continue
         pos = {v: j for j, v in enumerate(ids)}
         arcs = []
         for a, b in edges:
             arcs.append((pos[a], pos[b]))
             arcs.append((pos[b], pos[a]))
         caps = [1] * len(ids)
-        limit = best if cap is None else min(best, cap)
         value, sep, _, completed = vertex_max_flow(
             len(ids), arcs, caps, [pos[s]], [pos[t]], limit=limit, stats=stats
         )

@@ -17,6 +17,16 @@ value and the same reach mask over the split nodes, and it lets the
 pure-Python backend reuse its memoized residual structure.  Multi-terminal
 queries copy the tuples and append the bypass arcs.
 
+Capped queries are answered without a flow when two-hop paths already
+reach the cap.  The middle vertices v of the paths s -> v -> t are pairwise
+distinct, so those paths are internally vertex-disjoint (Menger) and every
+(s,t) separator contains all of them: the max flow is at least their summed
+weight.  A query with limit L returns (L, None) exactly when the max flow is
+>= L, so `min_st_cut` and `min_st_separator` return it directly when that
+weight is >= L, counting `two_hop_skips` instead of a flow.  The check sits
+in those two entry points and not in `_graph_flow`, whose counters stay
+those of the bypass-arc network.
+
 The inner solver is the compiled `vcut._core` when available, else the
 pure-Python `vcut._pyflow`; set VCUT_PURE_PYTHON=1 to force the fallback.
 """
@@ -44,7 +54,10 @@ def _solve(n, num_nodes, tails, heads, arc_caps, caps, source, sink, inf, limit,
     """Run the solver from `source` to `sink`, extract the separator.
 
     `num_arcs` is the arc count of the bypass-arc network, recorded as
-    `flow_edges` whichever form of the network is solved."""
+    `flow_edges` whichever form of the network is solved.  A limit <= 0 is
+    reached before any flow, so it returns the capped answer uncounted."""
+    if limit is not None and limit <= 0:
+        return limit, None, None, False
     if stats is not None:
         stats.add("flow_calls")
         stats.add("flow_edges", num_arcs)
@@ -155,17 +168,38 @@ def _graph_flow(g, sources, sinks, limit=None, stats=None):
     )
 
 
+def two_hop_weight(g, s, t):
+    """Summed weight of the middle vertices of the paths s -> v -> t, a
+    lower bound on the (s,t) max flow (the paths are vertex-disjoint)."""
+    if isinstance(g, Graph):
+        return len(g.neighbor_set(s) & g.neighbor_set(t))
+    return g.weight_of(g.out_set(s) & g.in_set(t))
+
+
+def _pair_screen(g, s, t, limit, stats):
+    """NoSeparator for adjacent terminals, (limit, None) when two-hop paths
+    already reach `limit`, else None (a flow is needed)."""
+    if s == t:
+        raise InvariantError("s == t")
+    adjacent = g.has_edge(s, t) if isinstance(g, Graph) else g.has_arc(s, t)
+    if adjacent:
+        return NoSeparator
+    if limit is not None and two_hop_weight(g, s, t) >= limit:
+        if stats is not None:
+            stats.add("two_hop_skips")
+        return limit, None
+    return None
+
+
 def min_st_separator(g, s, t, limit=None, stats=None):
     """Minimum (s,t) vertex separator; NoSeparator when t is adjacent to s.
 
     Returns (value, separator_tuple).  With `limit`, values >= limit come
     back as (limit, None) and are exact below it.
     """
-    if s == t:
-        raise InvariantError("s == t")
-    adjacent = g.has_edge(s, t) if isinstance(g, Graph) else g.has_arc(s, t)
-    if adjacent:
-        return NoSeparator
+    screened = _pair_screen(g, s, t, limit, stats)
+    if screened is not None:
+        return screened
     value, sep, _, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
     if not completed:
         return value, None
@@ -174,11 +208,9 @@ def min_st_separator(g, s, t, limit=None, stats=None):
 
 def min_st_cut(g, s, t, limit=None, stats=None):
     """Like min_st_separator but returns the full (L,S,R) cut."""
-    if s == t:
-        raise InvariantError("s == t")
-    adjacent = g.has_edge(s, t) if isinstance(g, Graph) else g.has_arc(s, t)
-    if adjacent:
-        return NoSeparator
+    screened = _pair_screen(g, s, t, limit, stats)
+    if screened is not None:
+        return screened
     value, sep, reach, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
     if not completed:
         return value, None

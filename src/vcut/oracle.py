@@ -158,12 +158,19 @@ def brute_s_to_set_kappa(g: Graph, s, terminals, limit=None):
     return value
 
 
+def oracle_guard(g, cfg: Config = DEFAULT) -> int:
+    """The largest n that `brute_kappa` accepts for a graph of g's kind."""
+    if isinstance(g, WeightedDigraph):
+        return cfg.oracle_weighted_guard
+    return cfg.oracle_unweighted_guard
+
+
 def brute_kappa(g, cfg: Config = DEFAULT):
     """Exact connectivity with a witness cut; NoCut for complete graphs,
     (0, cut) for disconnected inputs.  Guarded input size.
     """
     directed = isinstance(g, WeightedDigraph)
-    guard = cfg.oracle_weighted_guard if directed else cfg.oracle_unweighted_guard
+    guard = oracle_guard(g, cfg)
     if g.n > guard:
         raise SizeGuardError(f"n={g.n} beyond oracle guard {guard}")
     if g.n <= 1:

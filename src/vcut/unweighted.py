@@ -31,6 +31,11 @@ from .maxflow import min_st_cut
 from .pseudorandom import symmetric_crossing_family
 
 
+# Largest graph whose sparsest canonical cut is found by exhaustive search;
+# that search fills a table of 2^n neighbourhood masks.
+EXHAUSTIVE_MAX = 16
+
+
 def _log2ceil(n):
     return max(1, math.ceil(math.log2(max(2, n))))
 
@@ -88,7 +93,7 @@ def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats):
             cut = VertexCut(left, sep, rest, len(sep))
             best = (key, cut)
 
-    if n <= 16:
+    if n <= EXHAUSTIVE_MAX:
         adj_mask = [0] * n
         for v in range(n):
             for w in g.adj[v]:

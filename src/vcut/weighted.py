@@ -6,6 +6,14 @@ Every separator extracted from a sparsified instance is re-validated in the
 original digraph before it can become a candidate, so the returned cut is
 always sound; at verification scale the symmetric branch's pair families are
 complete, which makes the combined driver unconditionally exact.
+
+A pair whose two-hop paths s -> v -> t already carry the current best
+value skips its capped flow (`_two_hop_caps`): the flow could only report
+"no better".  In the symmetric branch the check comes before the instance
+is built.  In the lopsided branch it comes after `sparsify_lopsided` and
+its counters: the instance sizes of every evaluated pair feed the
+naive/sparsified edge ratio that the instrumentation reports, and that
+ratio must not depend on which pairs were capped.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .graphs import (
     min_out_neighborhood_cut,
     validate_cut,
 )
-from .maxflow import vertex_max_flow
+from .maxflow import two_hop_weight, vertex_max_flow
 from .pseudorandom import asymmetric_crossing_family, map_pairs, symmetric_crossing_family
 
 
@@ -63,9 +71,16 @@ def identify_vlow(d: WeightedDigraph, cluster):
 
 def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEFAULT):
     """Bucketed union of asymmetric crossing families between the cluster
-    and the low-coverage set, for one (ell, r) guess; degenerate bucket
-    parameters clamp to the complete fallback."""
-    if ell < 1 or r < 1:
+    and the low-coverage set, for one (ell, r) guess, or for every guess in
+    `r` when it is a list; degenerate bucket parameters clamp to the
+    complete fallback.
+
+    A guess enters a bucket pair's family only through the clamped r_ij,
+    so over a list of guesses each distinct (i, j, l_ij, r_ij) family is
+    built once; the pairs are the union of the per-guess pairs, and the
+    degree bound sums over the distinct families."""
+    guesses = r if isinstance(r, list) else [r]
+    if ell < 1 or min(guesses, default=0) < 1:
         raise InvariantError("ell and r must be >= 1 (powers of two)")
     logw = _log2ceil(max(2, d.max_weight))
     logn = _log2ceil(d.n)
@@ -86,14 +101,17 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEF
             dj = sorted(by_bucket_d.get(j, []))
             if not dj:
                 continue
-            l_ij = max(1, math.ceil(ell / (2**i * logw)))
-            l_ij = min(l_ij, len(ci))
-            r_ij = len(dj) - math.ceil(d.n * ell * logw * logn * logn / r)
-            r_ij = max(1, min(r_ij, len(dj)))
-            l_ij = min(l_ij, r_ij)
-            fam = asymmetric_crossing_family(ci, dj, l_ij, r_ij, cfg)
-            pairs.extend(fam.pairs)
-            bound += fam.degree_bound
+            l_i = min(max(1, math.ceil(ell / (2**i * logw))), len(ci))
+            built_r = set()
+            for guess in guesses:
+                r_ij = len(dj) - math.ceil(d.n * ell * logw * logn * logn / guess)
+                r_ij = max(1, min(r_ij, len(dj)))
+                if r_ij in built_r:
+                    continue
+                built_r.add(r_ij)
+                fam = asymmetric_crossing_family(ci, dj, min(l_i, r_ij), r_ij, cfg)
+                pairs.extend(fam.pairs)
+                bound += fam.degree_bound
     from .pseudorandom import PairFamily
 
     return PairFamily(pairs, bound, "bucketed")
@@ -153,6 +171,29 @@ def sparsify_symmetric(d: WeightedDigraph, s, t):
     return WeightedDigraph(d.n, adj, d.weights)
 
 
+def _two_hop_caps(d: WeightedDigraph, s, t, limit, stats, cluster=None):
+    """True (counted as `two_hop_skips`) when the pair's capped flow would
+    stop at `limit` anyway: the two-hop paths s -> v -> t of its instance,
+    being vertex-disjoint, already carry weight >= limit.
+
+    The symmetric instance keeps every arc s -> v and v -> t of d.  The
+    lopsided instance of `cluster` keeps every arc s -> v and gives each v
+    outside the cluster an arc to t, so its middle vertices are the
+    out-neighbours of s outside the cluster or with an arc to t in d."""
+    if limit is None:
+        return False
+    if cluster is None:
+        weight = two_hop_weight(d, s, t)
+    else:
+        into_t = d.in_set(t)
+        weight = d.weight_of(v for v in d.out_adj[s] if v not in cluster or v in into_t)
+    if weight < limit:
+        return False
+    if stats is not None:
+        stats.add("two_hop_skips")
+    return True
+
+
 def _digraph_pair_cut(d: WeightedDigraph, h: WeightedDigraph, ids, s, t,
                       limit, stats):
     """Min (s,t)-separator on the instance h, mapped back and validated as a
@@ -196,11 +237,8 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
             v_low = identify_vlow(d, cluster)
             if not v_low:
                 continue
-            pair_pool = set()
-            for r in _powers_up_to(total):
-                fam = lopsided_pairs(d, cluster, v_low, ell, r, cfg)
-                pair_pool.update(fam.pairs)
-            for s, t in sorted(pair_pool):
+            fam = lopsided_pairs(d, cluster, v_low, ell, _powers_up_to(total), cfg)
+            for s, t in sorted(set(fam.pairs)):
                 if s == t or d.has_arc(s, t):
                     continue
                 key = (s, t, ckey)
@@ -215,6 +253,8 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                     stats.add("sparsified_edges_lopsided", h.m)
                     stats.add("naive_edges_lopsided", d.m)
                 limit = best.value if isinstance(best, VertexCut) else None
+                if _two_hop_caps(d, s, t, limit, stats, cluster=ckey):
+                    continue
                 cand = _digraph_pair_cut(d, h, ids, s, t, limit, stats)
                 best = better_cut(best, cand)
     return best
@@ -272,12 +312,14 @@ def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                 if s == t or d.has_arc(s, t) or (s, t) in evaluated:
                     continue
                 evaluated.add((s, t))
+                limit = best.value if isinstance(best, VertexCut) else None
+                if _two_hop_caps(d, s, t, limit, stats):
+                    continue
                 h = sparsify_symmetric(d, s, t)
                 if stats is not None:
                     stats.add("sparsified_instances")
                     stats.add("sparsified_edges", h.m)
                     stats.add("naive_edges", d.m)
-                limit = best.value if isinstance(best, VertexCut) else None
                 cand = _digraph_pair_cut(
                     d, h, list(range(d.n)), s, t, limit, stats
                 )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import complete, path, petersen
+from conftest import complete, directed_cycle, path, petersen
 from vcut.cli import main
 from vcut.graphs import serialize_graph
 from vcut.oracle import generate_planted
@@ -61,6 +61,24 @@ class TestCompute:
         assert code == 2
         assert captured.out == "" and "--k" in captured.err
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("expander_exhaustive_max = 16\n", "unknown config key"),
+            ("lam = eight\n", "lam"),
+            (None, "No such file"),
+        ],
+        ids=["removed-key", "bad-value", "missing"],
+    )
+    def test_bad_config_is_usage_error(self, petersen_file, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "vcut.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code = main(["compute", petersen_file, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error") and reason in captured.err
+
     def test_deterministic_reports(self, petersen_file, capsys):
         _, a = run(capsys, "compute", petersen_file)
         _, b = run(capsys, "compute", petersen_file)
@@ -74,6 +92,50 @@ class TestCompute:
             code, out = run(capsys, "compute", petersen_file, "--algo", algo)
             rep = json.loads(out)
             assert code == 0 and rep["value"] >= 3
+
+
+class TestOracleGuard:
+    """`--oracle` on a graph above the brute-force oracle's size guard (64
+    vertices, 24 for weighted digraphs) is a usage error, found before any
+    work is done."""
+
+    GRAPHS = [path(65), directed_cycle([1] * 25)]
+
+    def _write(self, tmp_path, g):
+        p = tmp_path / "big.g"
+        p.write_text(serialize_graph(g))
+        return str(p)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=["path65", "digraph25"])
+    def test_compute(self, g, tmp_path, capsys, monkeypatch):
+        p = self._write(tmp_path, g)
+
+        def no_work(*args):
+            raise AssertionError("driver ran before the oracle guard")
+
+        monkeypatch.setattr("vcut.cli._run_algorithm", no_work)
+        code = main(["compute", p, "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage error") and "--oracle" in captured.err
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=["path65", "digraph25"])
+    def test_verify(self, g, tmp_path, capsys, monkeypatch):
+        p = self._write(tmp_path, g)
+        code, out = run(capsys, "compute", p)
+        assert code == 0
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(out)
+        assert run(capsys, "verify", p, str(rep_path))[0] == 0
+
+        def no_work(*args):
+            raise AssertionError("cut checked before the oracle guard")
+
+        monkeypatch.setattr("vcut.cli.validate_cut", no_work)
+        code = main(["verify", p, str(rep_path), "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage error") and "--oracle" in captured.err
 
 
 class TestVerify:

@@ -7,8 +7,9 @@ from conftest import complete
 from vcut.config import DEFAULT
 from vcut.errors import EmptyKernel, InvariantError
 from vcut.graphs import Graph, NoSeparator
-from vcut.kernel import build_kernel_index, kernel_graph, query_kappa_upper
-from vcut.maxflow import min_st_separator
+from vcut.instrument import Counters
+from vcut.kernel import _assemble_kernel, build_kernel_index, kernel_graph, query_kappa_upper
+from vcut.maxflow import min_st_separator, vertex_max_flow
 from vcut.oracle import brute_pair_kappa, generate_planted, random_graph
 
 
@@ -154,3 +155,45 @@ class TestQuery:
                 small = len(cluster) <= C * len(S) * logn
                 sparse_s = len(S & set(cluster)) <= C * len(L) * logn
                 assert small or sparse_s
+
+
+def _query_unchecked(index, s, t, cap=None, stats=None):
+    """query_kappa_upper without the two-hop check: one capped flow per
+    usable kernel."""
+    g = index.graph
+    usable = [i for i in index.clusters_of(s) if len(index.clusters[i]) <= index.size_gate]
+    if not usable or g.has_edge(s, t):
+        return g.n
+    best = g.n
+    for i in usable:
+        try:
+            ids, edges, _ = _assemble_kernel(index, i, s, t)
+        except EmptyKernel:
+            continue
+        pos = {v: j for j, v in enumerate(ids)}
+        arcs = [(pos[a], pos[b]) for a, b in edges] + [(pos[b], pos[a]) for a, b in edges]
+        limit = best if cap is None else min(best, cap)
+        value, _, _, completed = vertex_max_flow(
+            len(ids), arcs, [1] * len(ids), [pos[s]], [pos[t]], limit=limit, stats=stats
+        )
+        if completed and value < best:
+            best = value
+    return best
+
+
+class TestTwoHopSkip:
+    def test_matches_unchecked_query(self):
+        skips = 0
+        for seed in range(4):
+            g = random_graph(15, (0.2, 0.3, 0.4, 0.55)[seed], seed)
+            delta = g.min_degree()
+            for ell in (1, 2, 4):
+                idx = build_kernel_index(g, ell)
+                for s, t in itertools.permutations(range(g.n), 2):
+                    for cap in (None, 1, 2, delta, delta + 1):
+                        mine, ref = Counters(), Counters()
+                        got = query_kappa_upper(idx, s, t, cap=cap, stats=mine)
+                        assert got == _query_unchecked(idx, s, t, cap=cap, stats=ref)
+                        assert mine.get("flow_calls") <= ref.get("flow_calls")
+                        skips += mine.get("two_hop_skips")
+        assert skips > 0

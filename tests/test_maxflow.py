@@ -16,6 +16,7 @@ from vcut.maxflow import (
     min_st_cut,
     min_st_separator,
     rooted_connectivity,
+    two_hop_weight,
     vertex_max_flow,
     weak_separator,
 )
@@ -78,6 +79,30 @@ class TestMinStSeparator:
         assert value == 2 and sep is None
         value, sep = min_st_separator(g, 0, 7, limit=9)
         assert value == 3 and sep is not None
+
+
+class TestNonPositiveLimit:
+    """A limit <= 0 is reached before any flow: every entry point returns
+    its capped answer and counts no flow."""
+
+    @pytest.mark.parametrize("limit", [0, -2])
+    def test_every_entry_point_is_capped(self, limit):
+        g = path(3)
+        stats = Counters()
+        assert min_st_cut(g, 0, 2, limit=limit, stats=stats) == (limit, None)
+        assert min_st_separator(g, 0, 2, limit=limit, stats=stats) == (limit, None)
+        assert min_s_to_set_separator(g, 0, [2], limit=limit, stats=stats) == (limit, None)
+        capped = (limit, None, None, False)
+        assert _graph_flow(g, [0], [2], limit=limit, stats=stats) == capped
+        assert _graph_flow(g, [0, 1], [2], limit=limit, stats=stats) == capped
+        assert vertex_max_flow(3, g.flow_arcs(), [1] * 3, [0], [2], limit=limit, stats=stats) == capped
+        assert stats.get("flow_calls") == 0 and stats.get("flow_edges") == 0
+
+    def test_disconnected_pair(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert min_st_cut(g, 0, 3, limit=0) == (0, None)
+        value, cut = min_st_cut(g, 0, 3, limit=1)
+        assert value == 0 and validate_cut(g, cut)
 
 
 class TestMinSToSet:
@@ -145,9 +170,7 @@ class TestEvenSweep:
     def test_matches_all_pairs_reference(self):
         for g in self._graphs():
             kappa = all_pairs_probe(g).value
-            # No cap of 0: min_st_cut does not honour limit=0, and the
-            # reference would pass it on when kappa = 0.
-            for cap in (None, 1, max(kappa, 1), kappa + 1):
+            for cap in (None, 0, 1, max(kappa, 1), kappa + 1):
                 for start in (None, min_degree_cut(g)):
                     mine, ref = Counters(), Counters()
                     got = even_sweep(g, start, cap=cap, stats=mine)
@@ -306,6 +329,61 @@ class TestGraphFlowFastPath:
                     want = vertex_max_flow(g.n, arcs, caps, [s], [t], limit=limit, stats=slow)
                     assert got == want, (s, t, limit)
                     assert fast.data == slow.data
+
+
+class TestTwoHopCertificate:
+    """The two-hop check in min_st_cut/min_st_separator returns exactly what
+    the capped flow it skips would have returned."""
+
+    def _cases(self):
+        for seed in range(4):
+            yield random_graph(12, (0.2, 0.35, 0.5, 0.7)[seed], seed)
+        for seed in range(4):
+            yield random_digraph(10, (0.3, 0.5)[seed % 2], (1, 6)[seed // 2], seed)
+
+    @staticmethod
+    def _unchecked(g, s, t, limit, stats):
+        """min_st_cut and min_st_separator answers from a bare flow."""
+        value, sep, reach, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
+        if not completed:
+            return (value, None), (value, None)
+        left = {v for v in range(g.n) if reach[v]}
+        right = set(range(g.n)) - left - set(sep)
+        return (value, VertexCut(left, sep, right, value)), (value, tuple(sep))
+
+    def test_matches_unchecked_flow(self):
+        skips = 0
+        for g in self._cases():
+            adjacent = g.has_edge if isinstance(g, Graph) else g.has_arc
+            for s, t in itertools.permutations(range(g.n), 2):
+                if adjacent(s, t):
+                    continue
+                hop = two_hop_weight(g, s, t)
+                kappa = _graph_flow(g, [s], [t])[0]
+                assert hop <= kappa
+                for limit in (1, hop, hop + 1, kappa, kappa + 1):
+                    mine, ref = Counters(), Counters()
+                    want_cut, want_sep = self._unchecked(g, s, t, limit, ref)
+                    assert min_st_cut(g, s, t, limit=limit, stats=mine) == want_cut
+                    assert min_st_separator(g, s, t, limit=limit, stats=mine) == want_sep
+                    if limit >= 1:
+                        # each skip stands in for one capped flow
+                        assert (
+                            mine.get("flow_calls") + mine.get("two_hop_skips")
+                            == 2 * ref.get("flow_calls")
+                        )
+                    skips += mine.get("two_hop_skips")
+        assert skips > 0
+
+    def test_two_hop_weight_by_definition(self):
+        for g in self._cases():
+            weight = [1] * g.n if isinstance(g, Graph) else g.weights
+            for s, t in itertools.permutations(range(g.n), 2):
+                if isinstance(g, Graph):
+                    middle = [v for v in range(g.n) if g.has_edge(s, v) and g.has_edge(v, t)]
+                else:
+                    middle = [v for v in range(g.n) if g.has_arc(s, v) and g.has_arc(v, t)]
+                assert two_hop_weight(g, s, t) == sum(weight[v] for v in middle)
 
 
 def _split_network(g, s, t):

@@ -7,8 +7,12 @@ from conftest import complete_digraph, directed_cycle
 from vcut.errors import InvariantError
 from vcut.graphs import NoCut, VertexCut, WeightedDigraph, validate_cut
 from vcut.instrument import Counters
+from vcut.maxflow import vertex_max_flow
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
+from vcut import weighted
 from vcut.weighted import (
+    _powers_up_to,
+    _two_hop_caps,
     identify_vlow,
     lopsided_pairs,
     lopsided_vc,
@@ -79,6 +83,103 @@ class TestLopsidedPairs:
         # r formula is deeply negative at this size: complete fallback.
         expect = {(u, v) for u in cluster for v in low if u != v}
         assert expect <= set(fam.pairs)
+
+
+class TestLopsidedPairsOverGuesses:
+    def _cases(self):
+        for seed in range(6):
+            d = random_digraph(14, 0.3, (4, 64)[seed % 2], seed)
+            if seed >= 4:
+                # One heavy weight bucket: the clamped r_ij then takes
+                # several values over the guesses.
+                d = WeightedDigraph(16, random_digraph(16, 0.3, 1, seed).out_adj, [64] * 16)
+            rng = random.Random(seed)
+            cluster = sorted(rng.sample(range(d.n), 5))
+            low = identify_vlow(d, cluster) or [v for v in range(d.n) if v not in cluster]
+            yield d, cluster, low
+
+    def test_union_of_per_guess_pairs(self):
+        for d, cluster, low in self._cases():
+            guesses = _powers_up_to(d.weight_of(range(d.n)))
+            for ell in (1, 4, 32):
+                union = set()
+                for r in guesses:
+                    union |= set(lopsided_pairs(d, cluster, low, ell, r).pairs)
+                assert set(lopsided_pairs(d, cluster, low, ell, guesses).pairs) == union
+
+    def test_each_family_built_once(self, monkeypatch):
+        built = []
+        original = weighted.asymmetric_crossing_family
+
+        def counting(a, b, l, r, cfg):
+            built.append((tuple(a), tuple(b), l, r))
+            return original(a, b, l, r, cfg)
+
+        monkeypatch.setattr(weighted, "asymmetric_crossing_family", counting)
+        several = False
+        for d, cluster, low in self._cases():
+            guesses = _powers_up_to(d.weight_of(range(d.n)))
+            for ell in (1, 2):
+                built.clear()
+                lopsided_pairs(d, cluster, low, ell, guesses)
+                assert built and len(set(built)) == len(built)
+                once = set(built)
+                built.clear()
+                for r in guesses:
+                    lopsided_pairs(d, cluster, low, ell, r)
+                assert set(built) == once and len(built) > len(once)
+                several |= len({(a, b) for a, b, _, _ in once}) < len(once)
+        assert several  # some bucket pair needed more than one family
+
+
+class TestTwoHopCaps:
+    """`_two_hop_caps` matches the two-hop paths of the instance whose
+    capped flow it skips, and the drivers answer as without it."""
+
+    @staticmethod
+    def _hop_weight(h, s, t):
+        return sum(h.weights[v] for v in range(h.n) if h.has_arc(s, v) and h.has_arc(v, t))
+
+    def test_matches_instance_paths(self):
+        for seed in range(5):
+            d = random_digraph(11, (0.3, 0.45)[seed % 2], (1, 8)[seed % 2], seed)
+            rng = random.Random(seed)
+            for s, t in itertools.permutations(range(d.n), 2):
+                if d.has_arc(s, t):
+                    continue
+                cluster = frozenset(rng.sample(range(d.n), 4)) | {s}
+                h, ids = sparsify_lopsided(d, s, t, cluster)
+                pos = {v: i for i, v in enumerate(ids)}
+                cases = [
+                    (sparsify_symmetric(d, s, t), s, t, None),
+                    (h, pos[s], pos[t], cluster),
+                ]
+                for inst, a, b, c in cases:
+                    hop = self._hop_weight(inst, a, b)
+                    for limit in (1, hop, hop + 1):
+                        got = _two_hop_caps(d, s, t, limit, None, cluster=c)
+                        assert got == (limit <= hop), (seed, s, t, c, limit)
+                    flow = vertex_max_flow(
+                        inst.n, list(inst.arcs()), list(inst.weights), [a], [b]
+                    )[0]
+                    assert hop <= flow
+
+    def test_drivers_match_unchecked(self, monkeypatch):
+        digraphs = [random_digraph(12, 0.35, (4, 64)[seed % 2], seed) for seed in range(4)]
+        digraphs.append(generate_planted("lopsided", {"l": 2, "s": 3, "r": 10}, seed=0).graph)
+        skips = Counters()
+        for d in digraphs:
+            for branch in (lopsided_vc, symmetric_vc):
+                mine, ref = Counters(), Counters()
+                got = branch(d, stats=mine)
+                with monkeypatch.context() as m:
+                    m.setattr(weighted, "_two_hop_caps", lambda *args, **kw: False)
+                    want = branch(d, stats=ref)
+                assert got == want
+                assert mine.get("flow_calls") + mine.get("two_hop_skips") == ref.get("flow_calls")
+                assert mine.get("sparsified_edges_lopsided") == ref.get("sparsified_edges_lopsided")
+                skips.add(branch.__name__, mine.get("two_hop_skips"))
+        assert skips.get("lopsided_vc") > 0 and skips.get("symmetric_vc") > 0
 
 
 class TestSparsifyLopsided:
