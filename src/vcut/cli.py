@@ -12,10 +12,12 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 
 from . import maxflow
 from .config import DEFAULT, load_config
@@ -58,32 +60,6 @@ def _oracle_too_large(graph, cfg=DEFAULT) -> bool:
     return True
 
 
-def _terminal_loop(g, cfg, stats):
-    """Pure terminal-reduction driver (no unbalanced branch)."""
-    from .graphs import better_cut, min_degree_cut, ni_sparsify
-    from .isocut import balanced_terminal_vc
-    from .unweighted import terminal_reduction
-
-    if g.is_complete():
-        return NoCut(g.n - 1)
-    comps = g.components()
-    if len(comps) > 1:
-        rest = set(range(g.n)) - set(comps[0])
-        return VertexCut(comps[0], (), rest, 0)
-    gs = ni_sparsify(g, g.min_degree())
-    k = max(1, gs.min_degree())
-    best = min_degree_cut(g)
-    terms = tuple(range(g.n))
-    while terms:
-        cand = balanced_terminal_vc(gs, terms, k, cfg, stats)
-        if isinstance(cand, VertexCut) and validate_cut(g, cand):
-            best = better_cut(best, cand)
-        cand, terms = terminal_reduction(gs, terms, k, cfg, stats)
-        if isinstance(cand, VertexCut) and validate_cut(g, cand):
-            best = better_cut(best, cand)
-    return best
-
-
 def _run_algorithm(graph, algo, k, cfg, stats):
     directed = not isinstance(graph, Graph)
     if algo == "auto":
@@ -110,7 +86,7 @@ def _run_algorithm(graph, algo, k, cfg, stats):
     if algo == "terminal":
         if directed:
             raise InvariantError("the terminal algorithm needs an undirected graph")
-        return algo, _terminal_loop(graph, cfg, stats)
+        return algo, vertex_connectivity_unweighted(graph, cfg, stats, unbalanced=False)
     raise InvariantError(f"unknown algorithm {algo!r}")
 
 
@@ -215,7 +191,7 @@ def cmd_verify(args) -> int:
         data = open(args.graph, "rb").read()
         graph = parse_graph(data)
         report = json.load(open(args.report))
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError, nesting
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ParseError, InvariantError) as exc:
@@ -385,9 +361,11 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     fields = ["kind", "n", "m", "seed", "algo", "value", "wall_ms", "flow_calls"]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda ln: _bench_row(ln, cfg), lines))
+    workers = min(args.jobs, len(lines), os.cpu_count() or 1)
+    if workers > 1:
+        # Processes, not threads: the drivers are pure Python and hold the GIL.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_bench_row, lines, repeat(cfg)))
     else:
         rows = [_bench_row(ln, cfg) for ln in lines]
     with open(args.out, "w", newline="") as fh:

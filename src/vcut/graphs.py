@@ -458,14 +458,15 @@ def set_neighborhood(g, vertices, direction: str = "out") -> set:
 
 
 def validate_cut(g, cut: VertexCut) -> bool:
-    """True iff (L,S,R) is a disjoint cover of V with no edge/arc from L to R.
+    """True iff (L,S,R) is a disjoint cover of V, no vertex listed twice,
+    with no edge/arc from L to R.
 
     Monotone under moving vertices from L or R into S.
     """
     if not isinstance(cut, VertexCut):
         return False
     L, S, R = set(cut.L), set(cut.S), set(cut.R)
-    if len(L) + len(S) + len(R) != g.n or (L | S | R) != set(range(g.n)):
+    if len(cut.L) + len(cut.S) + len(cut.R) != g.n or (L | S | R) != set(range(g.n)):
         return False
     if not L or not R:
         return False
@@ -513,7 +514,10 @@ def min_out_neighborhood_cut(d: WeightedDigraph):
 def parse_graph(text):
     """Parse the toolkit text format into a Graph or WeightedDigraph."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text (byte {exc.start})") from None
     n = m = None
     directed = False
     edges = []

@@ -266,6 +266,8 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     if use_pairs:
         alpha = 1 / eps
         family = map_pairs(symmetric_crossing_family(len(terms), alpha, cfg), terms)
+        arcs = aux.flow_arcs()
+        caps = [1] * aux.n
         seen = set()
         for a, b in family:
             if a == b:
@@ -277,8 +279,6 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
             a, b = key
             if g.has_edge(a, b):
                 continue
-            arcs = [(u, v) for u in range(aux.n) for v in aux.adj[u]]
-            caps = [1] * aux.n
             _, sep_aux, _, completed = vertex_max_flow(
                 aux.n, arcs, caps, [pos[a]], [pos[b], virtual],
                 limit=best.value if isinstance(best, VertexCut) else None,

@@ -5,6 +5,11 @@ A query kappa~(s,t) runs a min-separator on each kernel graph of a cluster
 containing s and returns the smallest value found; it never undershoots
 kappa(s,t), and it equals kappa(G) whenever some minimum cut has its small
 side inside a small-enough cluster with s on it and t on the far side.
+
+Most kernel flows only confirm "no better than the best so far".  Each
+kernel is assembled once as an adjacency; a greedy packing of vertex-
+disjoint s-t paths on it (a lower bound on the kernel's max flow) decides
+those flows without building a flow network, and only the rest run.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .cnc import TOO_LARGE, cnc, sketch_construct, sketch_recover
 from .config import DEFAULT, Config
 from .errors import EmptyKernel, InvariantError
 from .graphs import Graph, symdiff_size
-from .maxflow import vertex_max_flow
+from .maxflow import disjoint_paths, vertex_max_flow
 
 
 class KernelIndex:
@@ -85,69 +90,62 @@ def _neighbors_minus(index: KernelIndex, u, s):
 
 
 def _kernel_parts(index: KernelIndex, i, s):
-    """(cluster, per-u reduced neighbor lists, boundary contributions) for a
-    (cluster, source) pair; t-independent and cached."""
+    """(cluster as a set, per-u reduced neighbor lists, and for each vertex
+    the cluster members whose reduced list holds it) for a (cluster,
+    source) pair; t-independent and cached."""
     key = (i, s)
     got = index._parts_cache.get(key)
     if got is not None:
         return got
-    g = index.graph
     cluster = index.clusters[i]
     if s not in cluster:
         raise InvariantError("s is not in the requested cluster")
-    cset = set(cluster)
     reduced = {u: tuple(sorted(_neighbors_minus(index, u, s))) for u in cluster}
-    outside = {u: tuple(v for v in g.adj[u] if v not in cset) for u in cluster}
-    parts = (cluster, cset, reduced, outside)
+    reverse = {}
+    for u in cluster:
+        for v in reduced[u]:
+            reverse.setdefault(v, []).append(u)
+    parts = (set(cluster), reduced, reverse)
     index._parts_cache[key] = parts
     return parts
 
 
 def _assemble_kernel(index: KernelIndex, i, s, t):
-    """Vertex list, edge set and boundary (the vertices joined to t) of the
-    kernel for (cluster i, s, t)."""
+    """Sorted vertex list and adjacency (vertex -> set of neighbours) of the
+    kernel for (cluster i, s, t).
+
+    The core is the cluster minus N[t]; each core vertex u keeps its edges
+    to N(u) \\ N(s).  The boundary N(core) \\ core is joined to t, and s
+    is joined to its neighbours in the kernel."""
     g = index.graph
-    cluster, cset, reduced, outside = _kernel_parts(index, i, s)
-    nt = g.neighbor_set(t)
-    core = [v for v in cluster if v != t and v not in nt]
+    cset, reduced, reverse = _kernel_parts(index, i, s)
+    core = cset.difference(g.neighbor_set(t))
+    core.discard(t)
     if not core:
         raise EmptyKernel(f"cluster {i} is contained in N[t]")
-    core_set = set(core)
-    vertices = set(core)
-    vertices.add(s)
-    vertices.add(t)
-    edges = set()
-    boundary = set()
+    adj = {u: set(reduced[u]) for u in core}
     for u in core:
-        for v in reduced[u]:
-            vertices.add(v)
-            edges.add((u, v) if u < v else (v, u))
-            if v not in core_set:
-                boundary.add(v)
-        for v in outside[u]:
-            vertices.add(v)
-            boundary.add(v)
-        for v in g.adj[u]:
-            if v in cset and v not in core_set:
-                vertices.add(v)
-                boundary.add(v)
-    ns = g.neighbor_set(s)
-    for v in ns:
-        if v in vertices:
-            edges.add((s, v) if s < v else (v, s))
-    for u in boundary:
-        if u != t:
-            edges.add((u, t) if u < t else (t, u))
-    return sorted(vertices), edges, boundary
+        adj[u].update(core.intersection(reverse.get(u, ())))
+    boundary = set().union(*(g.adj[u] for u in core)) - core
+    for v in boundary:
+        back = core.intersection(reverse.get(v, ()))
+        back.add(t)
+        adj[v] = back
+    adj[t] = boundary
+    near_s = adj.setdefault(s, set())
+    for v in g.neighbor_set(s) & adj.keys():
+        near_s.add(v)
+        adj[v].add(s)
+    return sorted(adj), adj
 
 
 def kernel_graph(index: KernelIndex, i, s, t):
     """Compressed flow instance for cluster i and query pair (s,t), as a
     Graph plus the position->original id map.  Raises EmptyKernel when
     pruning t's closed neighborhood empties the cluster."""
-    ids, edges, _ = _assemble_kernel(index, i, s, t)
+    ids, adj = _assemble_kernel(index, i, s, t)
     pos = {v: j for j, v in enumerate(ids)}
-    kernel = Graph.from_edges(len(ids), sorted((pos[a], pos[b]) for a, b in edges))
+    kernel = Graph(len(ids), [sorted(pos[v] for v in adj[u]) for u in ids])
     return kernel, ids, pos[s], pos[t]
 
 
@@ -158,11 +156,11 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     directly contribute nothing.  `cap` is the internal early-stop bound
     (values >= cap come back as cap); the default is the exact value.
 
-    In a kernel t is joined to every boundary vertex and s only to its own
-    neighbours, so the two-hop paths s - v - t have their middle vertices
-    in N(s) & boundary (t is never in N(s)).  When there are at least as
-    many as the flow's limit, the capped flow could not lower `best`, and
-    it is skipped (counted as `two_hop_skips`).
+    Before each kernel's capped flow, a greedy packing of disjoint s-t
+    paths in the kernel (`maxflow.disjoint_paths`, on the same adjacency
+    the flow is built from) bounds its max flow from below.  When the
+    packing reaches the flow's limit, the flow could not lower `best`, and
+    it is skipped (counted as `path_skips`).
     """
     g = index.graph
     if s == t:
@@ -175,24 +173,20 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     best = g.n
     if g.has_edge(s, t):
         return best  # every kernel carries the direct (s,t) edge
-    ns = g.neighbor_set(s)
     for i in usable:
         try:
-            ids, edges, boundary = _assemble_kernel(index, i, s, t)
+            ids, adj = _assemble_kernel(index, i, s, t)
         except EmptyKernel:
             continue
         if stats is not None:
-            stats.add("kernel_edges", len(edges))
+            stats.add("kernel_edges", sum(map(len, adj.values())) // 2)
         limit = best if cap is None else min(best, cap)
-        if len(boundary & ns) >= limit:
+        if disjoint_paths(adj, s, t, limit) >= limit:
             if stats is not None:
-                stats.add("two_hop_skips")
+                stats.add("path_skips")
             continue
         pos = {v: j for j, v in enumerate(ids)}
-        arcs = []
-        for a, b in edges:
-            arcs.append((pos[a], pos[b]))
-            arcs.append((pos[b], pos[a]))
+        arcs = [(pos[u], pos[v]) for u in ids for v in adj[u]]
         caps = [1] * len(ids)
         value, sep, _, completed = vertex_max_flow(
             len(ids), arcs, caps, [pos[s]], [pos[t]], limit=limit, stats=stats

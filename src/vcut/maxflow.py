@@ -17,15 +17,17 @@ value and the same reach mask over the split nodes, and it lets the
 pure-Python backend reuse its memoized residual structure.  Multi-terminal
 queries copy the tuples and append the bypass arcs.
 
-Capped queries are answered without a flow when two-hop paths already
-reach the cap.  The middle vertices v of the paths s -> v -> t are pairwise
-distinct, so those paths are internally vertex-disjoint (Menger) and every
-(s,t) separator contains all of them: the max flow is at least their summed
-weight.  A query with limit L returns (L, None) exactly when the max flow is
->= L, so `min_st_cut` and `min_st_separator` return it directly when that
-weight is >= L, counting `two_hop_skips` instead of a flow.  The check sits
-in those two entry points and not in `_graph_flow`, whose counters stay
-those of the bypass-arc network.
+Capped queries are answered without a flow when disjoint paths already
+reach the cap.  Internally vertex-disjoint s-t paths each need their own
+separator vertex, so their count (for a digraph, the summed weight of the
+middle vertices v of the paths s -> v -> t) is a lower bound on the max flow
+(Menger).  A query with limit L returns (L, None) exactly when the max flow
+is >= L, so `min_st_cut` and `min_st_separator` return it directly when
+that bound is >= L, counting `path_skips` instead of a flow.  On undirected
+graphs the bound is a greedy packing (`disjoint_paths`): repeated BFS for a
+shortest s-t path avoiding the vertices of earlier paths, which takes every
+two-hop path first.  The check sits in those two entry points and not in
+`_graph_flow`, whose counters stay those of the bypass-arc network.
 
 The inner solver is the compiled `vcut._core` when available, else the
 pure-Python `vcut._pyflow`; set VCUT_PURE_PYTHON=1 to force the fallback.
@@ -176,17 +178,80 @@ def two_hop_weight(g, s, t):
     return g.weight_of(g.out_set(s) & g.in_set(t))
 
 
+def disjoint_paths(adj, s, t, limit, paths=None):
+    """Greedy packing of internally vertex-disjoint s-t paths in the
+    undirected unit-capacity graph `adj` (indexed by vertex, s and t not
+    adjacent): repeat a BFS for a shortest s-t path through vertices that
+    no earlier path used.  Returns the number of paths found, a lower bound
+    on the (s,t) max flow.
+
+    The packing stops at `limit` paths (None: no limit) or when no further
+    path exists.  Every two-hop path s - v - t is a shortest path, so all
+    of them are taken first, in the order of adj[s].  When `paths` is a
+    list, each path found is appended to it as a tuple from s to t.
+    """
+    into_t = set(adj[t])
+    if s in into_t:
+        raise InvariantError("disjoint paths need non-adjacent terminals")
+    if limit is not None and limit <= 0:
+        return 0
+    used = [v for v in adj[s] if v in into_t][:limit]
+    if paths is not None:
+        paths.extend((s, v, t) for v in used)
+    count = len(used)
+    blocked = set(used)
+    blocked.add(s)
+    blocked.add(t)
+    while limit is None or count < limit:
+        parent = {}
+        frontier = [s]
+        last = None
+        while frontier and last is None:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v in blocked or v in parent:
+                        continue
+                    parent[v] = u
+                    if v in into_t:
+                        last = v
+                        break
+                    nxt.append(v)
+                if last is not None:
+                    break
+            frontier = nxt
+        if last is None:
+            break
+        path = [t]
+        v = last
+        while v != s:
+            blocked.add(v)
+            path.append(v)
+            v = parent[v]
+        count += 1
+        if paths is not None:
+            path.append(s)
+            paths.append(tuple(reversed(path)))
+    return count
+
+
 def _pair_screen(g, s, t, limit, stats):
-    """NoSeparator for adjacent terminals, (limit, None) when two-hop paths
-    already reach `limit`, else None (a flow is needed)."""
+    """NoSeparator for adjacent terminals, (limit, None) when disjoint
+    paths already reach `limit`, else None (a flow is needed)."""
     if s == t:
         raise InvariantError("s == t")
     adjacent = g.has_edge(s, t) if isinstance(g, Graph) else g.has_arc(s, t)
     if adjacent:
         return NoSeparator
-    if limit is not None and two_hop_weight(g, s, t) >= limit:
+    if limit is None:
+        return None
+    if isinstance(g, Graph):
+        found = disjoint_paths(g.adj, s, t, limit)
+    else:
+        found = two_hop_weight(g, s, t)
+    if found >= limit:
         if stats is not None:
-            stats.add("two_hop_skips")
+            stats.add("path_skips")
         return limit, None
     return None
 

@@ -439,13 +439,16 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     return best
 
 
-def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None):
+def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
+                                   unbalanced=True):
     """Exact minimum vertex cut driver.
 
     Disconnected inputs yield a value-0 cut, complete inputs the NoCut
     sentinel carrying n-1.  Otherwise: sparsify, run the unbalanced branch,
     then alternate balanced-terminal calls with terminal reduction until the
     terminal set empties, returning the minimum valid cut seen anywhere.
+    With `unbalanced=False` the unbalanced branch is left out, which leaves
+    the terminal-reduction loop alone (`vcut compute --algo terminal`).
     """
     if g.n <= 1:
         return NoCut(max(0, g.n - 1))
@@ -465,7 +468,8 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None):
         if isinstance(candidate, VertexCut) and validate_cut(g, candidate):
             best = better_cut(best, candidate)
 
-    offer(unbalanced_vc(gs, cfg, stats))
+    if unbalanced:
+        offer(unbalanced_vc(gs, cfg, stats))
     terms = tuple(range(g.n))
     while terms:
         offer(balanced_terminal_vc(gs, terms, k, cfg, stats))

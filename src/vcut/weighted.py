@@ -8,12 +8,15 @@ always sound; at verification scale the symmetric branch's pair families are
 complete, which makes the combined driver unconditionally exact.
 
 A pair whose two-hop paths s -> v -> t already carry the current best
-value skips its capped flow (`_two_hop_caps`): the flow could only report
-"no better".  In the symmetric branch the check comes before the instance
-is built.  In the lopsided branch it comes after `sparsify_lopsided` and
-its counters: the instance sizes of every evaluated pair feed the
-naive/sparsified edge ratio that the instrumentation reports, and that
-ratio must not depend on which pairs were capped.
+value skips its capped flow (`_two_hop_caps`, counted as `path_skips`): the
+paths are vertex-disjoint, so they bound the max flow from below and the
+flow could only report "no better".  In the symmetric branch the check
+comes before the instance is built.  In the lopsided branch it comes after
+the instance's arc selection (`lopsided_arcs`) and its counters: the
+instance sizes of every evaluated pair feed the naive/sparsified edge ratio
+that the instrumentation reports, and that ratio must not depend on which
+pairs were capped.  The instance digraph itself is built only for pairs
+that get a flow.
 """
 
 from __future__ import annotations
@@ -117,14 +120,9 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEF
     return PairFamily(pairs, bound, "bucketed")
 
 
-def sparsify_lopsided(d: WeightedDigraph, s, t, cluster):
-    """The per-pair compressed instance: arcs incident to the cluster minus
-    arcs inside N_out(s), plus an arc from every cluster out-neighbor to t.
-
-    Returns (digraph, ids) with ids mapping instance positions back to
-    original vertices; any (s,t)-separator of the instance is an
-    (s,t)-separator of the original graph.
-    """
+def lopsided_arcs(d: WeightedDigraph, s, t, cluster):
+    """The arc selection of `sparsify_lopsided`: the instance's vertices
+    (sorted original ids) and its arcs as a set of original-id pairs."""
     cset = set(cluster)
     if s not in cset:
         raise InvariantError("s must lie in the cluster")
@@ -145,13 +143,30 @@ def sparsify_lopsided(d: WeightedDigraph, s, t, cluster):
             if u in ns and v in ns:
                 continue
             arcs.add((u, v))
-    for u in sorted(n_out):
+    for u in n_out:
         if u != t:
             arcs.add((u, t))
+    return vertices, arcs
+
+
+def _instance(d: WeightedDigraph, vertices, arcs):
+    """The digraph on `vertices` (renumbered by position) with `arcs`."""
     pos = {v: i for i, v in enumerate(vertices)}
     local = sorted((pos[u], pos[v]) for u, v in arcs)
     weights = [d.weights[v] for v in vertices]
-    return WeightedDigraph.from_arcs(len(vertices), local, weights), vertices
+    return WeightedDigraph.from_arcs(len(vertices), local, weights)
+
+
+def sparsify_lopsided(d: WeightedDigraph, s, t, cluster):
+    """The per-pair compressed instance: arcs incident to the cluster minus
+    arcs inside N_out(s), plus an arc from every cluster out-neighbor to t.
+
+    Returns (digraph, ids) with ids mapping instance positions back to
+    original vertices; any (s,t)-separator of the instance is an
+    (s,t)-separator of the original graph.
+    """
+    vertices, arcs = lopsided_arcs(d, s, t, cluster)
+    return _instance(d, vertices, arcs), vertices
 
 
 def sparsify_symmetric(d: WeightedDigraph, s, t):
@@ -172,7 +187,7 @@ def sparsify_symmetric(d: WeightedDigraph, s, t):
 
 
 def _two_hop_caps(d: WeightedDigraph, s, t, limit, stats, cluster=None):
-    """True (counted as `two_hop_skips`) when the pair's capped flow would
+    """True (counted as `path_skips`) when the pair's capped flow would
     stop at `limit` anyway: the two-hop paths s -> v -> t of its instance,
     being vertex-disjoint, already carry weight >= limit.
 
@@ -190,7 +205,7 @@ def _two_hop_caps(d: WeightedDigraph, s, t, limit, stats, cluster=None):
     if weight < limit:
         return False
     if stats is not None:
-        stats.add("two_hop_skips")
+        stats.add("path_skips")
     return True
 
 
@@ -225,6 +240,7 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     promise."""
     best = min_out_neighborhood_cut(d)
     total = d.weight_of(range(d.n))
+    naive = d.m
     evaluated = set()
     for ell in _powers_up_to(total):
         clusters = weighted_cnc(d, ell, stats=stats)
@@ -245,16 +261,17 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                 if key in evaluated:
                     continue
                 evaluated.add(key)
-                h, ids = sparsify_lopsided(d, s, t, cluster)
+                ids, arcs = lopsided_arcs(d, s, t, cluster)
                 if stats is not None:
                     stats.add("sparsified_instances")
-                    stats.add("sparsified_edges", h.m)
-                    stats.add("naive_edges", d.m)
-                    stats.add("sparsified_edges_lopsided", h.m)
-                    stats.add("naive_edges_lopsided", d.m)
+                    stats.add("sparsified_edges", len(arcs))
+                    stats.add("naive_edges", naive)
+                    stats.add("sparsified_edges_lopsided", len(arcs))
+                    stats.add("naive_edges_lopsided", naive)
                 limit = best.value if isinstance(best, VertexCut) else None
                 if _two_hop_caps(d, s, t, limit, stats, cluster=ckey):
                     continue
+                h = _instance(d, ids, arcs)
                 cand = _digraph_pair_cut(d, h, ids, s, t, limit, stats)
                 best = better_cut(best, cand)
     return best

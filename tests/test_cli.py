@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -290,6 +291,23 @@ class TestBench:
         out = tmp_path / "o.csv"
         code, _ = run(capsys, "bench", str(suite), str(out), "--jobs", "2")
         assert code == 0 and len(out.read_text().splitlines()) == 3
+
+    def test_jobs_rows_match_serial(self, tmp_path, capsys):
+        """A process pool writes the rows of a serial run, in suite order;
+        only the timing column may differ."""
+        suite = tmp_path / "suite.txt"
+        suite.write_text("graph 10 0.3 1\ngraph 9 0.4 2\ndigraph 7 0.35 3 5\ngraph 8 0.5 4\n")
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            code, _ = run(capsys, "bench", str(suite), str(out), "--jobs", jobs)
+            assert code == 0
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                assert float(row.pop("wall_ms")) >= 0
+            tables.append(rows)
+        assert len(tables[0]) == 4 and tables[0] == tables[1]
 
 
 class TestInstanceFiles:

@@ -164,10 +164,10 @@ class TestEvenSweepFallback:
             else:
                 assert got == want, (g, k)
             assert mine.get("flow_calls") <= ref.get("flow_calls")
-            queries = mine.get("flow_calls") + mine.get("two_hop_skips")
-            assert queries <= ref.get("flow_calls") + ref.get("two_hop_skips")
+            queries = mine.get("flow_calls") + mine.get("path_skips")
+            assert queries <= ref.get("flow_calls") + ref.get("path_skips")
             # Pair queries (flows run or skipped) differ; nothing else may.
-            per_query = ("flow_", "two_hop_skips")
+            per_query = ("flow_", "path_skips")
             flowless = {key: v for key, v in mine.data.items() if not key.startswith(per_query)}
             assert flowless == {key: v for key, v in ref.data.items() if not key.startswith(per_query)}
             fallbacks += mine.get("gabow_allpairs_fallback") > 0

@@ -9,7 +9,7 @@ from vcut.errors import EmptyKernel, InvariantError
 from vcut.graphs import Graph, NoSeparator
 from vcut.instrument import Counters
 from vcut.kernel import _assemble_kernel, build_kernel_index, kernel_graph, query_kappa_upper
-from vcut.maxflow import min_st_separator, vertex_max_flow
+from vcut.maxflow import disjoint_paths, min_st_separator, vertex_max_flow
 from vcut.oracle import brute_pair_kappa, generate_planted, random_graph
 
 
@@ -167,11 +167,11 @@ def _query_unchecked(index, s, t, cap=None, stats=None):
     best = g.n
     for i in usable:
         try:
-            ids, edges, _ = _assemble_kernel(index, i, s, t)
+            ids, adj = _assemble_kernel(index, i, s, t)
         except EmptyKernel:
             continue
         pos = {v: j for j, v in enumerate(ids)}
-        arcs = [(pos[a], pos[b]) for a, b in edges] + [(pos[b], pos[a]) for a, b in edges]
+        arcs = [(pos[a], pos[b]) for a in ids for b in sorted(adj[a])]
         limit = best if cap is None else min(best, cap)
         value, _, _, completed = vertex_max_flow(
             len(ids), arcs, [1] * len(ids), [pos[s]], [pos[t]], limit=limit, stats=stats
@@ -182,6 +182,32 @@ def _query_unchecked(index, s, t, cap=None, stats=None):
 
 
 class TestTwoHopSkip:
+    def test_kernel_paths_below_kernel_flow(self):
+        """On every kernel the packing is a set of disjoint kernel paths, no
+        more of them than the kernel's own max flow."""
+        checked = 0
+        for seed in range(3):
+            g = random_graph(14, (0.25, 0.4, 0.55)[seed], seed)
+            idx = build_kernel_index(g, 2)
+            for i, cluster in enumerate(idx.clusters):
+                for s, t in itertools.product(cluster, range(g.n)):
+                    if s == t or g.has_edge(s, t):
+                        continue
+                    try:
+                        ids, adj = _assemble_kernel(idx, i, s, t)
+                    except EmptyKernel:
+                        continue
+                    kernel, _, ks, kt = kernel_graph(idx, i, s, t)
+                    flow = min_st_separator(kernel, ks, kt)[0]
+                    paths = []
+                    count = disjoint_paths(adj, s, t, None, paths)
+                    assert count <= flow
+                    inner = [v for p in paths for v in p[1:-1]]
+                    assert len(inner) == len(set(inner)) and t not in inner
+                    assert all(b in adj[a] for p in paths for a, b in zip(p, p[1:]))
+                    checked += 1
+        assert checked > 100
+
     def test_matches_unchecked_query(self):
         skips = 0
         for seed in range(4):
@@ -195,5 +221,5 @@ class TestTwoHopSkip:
                         got = query_kappa_upper(idx, s, t, cap=cap, stats=mine)
                         assert got == _query_unchecked(idx, s, t, cap=cap, stats=ref)
                         assert mine.get("flow_calls") <= ref.get("flow_calls")
-                        skips += mine.get("two_hop_skips")
+                        skips += mine.get("path_skips")
         assert skips > 0

@@ -11,6 +11,7 @@ from vcut.instrument import Counters
 from vcut.maxflow import (
     BACKEND,
     _graph_flow,
+    disjoint_paths,
     even_sweep,
     min_s_to_set_separator,
     min_st_cut,
@@ -331,8 +332,56 @@ class TestGraphFlowFastPath:
                     assert fast.data == slow.data
 
 
+class TestDisjointPaths:
+    """The greedy packing is a set of real, internally vertex-disjoint s-t
+    paths, so its count lies between the two-hop paths and kappa(s,t)."""
+
+    def _cases(self):
+        for seed in range(6):
+            yield random_graph(13, (0.15, 0.25, 0.35, 0.5, 0.65, 0.8)[seed], seed)
+        yield petersen()
+        yield cycle(9)
+        yield separator_first(3, 4)
+
+    def test_paths_are_disjoint_and_bounded(self):
+        longer = 0
+        for g in self._cases():
+            for s, t in itertools.permutations(range(g.n), 2):
+                if g.has_edge(s, t):
+                    continue
+                kappa = brute_pair_kappa(g, s, t)
+                hop = two_hop_weight(g, s, t)
+                for limit in (None, 0, 1, 2, hop, hop + 1, kappa, kappa + 1):
+                    paths = []
+                    count = disjoint_paths(g.adj, s, t, limit, paths)
+                    assert count == len(paths) <= kappa
+                    cap = kappa if limit is None else limit
+                    assert count <= cap
+                    assert count >= min(hop, cap)
+                    inner = [v for p in paths for v in p[1:-1]]
+                    assert len(inner) == len(set(inner)), (s, t, paths)
+                    assert s not in inner and t not in inner
+                    for p in paths:
+                        assert p[0] == s and p[-1] == t
+                        assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+                    longer += sum(len(p) > 3 for p in paths)
+                    full = disjoint_paths(g.adj, s, t, None)
+                    assert count == (full if limit is None else min(full, max(limit, 0)))
+        assert longer > 0
+
+    def test_reaches_kappa_on_a_cycle_and_petersen(self):
+        for g, kappa in ((cycle(9), 2), (petersen(), 3)):
+            for s, t in itertools.combinations(range(g.n), 2):
+                if not g.has_edge(s, t):
+                    assert disjoint_paths(g.adj, s, t, None) == kappa
+
+    def test_adjacent_terminals_rejected(self):
+        with pytest.raises(InvariantError):
+            disjoint_paths(cycle(5).adj, 0, 1, 2)
+
+
 class TestTwoHopCertificate:
-    """The two-hop check in min_st_cut/min_st_separator returns exactly what
+    """The path check in min_st_cut/min_st_separator returns exactly what
     the capped flow it skips would have returned."""
 
     def _cases(self):
@@ -361,7 +410,8 @@ class TestTwoHopCertificate:
                 hop = two_hop_weight(g, s, t)
                 kappa = _graph_flow(g, [s], [t])[0]
                 assert hop <= kappa
-                for limit in (1, hop, hop + 1, kappa, kappa + 1):
+                found = disjoint_paths(g.adj, s, t, None) if isinstance(g, Graph) else hop
+                for limit in sorted({1, hop, hop + 1, found, found + 1, kappa, kappa + 1}):
                     mine, ref = Counters(), Counters()
                     want_cut, want_sep = self._unchecked(g, s, t, limit, ref)
                     assert min_st_cut(g, s, t, limit=limit, stats=mine) == want_cut
@@ -369,10 +419,10 @@ class TestTwoHopCertificate:
                     if limit >= 1:
                         # each skip stands in for one capped flow
                         assert (
-                            mine.get("flow_calls") + mine.get("two_hop_skips")
+                            mine.get("flow_calls") + mine.get("path_skips")
                             == 2 * ref.get("flow_calls")
                         )
-                    skips += mine.get("two_hop_skips")
+                    skips += mine.get("path_skips")
         assert skips > 0
 
     def test_two_hop_weight_by_definition(self):

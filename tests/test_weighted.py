@@ -176,13 +176,42 @@ class TestTwoHopCaps:
                     m.setattr(weighted, "_two_hop_caps", lambda *args, **kw: False)
                     want = branch(d, stats=ref)
                 assert got == want
-                assert mine.get("flow_calls") + mine.get("two_hop_skips") == ref.get("flow_calls")
+                assert mine.get("flow_calls") + mine.get("path_skips") == ref.get("flow_calls")
                 assert mine.get("sparsified_edges_lopsided") == ref.get("sparsified_edges_lopsided")
-                skips.add(branch.__name__, mine.get("two_hop_skips"))
+                skips.add(branch.__name__, mine.get("path_skips"))
         assert skips.get("lopsided_vc") > 0 and skips.get("symmetric_vc") > 0
 
 
 class TestSparsifyLopsided:
+    def test_counters_match_built_instances(self, monkeypatch):
+        """`lopsided_vc` counts every evaluated pair by its arc selection
+        alone; the counts are those of the instances `sparsify_lopsided`
+        builds, and only pairs that get a flow are built."""
+        for seed in range(3):
+            d = random_digraph(12, 0.35, (4, 64)[seed % 2], seed)
+            selected, built = [], []
+            real_arcs, real_instance = weighted.lopsided_arcs, weighted._instance
+
+            def arcs_spy(d, s, t, cluster):
+                got = real_arcs(d, s, t, cluster)
+                selected.append((s, t, tuple(sorted(cluster)), len(got[1])))
+                return got
+
+            def instance_spy(d, vertices, arcs):
+                built.append(len(arcs))
+                return real_instance(d, vertices, arcs)
+
+            stats = Counters()
+            with monkeypatch.context() as m:
+                m.setattr(weighted, "lopsided_arcs", arcs_spy)
+                m.setattr(weighted, "_instance", instance_spy)
+                lopsided_vc(d, stats=stats)
+            want = [sparsify_lopsided(d, s, t, c)[0].m for s, t, c, _ in selected]
+            assert [m for _, _, _, m in selected] == want
+            assert stats.get("sparsified_edges_lopsided") == sum(want)
+            assert stats.get("naive_edges_lopsided") == d.m * len(selected)
+            assert len(built) == stats.get("flow_calls") < len(selected)
+
     def test_whole_graph_cluster(self):
         d = random_digraph(8, 0.35, 4, 1)
         s = 0
