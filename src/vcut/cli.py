@@ -37,6 +37,9 @@ from .oracle import (
 from .unweighted import unbalanced_vc, vertex_connectivity_unweighted
 from .weighted import vertex_connectivity_weighted
 
+# Algorithms a run report can name (`auto` is resolved before reporting).
+ALGORITHMS = ("unweighted", "weighted", "gabow", "unbalanced", "terminal")
+
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
@@ -165,6 +168,13 @@ def _malformed(report):
     """Why `report` does not carry a well-typed claim, or None."""
     if not isinstance(report, dict):
         return "not a JSON object"
+    if not (_is_int(report.get("schema")) and report["schema"] == 1):
+        return "'schema' must be 1"
+    if report.get("algorithm") not in ALGORITHMS:
+        return f"'algorithm' must be one of {', '.join(ALGORITHMS)}"
+    counters = report.get("counters")
+    if not isinstance(counters, dict) or not all(map(_is_int, counters.values())):
+        return "'counters' must map names to integers"
     if report.get("complete"):
         return None
     if report.get("k_connected"):
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algo",
         default="auto",
-        choices=["auto", "unweighted", "weighted", "gabow", "unbalanced", "terminal"],
+        choices=["auto", *ALGORITHMS],
     )
     p.add_argument("--k", type=int, default=None, help="cut parameter (gabow)")
     p.add_argument("--config", default=None)

@@ -521,6 +521,7 @@ def parse_graph(text):
     n = m = None
     directed = False
     edges = []
+    seen = set()
     weights = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -555,6 +556,10 @@ def parse_graph(text):
                 raise ParseError(f"self-loop at {u}", lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"edge ({u},{v}) out of range", lineno)
+            key = (u, v) if directed or u < v else (v, u)
+            if key in seen:
+                raise ParseError(f"duplicate {'arc' if directed else 'edge'} ({u},{v})", lineno)
+            seen.add(key)
             edges.append((u, v))
         elif tag == "w":
             if not header_seen:

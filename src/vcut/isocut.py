@@ -6,6 +6,13 @@ terminal inside its region.  The balanced-terminal algorithms drive them
 through a selector family (or fall back to crossing-family pair flows when
 the selector regime is out of range) and always return a cut that validates
 in the original graph.
+
+The pair flows of `subgraph_balanced_terminal_vc` run from a terminal a to
+the sink set {b, super-vertex} on the auxiliary graph, capped at the best
+cut so far.  Paths from a to that set, internally vertex-disjoint, each
+need their own separator vertex (Menger), so when a greedy packing of them
+(`maxflow.disjoint_paths`) reaches the cap, the capped flow would stop at
+its limit and is skipped instead, counted as `path_skips`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .graphs import (
     better_cut,
     validate_cut,
 )
-from .maxflow import min_st_cut, vertex_max_flow
+from .maxflow import disjoint_paths, min_st_cut, vertex_max_flow
 from .pseudorandom import build_selector, map_pairs, symmetric_crossing_family
 
 
@@ -279,10 +286,15 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
             a, b = key
             if g.has_edge(a, b):
                 continue
+            sinks = (pos[b], virtual)
+            limit = best.value if isinstance(best, VertexCut) else None
+            # A limit of 0 is reached without a flow, and is not a skip.
+            if limit and disjoint_paths(aux.adj, pos[a], sinks, limit) >= limit:
+                if stats is not None:
+                    stats.add("path_skips")
+                continue
             _, sep_aux, _, completed = vertex_max_flow(
-                aux.n, arcs, caps, [pos[a]], [pos[b], virtual],
-                limit=best.value if isinstance(best, VertexCut) else None,
-                stats=stats,
+                aux.n, arcs, caps, [pos[a]], sinks, limit=limit, stats=stats
             )
             if not completed:
                 continue

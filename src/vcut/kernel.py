@@ -6,15 +6,21 @@ containing s and returns the smallest value found; it never undershoots
 kappa(s,t), and it equals kappa(G) whenever some minimum cut has its small
 side inside a small-enough cluster with s on it and t on the far side.
 
-Most kernel flows only confirm "no better than the best so far".  Each
-kernel is assembled once as an adjacency; a greedy packing of vertex-
-disjoint s-t paths on it (a lower bound on the kernel's max flow) decides
-those flows without building a flow network, and only the rest run.
+Most kernel flows only confirm "no better than the best so far", so a
+query reads each kernel implicitly.  The parts that depend on s alone
+(reduced lists, cached per (cluster, s)) and on t alone (core, boundary
+and neighbour counts, cached per (cluster, t)) give the kernel's rows on
+demand and its edge count by arithmetic.  A greedy packing of vertex-
+disjoint s-t paths over those rows (a lower bound on the kernel's max
+flow) decides the flow; only the kernels it leaves open are assembled as
+an adjacency and get a capped flow.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
 
 from .cnc import TOO_LARGE, cnc, sketch_construct, sketch_recover
 from .config import DEFAULT, Config
@@ -26,7 +32,7 @@ from .maxflow import disjoint_paths, vertex_max_flow
 class KernelIndex:
     __slots__ = (
         "graph", "ell", "delta", "v_low", "clusters", "index",
-        "sketches", "size_gate", "cfg", "_parts_cache",
+        "sketches", "size_gate", "cfg", "_parts_cache", "_side_cache",
     )
 
     def __init__(self, graph, ell, delta, v_low, clusters, sketches, size_gate, cfg):
@@ -43,7 +49,8 @@ class KernelIndex:
             for v in cluster:
                 index.setdefault(v, []).append(i)
         self.index = index
-        self._parts_cache = {}
+        self._parts_cache = {}  # (cluster, s) -> _SourceParts
+        self._side_cache = {}  # (cluster, t) -> _TargetSide
 
     def clusters_of(self, v):
         return self.index.get(v, [])
@@ -89,10 +96,31 @@ def _neighbors_minus(index: KernelIndex, u, s):
     return {v for v in diff if v in nu}
 
 
-def _kernel_parts(index: KernelIndex, i, s):
-    """(cluster as a set, per-u reduced neighbor lists, and for each vertex
-    the cluster members whose reduced list holds it) for a (cluster,
-    source) pair; t-independent and cached."""
+class _SourceParts:
+    """The t-independent parts of the kernels of (cluster, s).
+
+    `reduced[u]` is N(u) \\ N(s) for each cluster member u, and `reverse[v]`
+    lists the members whose reduced list holds v.  `rows` is what the
+    packing reads: N(s) for s, and reduced[u] plus reverse[u] for every
+    other member (see `_implicit_kernel`).
+    """
+
+    __slots__ = ("reduced", "reverse", "rows")
+
+    def __init__(self, g: Graph, cluster, s, reduced):
+        self.reduced = reduced
+        reverse = {}
+        for u in cluster:
+            for v in reduced[u]:
+                reverse.setdefault(v, []).append(u)
+        self.reverse = reverse
+        rows = {u: [*reduced[u], *reverse.get(u, ())] for u in cluster}
+        rows[s] = g.adj[s]
+        self.rows = rows
+
+
+def _source_parts(index: KernelIndex, i, s) -> _SourceParts:
+    """The cached `_SourceParts` of a (cluster, source) pair."""
     key = (i, s)
     got = index._parts_cache.get(key)
     if got is not None:
@@ -101,13 +129,42 @@ def _kernel_parts(index: KernelIndex, i, s):
     if s not in cluster:
         raise InvariantError("s is not in the requested cluster")
     reduced = {u: tuple(sorted(_neighbors_minus(index, u, s))) for u in cluster}
-    reverse = {}
-    for u in cluster:
-        for v in reduced[u]:
-            reverse.setdefault(v, []).append(u)
-    parts = (set(cluster), reduced, reverse)
+    parts = _SourceParts(index.graph, cluster, s, reduced)
     index._parts_cache[key] = parts
     return parts
+
+
+class _TargetSide:
+    """The s-independent parts of the kernels of (cluster, t): the core
+    (the cluster minus N[t]), the boundary N(core) \\ core, `degree[v]`,
+    the number of v's neighbours in the core for v in the core or the
+    boundary, and `base_edges`, the number of edges of g inside the core or
+    between the core and the boundary, plus |boundary|."""
+
+    __slots__ = ("core", "boundary", "degree", "base_edges")
+
+    def __init__(self, g: Graph, core):
+        self.core = core
+        self.degree = degree = Counter(chain.from_iterable(g.adj[u] for u in core))
+        self.boundary = frozenset(degree.keys() - core)
+        twice_inside = sum([degree[u] for u in core])
+        self.base_edges = degree.total() - twice_inside // 2 + len(self.boundary)
+
+
+def _target_side(index: KernelIndex, i, t) -> _TargetSide:
+    """The cached `_TargetSide` of (cluster i, t).  Raises EmptyKernel when
+    the core is empty."""
+    key = (i, t)
+    got = index._side_cache.get(key)
+    if got is not None:
+        return got
+    g = index.graph
+    core = frozenset(index.clusters[i]).difference(g.neighbor_set(t), (t,))
+    if not core:
+        raise EmptyKernel(f"cluster {i} is contained in N[t]")
+    side = _TargetSide(g, core)
+    index._side_cache[key] = side
+    return side
 
 
 def _assemble_kernel(index: KernelIndex, i, s, t):
@@ -118,25 +175,59 @@ def _assemble_kernel(index: KernelIndex, i, s, t):
     to N(u) \\ N(s).  The boundary N(core) \\ core is joined to t, and s
     is joined to its neighbours in the kernel."""
     g = index.graph
-    cset, reduced, reverse = _kernel_parts(index, i, s)
-    core = cset.difference(g.neighbor_set(t))
-    core.discard(t)
-    if not core:
-        raise EmptyKernel(f"cluster {i} is contained in N[t]")
-    adj = {u: set(reduced[u]) for u in core}
+    parts = _source_parts(index, i, s)
+    side = _target_side(index, i, t)
+    core = set(side.core)
+    reverse = parts.reverse
+    adj = {u: set(parts.reduced[u]) for u in core}
     for u in core:
         adj[u].update(core.intersection(reverse.get(u, ())))
-    boundary = set().union(*(g.adj[u] for u in core)) - core
-    for v in boundary:
+    for v in side.boundary:
         back = core.intersection(reverse.get(v, ()))
         back.add(t)
         adj[v] = back
-    adj[t] = boundary
+    adj[t] = set(side.boundary)
     near_s = adj.setdefault(s, set())
     for v in g.neighbor_set(s) & adj.keys():
         near_s.add(v)
         adj[v].add(s)
     return sorted(adj), adj
+
+
+def _implicit_kernel(index: KernelIndex, i, s, t):
+    """(rows, edge count) of the kernel for (cluster i, s, t), s in the
+    core, without assembling it.
+
+    Kernel facts: s's kernel neighbours are exactly N(s); a core vertex u
+    has kernel neighbours reduced[u] plus the core members of reverse[u];
+    every other kernel vertex but t is a boundary vertex, joined to t.
+
+    `rows` is the kernel adjacency as the packing reads it: the cached
+    rows of (cluster, s), with t's row the boundary.  A core row may also
+    hold members of N(s) \\ core that are not its kernel neighbours (from
+    reverse[u]); they are the middles of the two-hop paths s - v - t, which
+    the packing takes (and blocks) before any longer path, so it never
+    steps onto them.  The packing expands core vertices only and ends each
+    path at the first boundary vertex, so it never reads a boundary row.
+
+    Counted edges: the kernel keeps every edge of g inside the core or
+    between the core and the boundary (`base_edges`), except the edges
+    inside core & N(s) and those from core - {s} to N(s) \\ core, and adds
+    one edge from t to each boundary vertex (also in `base_edges`).
+    """
+    g = index.graph
+    parts = _source_parts(index, i, s)
+    side = _target_side(index, i, t)
+    core = side.core
+    ns = g.neighbor_set(s)
+    inside = core & ns
+    outside = ns - core
+    twice_inside = sum([len(inside & g.neighbor_set(v)) for v in inside])
+    # Each v in N(s) \\ core also has the edge to s, which the kernel keeps.
+    cross = sum([side.degree[v] for v in outside]) - len(outside)
+    rows = dict(parts.rows)
+    rows[t] = side.boundary
+    return rows, side.base_edges - twice_inside // 2 - cross
 
 
 def kernel_graph(index: KernelIndex, i, s, t):
@@ -156,11 +247,12 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     directly contribute nothing.  `cap` is the internal early-stop bound
     (values >= cap come back as cap); the default is the exact value.
 
-    Before each kernel's capped flow, a greedy packing of disjoint s-t
-    paths in the kernel (`maxflow.disjoint_paths`, on the same adjacency
-    the flow is built from) bounds its max flow from below.  When the
-    packing reaches the flow's limit, the flow could not lower `best`, and
-    it is skipped (counted as `path_skips`).
+    Each kernel is first read implicitly (`_implicit_kernel`): its edges
+    are counted, and a greedy packing of disjoint s-t paths
+    (`maxflow.disjoint_paths` on the kernel's rows) bounds its max flow
+    from below.  When the packing reaches the flow's limit, the flow could
+    not lower `best`, and it is skipped (counted as `path_skips`); only
+    the other kernels are assembled and get a capped flow.
     """
     g = index.graph
     if s == t:
@@ -174,17 +266,16 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     if g.has_edge(s, t):
         return best  # every kernel carries the direct (s,t) edge
     for i in usable:
-        try:
-            ids, adj = _assemble_kernel(index, i, s, t)
-        except EmptyKernel:
-            continue
+        # s is in cluster i and outside N[t], so the core is never empty.
+        rows, edges = _implicit_kernel(index, i, s, t)
         if stats is not None:
-            stats.add("kernel_edges", sum(map(len, adj.values())) // 2)
+            stats.add("kernel_edges", edges)
         limit = best if cap is None else min(best, cap)
-        if disjoint_paths(adj, s, t, limit) >= limit:
+        if disjoint_paths(rows, s, (t,), limit) >= limit:
             if stats is not None:
                 stats.add("path_skips")
             continue
+        ids, adj = _assemble_kernel(index, i, s, t)
         pos = {v: j for j, v in enumerate(ids)}
         arcs = [(pos[u], pos[v]) for u in ids for v in adj[u]]
         caps = [1] * len(ids)

@@ -25,9 +25,12 @@ middle vertices v of the paths s -> v -> t) is a lower bound on the max flow
 is >= L, so `min_st_cut` and `min_st_separator` return it directly when
 that bound is >= L, counting `path_skips` instead of a flow.  On undirected
 graphs the bound is a greedy packing (`disjoint_paths`): repeated BFS for a
-shortest s-t path avoiding the vertices of earlier paths, which takes every
-two-hop path first.  The check sits in those two entry points and not in
-`_graph_flow`, whose counters stay those of the bypass-arc network.
+shortest path from s to a sink set avoiding the vertices of earlier paths,
+which takes every two-hop path first.  The check sits in those two entry
+points and not in `_graph_flow`, whose counters stay those of the
+bypass-arc network.  `disjoint_paths` is the one packing helper: the
+kernel query runs it over implicit kernel rows, and the isocut pair flows
+run it to a sink set of two vertices.
 
 The inner solver is the compiled `vcut._core` when available, else the
 pure-Python `vcut._pyflow`; set VCUT_PURE_PYTHON=1 to force the fallback.
@@ -178,30 +181,35 @@ def two_hop_weight(g, s, t):
     return g.weight_of(g.out_set(s) & g.in_set(t))
 
 
-def disjoint_paths(adj, s, t, limit, paths=None):
-    """Greedy packing of internally vertex-disjoint s-t paths in the
-    undirected unit-capacity graph `adj` (indexed by vertex, s and t not
-    adjacent): repeat a BFS for a shortest s-t path through vertices that
-    no earlier path used.  Returns the number of paths found, a lower bound
-    on the (s,t) max flow.
+def disjoint_paths(adj, s, sinks, limit, paths=None):
+    """Greedy packing of paths from s to the sink set `sinks` in the
+    undirected unit-capacity graph `adj`, internally vertex-disjoint (sinks
+    are uncuttable, so paths may share their end): repeat a BFS for a
+    shortest path from s to a sink through vertices that no earlier path
+    used.  Returns the number of paths found, a lower bound on the max flow
+    from s to the sink set (Menger).
 
-    The packing stops at `limit` paths (None: no limit) or when no further
-    path exists.  Every two-hop path s - v - t is a shortest path, so all
-    of them are taken first, in the order of adj[s].  When `paths` is a
-    list, each path found is appended to it as a tuple from s to t.
+    `adj` is any view indexed by vertex whose rows can be iterated; the
+    packing reads the rows of s, of the sinks, and of the vertices it
+    expands, and expands no neighbour of a sink.  s must not be adjacent to
+    a sink.  The packing stops at `limit` paths (None: no limit) or when no
+    further path exists.  Every two-hop path s - v - sink is a shortest
+    path, so all of them are taken first, in the order of adj[s].  When
+    `paths` is a list, each path found is appended to it as a tuple from s
+    to a sink.
     """
-    into_t = set(adj[t])
-    if s in into_t:
-        raise InvariantError("disjoint paths need non-adjacent terminals")
+    into = set()
+    for x in sinks:
+        into.update(adj[x])
+    if s in into:
+        raise InvariantError("disjoint paths need a source not adjacent to the sinks")
     if limit is not None and limit <= 0:
         return 0
-    used = [v for v in adj[s] if v in into_t][:limit]
+    used = [v for v in adj[s] if v in into][:limit]
     if paths is not None:
-        paths.extend((s, v, t) for v in used)
+        paths.extend((s, v, _sink_next_to(adj, sinks, v)) for v in used)
     count = len(used)
-    blocked = set(used)
-    blocked.add(s)
-    blocked.add(t)
+    blocked = {s, *sinks, *used}
     while limit is None or count < limit:
         parent = {}
         frontier = [s]
@@ -213,7 +221,7 @@ def disjoint_paths(adj, s, t, limit, paths=None):
                     if v in blocked or v in parent:
                         continue
                     parent[v] = u
-                    if v in into_t:
+                    if v in into:
                         last = v
                         break
                     nxt.append(v)
@@ -222,7 +230,7 @@ def disjoint_paths(adj, s, t, limit, paths=None):
             frontier = nxt
         if last is None:
             break
-        path = [t]
+        path = [_sink_next_to(adj, sinks, last)] if paths is not None else []
         v = last
         while v != s:
             blocked.add(v)
@@ -233,6 +241,11 @@ def disjoint_paths(adj, s, t, limit, paths=None):
             path.append(s)
             paths.append(tuple(reversed(path)))
     return count
+
+
+def _sink_next_to(adj, sinks, v):
+    """The first sink adjacent to v (the end of a packed path)."""
+    return next(x for x in sinks if v in adj[x])
 
 
 def _pair_screen(g, s, t, limit, stats):
@@ -246,7 +259,7 @@ def _pair_screen(g, s, t, limit, stats):
     if limit is None:
         return None
     if isinstance(g, Graph):
-        found = disjoint_paths(g.adj, s, t, limit)
+        found = disjoint_paths(g.adj, s, (t,), limit)
     else:
         found = two_hop_weight(g, s, t)
     if found >= limit:

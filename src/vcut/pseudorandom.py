@@ -10,6 +10,7 @@ over.  All constructions are deterministic: same parameters, same output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -411,9 +412,14 @@ def asymmetric_crossing_family(universe_a, universe_b, l, r, cfg: Config = DEFAU
     )
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
     """Pair family over [n] crossing every tri-partition (L,S,R) with
     |R| >= |L| >= |S|/alpha.
+
+    Memoized on (n, alpha and its type, cfg) in a bounded cache, since the
+    drivers ask for the same families over and over; callers share the
+    returned PairFamily and must not mutate it.
 
     Union over power-of-two guesses (l, r) with l <= r, l + r <= n and
     n < (2*alpha+2)*l + 2*r (the exact compatibility test for partitions

@@ -43,6 +43,15 @@ class TestCompute:
         code, _ = run(capsys, "compute", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["p 3 2 u\ne 0 1\ne 1 0\n", "p 3 2 d\ne 2 1\ne 2 1\n"])
+    def test_duplicate_edge_is_parse_error(self, tmp_path, capsys, text):
+        p = tmp_path / "dup.g"
+        p.write_text(text)
+        code = main(["compute", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("parse error") and "duplicate" in captured.err
+
     def test_gabow_and_auto_dispatch(self, petersen_file, capsys):
         code, out = run(capsys, "compute", petersen_file, "--algo", "gabow", "--k", "4")
         assert code == 0 and json.loads(out)["value"] == 3
@@ -202,6 +211,40 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code in (1, 2)
         assert "malformed report" in captured.err and "ok" not in captured.out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rep: rep.pop("schema"),
+            lambda rep: rep.update(schema=2),
+            lambda rep: rep.update(schema=True),
+            lambda rep: rep.update(schema="1"),
+            lambda rep: rep.pop("algorithm"),
+            lambda rep: rep.update(algorithm="auto"),
+            lambda rep: rep.update(algorithm=["unweighted"]),
+            lambda rep: rep.pop("counters"),
+            lambda rep: rep.update(counters=[1, 2]),
+            lambda rep: rep["counters"].update(flow_calls=1.5),
+            lambda rep: rep["counters"].update(flow_calls=True),
+            lambda rep: rep["counters"].update(flow_calls=None),
+        ],
+        ids=[
+            "no-schema", "schema-2", "bool-schema", "str-schema", "no-algorithm",
+            "auto-algorithm", "list-algorithm", "no-counters", "counters-list",
+            "float-counter", "bool-counter", "null-counter",
+        ],
+    )
+    def test_malformed_envelope(self, petersen_file, tmp_path, capsys, edit):
+        _, out = run(capsys, "compute", petersen_file)
+        rep = json.loads(out)
+        edit(rep)
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(rep))
+        code = main(["verify", petersen_file, str(rep_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("verify: malformed report")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_report_not_an_object(self, petersen_file, tmp_path, capsys):
         rep_path = tmp_path / "rep.json"

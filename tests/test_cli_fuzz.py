@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import path, petersen  # noqa: E402
-from vcut.cli import main  # noqa: E402
+from vcut.cli import ALGORITHMS, main  # noqa: E402
+from vcut.config import Config, load_config  # noqa: E402
+from vcut.errors import ConfigError  # noqa: E402
 from vcut.graphs import Graph, serialize_graph  # noqa: E402
 from vcut.oracle import random_digraph  # noqa: E402
 
@@ -87,7 +89,9 @@ JUNK = st.one_of(
     st.text(max_size=4), st.lists(st.integers(-2, 12), max_size=4),
     st.dictionaries(st.sampled_from("LSRx"), st.lists(st.integers(-2, 12), max_size=4)),
 )
-FIELDS = ["schema", "input", "algorithm", "value", "cut", "complete", "k_connected", "k"]
+FIELDS = [
+    "schema", "input", "algorithm", "counters", "value", "cut", "complete", "k_connected", "k",
+]
 
 
 @st.composite
@@ -99,6 +103,7 @@ def report_edits(draw):
         st.tuples(st.just("set"), st.sampled_from(FIELDS + ["extra"]), JUNK),
         st.tuples(st.just("vertex"), st.sampled_from("LSR"), st.integers(-2, 12)),
         st.tuples(st.just("value"), st.integers(-1, 12)),
+        st.tuples(st.just("counter"), st.sampled_from(["flow_calls", "x"]), JUNK),
     )
     return draw(st.lists(edit, max_size=4))
 
@@ -113,6 +118,10 @@ def _apply(report, edits):
             cut = report.get("cut")
             if isinstance(cut, dict) and isinstance(cut.get(edit[1]), list):
                 cut[edit[1]].append(edit[2])
+        elif edit[0] == "counter":
+            counters = report.get("counters")
+            if isinstance(counters, dict):
+                counters[edit[1]] = edit[2]
         else:
             report["value"] = edit[1]
     return report
@@ -162,6 +171,8 @@ class TestVerifyFuzz:
             code, out, _ = _run(capsys, "verify", gpath, rpath)
         if code == 0:
             assert out.strip() == "ok"
+            assert report["schema"] == 1 and report["algorithm"] in ALGORITHMS
+            assert all(type(v) is int for v in report["counters"].values())
             if not report.get("complete") and not report.get("k_connected"):
                 assert _claim_holds(g, report), report
 
@@ -182,3 +193,41 @@ class TestVerifyFuzz:
         rpath = _write(str(tmp_path), "r.json", "[" * 100_000 + "]" * 100_000)
         code, _, _ = _run(capsys, "verify", gpath, rpath)
         assert code == 2
+
+
+# Config file lines: real keys, an unknown one and junk, with values of
+# every kind the parser meets.
+CONFIG_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(Config().as_dict()) + ["nope", "", "lam lam"]),
+        st.sampled_from(["=", " = ", "==", ":"]),
+        st.one_of(TOKEN, st.floats().map(str), st.sampled_from(['"exact"', "syndrome", "nan"])),
+    ).map("".join),
+    st.text(max_size=12),
+)
+
+
+class TestLoadConfigFuzz:
+    @FUZZ
+    @given(st.lists(CONFIG_LINE, max_size=6))
+    def test_config_or_config_error(self, lines):
+        """A config file yields a Config whose fields keep their declared
+        types, or a ConfigError; nothing else escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(tmp, "vcut.cfg", "\n".join(lines) + "\n")
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                return
+        for name, default in Config().as_dict().items():
+            assert type(getattr(cfg, name)) is type(default), name
+
+    @FUZZ
+    @given(st.binary(max_size=40))
+    def test_config_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(tmp, "vcut.cfg", data)
+            try:
+                load_config(path)
+            except ConfigError:
+                pass

@@ -44,8 +44,12 @@ class TestParse:
             parse_graph("p 3 2 u\ne 0 1\n")
 
     def test_duplicate_edge_invariant(self):
-        with pytest.raises(InvariantError):
+        # A repeated edge is bad input, reported as a parse error.
+        with pytest.raises(ParseError, match="duplicate edge"):
             parse_graph("p 3 2 u\ne 0 1\ne 1 0\n")
+        with pytest.raises(ParseError, match="duplicate arc"):
+            parse_graph("p 3 2 d\ne 0 1\ne 0 1\n")
+        parse_graph("p 3 2 d\ne 0 1\ne 1 0\n")  # opposite arcs are distinct
 
     def test_out_of_range(self):
         with pytest.raises(ParseError):

@@ -1,18 +1,24 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from conftest import complete, cycle
+from vcut.config import DEFAULT
 from vcut.errors import InvariantError
-from vcut.graphs import NoCut, VertexCut, validate_cut
+from vcut.graphs import NoCut, VertexCut, better_cut, validate_cut
 from vcut.instrument import Counters
 from vcut.isocut import (
+    _remap_candidate,
+    _terminal_subgraph,
     balanced_terminal_vc,
     isolating_vertex_cuts,
     subgraph_balanced_terminal_vc,
 )
+from vcut.maxflow import disjoint_paths, vertex_max_flow
 from vcut.oracle import brute_isolating_values, generate_planted, random_graph
+from vcut.pseudorandom import map_pairs, symmetric_crossing_family
 
 
 def greedy_independent(g, size, rng):
@@ -126,3 +132,89 @@ class TestSubgraphBalancedTerminal:
             terms = sorted(rng.sample(range(15), 5))
             cut = subgraph_balanced_terminal_vc(g, terms, 3)
             assert isinstance(cut, NoCut) or validate_cut(g, cut)
+
+
+def _terminal_cases():
+    """(graph, terminal set) pairs: random subsets, planted small sides
+    with part of the far side, and every vertex."""
+    for seed in range(8):
+        g = random_graph(12 + seed % 5, (0.2, 0.3, 0.45, 0.6)[seed % 4], 300 + seed)
+        rng = random.Random(seed)
+        yield g, sorted(rng.sample(range(g.n), 4 + seed % 6))
+        yield g, list(range(g.n))
+    for seed in range(4):
+        inst = generate_planted("unbalanced", {"l": 2, "s": 3, "r": 12}, seed=seed)
+        rng = random.Random(seed)
+        yield inst.graph, sorted(set(inst.cut.L) | set(rng.sample(inst.cut.R, 6)))
+
+
+def _pair_branch_unchecked(g, terms, cfg=DEFAULT, stats=None):
+    """The pair branch of subgraph_balanced_terminal_vc without the path
+    certificate: one capped flow per crossing-family pair."""
+    aux, nodes, virtual = _terminal_subgraph(g, terms)
+    pos = {v: j for j, v in enumerate(nodes)}
+    family = map_pairs(symmetric_crossing_family(len(terms), 1 / cfg.eps_balanced, cfg), terms)
+    best = None
+    seen = set()
+    for a, b in family:
+        key = (a, b) if a < b else (b, a)
+        if a == b or key in seen:
+            continue
+        seen.add(key)
+        a, b = key
+        if g.has_edge(a, b):
+            continue
+        _, sep, _, completed = vertex_max_flow(
+            aux.n, aux.flow_arcs(), [1] * aux.n, [pos[a]], [pos[b], virtual],
+            limit=best.value if isinstance(best, VertexCut) else None, stats=stats,
+        )
+        if completed:
+            best = better_cut(best, _remap_candidate(g, (nodes[j] for j in sep)))
+    return best if isinstance(best, VertexCut) else NoCut(g.n - 1)
+
+
+class TestSinkSetCertificate:
+    """The pair flows of subgraph_balanced_terminal_vc go from a to the
+    sink set {b, super-vertex} on the auxiliary graph; a packing of paths
+    to that set decides the capped ones."""
+
+    def test_packing_below_uncapped_flow(self):
+        checked = longer = 0
+        for g, terms in _terminal_cases():
+            aux, nodes, virtual = _terminal_subgraph(g, terms)
+            pos = {v: j for j, v in enumerate(nodes)}
+            for a, b in itertools.permutations(terms, 2):
+                if g.has_edge(a, b):
+                    continue
+                sinks = (pos[b], virtual)
+                flow = vertex_max_flow(
+                    aux.n, aux.flow_arcs(), [1] * aux.n, [pos[a]], list(sinks)
+                )[0]
+                paths = []
+                count = disjoint_paths(aux.adj, pos[a], sinks, None, paths)
+                assert count == len(paths) <= flow, (terms, a, b)
+                inner = [v for p in paths for v in p[1:-1]]
+                assert len(inner) == len(set(inner))
+                assert not set(inner) & {pos[a], *sinks}
+                for p in paths:
+                    assert p[0] == pos[a] and p[-1] in sinks
+                    assert all(aux.has_edge(x, y) for x, y in zip(p, p[1:]))
+                for limit in (1, flow, flow + 1):
+                    assert disjoint_paths(aux.adj, pos[a], sinks, limit) == min(count, limit)
+                longer += sum(len(p) > 3 for p in paths)
+                checked += 1
+        assert checked > 500 and longer > 0
+
+    def test_matches_unchecked_pair_branch(self):
+        skips = 0
+        for g, terms in _terminal_cases():
+            k = len(terms)  # k / eps > |T| / 4: the pair branch runs
+            mine, ref = Counters(), Counters()
+            got = subgraph_balanced_terminal_vc(g, terms, k, stats=mine)
+            want = _pair_branch_unchecked(g, terms, stats=ref)
+            assert type(got) is type(want)
+            if isinstance(want, VertexCut):
+                assert got == want
+            assert mine.get("flow_calls") + mine.get("path_skips") == ref.get("flow_calls")
+            skips += mine.get("path_skips")
+        assert skips > 0

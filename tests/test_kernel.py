@@ -8,7 +8,13 @@ from vcut.config import DEFAULT
 from vcut.errors import EmptyKernel, InvariantError
 from vcut.graphs import Graph, NoSeparator
 from vcut.instrument import Counters
-from vcut.kernel import _assemble_kernel, build_kernel_index, kernel_graph, query_kappa_upper
+from vcut.kernel import (
+    _assemble_kernel,
+    _implicit_kernel,
+    build_kernel_index,
+    kernel_graph,
+    query_kappa_upper,
+)
 from vcut.maxflow import disjoint_paths, min_st_separator, vertex_max_flow
 from vcut.oracle import brute_pair_kappa, generate_planted, random_graph
 
@@ -181,32 +187,97 @@ def _query_unchecked(index, s, t, cap=None, stats=None):
     return best
 
 
+def _query_kernels(index):
+    """Every (cluster, s, t) kernel that some query of the index reads."""
+    g = index.graph
+    for s, t in itertools.permutations(range(g.n), 2):
+        if g.has_edge(s, t):
+            continue
+        for i in index.clusters_of(s):
+            if len(index.clusters[i]) <= index.size_gate:
+                yield i, s, t
+
+
+def _criterion_7_indexes():
+    """The kernel indexes of the criterion-7 acceptance test."""
+    for seed in range(50):
+        n = 10 + seed % 16
+        g = random_graph(n, 0.18 + 0.02 * (seed % 8), 700 + seed)
+        yield build_kernel_index(g, 1 + seed % 4)
+    for seed in range(50):
+        inst = generate_planted(
+            "unbalanced", {"l": 2, "s": 2 + seed % 3, "r": 11 + seed % 6}, seed=seed
+        )
+        yield build_kernel_index(inst.graph, max(1, len(inst.cut.L)))
+
+
+def _random_indexes():
+    for n in range(12, 17):
+        for seed, p in enumerate((0.2, 0.35, 0.5)):
+            g = random_graph(n, p, 40 * n + seed)
+            for ell in (1, 2):
+                yield build_kernel_index(g, ell)
+
+
+class TestImplicitKernel:
+    """The query reads each kernel through `_implicit_kernel`: the rows it
+    hands the packing and the edges it counts are those of the assembled
+    kernel."""
+
+    def test_counted_edges_match_assembled(self):
+        checked = 0
+        for indexes in (_criterion_7_indexes(), _random_indexes()):
+            for idx in indexes:
+                for i, s, t in _query_kernels(idx):
+                    rows, edges = _implicit_kernel(idx, i, s, t)
+                    _, adj = _assemble_kernel(idx, i, s, t)
+                    assert edges == sum(map(len, adj.values())) // 2, (i, s, t)
+                    checked += 1
+        assert checked > 10_000
+
+    def test_rows_match_assembled(self):
+        """t's row is the boundary and s's row is N(s); a core row holds the
+        kernel row plus, at most, middles of two-hop paths."""
+        extra = 0
+        for idx in _random_indexes():
+            g = idx.graph
+            for i, s, t in _query_kernels(idx):
+                rows, _ = _implicit_kernel(idx, i, s, t)
+                _, adj = _assemble_kernel(idx, i, s, t)
+                assert set(rows[t]) == adj[t]
+                assert set(rows[s]) == adj[s] == g.neighbor_set(s)
+                core = set(idx.clusters[i]) - g.neighbor_set(t) - {t}
+                middles = g.neighbor_set(s) - core
+                assert middles == adj[s] & adj[t]
+                for u in core - {s}:
+                    assert adj[u] <= set(rows[u]) <= adj[u] | middles, (i, s, t, u)
+                    extra += len(set(rows[u]) - adj[u])
+        assert extra > 0
+
+
 class TestTwoHopSkip:
     def test_kernel_paths_below_kernel_flow(self):
-        """On every kernel the packing is a set of disjoint kernel paths, no
-        more of them than the kernel's own max flow."""
-        checked = 0
-        for seed in range(3):
-            g = random_graph(14, (0.25, 0.4, 0.55)[seed], seed)
-            idx = build_kernel_index(g, 2)
-            for i, cluster in enumerate(idx.clusters):
-                for s, t in itertools.product(cluster, range(g.n)):
-                    if s == t or g.has_edge(s, t):
-                        continue
-                    try:
-                        ids, adj = _assemble_kernel(idx, i, s, t)
-                    except EmptyKernel:
-                        continue
-                    kernel, _, ks, kt = kernel_graph(idx, i, s, t)
-                    flow = min_st_separator(kernel, ks, kt)[0]
-                    paths = []
-                    count = disjoint_paths(adj, s, t, None, paths)
-                    assert count <= flow
-                    inner = [v for p in paths for v in p[1:-1]]
-                    assert len(inner) == len(set(inner)) and t not in inner
-                    assert all(b in adj[a] for p in paths for a, b in zip(p, p[1:]))
-                    checked += 1
-        assert checked > 100
+        """On every kernel the packing over the implicit rows is a set of
+        internally disjoint kernel paths, no more of them than the kernel's
+        own max flow."""
+        checked = longer = 0
+        for idx in _random_indexes():
+            for i, s, t in _query_kernels(idx):
+                rows, _ = _implicit_kernel(idx, i, s, t)
+                _, adj = _assemble_kernel(idx, i, s, t)
+                kernel, _, ks, kt = kernel_graph(idx, i, s, t)
+                flow = min_st_separator(kernel, ks, kt)[0]
+                paths = []
+                count = disjoint_paths(rows, s, (t,), None, paths)
+                assert count == len(paths) <= flow
+                inner = [v for p in paths for v in p[1:-1]]
+                assert len(inner) == len(set(inner)) and s not in inner and t not in inner
+                for p in paths:
+                    assert p[0] == s and p[-1] == t
+                    assert all(b in adj[a] for a, b in zip(p, p[1:]))
+                longer += sum(len(p) > 3 for p in paths)
+                checked += 1
+        assert checked > 1000 and longer > 0
 
     def test_matches_unchecked_query(self):
         skips = 0

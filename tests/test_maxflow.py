@@ -353,7 +353,7 @@ class TestDisjointPaths:
                 hop = two_hop_weight(g, s, t)
                 for limit in (None, 0, 1, 2, hop, hop + 1, kappa, kappa + 1):
                     paths = []
-                    count = disjoint_paths(g.adj, s, t, limit, paths)
+                    count = disjoint_paths(g.adj, s, (t,), limit, paths)
                     assert count == len(paths) <= kappa
                     cap = kappa if limit is None else limit
                     assert count <= cap
@@ -365,7 +365,7 @@ class TestDisjointPaths:
                         assert p[0] == s and p[-1] == t
                         assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
                     longer += sum(len(p) > 3 for p in paths)
-                    full = disjoint_paths(g.adj, s, t, None)
+                    full = disjoint_paths(g.adj, s, (t,), None)
                     assert count == (full if limit is None else min(full, max(limit, 0)))
         assert longer > 0
 
@@ -373,11 +373,11 @@ class TestDisjointPaths:
         for g, kappa in ((cycle(9), 2), (petersen(), 3)):
             for s, t in itertools.combinations(range(g.n), 2):
                 if not g.has_edge(s, t):
-                    assert disjoint_paths(g.adj, s, t, None) == kappa
+                    assert disjoint_paths(g.adj, s, (t,), None) == kappa
 
     def test_adjacent_terminals_rejected(self):
         with pytest.raises(InvariantError):
-            disjoint_paths(cycle(5).adj, 0, 1, 2)
+            disjoint_paths(cycle(5).adj, 0, (1,), 2)
 
 
 class TestTwoHopCertificate:
@@ -410,7 +410,7 @@ class TestTwoHopCertificate:
                 hop = two_hop_weight(g, s, t)
                 kappa = _graph_flow(g, [s], [t])[0]
                 assert hop <= kappa
-                found = disjoint_paths(g.adj, s, t, None) if isinstance(g, Graph) else hop
+                found = disjoint_paths(g.adj, s, (t,), None) if isinstance(g, Graph) else hop
                 for limit in sorted({1, hop, hop + 1, found, found + 1, kappa, kappa + 1}):
                     mine, ref = Counters(), Counters()
                     want_cut, want_sep = self._unchecked(g, s, t, limit, ref)

@@ -121,6 +121,23 @@ class TestSymmetricCrossing:
         b = symmetric_crossing_family(9, 2)
         assert a.pairs == b.pairs
 
+    def test_repeat_call_is_memoized(self):
+        """A repeat call returns the family the first call built, equal to
+        a fresh construction; alpha's type and the config are part of the
+        key, and the cache is bounded."""
+        cfg = DEFAULT.replace(crossing_c=3)
+        for n, alpha in ((9, 2), (9, Fraction(2)), (9, 2.0), (17, Fraction(5, 2)), (30, 3)):
+            fresh = symmetric_crossing_family.__wrapped__(n, alpha, cfg)
+            first = symmetric_crossing_family(n, alpha, cfg)
+            again = symmetric_crossing_family(n, alpha, cfg)
+            assert again is first
+            assert (again.pairs, again.degree_bound, again.method) == (
+                fresh.pairs, fresh.degree_bound, fresh.method,
+            )
+        assert symmetric_crossing_family(9, 2, cfg) is not symmetric_crossing_family(9, 2)
+        assert symmetric_crossing_family(9, 2, cfg) is not symmetric_crossing_family(9, 2.0, cfg)
+        assert symmetric_crossing_family.cache_parameters() == {"maxsize": 32, "typed": True}
+
 
 class TestSelector:
     @pytest.mark.parametrize("n,k,eps", [(8, 2, Fraction(1, 2)), (10, 3, Fraction(1, 4)), (7, 3, Fraction(1, 2))])
