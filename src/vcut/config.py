@@ -3,12 +3,14 @@
 Every constant that is not pinned by a formula lives here, with the default
 the acceptance suite is tuned against.  A config file is a sequence of
 ``key = value`` lines (``#`` comments allowed); unknown keys are rejected so
-typos surface early.
+typos surface early, and so is a value outside the range the drivers can
+use (`_RANGES`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -92,6 +94,58 @@ DEFAULT = Config()
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
 
+# The values a config file may set, as (least, greatest, least excluded).
+# Floats must also be finite.  A zero epsilon is a division by zero, and a
+# zero or nan phi (or phi floor) never ends the expander retry loop, which
+# halves phi until it drops below the floor.  Exponents are capped: a large
+# one makes a polylog factor a number of millions of digits.
+_POSITIVE = (0, None, True)
+_AT_LEAST_ONE = (1, None, False)
+_NON_NEGATIVE = (0, None, False)
+_EXPONENT = (0, 16, False)
+_RANGES = {
+    "lam": _AT_LEAST_ONE,
+    "eps_balanced": _POSITIVE,
+    "cnc_partition_factor": _AT_LEAST_ONE,
+    "cnc_distance_factor": _AT_LEAST_ONE,
+    "clow_mult": _AT_LEAST_ONE,
+    "kernel_gate_mult": _AT_LEAST_ONE,
+    "crossing_c": _AT_LEAST_ONE,
+    "crossing_polylog_exp": _EXPONENT,
+    "selector_budget_mult": _AT_LEAST_ONE,
+    "disperser_base_exp": _EXPONENT,
+    "exhaustive_subset_limit": _NON_NEGATIVE,
+    "sampled_check_trials": _NON_NEGATIVE,
+    "expander_phi": _POSITIVE,
+    "expander_budget_frac": _NON_NEGATIVE,
+    "expander_phi_floor": _POSITIVE,
+    "tr_xlow_mult": _AT_LEAST_ONE,
+    "tr_prune_gate_mult": _AT_LEAST_ONE,
+    "tr_tsmall_log_exp": _EXPONENT,
+    "tr_prune_log_exp": _EXPONENT,
+    "tr_tbar_div": _AT_LEAST_ONE,
+    "gabow_mixing_c": _POSITIVE,
+    "oracle_unweighted_guard": _NON_NEGATIVE,
+    "oracle_weighted_guard": _NON_NEGATIVE,
+    "instr_sparsify_factor": _NON_NEGATIVE,
+}
+SKETCH_BACKENDS = ("exact", "syndrome")
+
+
+def _check_range(name: str, value):
+    """The reason `value` is out of range for field `name`, or None."""
+    if name == "sketch_backend":
+        return None if value in SKETCH_BACKENDS else f"must be one of {', '.join(SKETCH_BACKENDS)}"
+    least, greatest, excluded = _RANGES[name]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    if value < least or (excluded and value == least):
+        return f"must be {'>' if excluded else '>='} {least}"
+    if greatest is not None and value > greatest:
+        return f"must be <= {greatest}"
+    return None
+
+
 def _parse_value(name: str, raw: str):
     typ = _FIELD_TYPES[name]
     raw = raw.strip()
@@ -106,7 +160,8 @@ def load_config(path) -> Config:
     """Read a ``key = value`` config file and overlay it on the defaults.
 
     Raises ConfigError (a ValueError) when the file cannot be read or a
-    line is malformed, names an unknown key or holds a bad value."""
+    line is malformed, names an unknown key or holds a bad value: one that
+    does not parse as the field's type or lies outside its range."""
     overrides = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,7 +179,11 @@ def load_config(path) -> Config:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            overrides[key] = _parse_value(key, raw)
+            value = _parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        problem = _check_range(key, value)
+        if problem is not None:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {problem}")
+        overrides[key] = value
     return DEFAULT.replace(**overrides)

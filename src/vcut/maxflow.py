@@ -17,20 +17,26 @@ value and the same reach mask over the split nodes, and it lets the
 pure-Python backend reuse its memoized residual structure.  Multi-terminal
 queries copy the tuples and append the bypass arcs.
 
-Capped queries are answered without a flow when disjoint paths already
-reach the cap.  Internally vertex-disjoint s-t paths each need their own
-separator vertex, so their count (for a digraph, the summed weight of the
-middle vertices v of the paths s -> v -> t) is a lower bound on the max flow
-(Menger).  A query with limit L returns (L, None) exactly when the max flow
+Capped queries are answered without a flow when a path packing already
+reaches the cap.  Paths that respect the vertex capacities form a feasible
+flow, so their total is a lower bound on the max flow (Ford-Fulkerson;
+Menger).  A query with limit L returns (L, None) exactly when the max flow
 is >= L, so `min_st_cut` and `min_st_separator` return it directly when
-that bound is >= L, counting `path_skips` instead of a flow.  On undirected
-graphs the bound is a greedy packing (`disjoint_paths`): repeated BFS for a
-shortest path from s to a sink set avoiding the vertices of earlier paths,
-which takes every two-hop path first.  The check sits in those two entry
-points and not in `_graph_flow`, whose counters stay those of the
-bypass-arc network.  `disjoint_paths` is the one packing helper: the
-kernel query runs it over implicit kernel rows, and the isocut pair flows
-run it to a sink set of two vertices.
+the packing reaches L, counting `path_skips` instead of a flow.  The check
+sits in those two entry points and not in `_graph_flow`, whose counters
+stay those of the bypass-arc network.
+
+There are two packing helpers, both greedy shortest-path BFS without
+residual arcs, and both take every two-hop path first:
+- `disjoint_paths` packs internally vertex-disjoint paths in an undirected
+  unit-capacity graph to a sink set.  It serves undirected pairs, the
+  kernel query (over implicit kernel rows) and the isocut pair flows (to a
+  sink set of two vertices).  It is most of a gabow call, so it keeps its
+  own lean loop rather than carrying capacities it never needs.
+- `weighted_paths` packs vertex-capacitated paths along out-arcs to a set
+  of end vertices, each path taking its bottleneck from every vertex on it.
+  It serves digraph pairs (ends: the in-neighbours of t) and the weighted
+  driver's sparsified pair instances.
 
 The inner solver is the compiled `vcut._core` when available, else the
 pure-Python `vcut._pyflow`; set VCUT_PURE_PYTHON=1 to force the fallback.
@@ -173,14 +179,6 @@ def _graph_flow(g, sources, sinks, limit=None, stats=None):
     )
 
 
-def two_hop_weight(g, s, t):
-    """Summed weight of the middle vertices of the paths s -> v -> t, a
-    lower bound on the (s,t) max flow (the paths are vertex-disjoint)."""
-    if isinstance(g, Graph):
-        return len(g.neighbor_set(s) & g.neighbor_set(t))
-    return g.weight_of(g.out_set(s) & g.in_set(t))
-
-
 def disjoint_paths(adj, s, sinks, limit, paths=None):
     """Greedy packing of paths from s to the sink set `sinks` in the
     undirected unit-capacity graph `adj`, internally vertex-disjoint (sinks
@@ -248,9 +246,76 @@ def _sink_next_to(adj, sinks, v):
     return next(x for x in sinks if v in adj[x])
 
 
+def weighted_paths(out_adj, weights, s, ends, limit, paths=None):
+    """Greedy packing of vertex-capacitated paths from s to the end set
+    `ends` in the digraph `out_adj` with vertex capacities `weights`.
+
+    Each path runs from s along out-arcs through vertices with capacity
+    left, and stops at the first end vertex it reaches; its bottleneck (the
+    least capacity left on it, s excluded) is subtracted from every vertex
+    on it, the end included.  No residual arcs are used, so the paths form
+    a feasible flow from s to the ends and their total is a lower bound on
+    the max flow from s to any sink that every end has an arc to.
+
+    Every end adjacent to s (a two-hop middle) is taken first, at full
+    weight.  Then each path is a shortest one from s, so it never uses an
+    arc between two out-neighbours of s; end vertices are never expanded,
+    so no arc out of an end is used either.  The packing stops once the
+    total reaches `limit` (None: no limit) or when no further path exists,
+    and returns the total.  s must not be an end.  When `paths` is a list,
+    each path found is appended to it as (vertices from s to its end,
+    amount)."""
+    if s in ends:
+        raise InvariantError("weighted paths need a source outside the end set")
+    if limit is not None and limit <= 0:
+        return 0
+    left = list(weights)
+    total = 0
+    for v in out_adj[s]:
+        if v in ends:
+            total += left[v]
+            if paths is not None:
+                paths.append(((s, v), left[v]))
+            left[v] = 0
+            if limit is not None and total >= limit:
+                return total
+    while limit is None or total < limit:
+        parent = {s: s}
+        frontier = [s]
+        last = None
+        while frontier and last is None:
+            nxt = []
+            for u in frontier:
+                for v in out_adj[u]:
+                    if v in parent or not left[v]:
+                        continue
+                    parent[v] = u
+                    if v in ends:
+                        last = v
+                        break
+                    nxt.append(v)
+                if last is not None:
+                    break
+            frontier = nxt
+        if last is None:
+            break
+        path = []
+        v = last
+        while v != s:
+            path.append(v)
+            v = parent[v]
+        amount = min(left[v] for v in path)
+        for v in path:
+            left[v] -= amount
+        total += amount
+        if paths is not None:
+            paths.append(((s, *reversed(path)), amount))
+    return total
+
+
 def _pair_screen(g, s, t, limit, stats):
-    """NoSeparator for adjacent terminals, (limit, None) when disjoint
-    paths already reach `limit`, else None (a flow is needed)."""
+    """NoSeparator for adjacent terminals, (limit, None) when a path
+    packing already reaches `limit`, else None (a flow is needed)."""
     if s == t:
         raise InvariantError("s == t")
     adjacent = g.has_edge(s, t) if isinstance(g, Graph) else g.has_arc(s, t)
@@ -261,7 +326,7 @@ def _pair_screen(g, s, t, limit, stats):
     if isinstance(g, Graph):
         found = disjoint_paths(g.adj, s, (t,), limit)
     else:
-        found = two_hop_weight(g, s, t)
+        found = weighted_paths(g.out_adj, g.weights, s, g.in_set(t), limit)
     if found >= limit:
         if stats is not None:
             stats.add("path_skips")

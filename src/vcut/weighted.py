@@ -7,16 +7,21 @@ original digraph before it can become a candidate, so the returned cut is
 always sound; at verification scale the symmetric branch's pair families are
 complete, which makes the combined driver unconditionally exact.
 
-A pair whose two-hop paths s -> v -> t already carry the current best
-value skips its capped flow (`_two_hop_caps`, counted as `path_skips`): the
-paths are vertex-disjoint, so they bound the max flow from below and the
-flow could only report "no better".  In the symmetric branch the check
-comes before the instance is built.  In the lopsided branch it comes after
-the instance's arc selection (`lopsided_arcs`) and its counters: the
-instance sizes of every evaluated pair feed the naive/sparsified edge ratio
-that the instrumentation reports, and that ratio must not depend on which
-pairs were capped.  The instance digraph itself is built only for pairs
-that get a flow.
+A pair skips its capped flow (`_packing_caps`, counted as `path_skips`)
+when a greedy packing of vertex-capacitated paths of its instance
+(`maxflow.weighted_paths`) already carries the current best value: the
+paths form a feasible flow, so the flow could only report "no better".  The
+packing runs on d itself, with rules that keep every packed path a path of
+the pair's instance, so no instance is built for it.  It takes every
+two-hop path s -> v -> t first, so it skips every pair the two-hop weight
+alone would skip.
+
+The lopsided branch counts the arcs of every evaluated pair's instance
+(they feed the naive/sparsified edge ratio that the instrumentation
+reports, which must not depend on which pairs were skipped) from
+per-cluster parts (`_ClusterParts`), and selects and builds an instance
+(`lopsided_arcs`, `_instance`) only for the pairs that get a flow.  The
+symmetric branch counts only the instances it builds.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .graphs import (
     min_out_neighborhood_cut,
     validate_cut,
 )
-from .maxflow import two_hop_weight, vertex_max_flow
+from .maxflow import vertex_max_flow, weighted_paths
 from .pseudorandom import asymmetric_crossing_family, map_pairs, symmetric_crossing_family
 
 
@@ -186,23 +191,69 @@ def sparsify_symmetric(d: WeightedDigraph, s, t):
     return WeightedDigraph(d.n, adj, d.weights)
 
 
-def _two_hop_caps(d: WeightedDigraph, s, t, limit, stats, cluster=None):
-    """True (counted as `path_skips`) when the pair's capped flow would
-    stop at `limit` anyway: the two-hop paths s -> v -> t of its instance,
-    being vertex-disjoint, already carry weight >= limit.
+class _ClusterParts:
+    """What the lopsided instances of one cluster C of d share: n_out (the
+    out-neighbours of C outside C), the vertices outside C, and the base
+    arc count (the out-degrees of C's vertices plus the arcs from n_out
+    into C), with a per-source cache of the dropped arcs."""
 
-    The symmetric instance keeps every arc s -> v and v -> t of d.  The
-    lopsided instance of `cluster` keeps every arc s -> v and gives each v
-    outside the cluster an arc to t, so its middle vertices are the
-    out-neighbours of s outside the cluster or with an arc to t in d."""
+    __slots__ = ("d", "cluster", "n_out", "outside", "base", "_drops")
+
+    def __init__(self, d: WeightedDigraph, cluster):
+        self.d = d
+        self.cluster = cluster
+        self.n_out = frozenset(v for u in cluster for v in d.out_adj[u] if v not in cluster)
+        self.outside = frozenset(range(d.n)) - cluster
+        self.base = sum(len(d.out_adj[u]) for u in cluster) + sum(
+            1 for u in self.n_out for v in d.out_adj[u] if v in cluster
+        )
+        self._drops = {}
+
+    def _drop(self, s):
+        """The arcs inside N_out(s) with an endpoint in the cluster."""
+        got = self._drops.get(s)
+        if got is None:
+            d, c = self.d, self.cluster
+            ns = d.out_set(s)
+            got = sum(1 for u in ns for v in d.out_adj[u] if v in ns and (u in c or v in c))
+            self._drops[s] = got
+        return got
+
+    def arc_count(self, s, t):
+        """len(lopsided_arcs(d, s, t, cluster)[1]), without selecting them:
+        the base, less the arcs inside N_out(s), plus the arcs n_out -> t,
+        less those already in d when t is in C, plus the arcs from t into C
+        when t is in neither C nor n_out."""
+        d, c, n_out = self.d, self.cluster, self.n_out
+        count = self.base - self._drop(s) + len(n_out) - (t in n_out)
+        if t in c:
+            count -= len(d.in_set(t) & n_out)
+        elif t not in n_out:
+            count += sum(1 for v in d.out_adj[t] if v in c)
+        return count
+
+    def ends(self, t):
+        """The packing ends of the pair (s, t): every vertex outside C and
+        the members of C with an arc to t.  So only members of C are
+        expanded; every out-arc of one is an arc of the instance unless it
+        lies inside N_out(s), and the packing reaches outside C only the
+        vertices of n_out, each of which has an arc to t in the instance
+        (t itself has an arc from no expanded vertex)."""
+        return self.outside | (self.cluster & self.d.in_set(t))
+
+
+def _packing_caps(d: WeightedDigraph, s, ends, limit, stats):
+    """True (counted as `path_skips`) when the pair's capped flow would
+    stop at `limit` anyway: vertex-capacitated paths from s to `ends`
+    packed in d (`weighted_paths`), all of them paths of the pair's
+    instance, already carry weight >= limit.
+
+    The symmetric instance of (s, t) drops the arcs inside N_out(s) and
+    inside N_in(t); its ends are N_in(t).  The lopsided instance's ends
+    are `_ClusterParts.ends`."""
     if limit is None:
         return False
-    if cluster is None:
-        weight = two_hop_weight(d, s, t)
-    else:
-        into_t = d.in_set(t)
-        weight = d.weight_of(v for v in d.out_adj[s] if v not in cluster or v in into_t)
-    if weight < limit:
+    if weighted_paths(d.out_adj, d.weights, s, ends, limit) < limit:
         return False
     if stats is not None:
         stats.add("path_skips")
@@ -242,6 +293,7 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     total = d.weight_of(range(d.n))
     naive = d.m
     evaluated = set()
+    parts = {}
     for ell in _powers_up_to(total):
         clusters = weighted_cnc(d, ell, stats=stats)
         seen_clusters = set()
@@ -253,6 +305,9 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
             v_low = identify_vlow(d, cluster)
             if not v_low:
                 continue
+            part = parts.get(ckey)
+            if part is None:
+                part = parts[ckey] = _ClusterParts(d, ckey)
             fam = lopsided_pairs(d, cluster, v_low, ell, _powers_up_to(total), cfg)
             for s, t in sorted(set(fam.pairs)):
                 if s == t or d.has_arc(s, t):
@@ -261,16 +316,17 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                 if key in evaluated:
                     continue
                 evaluated.add(key)
-                ids, arcs = lopsided_arcs(d, s, t, cluster)
                 if stats is not None:
+                    count = part.arc_count(s, t)
                     stats.add("sparsified_instances")
-                    stats.add("sparsified_edges", len(arcs))
+                    stats.add("sparsified_edges", count)
                     stats.add("naive_edges", naive)
-                    stats.add("sparsified_edges_lopsided", len(arcs))
+                    stats.add("sparsified_edges_lopsided", count)
                     stats.add("naive_edges_lopsided", naive)
                 limit = best.value if isinstance(best, VertexCut) else None
-                if _two_hop_caps(d, s, t, limit, stats, cluster=ckey):
+                if _packing_caps(d, s, part.ends(t), limit, stats):
                     continue
+                ids, arcs = lopsided_arcs(d, s, t, cluster)
                 h = _instance(d, ids, arcs)
                 cand = _digraph_pair_cut(d, h, ids, s, t, limit, stats)
                 best = better_cut(best, cand)
@@ -330,7 +386,7 @@ def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                     continue
                 evaluated.add((s, t))
                 limit = best.value if isinstance(best, VertexCut) else None
-                if _two_hop_caps(d, s, t, limit, stats):
+                if _packing_caps(d, s, d.in_set(t), limit, stats):
                     continue
                 h = sparsify_symmetric(d, s, t)
                 if stats is not None:

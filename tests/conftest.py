@@ -1,4 +1,11 @@
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 
@@ -80,6 +87,15 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
     return best
 
 
+def two_hop_weight(g, s, t):
+    """Summed weight of the middle vertices of the paths s -> v -> t: the
+    two-hop part of every path packing, and a lower bound on the (s,t) max
+    flow (the paths are vertex-disjoint)."""
+    if isinstance(g, Graph):
+        return len(g.neighbor_set(s) & g.neighbor_set(t))
+    return g.weight_of(g.out_set(s) & g.in_set(t))
+
+
 def directed_cycle(weights) -> WeightedDigraph:
     n = len(weights)
     return WeightedDigraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)], weights)
@@ -95,3 +111,30 @@ def complete_digraph(weights) -> WeightedDigraph:
 @pytest.fixture
 def petersen_graph():
     return petersen()
+
+
+CORE_SOURCE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "vcut", "_core.c")
+
+
+@pytest.fixture(scope="session")
+def compiled_core(tmp_path_factory):
+    """The compiled flow backend, built from `src/vcut/_core.c` into a
+    temporary directory with the C compiler that `sysconfig` names, and
+    loaded from there.  It is not put in `sys.modules` and not written to
+    `src/`, so `vcut.maxflow` keeps the backend it chose.  Skips, with the
+    reason, when there is no compiler or no `Python.h`."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler found through sysconfig (CC={cc!r})")
+    include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip(f"Python.h not found in {include}")
+    out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = cc + ["-shared", "-fPIC", "-O2", "-I", include, CORE_SOURCE, "-o", str(out)]
+    built = subprocess.run(cmd, capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr[-2000:]
+    loader = importlib.machinery.ExtensionFileLoader("vcut._core", str(out))
+    spec = importlib.util.spec_from_file_location("vcut._core", str(out), loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -88,6 +91,44 @@ class TestCompute:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("config error") and reason in captured.err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "eps_balanced = 0",
+            "expander_phi = nan",
+            "expander_phi_floor = 0",
+            "expander_phi = inf",
+            "lam = 0",
+            "tr_tbar_div = -3",
+            "crossing_polylog_exp = 1000000",
+            "sketch_backend = nope",
+        ],
+    )
+    def test_out_of_range_config_is_usage_error(self, tmp_path, line):
+        """Values the drivers cannot use (a division by zero, a retry loop
+        that never ends on a nan or zero phi) are refused before any run.
+        In a separate process under a timeout, since the run they would
+        start need not end."""
+        graph = tmp_path / "path.g"
+        graph.write_text(serialize_graph(path(4)))
+        cfg = tmp_path / "vcut.cfg"
+        cfg.write_text(line + "\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "vcut.cli", "compute", str(graph), "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error"), done.stderr
+        assert line.split()[0] in lines[0]
+
+    def test_every_config_field_has_a_range(self):
+        from vcut.config import _FIELD_TYPES, _RANGES
+
+        assert set(_RANGES) | {"sketch_backend"} == set(_FIELD_TYPES)
 
     def test_deterministic_reports(self, petersen_file, capsys):
         _, a = run(capsys, "compute", petersen_file)

@@ -4,6 +4,7 @@ raise, and `verify` never says ok to a cut it did not check."""
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 
@@ -212,7 +213,7 @@ class TestLoadConfigFuzz:
     @given(st.lists(CONFIG_LINE, max_size=6))
     def test_config_or_config_error(self, lines):
         """A config file yields a Config whose fields keep their declared
-        types, or a ConfigError; nothing else escapes."""
+        types and lie in range, or a ConfigError; nothing else escapes."""
         with tempfile.TemporaryDirectory() as tmp:
             path = _write(tmp, "vcut.cfg", "\n".join(lines) + "\n")
             try:
@@ -220,7 +221,19 @@ class TestLoadConfigFuzz:
             except ConfigError:
                 return
         for name, default in Config().as_dict().items():
-            assert type(getattr(cfg, name)) is type(default), name
+            value = getattr(cfg, name)
+            assert type(value) is type(default), name
+            if isinstance(value, float):
+                assert math.isfinite(value), name
+            if name in ("eps_balanced", "expander_phi", "expander_phi_floor", "gabow_mixing_c"):
+                assert value > 0, name
+            elif isinstance(value, int) and (
+                name == "lam" or name.endswith(("_mult", "_factor", "_div", "_c"))
+            ):
+                assert value >= 1, name  # integer factors and multipliers
+            elif not isinstance(value, str):
+                assert value >= 0, name
+        assert cfg.sketch_backend in ("exact", "syndrome")
 
     @FUZZ
     @given(st.binary(max_size=40))

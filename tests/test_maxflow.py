@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import all_pairs_probe, cycle, path, petersen, separator_first, star
+from conftest import all_pairs_probe, cycle, path, petersen, separator_first, star, two_hop_weight
 from vcut import _pyflow
 from vcut.errors import InvariantError
 from vcut.graphs import Graph, NoCut, NoSeparator, VertexCut, min_degree_cut, validate_cut
@@ -17,9 +17,9 @@ from vcut.maxflow import (
     min_st_cut,
     min_st_separator,
     rooted_connectivity,
-    two_hop_weight,
     vertex_max_flow,
     weak_separator,
+    weighted_paths,
 )
 from vcut.oracle import brute_pair_kappa, brute_s_to_set_kappa, random_digraph, random_graph
 
@@ -255,7 +255,7 @@ class TestWeakSeparator:
 
 
 class TestBackendTwins:
-    def test_pure_python_twin_agrees(self):
+    def test_pure_python_twin_agrees(self, compiled_core):
         rng = random.Random(0)
         for seed in range(6):
             g = random_graph(12, 0.35, seed)
@@ -271,11 +271,7 @@ class TestBackendTwins:
             heads += [2 * s + 1, 2 * n + 1]
             caps += [n + 1, n + 1]
             got_py = _pyflow.solve(2 * n + 2, tails, heads, caps, 2 * n, 2 * n + 1, None)
-            try:
-                from vcut import _core
-            except ImportError:
-                pytest.skip("compiled backend not built")
-            got_c = _core.solve(2 * n + 2, tails, heads, caps, 2 * n, 2 * n + 1, None)
+            got_c = compiled_core.solve(2 * n + 2, tails, heads, caps, 2 * n, 2 * n + 1, None)
             assert got_py[0] == got_c[0]
             assert got_py[1] == got_c[1]
 
@@ -380,6 +376,52 @@ class TestDisjointPaths:
             disjoint_paths(cycle(5).adj, 0, (1,), 2)
 
 
+class TestWeightedPaths:
+    """The vertex-capacitated packing is a set of real paths from s to the
+    ends that no vertex carries more than its weight on, so its total lies
+    between the two-hop weight and kappa(s,t)."""
+
+    def _cases(self):
+        for seed in range(6):
+            yield random_digraph(11, (0.2, 0.3, 0.45)[seed % 3], (1, 8, 64)[seed % 3], seed)
+
+    def test_paths_are_feasible_and_bounded(self):
+        longer = 0
+        for d in self._cases():
+            for s, t in itertools.permutations(range(d.n), 2):
+                if d.has_arc(s, t):
+                    continue
+                kappa = vertex_max_flow(d.n, list(d.arcs()), list(d.weights), [s], [t])[0]
+                hop = two_hop_weight(d, s, t)
+                ends = d.in_set(t)
+                full = weighted_paths(d.out_adj, d.weights, s, ends, None)
+                assert hop <= full <= kappa
+                for limit in (None, 0, 1, hop, hop + 1, full, full + 1, kappa, kappa + 1):
+                    paths = []
+                    total = weighted_paths(d.out_adj, d.weights, s, ends, limit, paths)
+                    assert total == sum(amount for _, amount in paths)
+                    if limit is None:
+                        assert total == full
+                    else:
+                        assert (total >= limit) == (full >= limit) and total <= full
+                    carried = [0] * d.n
+                    for p, amount in paths:
+                        assert amount > 0 and p[0] == s and p[-1] in ends
+                        assert all(d.has_arc(a, b) for a, b in zip(p, p[1:]))
+                        assert not any(v in ends for v in p[1:-1])
+                        assert s not in p[1:] and t not in p
+                        for v in p[1:]:
+                            carried[v] += amount
+                    assert all(c <= w for c, w in zip(carried, d.weights)), (s, t, paths)
+                    longer += sum(len(p) > 2 for p, _ in paths)
+        assert longer > 0
+
+    def test_source_among_ends_rejected(self):
+        d = random_digraph(6, 0.5, 3, 1)
+        with pytest.raises(InvariantError):
+            weighted_paths(d.out_adj, d.weights, 0, {0, 1}, 2)
+
+
 class TestTwoHopCertificate:
     """The path check in min_st_cut/min_st_separator returns exactly what
     the capped flow it skips would have returned."""
@@ -400,6 +442,12 @@ class TestTwoHopCertificate:
         right = set(range(g.n)) - left - set(sep)
         return (value, VertexCut(left, sep, right, value)), (value, tuple(sep))
 
+    @staticmethod
+    def _packed(g, s, t):
+        if isinstance(g, Graph):
+            return disjoint_paths(g.adj, s, (t,), None)
+        return weighted_paths(g.out_adj, g.weights, s, g.in_set(t), None)
+
     def test_matches_unchecked_flow(self):
         skips = 0
         for g in self._cases():
@@ -409,8 +457,8 @@ class TestTwoHopCertificate:
                     continue
                 hop = two_hop_weight(g, s, t)
                 kappa = _graph_flow(g, [s], [t])[0]
-                assert hop <= kappa
-                found = disjoint_paths(g.adj, s, (t,), None) if isinstance(g, Graph) else hop
+                found = self._packed(g, s, t)
+                assert hop <= found <= kappa
                 for limit in sorted({1, hop, hop + 1, found, found + 1, kappa, kappa + 1}):
                     mine, ref = Counters(), Counters()
                     want_cut, want_sep = self._unchecked(g, s, t, limit, ref)
@@ -422,17 +470,32 @@ class TestTwoHopCertificate:
                             mine.get("flow_calls") + mine.get("path_skips")
                             == 2 * ref.get("flow_calls")
                         )
+                    # a flow is skipped exactly when the packing reaches the limit
+                    assert mine.get("path_skips") == (2 if limit <= found else 0)
                     skips += mine.get("path_skips")
         assert skips > 0
 
     def test_two_hop_weight_by_definition(self):
+        """Both packings take the two-hop paths first, each at full weight;
+        their summed weight is the two-hop weight by definition."""
         for g in self._cases():
             weight = [1] * g.n if isinstance(g, Graph) else g.weights
             for s, t in itertools.permutations(range(g.n), 2):
                 if isinstance(g, Graph):
+                    if g.has_edge(s, t):
+                        continue
                     middle = [v for v in range(g.n) if g.has_edge(s, v) and g.has_edge(v, t)]
+                    paths = []
+                    disjoint_paths(g.adj, s, (t,), None, paths)
+                    first = [(p[1], 1) for p in paths[: len(middle)]]
                 else:
+                    if g.has_arc(s, t):
+                        continue
                     middle = [v for v in range(g.n) if g.has_arc(s, v) and g.has_arc(v, t)]
+                    paths = []
+                    weighted_paths(g.out_adj, g.weights, s, g.in_set(t), None, paths)
+                    first = [(p[1], amount) for p, amount in paths[: len(middle)]]
+                assert sorted(first) == [(v, weight[v]) for v in middle]
                 assert two_hop_weight(g, s, t) == sum(weight[v] for v in middle)
 
 

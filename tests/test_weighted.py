@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from conftest import complete_digraph, directed_cycle
+from conftest import complete_digraph, directed_cycle, two_hop_weight
 from vcut.errors import InvariantError
 from vcut.graphs import NoCut, VertexCut, WeightedDigraph, validate_cut
 from vcut.instrument import Counters
-from vcut.maxflow import vertex_max_flow
+from vcut.maxflow import vertex_max_flow, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
 from vcut import weighted
 from vcut.weighted import (
+    _ClusterParts,
+    _packing_caps,
     _powers_up_to,
-    _two_hop_caps,
     identify_vlow,
+    lopsided_arcs,
     lopsided_pairs,
     lopsided_vc,
     sparsify_lopsided,
@@ -132,70 +134,107 @@ class TestLopsidedPairsOverGuesses:
         assert several  # some bucket pair needed more than one family
 
 
-class TestTwoHopCaps:
-    """`_two_hop_caps` matches the two-hop paths of the instance whose
-    capped flow it skips, and the drivers answer as without it."""
+class TestPackingCaps:
+    """`_packing_caps` packs paths of the instance whose capped flow it
+    skips, so it skips exactly when that flow would stop at its limit, and
+    the drivers answer as without it."""
 
     @staticmethod
-    def _hop_weight(h, s, t):
-        return sum(h.weights[v] for v in range(h.n) if h.has_arc(s, v) and h.has_arc(v, t))
+    def _cases():
+        for seed in range(6):
+            d = random_digraph(11, (0.3, 0.45)[seed % 2], (1, 8, 64)[seed % 3], seed)
+            yield d, random.Random(seed)
 
     def test_matches_instance_paths(self):
-        for seed in range(5):
-            d = random_digraph(11, (0.3, 0.45)[seed % 2], (1, 8)[seed % 2], seed)
-            rng = random.Random(seed)
+        longer = 0
+        for d, rng in self._cases():
             for s, t in itertools.permutations(range(d.n), 2):
                 if d.has_arc(s, t):
                     continue
                 cluster = frozenset(rng.sample(range(d.n), 4)) | {s}
+                part = _ClusterParts(d, cluster)
                 h, ids = sparsify_lopsided(d, s, t, cluster)
-                pos = {v: i for i, v in enumerate(ids)}
+                assert part.arc_count(s, t) == len(lopsided_arcs(d, s, t, cluster)[1]) == h.m
                 cases = [
-                    (sparsify_symmetric(d, s, t), s, t, None),
-                    (h, pos[s], pos[t], cluster),
+                    (sparsify_symmetric(d, s, t), list(range(d.n)), d.in_set(t)),
+                    (h, ids, part.ends(t)),
                 ]
-                for inst, a, b, c in cases:
-                    hop = self._hop_weight(inst, a, b)
-                    for limit in (1, hop, hop + 1):
-                        got = _two_hop_caps(d, s, t, limit, None, cluster=c)
-                        assert got == (limit <= hop), (seed, s, t, c, limit)
-                    flow = vertex_max_flow(
+                for inst, ids, ends in cases:
+                    pos = {v: i for i, v in enumerate(ids)}
+                    a, b = pos[s], pos[t]
+                    hop = two_hop_weight(inst, a, b)
+                    paths = []
+                    packed = weighted_paths(d.out_adj, d.weights, s, ends, None, paths)
+                    kappa = vertex_max_flow(
                         inst.n, list(inst.arcs()), list(inst.weights), [a], [b]
                     )[0]
-                    assert hop <= flow
+                    assert hop <= packed <= kappa, (s, t, cluster)
+                    carried = [0] * inst.n
+                    for p, amount in paths:
+                        local = [pos[v] for v in p] + [b]
+                        assert all(inst.has_arc(x, y) for x, y in zip(local, local[1:])), p
+                        for x in local[1:-1]:
+                            carried[x] += amount
+                        longer += len(p) > 2
+                    assert all(c <= w for c, w in zip(carried, inst.weights))
+                    for limit in (1, hop, hop + 1, packed, packed + 1, kappa, kappa + 1):
+                        stats = Counters()
+                        got = _packing_caps(d, s, ends, limit, stats)
+                        assert got == (limit <= packed), (s, t, cluster, limit)
+                        assert stats.get("path_skips") == got
+        assert longer > 0
 
     def test_drivers_match_unchecked(self, monkeypatch):
+        """The same cuts without the packing, or with the two-hop weight in
+        its place; each skip stands in for one flow, and the packing never
+        leaves a flow that the two-hop weight would skip."""
+
+        def two_hop_caps(d, s, ends, limit, stats):
+            if limit is None or d.weight_of(v for v in d.out_adj[s] if v in ends) < limit:
+                return False
+            stats.add("path_skips")
+            return True
+
         digraphs = [random_digraph(12, 0.35, (4, 64)[seed % 2], seed) for seed in range(4)]
         digraphs.append(generate_planted("lopsided", {"l": 2, "s": 3, "r": 10}, seed=0).graph)
         skips = Counters()
         for d in digraphs:
             for branch in (lopsided_vc, symmetric_vc):
-                mine, ref = Counters(), Counters()
+                mine, bare, hop = Counters(), Counters(), Counters()
                 got = branch(d, stats=mine)
                 with monkeypatch.context() as m:
-                    m.setattr(weighted, "_two_hop_caps", lambda *args, **kw: False)
-                    want = branch(d, stats=ref)
-                assert got == want
-                assert mine.get("flow_calls") + mine.get("path_skips") == ref.get("flow_calls")
-                assert mine.get("sparsified_edges_lopsided") == ref.get("sparsified_edges_lopsided")
+                    m.setattr(weighted, "_packing_caps", lambda *args, **kw: False)
+                    assert branch(d, stats=bare) == got
+                    m.setattr(weighted, "_packing_caps", two_hop_caps)
+                    assert branch(d, stats=hop) == got
+                assert mine.get("flow_calls") + mine.get("path_skips") == bare.get("flow_calls")
+                assert hop.get("flow_calls") + hop.get("path_skips") == bare.get("flow_calls")
+                assert mine.get("flow_calls") <= hop.get("flow_calls")
+                assert mine.get("sparsified_edges_lopsided") == bare.get("sparsified_edges_lopsided")
                 skips.add(branch.__name__, mine.get("path_skips"))
         assert skips.get("lopsided_vc") > 0 and skips.get("symmetric_vc") > 0
 
 
 class TestSparsifyLopsided:
     def test_counters_match_built_instances(self, monkeypatch):
-        """`lopsided_vc` counts every evaluated pair by its arc selection
-        alone; the counts are those of the instances `sparsify_lopsided`
-        builds, and only pairs that get a flow are built."""
+        """`lopsided_vc` counts the arcs of every evaluated pair's instance
+        from its cluster's parts; each count is that of the instance
+        `lopsided_arcs` selects, and only pairs that get a flow have their
+        instance selected and built."""
         for seed in range(3):
             d = random_digraph(12, 0.35, (4, 64)[seed % 2], seed)
-            selected, built = [], []
+            counted, selected, built = [], [], []
+            real_count = _ClusterParts.arc_count
             real_arcs, real_instance = weighted.lopsided_arcs, weighted._instance
 
-            def arcs_spy(d, s, t, cluster):
-                got = real_arcs(d, s, t, cluster)
-                selected.append((s, t, tuple(sorted(cluster)), len(got[1])))
+            def count_spy(self, s, t):
+                got = real_count(self, s, t)
+                counted.append((s, t, self.cluster, got))
                 return got
+
+            def arcs_spy(d, s, t, cluster):
+                selected.append((s, t))
+                return real_arcs(d, s, t, cluster)
 
             def instance_spy(d, vertices, arcs):
                 built.append(len(arcs))
@@ -203,14 +242,16 @@ class TestSparsifyLopsided:
 
             stats = Counters()
             with monkeypatch.context() as m:
+                m.setattr(_ClusterParts, "arc_count", count_spy)
                 m.setattr(weighted, "lopsided_arcs", arcs_spy)
                 m.setattr(weighted, "_instance", instance_spy)
                 lopsided_vc(d, stats=stats)
-            want = [sparsify_lopsided(d, s, t, c)[0].m for s, t, c, _ in selected]
-            assert [m for _, _, _, m in selected] == want
+            want = [len(lopsided_arcs(d, s, t, c)[1]) for s, t, c, _ in counted]
+            assert [m for _, _, _, m in counted] == want
+            assert any(t in c for _, t, c, _ in counted)
             assert stats.get("sparsified_edges_lopsided") == sum(want)
-            assert stats.get("naive_edges_lopsided") == d.m * len(selected)
-            assert len(built) == stats.get("flow_calls") < len(selected)
+            assert stats.get("naive_edges_lopsided") == d.m * len(counted)
+            assert len(built) == len(selected) == stats.get("flow_calls") < len(counted)
 
     def test_whole_graph_cluster(self):
         d = random_digraph(8, 0.35, 4, 1)
@@ -224,7 +265,7 @@ class TestSparsifyLopsided:
         assert expect <= got
 
     def test_any_separator_is_valid_in_original(self):
-        from vcut.maxflow import vertex_max_flow
+        from vcut.maxflow import vertex_max_flow, weighted_paths
 
         for seed in range(5):
             d = random_digraph(10, 0.3, 5, seed)
@@ -258,7 +299,7 @@ class TestSparsifyLopsided:
             if not d.has_arc(s, t)
         ]
         assert got_pairs
-        from vcut.maxflow import vertex_max_flow
+        from vcut.maxflow import vertex_max_flow, weighted_paths
 
         hits = 0
         for s, t in got_pairs:
