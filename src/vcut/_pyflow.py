@@ -18,8 +18,10 @@ capacities, per-node arc-id lists) of the last network passed as three
 tuples is kept in a one-entry memo keyed on the identity of those tuples.
 The memo holds strong references to them, so an id cannot be reused while
 the entry lives, and tuples cannot change, so a repeat solve on the same
-network costs one copy of the capacity array.  Networks passed as lists are
-built afresh on every call and never memoized.
+network costs one copy of the capacity array.  Every single-pair network of
+`vcut.maxflow` is passed as tuples; networks passed as lists (its
+multi-terminal copies with bypass arcs) are built afresh on every call and
+never memoized.
 
 Each phase's breadth-first search stops once the frontier holding t is
 labelled; the search that fails to reach t is complete and its labels are

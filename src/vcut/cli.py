@@ -266,7 +266,14 @@ def cmd_check_pr(args) -> int:
     )
 
     cfg = load_config(args.config) if args.config else DEFAULT
-    eps = Fraction(args.eps) if args.eps else None
+    try:
+        eps = Fraction(args.eps) if args.eps else None
+    except (ValueError, ZeroDivisionError):
+        print(f"usage error: --eps needs a number such as 1/2, got {args.eps!r}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.n < 1:
+        print(f"usage error: -n needs a value >= 1, got {args.n}", file=sys.stderr)
+        return EXIT_PARSE
     cert = {"object": args.object, "params": {}, "verdict": None}
     try:
         if args.object == "crossing":
@@ -324,24 +331,40 @@ def cmd_check_pr(args) -> int:
     except ConstructionFailed as exc:
         cert["verdict"] = "skipped"
         cert["reason"] = str(exc)
+    except VcutError as exc:
+        print(f"invariant error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     print(json.dumps(cert, sort_keys=True))
     return EXIT_OK
 
 
-def _bench_row(line, cfg):
-    parts = line.split()
-    kind = parts[0]
+def _suite_row(line):
+    """(kind, n, p, seed, wmax) of a suite line `graph n p seed` or
+    `digraph n p seed [wmax]` (wmax defaults to 8); ParseError otherwise."""
+    kind, *fields = line.split()
+    if kind not in ("graph", "digraph"):
+        raise ParseError(f"unknown suite row kind {kind!r}")
+    if len(fields) not in ((3,) if kind == "graph" else (3, 4)):
+        usage = "graph n p seed" if kind == "graph" else "digraph n p seed [wmax]"
+        raise ParseError(f"expected '{usage}', got {line!r}")
+    try:
+        n, p, seed = int(fields[0]), float(fields[1]), int(fields[2])
+        wmax = int(fields[3]) if len(fields) > 3 else 8
+    except ValueError as exc:
+        raise ParseError(f"{exc} in {line!r}") from None
+    if n < 0 or not 0 <= p <= 1 or wmax < 1:
+        raise ParseError(f"need n >= 0, 0 <= p <= 1 and wmax >= 1, got {line!r}")
+    return kind, n, p, seed, wmax
+
+
+def _bench_row(row, cfg):
+    kind, n, p, seed, wmax = row
     if kind == "graph":
-        n, p, seed = int(parts[1]), float(parts[2]), int(parts[3])
         g = random_graph(n, p, seed)
         algo = "unweighted"
-    elif kind == "digraph":
-        n, p, seed = int(parts[1]), float(parts[2]), int(parts[3])
-        wmax = int(parts[4]) if len(parts) > 4 else 8
+    else:
         g = random_digraph(n, p, wmax, seed)
         algo = "weighted"
-    else:
-        raise ParseError(f"unknown suite row kind {kind!r}")
     stats = Counters()
     start = time.perf_counter()
     _, result = _run_algorithm(g, algo, None, cfg, stats)
@@ -351,7 +374,7 @@ def _bench_row(line, cfg):
         "kind": kind,
         "n": g.n,
         "m": g.m,
-        "seed": parts[3],
+        "seed": seed,
         "algo": algo,
         "value": value,
         "wall_ms": wall,
@@ -361,23 +384,27 @@ def _bench_row(line, cfg):
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config) if args.config else DEFAULT
+    suite = []
     try:
-        lines = [
-            ln.strip()
-            for ln in open(args.suite)
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
-    except OSError as exc:
+        with open(args.suite) as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    suite.append(_suite_row(line))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ParseError as exc:
+        print(f"parse error: suite line {number}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     fields = ["kind", "n", "m", "seed", "algo", "value", "wall_ms", "flow_calls"]
-    workers = min(args.jobs, len(lines), os.cpu_count() or 1)
+    workers = min(args.jobs, len(suite), os.cpu_count() or 1)
     if workers > 1:
         # Processes, not threads: the drivers are pure Python and hold the GIL.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_row, lines, repeat(cfg)))
+            rows = list(pool.map(_bench_row, suite, repeat(cfg)))
     else:
-        rows = [_bench_row(ln, cfg) for ln in lines]
+        rows = [_bench_row(row, cfg) for row in suite]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

@@ -13,7 +13,7 @@ from .errors import InvariantError, ParseError
 class Graph:
     """Undirected unweighted graph with per-vertex sorted adjacency."""
 
-    __slots__ = ("n", "adj", "_adjsets", "_min_degree", "_flow_arcs")
+    __slots__ = ("n", "adj", "_adjsets", "_min_degree", "_network")
 
     def __init__(self, n: int, adj):
         self.n = n
@@ -36,13 +36,11 @@ class Graph:
                 if u not in self._adjsets[v]:
                     raise InvariantError(f"asymmetric edge ({u},{v})")
         self._min_degree = None
-        self._flow_arcs = None
+        self._network = None  # split network, built by maxflow._graph_flow
 
     def flow_arcs(self):
-        """Both orientations of every edge, cached (graphs are immutable)."""
-        if self._flow_arcs is None:
-            self._flow_arcs = [(u, v) for u in range(self.n) for v in self.adj[u]]
-        return self._flow_arcs
+        """Both orientations of every edge."""
+        return [(u, v) for u in range(self.n) for v in self.adj[u]]
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -144,7 +142,7 @@ class Graph:
 class WeightedDigraph:
     """Directed graph with positive integer vertex weights."""
 
-    __slots__ = ("n", "out_adj", "in_adj", "weights", "_outsets", "_insets")
+    __slots__ = ("n", "out_adj", "in_adj", "weights", "_outsets", "_insets", "_network")
 
     def __init__(self, n: int, out_adj, weights):
         self.n = n
@@ -176,6 +174,7 @@ class WeightedDigraph:
         self.in_adj = tuple(tuple(sorted(row)) for row in in_adj)
         self._outsets = tuple(frozenset(row) for row in self.out_adj)
         self._insets = tuple(frozenset(row) for row in self.in_adj)
+        self._network = None  # split network, built by maxflow._graph_flow
 
     @classmethod
     def from_arcs(cls, n: int, arcs, weights=None) -> "WeightedDigraph":

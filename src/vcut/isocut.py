@@ -29,7 +29,7 @@ from .graphs import (
     better_cut,
     validate_cut,
 )
-from .maxflow import disjoint_paths, min_st_cut, vertex_max_flow
+from .maxflow import _graph_flow, disjoint_paths, min_st_cut, vertex_max_flow
 from .pseudorandom import build_selector, map_pairs, symmetric_crossing_family
 
 
@@ -68,11 +68,8 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
             if g.has_edge(u, v):
                 raise InvariantError(f"terminal set not independent: edge ({u},{v})")
 
-    arcs = [(u, v) for u in range(g.n) for v in g.adj[u]]
-    caps = [1] * g.n
-    for v in terms:
-        caps[v] = None  # terminals are never cut
-
+    # Every terminal is a source or a sink of each bit-partition flow, so
+    # none is ever cut, and the whole graph's unit network serves them all.
     rounds = max(1, math.ceil(math.log2(len(terms))))
     removed = set()
     for bit in range(rounds):
@@ -80,7 +77,7 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
         b_side = [v for idx, v in enumerate(terms) if (idx >> bit) & 1]
         if not a_side or not b_side:
             continue
-        _, sep, _, _ = vertex_max_flow(g.n, arcs, caps, a_side, b_side, stats=stats)
+        _, sep, _, _ = _graph_flow(g, a_side, b_side, stats=stats)
         removed.update(sep)
 
     term_set = set(terms)
@@ -273,8 +270,6 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     if use_pairs:
         alpha = 1 / eps
         family = map_pairs(symmetric_crossing_family(len(terms), alpha, cfg), terms)
-        arcs = aux.flow_arcs()
-        caps = [1] * aux.n
         seen = set()
         for a, b in family:
             if a == b:
@@ -293,9 +288,7 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
                 if stats is not None:
                     stats.add("path_skips")
                 continue
-            _, sep_aux, _, completed = vertex_max_flow(
-                aux.n, arcs, caps, [pos[a]], sinks, limit=limit, stats=stats
-            )
+            _, sep_aux, _, completed = _graph_flow(aux, [pos[a]], sinks, limit=limit, stats=stats)
             if not completed:
                 continue
             cand = _remap_candidate(g, (nodes[j] for j in sep_aux))

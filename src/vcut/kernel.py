@@ -13,7 +13,7 @@ and neighbour counts, cached per (cluster, t)) give the kernel's rows on
 demand and its edge count by arithmetic.  A greedy packing of vertex-
 disjoint s-t paths over those rows (a lower bound on the kernel's max
 flow) decides the flow; only the kernels it leaves open are assembled as
-an adjacency and get a capped flow.
+a Graph (`kernel_graph`) and get a capped flow.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .cnc import TOO_LARGE, cnc, sketch_construct, sketch_recover
 from .config import DEFAULT, Config
 from .errors import EmptyKernel, InvariantError
 from .graphs import Graph, symdiff_size
-from .maxflow import disjoint_paths, vertex_max_flow
+from .maxflow import _graph_flow, disjoint_paths
 
 
 class KernelIndex:
@@ -275,13 +275,8 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
             if stats is not None:
                 stats.add("path_skips")
             continue
-        ids, adj = _assemble_kernel(index, i, s, t)
-        pos = {v: j for j, v in enumerate(ids)}
-        arcs = [(pos[u], pos[v]) for u in ids for v in adj[u]]
-        caps = [1] * len(ids)
-        value, sep, _, completed = vertex_max_flow(
-            len(ids), arcs, caps, [pos[s]], [pos[t]], limit=limit, stats=stats
-        )
+        kernel, _, ks, kt = kernel_graph(index, i, s, t)
+        value, _, _, completed = _graph_flow(kernel, [ks], [kt], limit=limit, stats=stats)
         if completed and value < best:
             best = value
     return best

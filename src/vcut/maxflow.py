@@ -9,13 +9,16 @@ The canonical separator returned everywhere is the minimum cut closest to
 the source (saturated split arcs on the residual source-reachable frontier),
 which is unique, so results are deterministic and backend-independent.
 
-Whole-graph flows are built once per graph: `_graph_network` caches the
-split network as immutable tuples.  A single-source, single-sink query runs
-the backend on those tuples directly, from s_out (2s+1) to t_in (2t); this
-is the bypass-arc network minus its two terminal arcs, with the same flow
-value and the same reach mask over the split nodes, and it lets the
-pure-Python backend reuse its memoized residual structure.  Multi-terminal
-queries copy the tuples and append the bypass arcs.
+One builder and one solve path serve every query.  `_split_network`
+builds the split network as immutable tuples, and `_flow` solves it.  A
+single-source, single-sink query runs the backend on those tuples directly,
+from s_out (2s+1) to t_in (2t); this is the bypass-arc network minus its two
+terminal arcs, with the same flow value and the same reach mask over the
+split nodes, and it lets the pure-Python backend reuse its memoized residual
+structure.  Larger terminal sets copy the tuples and append the bypass arcs.
+`vertex_max_flow` builds a network per call from an arc list;
+`_graph_flow` builds one per Graph or WeightedDigraph and keeps it in the
+graph's `_network` slot, so repeated flows on one graph share it.
 
 Capped queries are answered without a flow when a path packing already
 reaches the cap.  Paths that respect the vertex capacities form a feasible
@@ -60,15 +63,47 @@ else:
 BACKEND = _backend.BACKEND_NAME
 
 
-def _solve(n, num_nodes, tails, heads, arc_caps, caps, source, sink, inf, limit,
-           stats, num_arcs):
-    """Run the solver from `source` to `sink`, extract the separator.
+def _split_network(n, arcs, caps):
+    """The vertex-split network of a graph on [0, n) with directed `arcs`
+    and vertex capacities `caps` (None: uncuttable), as tuples `(tails,
+    heads, arc_caps, vertex_caps, inf)`.  Node 2v is v_in and 2v+1 is v_out;
+    arc v is the split arc v_in -> v_out, and arc n+i is u_out -> v_in for
+    the i-th arc (u, v).  Uncuttable split arcs and original arcs get capacity
+    `inf`; `vertex_caps` counts an uncuttable vertex as 1."""
+    inf = n * max((c for c in caps if c is not None), default=1) + 1
+    tails = [2 * v for v in range(n)]
+    heads = [2 * v + 1 for v in range(n)]
+    arc_caps = [inf if c is None else c for c in caps]
+    for u, v in arcs:
+        tails.append(2 * u + 1)
+        heads.append(2 * v)
+        arc_caps.append(inf)
+    vertex_caps = tuple(1 if c is None else c for c in caps)
+    return tuple(tails), tuple(heads), tuple(arc_caps), vertex_caps, inf
 
-    `num_arcs` is the arc count of the bypass-arc network, recorded as
-    `flow_edges` whichever form of the network is solved.  A limit <= 0 is
-    reached before any flow, so it returns the capped answer uncounted."""
+
+def _flow(n, network, sources, sinks, limit, stats):
+    """Max flow from `sources` to `sinks` on a `_split_network`, with the
+    canonical separator: `(value, separator, reach, completed)`.
+
+    A single pair is solved on the network itself, from s_out to t_in.  A
+    larger terminal set is solved on a copy with a super-source wired to
+    each s_out and each t_in wired to a super-sink.  Both have the flows
+    and reach of the bypass-arc network, whose arc count is recorded as
+    `flow_edges`.  A limit <= 0 is reached before any flow, so it returns
+    the capped answer uncounted."""
     if limit is not None and limit <= 0:
         return limit, None, None, False
+    tails, heads, arc_caps, caps, inf = network
+    if len(sources) == 1 and len(sinks) == 1:
+        num_nodes, source, sink = 2 * n, 2 * sources[0] + 1, 2 * sinks[0]
+        num_arcs = len(tails) + 2
+    else:
+        num_nodes, source, sink = 2 * n + 2, 2 * n, 2 * n + 1
+        tails = list(tails) + [source] * len(sources) + [2 * t for t in sinks]
+        heads = list(heads) + [2 * s + 1 for s in sources] + [sink] * len(sinks)
+        arc_caps = list(arc_caps) + [inf] * (len(sources) + len(sinks))
+        num_arcs = len(tails)
     if stats is not None:
         stats.add("flow_calls")
         stats.add("flow_edges", num_arcs)
@@ -88,23 +123,6 @@ def _solve(n, num_nodes, tails, heads, arc_caps, caps, source, sink, inf, limit,
     return value, separator, reach_orig, True
 
 
-def _finish(n, tails, heads, arc_caps, caps, sources, sinks, inf, limit, stats):
-    """Append terminal bypass arcs, run the solver, extract the separator."""
-    super_s, super_t = 2 * n, 2 * n + 1
-    for s in sources:
-        tails.append(super_s)
-        heads.append(2 * s + 1)
-        arc_caps.append(inf)
-    for t in sinks:
-        tails.append(2 * t)
-        heads.append(super_t)
-        arc_caps.append(inf)
-    return _solve(
-        n, 2 * n + 2, tails, heads, arc_caps, caps, super_s, super_t, inf, limit,
-        stats, len(tails),
-    )
-
-
 def vertex_max_flow(n, arcs, caps, sources, sinks, limit=None, stats=None):
     """Min vertex separator between vertex sets via one max-flow call.
 
@@ -119,64 +137,28 @@ def vertex_max_flow(n, arcs, caps, sources, sinks, limit=None, stats=None):
     sinks = sorted(set(sinks))
     if set(sources) & set(sinks):
         raise InvariantError("source and sink sets overlap")
-    finite = [c for c in caps if c is not None]
-    inf = n * (max(finite) if finite else 1) + 1
-    tails = [2 * v for v in range(n)]
-    heads = [2 * v + 1 for v in range(n)]
-    arc_caps = [inf if c is None else c for c in caps]
-    for u, v in arcs:
-        tails.append(2 * u + 1)
-        heads.append(2 * v)
-        arc_caps.append(inf)
-    adjusted = [1 if c is None else c for c in caps]
-    return _finish(n, tails, heads, arc_caps, adjusted, sources, sinks, inf, limit, stats)
-
-
-_NETWORK_CACHE: dict = {}
-
-
-def _graph_network(g):
-    """Cached split network (tails, heads, caps, vertex caps, inf) for a
-    whole-graph flow; graphs are immutable and so are the arc tuples, so
-    this is safe to share."""
-    key = id(g)
-    got = _NETWORK_CACHE.get(key)
-    if got is not None and got[0] is g:
-        return got[1]
-    if isinstance(g, Graph):
-        caps = [1] * g.n
-        arcs = g.flow_arcs()
-    else:
-        caps = list(g.weights)
-        arcs = list(g.arcs())
-    inf = g.n * max(caps, default=1) + 1
-    tails = [2 * v for v in range(g.n)]
-    heads = [2 * v + 1 for v in range(g.n)]
-    arc_caps = list(caps)
-    for u, v in arcs:
-        tails.append(2 * u + 1)
-        heads.append(2 * v)
-        arc_caps.append(inf)
-    entry = (tuple(tails), tuple(heads), tuple(arc_caps), caps, inf)
-    if len(_NETWORK_CACHE) > 64:
-        _NETWORK_CACHE.clear()
-    _NETWORK_CACHE[key] = (g, entry)
-    return entry
+    return _flow(n, _split_network(n, arcs, caps), sources, sinks, limit, stats)
 
 
 def _graph_flow(g, sources, sinks, limit=None, stats=None):
-    tails, heads, arc_caps, caps, inf = _graph_network(g)
-    if len(sources) == 1 and len(sinks) == 1:
-        # From s_out to t_in on the shared network: the same flows and
-        # reach as with the two bypass arcs, counted as if they were there.
-        return _solve(
-            g.n, 2 * g.n, tails, heads, arc_caps, caps, 2 * sources[0] + 1,
-            2 * sinks[0], inf, limit, stats, len(tails) + 2,
-        )
-    return _finish(
-        g.n, list(tails), list(heads), list(arc_caps), caps, sources, sinks, inf,
-        limit, stats,
-    )
+    """`vertex_max_flow` on a whole Graph (unit capacities) or
+    WeightedDigraph (its weights), on a split network built once per graph
+    and kept in its `_network` slot (graphs are immutable).  The
+    terminal lists are used as given."""
+    if g._network is None:
+        if isinstance(g, Graph):
+            g._network = _split_network(g.n, g.flow_arcs(), [1] * g.n)
+        else:
+            g._network = _split_network(g.n, g.arcs(), g.weights)
+    return _flow(g.n, g._network, sources, sinks, limit, stats)
+
+
+def _reach_cut(n, value, separator, reach):
+    """The cut (L, S, R) of a completed flow on n vertices: L the vertices
+    the source side reaches, S the separator, R the rest."""
+    left = {v for v in range(n) if reach[v]}
+    sep_set = set(separator)
+    return VertexCut(left, sep_set, set(range(n)) - left - sep_set, value)
 
 
 def disjoint_paths(adj, s, sinks, limit, paths=None):
@@ -357,10 +339,7 @@ def min_st_cut(g, s, t, limit=None, stats=None):
     value, sep, reach, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
     if not completed:
         return value, None
-    left = {v for v in range(g.n) if reach[v]}
-    sep_set = set(sep)
-    right = set(range(g.n)) - left - sep_set
-    return value, VertexCut(left, sep_set, right, value)
+    return value, _reach_cut(g.n, value, sep, reach)
 
 
 def min_s_to_set_separator(g: Graph, s: int, terminals, limit=None, stats=None):
@@ -464,10 +443,7 @@ def weak_separator(g: Graph, terminals, stats=None):
                 continue
             if best_value is None or value < best_value:
                 best_value = value
-                left = {x for x in range(g.n) if reach[x]}
-                sep_set = set(sep)
-                right = set(range(g.n)) - left - sep_set
-                best_cut = VertexCut(left, sep_set, right, value)
+                best_cut = _reach_cut(g.n, value, sep, reach)
     if best_cut is None:
         return NoCut(g.n - 1)
     return best_value, best_cut

@@ -39,7 +39,7 @@ from .graphs import (
     min_out_neighborhood_cut,
     validate_cut,
 )
-from .maxflow import vertex_max_flow, weighted_paths
+from .maxflow import _graph_flow, weighted_paths
 from .pseudorandom import asymmetric_crossing_family, map_pairs, symmetric_crossing_family
 
 
@@ -266,10 +266,7 @@ def _digraph_pair_cut(d: WeightedDigraph, h: WeightedDigraph, ids, s, t,
     cut of d.  Returns None when capped; counts (never expected) extraction
     failures so the acceptance suite can assert soundness."""
     pos = {v: i for i, v in enumerate(ids)}
-    arcs = list(h.arcs())
-    value, sep, _, completed = vertex_max_flow(
-        h.n, arcs, list(h.weights), [pos[s]], [pos[t]], limit=limit, stats=stats
-    )
+    value, sep, _, completed = _graph_flow(h, [pos[s]], [pos[t]], limit=limit, stats=stats)
     if not completed:
         return None
     separator = {ids[j] for j in sep}

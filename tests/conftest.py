@@ -9,6 +9,7 @@ import sysconfig
 
 import pytest
 
+from vcut import _pyflow, maxflow
 from vcut.graphs import Graph, VertexCut, WeightedDigraph, better_cut
 from vcut.maxflow import min_st_cut
 
@@ -96,6 +97,29 @@ def two_hop_weight(g, s, t):
     return g.weight_of(g.out_set(s) & g.in_set(t))
 
 
+def bypass_network(g, sources, sinks, caps=None):
+    """The split network of g with terminal bypass arcs, built by hand as
+    lists: v_in (2v) -> v_out (2v+1) at caps[v] (None: uncuttable),
+    u_out -> v_in for each arc (u, v), a super-source 2n -> s_out for each
+    source and t_in -> 2n+1 super-sink for each sink, all but the split
+    arcs at inf = n * max cap + 1.  `caps` defaults to 1 per vertex of a
+    Graph and to the weights of a WeightedDigraph.
+
+    Returns (num_nodes, tails, heads, arc_caps, super_source, super_sink)."""
+    n = g.n
+    if caps is None:
+        caps = [1] * n if isinstance(g, Graph) else list(g.weights)
+    arcs = g.flow_arcs() if isinstance(g, Graph) else list(g.arcs())
+    inf = n * max((c for c in caps if c is not None), default=1) + 1
+    tails = [2 * v for v in range(n)] + [2 * u + 1 for u, _ in arcs]
+    heads = [2 * v + 1 for v in range(n)] + [2 * v for _, v in arcs]
+    arc_caps = [inf if c is None else c for c in caps] + [inf] * len(arcs)
+    tails += [2 * n] * len(sources) + [2 * t for t in sinks]
+    heads += [2 * s + 1 for s in sources] + [2 * n + 1] * len(sinks)
+    arc_caps += [inf] * (len(sources) + len(sinks))
+    return 2 * n + 2, tails, heads, arc_caps, 2 * n, 2 * n + 1
+
+
 def directed_cycle(weights) -> WeightedDigraph:
     n = len(weights)
     return WeightedDigraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)], weights)
@@ -138,3 +162,18 @@ def compiled_core(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def python_backend(monkeypatch):
+    """`vcut.maxflow` solving on the pure-Python backend for one test."""
+    monkeypatch.setattr(maxflow, "_backend", _pyflow)
+    return _pyflow
+
+
+@pytest.fixture
+def compiled_backend(compiled_core, monkeypatch):
+    """`vcut.maxflow` solving on the compiled backend for one test (skipped,
+    with the reason, where `compiled_core` cannot be built)."""
+    monkeypatch.setattr(maxflow, "_backend", compiled_core)
+    return compiled_core

@@ -333,6 +333,27 @@ class TestCheckPr:
         cert = json.loads(out)
         assert code == 0 and cert["verdict"] == "skipped"
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0", "1/2/3"])
+    def test_bad_eps_is_usage_error(self, capsys, eps):
+        code = main(["check-pr", "selector", "-n", "8", "-e", eps])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("usage error: --eps") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("obj", ["crossing", "selector", "disperser", "mixing"])
+    def test_nonpositive_n_is_usage_error(self, capsys, obj):
+        code = main(["check-pr", obj, "-n", "-3"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("usage error: -n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["selector", "-n", "8", "-e", "0"], ["selector", "-n", "8", "-k", "0"]]
+    )
+    def test_builder_invariant_is_one_line(self, capsys, argv):
+        code = main(["check-pr", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("invariant error: ") and captured.err.count("\n") == 1
+
     def test_crossing_and_disperser_and_mixing(self, capsys):
         code, out = run(capsys, "check-pr", "crossing", "-n", "9", "--alpha", "2")
         assert code == 0 and json.loads(out)["verdict"] is True
@@ -344,6 +365,29 @@ class TestCheckPr:
 
 
 class TestBench:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "foo 1 2 3",
+            "graph 12",
+            "graph x 0.3 1",
+            "graph 10 0.3 1 7",
+            "digraph 8 0.3 1 4 5",
+            "graph 10 1.5 1",
+            "graph 10 nan 1",
+            "graph -2 0.3 1",
+            "digraph 5 0.5 1 0",
+        ],
+    )
+    def test_malformed_row_is_parse_error(self, tmp_path, capsys, row):
+        suite = tmp_path / "suite.txt"
+        suite.write_text(f"# header\ngraph 8 0.3 1\n\n{row}\n")
+        out = tmp_path / "o.csv"
+        code = main(["bench", str(suite), str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("parse error: suite line 4: ") and err.count("\n") == 1
+
     def test_rows_and_determinism(self, tmp_path, capsys):
         suite = tmp_path / "suite.txt"
         suite.write_text("graph 10 0.3 1\ngraph 12 0.25 2\ndigraph 7 0.35 3 5\n")
@@ -359,6 +403,13 @@ class TestBench:
         values1 = [r[5] for r in rows1[1:]]
         values2 = [r[5] for r in rows2[1:]]
         assert values1 == values2
+
+    def test_unreadable_suite_is_one_line(self, tmp_path, capsys):
+        suite = tmp_path / "suite.txt"
+        suite.write_bytes(b"graph 8 0.3 1\n\xff\xfe\n")
+        code = main(["bench", str(suite), str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
     def test_empty_suite_header_only(self, tmp_path, capsys):
         suite = tmp_path / "suite.txt"

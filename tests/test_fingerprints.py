@@ -3,8 +3,10 @@ instances, pinned in `fingerprints.json`.
 
 Each entry holds the driver's value and its cut (L, S, R), or the sentinel
 it returned.  Optimisations must leave every answer bit-identical, so any
-difference is a failure.  Regenerate the file only for a change that is
-meant to alter answers, and say so with the change:
+difference is a failure.  The answers are checked on the pure-Python flow
+backend and, where a C compiler builds it, on the compiled one.  Regenerate
+the file only for a change that is meant to alter answers, and say so with
+the change:
 
     PYTHONPATH=src python tests/test_fingerprints.py --write
 """
@@ -90,9 +92,14 @@ def test_pinned_labels_match_instances():
 
 
 @pytest.mark.parametrize("label", sorted(INSTANCES))
-def test_answer_is_pinned(label):
+def test_answer_is_pinned(label, python_backend):
     driver, args = INSTANCES[label]
     assert fingerprint(driver(*args)) == _pinned()[label]
+
+
+def test_answers_pinned_on_compiled_backend(compiled_backend):
+    for label, (driver, args) in sorted(INSTANCES.items()):
+        assert fingerprint(driver(*args)) == _pinned()[label], label
 
 
 if __name__ == "__main__":

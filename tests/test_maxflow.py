@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from conftest import all_pairs_probe, cycle, path, petersen, separator_first, star, two_hop_weight
-from vcut import _pyflow
+from conftest import (
+    all_pairs_probe,
+    bypass_network,
+    cycle,
+    path,
+    petersen,
+    separator_first,
+    star,
+    two_hop_weight,
+)
+from vcut import _pyflow, maxflow
 from vcut.errors import InvariantError
 from vcut.graphs import Graph, NoCut, NoSeparator, VertexCut, min_degree_cut, validate_cut
 from vcut.instrument import Counters
@@ -259,19 +268,12 @@ class TestBackendTwins:
         rng = random.Random(0)
         for seed in range(6):
             g = random_graph(12, 0.35, seed)
-            arcs = g.flow_arcs()
-            n = g.n
-            tails = [2 * v for v in range(n)] + [2 * u + 1 for u, v in arcs]
-            heads = [2 * v + 1 for v in range(n)] + [2 * v for u, v in arcs]
-            caps = [1] * n + [n + 1] * len(arcs)
-            s, t = rng.randrange(n), rng.randrange(n)
+            s, t = rng.randrange(g.n), rng.randrange(g.n)
             if s == t or g.has_edge(s, t):
                 continue
-            tails += [2 * n, 2 * t]
-            heads += [2 * s + 1, 2 * n + 1]
-            caps += [n + 1, n + 1]
-            got_py = _pyflow.solve(2 * n + 2, tails, heads, caps, 2 * n, 2 * n + 1, None)
-            got_c = compiled_core.solve(2 * n + 2, tails, heads, caps, 2 * n, 2 * n + 1, None)
+            net = bypass_network(g, [s], [t])
+            got_py = _pyflow.solve(*net, None)
+            got_c = compiled_core.solve(*net, None)
             assert got_py[0] == got_c[0]
             assert got_py[1] == got_c[1]
 
@@ -302,30 +304,107 @@ class TestVertexMaxFlow:
 
 
 class TestGraphFlowFastPath:
-    """A single (s,t) whole-graph flow runs from s_out to t_in on the cached
-    network; it must answer and count exactly like the bypass-arc network."""
+    """Every whole-graph flow answers and counts exactly like the bypass-arc
+    network built by hand (`bypass_network`) and solved by the pure-Python
+    twin: single pairs (solved from s_out to t_in), terminal sets (solved on
+    a copy with bypass arcs), and the uncuttable terminals of the isocut
+    bit-partition flows, on both backends."""
 
-    def _cases(self):
-        two_parts = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
-        graphs = [two_parts] + [random_graph(11, 0.2 + 0.1 * seed, seed) for seed in range(3)]
-        for g in graphs:
-            yield g, g.flow_arcs(), [1] * g.n, g.has_edge
+    @staticmethod
+    def _graphs():
+        yield Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
         for seed in range(3):
-            d = random_digraph(9, 0.35, 5, seed)
-            yield d, list(d.arcs()), list(d.weights), d.has_arc
+            yield random_graph(11, 0.2 + 0.1 * seed, seed)
+        for seed in range(3):
+            yield random_digraph(9, 0.35, 5, seed)
 
-    def test_matches_bypass_arc_network(self):
-        for g, arcs, caps, adjacent in self._cases():
+    @staticmethod
+    def _reference(g, sources, sinks, limit, caps):
+        """(value, separator, reach, completed) and counters of one flow."""
+        net = bypass_network(g, sources, sinks, caps)
+        counted = {"flow_calls": 1, "flow_edges": len(net[1])}
+        value, reach, completed = _pyflow.solve(*net, limit)
+        if not completed:
+            return (limit, None, None, False), counted
+        sep = [v for v in range(g.n) if reach[2 * v] and not reach[2 * v + 1]]
+        return (value, sep, [bool(reach[2 * v + 1]) for v in range(g.n)], True), counted
+
+    def _check(self, g, sources, sinks, caps=None):
+        """`_graph_flow` on g and `vertex_max_flow` with `caps` (default:
+        g's own) match the reference with `caps` at the positive limits
+        around the max flow (a limit <= 0 needs no flow, see
+        `TestNonPositiveLimit`)."""
+        arcs = g.flow_arcs() if isinstance(g, Graph) else list(g.arcs())
+        own = [1] * g.n if isinstance(g, Graph) else list(g.weights)
+        value = self._reference(g, sources, sinks, None, caps)[0][0]
+        for limit in sorted({1, value, value + 1} - {0}) + [None]:
+            want, counted = self._reference(g, sources, sinks, limit, caps)
+            fast, slow = Counters(), Counters()
+            got = _graph_flow(g, sources, sinks, limit=limit, stats=fast)
+            assert got == want, (sources, sinks, limit)
+            got = vertex_max_flow(g.n, arcs, caps or own, sources, sinks, limit=limit, stats=slow)
+            assert got == want, (sources, sinks, limit)
+            assert fast.data == slow.data == counted
+
+    def _check_all(self):
+        rng = random.Random(3)
+        multi = bit_flows = 0
+        for g in self._graphs():
+            adjacent = g.has_edge if isinstance(g, Graph) else g.has_arc
             for s, t in itertools.permutations(range(g.n), 2):
-                if adjacent(s, t):
-                    continue
-                true_value = vertex_max_flow(g.n, arcs, caps, [s], [t])[0]
-                for limit in (None, 1, true_value, true_value + 1):
-                    fast, slow = Counters(), Counters()
-                    got = _graph_flow(g, [s], [t], limit=limit, stats=fast)
-                    want = vertex_max_flow(g.n, arcs, caps, [s], [t], limit=limit, stats=slow)
-                    assert got == want, (s, t, limit)
-                    assert fast.data == slow.data
+                if not adjacent(s, t):
+                    self._check(g, [s], [t])
+            for _ in range(12):
+                picked = rng.sample(range(g.n), rng.randrange(3, 6))
+                cut = rng.randrange(1, len(picked))
+                sources, sinks = sorted(picked[:cut]), sorted(picked[cut:])
+                if not any(adjacent(s, t) for s in sources for t in sinks):
+                    self._check(g, sources, sinks)
+                    multi += 1
+            if isinstance(g, Graph):
+                # An independent terminal set, uncuttable, split by each bit
+                # of its index as in `isocut.isolating_vertex_cuts`.
+                terms = []
+                for v in rng.sample(range(g.n), g.n):
+                    if not any(g.has_edge(v, u) for u in terms):
+                        terms.append(v)
+                terms.sort()
+                caps = [None if v in terms else 1 for v in range(g.n)]
+                for bit in range(max(1, (len(terms) - 1).bit_length())):
+                    a_side = [v for i, v in enumerate(terms) if not (i >> bit) & 1]
+                    b_side = [v for i, v in enumerate(terms) if (i >> bit) & 1]
+                    if a_side and b_side:
+                        self._check(g, a_side, b_side, caps)
+                        bit_flows += 1
+        assert multi > 0 and bit_flows > 0
+
+    def test_matches_bypass_arc_network(self, python_backend):
+        self._check_all()
+
+    def test_matches_bypass_arc_network_compiled(self, compiled_backend):
+        self._check_all()
+
+    def test_repeated_flows_reuse_one_network(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(split(*args))
+            return built[-1]
+
+        split = maxflow._split_network
+        monkeypatch.setattr(maxflow, "_split_network", counting)
+        for g in self._graphs():
+            built.clear()
+            adjacent = g.has_edge if isinstance(g, Graph) else g.has_arc
+            sinks = [t for t in range(1, g.n) if not adjacent(0, t)]
+            for t in sinks:
+                min_st_cut(g, 0, t)
+                min_st_separator(g, 0, t, limit=1)
+            _graph_flow(g, [0], sinks)
+            if isinstance(g, Graph):
+                min_s_to_set_separator(g, 0, sinks)
+                rooted_connectivity(g, 0)
+            assert len(built) == 1 and g._network is built[0]
 
 
 class TestDisjointPaths:
@@ -499,28 +578,18 @@ class TestTwoHopCertificate:
                 assert two_hop_weight(g, s, t) == sum(weight[v] for v in middle)
 
 
-def _split_network(g, s, t):
-    """Bypass-arc split network of a graph, as lists."""
-    n = g.n
-    arcs = g.flow_arcs()
-    tails = [2 * v for v in range(n)] + [2 * u + 1 for u, v in arcs] + [2 * n, 2 * t]
-    heads = [2 * v + 1 for v in range(n)] + [2 * v for u, v in arcs] + [2 * s + 1, 2 * n + 1]
-    caps = [1] * n + [n + 1] * (len(arcs) + 2)
-    return 2 * n + 2, tails, heads, caps, 2 * n, 2 * n + 1
-
-
 class TestPyflowContract:
     """The backend contract of the pure-Python solver, compiled twin or not."""
 
     def test_limit_equal_to_max_flow_stops_early(self):
-        num, tails, heads, caps, s, t = _split_network(petersen(), 0, 7)
+        num, tails, heads, caps, s, t = bypass_network(petersen(), [0], [7])
         value, reach, completed = _pyflow.solve(num, tails, heads, caps, s, t, None)
         assert (value, completed) == (3, True)
         assert _pyflow.solve(num, tails, heads, caps, s, t, 3) == (3, None, False)
         assert _pyflow.solve(num, tails, heads, caps, s, t, 4) == (3, reach, True)
 
     def test_memo_with_alternating_tuple_networks(self):
-        nets = [_split_network(cycle(8), 0, 4), _split_network(petersen(), 0, 7)]
+        nets = [bypass_network(cycle(8), [0], [4]), bypass_network(petersen(), [0], [7])]
         want = [_pyflow.solve(*net, None) for net in nets]
         frozen = [
             (num, tuple(tails), tuple(heads), tuple(caps), s, t)
@@ -532,7 +601,7 @@ class TestPyflowContract:
                 assert _pyflow.solve(*net, 1) == (1, None, False)
 
     def test_mutated_list_network_is_rebuilt(self):
-        num, tails, heads, caps, s, t = _split_network(cycle(8), 0, 4)
+        num, tails, heads, caps, s, t = bypass_network(cycle(8), [0], [4])
         assert _pyflow.solve(num, tails, heads, caps, s, t, None)[0] == 2
         caps[1] = 0  # vertex 1 can no longer carry flow
         assert _pyflow.solve(num, tails, heads, caps, s, t, None)[0] == 1
