@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -273,6 +274,12 @@ def cmd_check_pr(args) -> int:
         return EXIT_PARSE
     if args.n < 1:
         print(f"usage error: -n needs a value >= 1, got {args.n}", file=sys.stderr)
+        return EXIT_PARSE
+    if not (math.isfinite(args.alpha) and args.alpha > 0):
+        print(f"usage error: --alpha needs a finite value > 0, got {args.alpha}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.d < 1:
+        print(f"usage error: -d needs a value >= 1, got {args.d}", file=sys.stderr)
         return EXIT_PARSE
     cert = {"object": args.object, "params": {}, "verdict": None}
     try:

@@ -87,17 +87,6 @@ def _offer(g, best, cut):
     return best
 
 
-def _extend(g, cut, removed):
-    """Lift a cut of the surviving subgraph back to g by absorbing the
-    removed vertices into the separator."""
-    sep = set(cut.S) | set(removed)
-    left = set(cut.L)
-    rest = set(range(g.n)) - left - sep
-    if not left or not rest:
-        return None
-    return VertexCut(left, sep, rest, len(sep))
-
-
 def rich_set_or_cut(g: Graph, k, stats=None):
     """Either candidate cuts of size < k or a tau-rich set, tau = (delta-k)/2.
 

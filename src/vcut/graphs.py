@@ -7,7 +7,14 @@ plain dict/list builders before the constructor runs.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvariantError, ParseError
+
+
+def _log2ceil(x) -> int:
+    """ceil(log2 x), floored at 1 (so 1 for every x <= 2)."""
+    return max(1, math.ceil(math.log2(max(2, x))))
 
 
 class Graph:

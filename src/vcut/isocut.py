@@ -7,6 +7,12 @@ through a selector family (or fall back to crossing-family pair flows when
 the selector regime is out of range) and always return a cut that validates
 in the original graph.
 
+Both pair branches take the crossing family over positions in the sorted
+terminal list and visit `PairFamily.unordered()`: each unordered pair
+(i, j), i < j, once, mapped to terminals (terms[i], terms[j]).  The map is
+monotone, so the pairs come in the family's first-occurrence order with the
+smaller terminal first.
+
 The pair flows of `subgraph_balanced_terminal_vc` run from a terminal a to
 the sink set {b, super-vertex} on the auxiliary graph, capped at the best
 cut so far.  Paths from a to that set, internally vertex-disjoint, each
@@ -30,7 +36,7 @@ from .graphs import (
     validate_cut,
 )
 from .maxflow import _graph_flow, disjoint_paths, min_st_cut, vertex_max_flow
-from .pseudorandom import build_selector, map_pairs, symmetric_crossing_family
+from .pseudorandom import build_selector, symmetric_crossing_family
 
 
 class IsolatingResult:
@@ -143,19 +149,12 @@ def _selector_candidates(g: Graph, terms, k_sel, eps, cfg, stats):
 
 
 def _pair_candidates(g: Graph, terms, eps, cfg, stats, best=None):
-    """Crossing-family pair flows over the terminal set."""
-    alpha = 1 / eps
-    family = map_pairs(symmetric_crossing_family(len(terms), alpha, cfg), terms)
-    seen = set()
-    for u, v in family:
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
+    """Crossing-family pair flows over the sorted terminal list, one per
+    unordered pair of the family over its positions."""
+    family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
+    for i, j in family.unordered():
         limit = best.value if isinstance(best, VertexCut) else None
-        res = min_st_cut(g, key[0], key[1], limit=limit, stats=stats)
+        res = min_st_cut(g, terms[i], terms[j], limit=limit, stats=stats)
         if res is NoSeparator or res[1] is None:
             continue
         best = better_cut(best, res[1])
@@ -268,17 +267,9 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
                     cand = _remap_candidate(g, (nodes[j] for j in sep_aux))
                     best = better_cut(best, cand)
     if use_pairs:
-        alpha = 1 / eps
-        family = map_pairs(symmetric_crossing_family(len(terms), alpha, cfg), terms)
-        seen = set()
-        for a, b in family:
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-            a, b = key
+        family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
+        for i, j in family.unordered():
+            a, b = terms[i], terms[j]
             if g.has_edge(a, b):
                 continue
             sinks = (pos[b], virtual)

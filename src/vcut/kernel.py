@@ -18,14 +18,13 @@ a Graph (`kernel_graph`) and get a capped flow.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import chain
 
 from .cnc import TOO_LARGE, cnc, sketch_construct, sketch_recover
 from .config import DEFAULT, Config
 from .errors import EmptyKernel, InvariantError
-from .graphs import Graph, symdiff_size
+from .graphs import Graph, _log2ceil, symdiff_size
 from .maxflow import _graph_flow, disjoint_paths
 
 
@@ -69,7 +68,7 @@ def build_kernel_index(g: Graph, ell, cfg: Config = DEFAULT, stats=None) -> Kern
         raise InvariantError("ell must be >= 1")
     delta = g.min_degree()
     v_low = [v for v in range(g.n) if g.degree(v) <= cfg.clow_mult * delta]
-    logn = max(1, math.ceil(math.log2(max(2, g.n))))
+    logn = _log2ceil(g.n)
     sub, ids = g.induced(v_low)
 
     def dist(a, b):

@@ -22,6 +22,7 @@ from .graphs import (
     NoSeparator,
     VertexCut,
     WeightedDigraph,
+    _log2ceil,
     parse_graph,
     serialize_graph,
     validate_cut,
@@ -325,11 +326,9 @@ def check_clustering(clustering, graph, dist, d, cfg: Config = DEFAULT, samples=
     property on sampled connected low-oracle-diameter sets, and the sampled
     intra-cluster distance bound.
     """
-    import math
-
     n = clustering.n
     failures = []
-    logn = max(1, math.ceil(math.log2(max(2, n))))
+    logn = _log2ceil(n)
     if len(clustering.partitions) > cfg.cnc_partition_factor * logn:
         failures.append(("partition-count", len(clustering.partitions)))
     for pi, partition in enumerate(clustering.partitions):

@@ -6,6 +6,12 @@ with a checked certificate (exhaustive verification when the subset space is
 small, deterministic sampling otherwise), and whenever the parameter
 formulas degenerate at small sizes, the trivial complete fallback takes
 over.  All constructions are deterministic: same parameters, same output.
+
+Pair families hold distinct pairs.  The single builders (complete,
+single-target, composed, large-r, `map_pairs`) emit distinct pairs by
+construction, so only a union of families de-duplicates, where it is built
+(`symmetric_crossing_family` here, the bucketed unions in `weighted`).
+Callers that need each unordered pair once iterate `PairFamily.unordered()`.
 """
 
 from __future__ import annotations
@@ -14,16 +20,14 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import ConstructionFailed, InvariantError
-
-
-def _log2ceil(x: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, x))))
+from .graphs import _log2ceil
 
 
 class LeftRegularBipartite:
@@ -61,29 +65,30 @@ class LeftRegularBipartite:
 
 
 class PairFamily:
-    """Ordered pair list with per-source degree bookkeeping."""
+    """Ordered list of distinct (source, target) pairs, stored as given.
 
-    __slots__ = ("pairs", "degree_bound", "method", "_deg")
+    Builders pass distinct pairs; `unordered()` is the cached view of the
+    pairs {u, v} with u != v, each written (min, max), in first-occurrence
+    order: the visit order of every caller that tries each unordered pair
+    once."""
+
+    __slots__ = ("pairs", "degree_bound", "method", "_unordered")
 
     def __init__(self, pairs, degree_bound, method):
-        seen = set()
-        ordered = []
-        self._deg = {}
-        for p in pairs:
-            if p in seen:
-                continue
-            seen.add(p)
-            ordered.append(p)
-            self._deg[p[0]] = self._deg.get(p[0], 0) + 1
-        self.pairs = tuple(ordered)
+        self.pairs = tuple(pairs)
         self.degree_bound = degree_bound
         self.method = method
-
-    def degree(self, u) -> int:
-        return self._deg.get(u, 0)
+        self._unordered = None
 
     def max_degree(self) -> int:
-        return max(self._deg.values(), default=0)
+        """Largest number of pairs sharing a source."""
+        return max(Counter(u for u, _ in self.pairs).values(), default=0)
+
+    def unordered(self):
+        if self._unordered is None:
+            keys = ((u, v) if u < v else (v, u) for u, v in self.pairs if u != v)
+            self._unordered = tuple(dict.fromkeys(keys))
+        return self._unordered
 
     def __len__(self):
         return len(self.pairs)
@@ -423,8 +428,9 @@ def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
 
     Union over power-of-two guesses (l, r) with l <= r, l + r <= n and
     n < (2*alpha+2)*l + 2*r (the exact compatibility test for partitions
-    whose floor-power-of-two sizes are (l, r)).  Ground sets of size <= 2 or
-    alpha >= n short-circuit to the complete family.
+    whose floor-power-of-two sizes are (l, r)), de-duplicated in
+    first-occurrence order.  Ground sets of size <= 2 or alpha >= n
+    short-circuit to the complete family.
     """
     universe = tuple(range(n))
     if n <= 2 or alpha >= n:
@@ -448,11 +454,12 @@ def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
         methods.add(fam.method)
     if not guesses:
         return PairFamily(_complete_pairs(universe, universe), n, "complete")
-    return PairFamily(pairs, min(total_bound, n), "+".join(sorted(methods)))
+    return PairFamily(dict.fromkeys(pairs), min(total_bound, n), "+".join(sorted(methods)))
 
 
 def map_pairs(family: PairFamily, vertices) -> PairFamily:
-    """Map a family over [n] onto an id list (position i -> vertices[i])."""
+    """Map a family over [n] onto a list of distinct ids (position i ->
+    vertices[i]), so the mapped pairs stay distinct."""
     vertices = list(vertices)
     pairs = [(vertices[u], vertices[v]) for (u, v) in family.pairs]
     return PairFamily(pairs, family.degree_bound, family.method)

@@ -20,6 +20,7 @@ from .graphs import (
     NoCut,
     NoSeparator,
     VertexCut,
+    _log2ceil,
     better_cut,
     min_degree_cut,
     ni_sparsify,
@@ -34,10 +35,6 @@ from .pseudorandom import symmetric_crossing_family
 # Largest graph whose sparsest canonical cut is found by exhaustive search;
 # that search fills a table of 2^n neighbourhood masks.
 EXHAUSTIVE_MAX = 16
-
-
-def _log2ceil(n):
-    return max(1, math.ceil(math.log2(max(2, n))))
 
 
 class ExpanderDecomposition:
@@ -392,17 +389,19 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     """Cut search targeting minimum cuts with a small side.
 
     Per power-of-two scale: crossing-family pairs answered through the
-    kernel index (early-stopped by the best cut so far; any improvement is
-    realized by one full-graph flow), plus one balanced-terminal call per
-    distinct cluster.  Always returns a valid cut; minimum whenever some
-    minimum cut has |L| <= lambda * delta with |L| <= |R|.
+    kernel index, each unordered non-adjacent pair once in the family's
+    first-occurrence order (`PairFamily.unordered()`), early-stopped by the
+    best cut so far, with any improvement realized by one full-graph flow;
+    plus one balanced-terminal call per distinct cluster.  Always returns a
+    valid cut; minimum whenever some minimum cut has |L| <= lambda * delta
+    with |L| <= |R|.
     """
     if g.is_complete():
         return NoCut(g.n - 1)
     delta = g.min_degree()
     best = min_degree_cut(g)
     logn = _log2ceil(g.n)
-    max_scale = max(1, math.ceil(math.log2(max(2, delta * logn))))
+    max_scale = _log2ceil(delta * logn)
     seen_clusters = set()
     for i in range(1, max_scale + 1):
         ell = 2 ** i
@@ -417,19 +416,14 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
             cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, cfg, stats)
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
-        seen_pairs = set()
-        for s, t in family:
+        for s, t in family.unordered():
             if isinstance(best, VertexCut) and best.value <= 1:
                 break  # connected graphs cannot do better
-            if s == t:
+            if g.has_edge(s, t):
                 continue
-            key = (s, t) if s < t else (t, s)
-            if key in seen_pairs or g.has_edge(*key):
-                continue
-            seen_pairs.add(key)
             # kappa(s,t) is symmetric but the index answers from s's
             # clusters, so try both orientations before giving up.
-            for a, b in (key, key[::-1]):
+            for a, b in ((s, t), (t, s)):
                 cap = best.value if isinstance(best, VertexCut) else g.n
                 kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
                 if kappa_hat < cap:

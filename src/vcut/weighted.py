@@ -16,6 +16,11 @@ the pair's instance, so no instance is built for it.  It takes every
 two-hop path s -> v -> t first, so it skips every pair the two-hop weight
 alone would skip.
 
+The two bucketed unions are the only pair families this module
+de-duplicates, where they are built: `lopsided_pairs` returns its union
+sorted, the order `lopsided_vc` visits it in, and `symmetric_pairs` in
+first-occurrence order; the pair loops take the pairs as they come.
+
 The lopsided branch counts the arcs of every evaluated pair's instance
 (they feed the naive/sparsified edge ratio that the instrumentation
 reports, which must not depend on which pairs were skipped) from
@@ -35,22 +40,24 @@ from .graphs import (
     NoCut,
     VertexCut,
     WeightedDigraph,
+    _log2ceil,
     better_cut,
     min_out_neighborhood_cut,
     validate_cut,
 )
 from .maxflow import _graph_flow, weighted_paths
-from .pseudorandom import asymmetric_crossing_family, map_pairs, symmetric_crossing_family
-
-
-def _log2ceil(x):
-    return max(1, math.ceil(math.log2(max(2, x))))
+from .pseudorandom import (
+    PairFamily,
+    asymmetric_crossing_family,
+    map_pairs,
+    symmetric_crossing_family,
+)
 
 
 def _bucket(w):
     """Weight buckets: bucket i holds weights in (2^(i-1), 2^i], bucket 1
     holds {1, 2}."""
-    return max(1, math.ceil(math.log2(w))) if w > 1 else 1
+    return _log2ceil(w)
 
 
 def _powers_up_to(limit):
@@ -85,14 +92,14 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEF
 
     A guess enters a bucket pair's family only through the clamped r_ij,
     so over a list of guesses each distinct (i, j, l_ij, r_ij) family is
-    built once; the pairs are the union of the per-guess pairs, and the
-    degree bound sums over the distinct families."""
+    built once; the pairs are the union of the per-guess pairs, distinct
+    and sorted (the order `lopsided_vc` visits them in), and the degree
+    bound sums over the distinct families."""
     guesses = r if isinstance(r, list) else [r]
     if ell < 1 or min(guesses, default=0) < 1:
         raise InvariantError("ell and r must be >= 1 (powers of two)")
-    logw = _log2ceil(max(2, d.max_weight))
+    logw = _log2ceil(d.max_weight)
     logn = _log2ceil(d.n)
-    q = max(1, math.ceil(math.log2(max(2, d.max_weight))))
     by_bucket_c = {}
     by_bucket_d = {}
     for u in cluster:
@@ -101,11 +108,11 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEF
         by_bucket_d.setdefault(_bucket(d.weights[v]), []).append(v)
     pairs = []
     bound = 0
-    for i in range(1, q + 1):
+    for i in range(1, logw + 1):
         ci = sorted(by_bucket_c.get(i, []))
         if not ci:
             continue
-        for j in range(1, q + 1):
+        for j in range(1, logw + 1):
             dj = sorted(by_bucket_d.get(j, []))
             if not dj:
                 continue
@@ -120,9 +127,7 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEF
                 fam = asymmetric_crossing_family(ci, dj, min(l_i, r_ij), r_ij, cfg)
                 pairs.extend(fam.pairs)
                 bound += fam.degree_bound
-    from .pseudorandom import PairFamily
-
-    return PairFamily(pairs, bound, "bucketed")
+    return PairFamily(sorted(set(pairs)), bound, "bucketed")
 
 
 def lopsided_arcs(d: WeightedDigraph, s, t, cluster):
@@ -306,7 +311,7 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
             if part is None:
                 part = parts[ckey] = _ClusterParts(d, ckey)
             fam = lopsided_pairs(d, cluster, v_low, ell, _powers_up_to(total), cfg)
-            for s, t in sorted(set(fam.pairs)):
+            for s, t in fam.pairs:
                 if s == t or d.has_arc(s, t):
                     continue
                 key = (s, t, ckey)
@@ -333,23 +338,22 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
 def symmetric_pairs(d: WeightedDigraph, ell, cfg: Config = DEFAULT):
     """Bucket-pair union of symmetric crossing families with the
     directional inclusion rule (pairs kept when their source sits in the
-    heavier bucket)."""
+    heavier bucket), de-duplicated in first-occurrence order."""
     if ell < 1:
         raise InvariantError("ell must be >= 1")
     lam = cfg.lam
-    logw = _log2ceil(max(2, d.max_weight))
+    logw = _log2ceil(d.max_weight)
     logn = _log2ceil(d.n)
-    q = max(1, math.ceil(math.log2(max(2, d.max_weight))))
     buckets = {}
     for v in range(d.n):
         buckets.setdefault(_bucket(d.weights[v]), []).append(v)
     pairs = []
     bound = 0
-    for i in range(1, q + 1):
+    for i in range(1, logw + 1):
         vi = buckets.get(i, [])
         if not vi:
             continue
-        for j in range(1, q + 1):
+        for j in range(1, logw + 1):
             vj = buckets.get(j, [])
             if not vj:
                 continue
@@ -364,9 +368,7 @@ def symmetric_pairs(d: WeightedDigraph, ell, cfg: Config = DEFAULT):
             heavy = set(vi if i >= j else vj)
             pairs.extend(p for p in fam.pairs if p[0] in heavy)
             bound += fam.degree_bound
-    from .pseudorandom import PairFamily
-
-    return PairFamily(pairs, bound, "bucketed-symmetric")
+    return PairFamily(dict.fromkeys(pairs), bound, "bucketed-symmetric")
 
 
 def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):

@@ -345,6 +345,20 @@ class TestCheckPr:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("usage error: -n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("alpha", ["nan", "-1", "inf", "0"])
+    def test_out_of_domain_alpha_is_usage_error(self, capsys, alpha):
+        code = main(["check-pr", "crossing", "-n", "8", "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage error: --alpha") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("obj,d", [("disperser", "-1"), ("disperser", "0"), ("mixing", "0")])
+    def test_nonpositive_degree_is_usage_error(self, capsys, obj, d):
+        code = main(["check-pr", obj, "-n", "8", "-d", d])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage error: -d") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv", [["selector", "-n", "8", "-e", "0"], ["selector", "-n", "8", "-k", "0"]]
     )

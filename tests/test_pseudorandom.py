@@ -14,6 +14,7 @@ from vcut.oracle import (
 )
 from vcut.pseudorandom import (
     LeftRegularBipartite,
+    PairFamily,
     _compose_ablr,
     asymmetric_crossing_family,
     build_disperser,
@@ -137,6 +138,88 @@ class TestSymmetricCrossing:
         assert symmetric_crossing_family(9, 2, cfg) is not symmetric_crossing_family(9, 2)
         assert symmetric_crossing_family(9, 2, cfg) is not symmetric_crossing_family(9, 2.0, cfg)
         assert symmetric_crossing_family.cache_parameters() == {"maxsize": 32, "typed": True}
+
+
+def _seen_loop(pairs):
+    """Each unordered pair {u, v}, u != v, once as (min, max), in
+    first-occurrence order: the de-duplication the pair loops of
+    unbalanced_vc and the balanced-terminal searches used to carry."""
+    seen = set()
+    out = []
+    for u, v in pairs:
+        key = (u, v) if u < v else (v, u)
+        if u == v or key in seen:
+            continue
+        seen.add(key)
+        out.append(key)
+    return out
+
+
+def _source_degree(pairs):
+    """Largest number of distinct pairs sharing a source."""
+    deg = {}
+    for u, _ in set(pairs):
+        deg[u] = deg.get(u, 0) + 1
+    return max(deg.values(), default=0)
+
+
+ALPHAS = (1, 2, 3, Fraction(5, 2), Fraction(7, 3), 1.5, 4.0)
+
+
+def _distinct(pairs):
+    return len(set(pairs)) == len(pairs)
+
+
+class TestPairFamilyContract:
+    """Every builder returns distinct pairs; `unordered()` is the pair
+    loops' old de-duplication."""
+
+    def test_single_builders_emit_distinct_pairs(self):
+        cases = {
+            "complete": asymmetric_crossing_family(range(7), range(9), 2, 3),
+            "single-target": asymmetric_crossing_family(range(6), range(6), 6, 6),
+            "complete+large-r": asymmetric_crossing_family(range(16), range(16), 2, 12),
+        }
+        for method, fam in cases.items():
+            assert fam.method == method
+            assert fam.pairs and _distinct(fam.pairs), method
+            assert fam.max_degree() == _source_degree(fam.pairs) <= fam.degree_bound
+
+    @pytest.mark.parametrize("na,nb,l,r", [(10, 10, 2, 5), (12, 10, 3, 5), (8, 12, 2, 6), (16, 16, 2, 4)])
+    def test_composed_pairs_distinct(self, na, nb, l, r):
+        pairs = _compose_ablr(tuple(range(na)), tuple(range(nb)), l, r, TIGHT)
+        assert pairs and _distinct(pairs)
+        fam = PairFamily(pairs, nb, "composed")
+        assert fam.pairs == tuple(pairs)
+        assert fam.max_degree() == _source_degree(pairs)
+
+    def test_symmetric_union_is_deduplicated(self):
+        for n in range(1, 41):
+            for alpha in ALPHAS:
+                fam = symmetric_crossing_family(n, alpha)
+                assert _distinct(fam.pairs), (n, alpha)
+                assert fam.max_degree() == _source_degree(fam.pairs) <= fam.degree_bound
+
+    def test_unordered_matches_seen_loop(self):
+        for n in range(1, 41):
+            for alpha in ALPHAS:
+                fam = symmetric_crossing_family(n, alpha)
+                assert list(fam.unordered()) == _seen_loop(fam.pairs), (n, alpha)
+                assert fam.unordered() is fam.unordered()
+
+    def test_mapped_unordered_matches_map_pairs(self):
+        rng = random.Random(5)
+        for n in range(1, 41):
+            ids = sorted(rng.sample(range(3 * n), n))
+            for alpha in ALPHAS:
+                fam = symmetric_crossing_family(n, alpha)
+                mapped = [(ids[i], ids[j]) for i, j in fam.unordered()]
+                assert mapped == _seen_loop(map_pairs(fam, ids).pairs), (n, alpha)
+
+    def test_unordered_drops_self_pairs_and_reversals(self):
+        fam = PairFamily([(2, 1), (1, 1), (0, 3), (1, 2), (3, 0), (4, 2)], 3, "test")
+        assert fam.unordered() == ((1, 2), (0, 3), (2, 4))
+        assert len(fam) == 6 and fam.max_degree() == 2
 
 
 class TestSelector:

@@ -109,6 +109,14 @@ class TestLopsidedPairsOverGuesses:
                     union |= set(lopsided_pairs(d, cluster, low, ell, r).pairs)
                 assert set(lopsided_pairs(d, cluster, low, ell, guesses).pairs) == union
 
+    def test_union_distinct_and_sorted(self):
+        for d, cluster, low in self._cases():
+            guesses = _powers_up_to(d.weight_of(range(d.n)))
+            for ell in (1, 4, 32):
+                for r in (guesses, guesses[0], guesses[-1]):
+                    pairs = lopsided_pairs(d, cluster, low, ell, r).pairs
+                    assert pairs and list(pairs) == sorted(set(pairs))
+
     def test_each_family_built_once(self, monkeypatch):
         built = []
         original = weighted.asymmetric_crossing_family
@@ -318,6 +326,13 @@ class TestSymmetric:
         d = WeightedDigraph.from_arcs(6, [(i, (i + 1) % 6) for i in range(6)], [1] * 6)
         fam = symmetric_pairs(d, 1)
         assert len(fam) > 0
+
+    def test_union_is_distinct(self):
+        for seed, wmax in enumerate((1, 4, 64, 200)):
+            d = random_digraph(12 + seed, 0.3, wmax, seed)
+            for ell in _powers_up_to(d.weight_of(range(d.n))):
+                pairs = symmetric_pairs(d, ell).pairs
+                assert pairs and len(set(pairs)) == len(pairs), (seed, ell)
 
     def test_planted_crossing_pair_exists(self):
         inst = generate_planted("symmetric", {"l": 4, "s": 3, "r": 5}, seed=0)
