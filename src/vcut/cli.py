@@ -177,7 +177,9 @@ def _malformed(report):
     if not isinstance(counters, dict) or not all(map(_is_int, counters.values())):
         return "'counters' must map names to integers"
     if report.get("complete"):
-        return None
+        if "value" in report and (report["value"] is None or _is_int(report["value"])):
+            return None
+        return "'value' must be an integer or null"
     if report.get("k_connected"):
         k = report.get("k")
         return None if _is_int(k) and k >= 1 else "'k' must be a positive integer"
@@ -218,9 +220,17 @@ def cmd_verify(args) -> int:
         print("verify: input digest mismatch", file=sys.stderr)
         return EXIT_MISMATCH
     if report.get("complete"):
-        expected = graph.is_complete()
-        if not expected:
+        if not graph.is_complete():
             print("verify: report claims complete but graph is not", file=sys.stderr)
+            return EXIT_MISMATCH
+        # kappa of a complete graph is n-1; a digraph reports no value.
+        expected = max(0, graph.n - 1) if isinstance(graph, Graph) else None
+        if report["value"] != expected:
+            print(
+                f"verify: complete graph has value {json.dumps(expected)}, "
+                f"report says {json.dumps(report['value'])}",
+                file=sys.stderr,
+            )
             return EXIT_MISMATCH
     elif report.get("k_connected"):
         if not isinstance(graph, Graph):

@@ -1,11 +1,18 @@
 """Isolating vertex cuts and the balanced-terminal cut algorithms.
 
 Isolating cuts run ceil(log2 |I|) bit-partition flows whose separators carve
-the graph into per-terminal regions, then one bounded local flow per
-terminal inside its region.  The balanced-terminal algorithms drive them
-through a selector family (or fall back to crossing-family pair flows when
-the selector regime is out of range) and always return a cut that validates
-in the original graph.
+the graph into per-terminal regions, then one local flow per terminal on its
+region, its boundary and a super-vertex joined to the boundary.  Every
+terminal is a source or a sink of each bit-partition flow, so no terminal
+is ever cut and every two terminals are split by some round: a region holds
+no terminal but its own, and its boundary (separator vertices) none at all.
+So the local flow, from the terminal to the super-vertex, is a plain
+unit-capacity flow on the local Graph (`maxflow._graph_flow`).
+
+The balanced-terminal algorithms drive isolating cuts through a selector
+family (or fall back to crossing-family pair flows when the selector regime
+is out of range) and always return a cut that validates in the original
+graph.
 
 Both pair branches take the crossing family over positions in the sorted
 terminal list and visit `PairFamily.unordered()`: each unordered pair
@@ -15,10 +22,10 @@ smaller terminal first.
 
 The pair flows of `subgraph_balanced_terminal_vc` run from a terminal a to
 the sink set {b, super-vertex} on the auxiliary graph, capped at the best
-cut so far.  Paths from a to that set, internally vertex-disjoint, each
-need their own separator vertex (Menger), so when a greedy packing of them
-(`maxflow.disjoint_paths`) reaches the cap, the capped flow would stop at
-its limit and is skipped instead, counted as `path_skips`.
+cut so far, through `maxflow.min_s_to_set_separator`, so the flow engine's
+one skip rule applies: when a unit-capacity packing of paths from a to
+that set reaches the cap, the capped flow would stop at its limit and is
+skipped instead, counted as `path_skips`.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .graphs import (
     better_cut,
     validate_cut,
 )
-from .maxflow import _graph_flow, disjoint_paths, min_st_cut, vertex_max_flow
+from .maxflow import _graph_flow, min_s_to_set_separator, min_st_cut
 from .pseudorandom import build_selector, symmetric_crossing_family
 
 
@@ -86,7 +93,6 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
         _, sep, _, _ = _graph_flow(g, a_side, b_side, stats=stats)
         removed.update(sep)
 
-    term_set = set(terms)
     cuts = {}
     for v in terms:
         region = set(g.component_of(v, removed=frozenset(removed - {v})))
@@ -100,18 +106,12 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
         nodes = sorted(region | boundary)
         pos = {x: j for j, x in enumerate(nodes)}
         virtual = len(nodes)
-        local_arcs = []
-        for u in nodes:
-            for w in g.adj[u]:
-                if w in pos:
-                    local_arcs.append((pos[u], pos[w]))
+        rows = [[pos[w] for w in g.adj[u] if w in pos] for u in nodes]
         for b in boundary:
-            local_arcs.append((pos[b], virtual))
-            local_arcs.append((virtual, pos[b]))
-        local_caps = [None if x in term_set else 1 for x in nodes] + [None]
-        value, sep, _, _ = vertex_max_flow(
-            virtual + 1, local_arcs, local_caps, [pos[v]], [virtual], stats=stats
-        )
+            rows[pos[b]].append(virtual)
+        rows.append(sorted(pos[b] for b in boundary))
+        local = Graph(virtual + 1, rows)
+        value, sep, _, _ = _graph_flow(local, [pos[v]], [virtual], stats=stats)
         separator = tuple(sorted(nodes[j] for j in sep))
         left = set(g.component_of(v, removed=frozenset(separator)))
         rest = set(range(g.n)) - left - set(separator)
@@ -269,20 +269,13 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     if use_pairs:
         family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
         for i, j in family.unordered():
-            a, b = terms[i], terms[j]
-            if g.has_edge(a, b):
-                continue
-            sinks = (pos[b], virtual)
             limit = best.value if isinstance(best, VertexCut) else None
-            # A limit of 0 is reached without a flow, and is not a skip.
-            if limit and disjoint_paths(aux.adj, pos[a], sinks, limit) >= limit:
-                if stats is not None:
-                    stats.add("path_skips")
+            res = min_s_to_set_separator(
+                aux, pos[terms[i]], (pos[terms[j]], virtual), limit, stats
+            )
+            if res is NoSeparator or res[1] is None:
                 continue
-            _, sep_aux, _, completed = _graph_flow(aux, [pos[a]], sinks, limit=limit, stats=stats)
-            if not completed:
-                continue
-            cand = _remap_candidate(g, (nodes[j] for j in sep_aux))
+            cand = _remap_candidate(g, (nodes[x] for x in res[1]))
             best = better_cut(best, cand)
     if isinstance(best, VertexCut):
         return best

@@ -10,10 +10,11 @@ Most kernel flows only confirm "no better than the best so far", so a
 query reads each kernel implicitly.  The parts that depend on s alone
 (reduced lists, cached per (cluster, s)) and on t alone (core, boundary
 and neighbour counts, cached per (cluster, t)) give the kernel's rows on
-demand and its edge count by arithmetic.  A greedy packing of vertex-
-disjoint s-t paths over those rows (a lower bound on the kernel's max
-flow) decides the flow; only the kernels it leaves open are assembled as
-a Graph (`kernel_graph`) and get a capped flow.
+demand and its edge count by arithmetic.  The one skip rule of the flow
+engine (`maxflow.packing_reaches`: a unit-capacity packing of s-t paths
+over those rows, a lower bound on the kernel's max flow) decides the flow;
+only the kernels it leaves open are assembled as a Graph (`kernel_graph`)
+and get a capped flow.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cnc import TOO_LARGE, cnc, sketch_construct, sketch_recover
 from .config import DEFAULT, Config
 from .errors import EmptyKernel, InvariantError
 from .graphs import Graph, _log2ceil, symdiff_size
-from .maxflow import _graph_flow, disjoint_paths
+from .maxflow import _graph_flow, packing_reaches
 
 
 class KernelIndex:
@@ -194,20 +195,22 @@ def _assemble_kernel(index: KernelIndex, i, s, t):
 
 
 def _implicit_kernel(index: KernelIndex, i, s, t):
-    """(rows, edge count) of the kernel for (cluster i, s, t), s in the
-    core, without assembling it.
+    """(rows, boundary, edge count) of the kernel for (cluster i, s, t), s
+    in the core, without assembling it.
 
     Kernel facts: s's kernel neighbours are exactly N(s); a core vertex u
     has kernel neighbours reduced[u] plus the core members of reverse[u];
     every other kernel vertex but t is a boundary vertex, joined to t.
 
     `rows` is the kernel adjacency as the packing reads it: the cached
-    rows of (cluster, s), with t's row the boundary.  A core row may also
-    hold members of N(s) \\ core that are not its kernel neighbours (from
-    reverse[u]); they are the middles of the two-hop paths s - v - t, which
-    the packing takes (and blocks) before any longer path, so it never
-    steps onto them.  The packing expands core vertices only and ends each
-    path at the first boundary vertex, so it never reads a boundary row.
+    rows of (cluster, s).  The packing's ends are the boundary, t's kernel
+    neighbours.  A core row may also hold members of N(s) \\ core that are
+    not its kernel neighbours (from reverse[u]); they are the middles of the
+    two-hop paths s - v - t, which the packing takes (and blocks) before any
+    longer path, so it never steps onto them.  The packing expands core
+    vertices only and ends each path at the first boundary vertex, so it
+    never reads a boundary row or t's row (when t is in the cluster, its
+    row here is not its kernel row).
 
     Counted edges: the kernel keeps every edge of g inside the core or
     between the core and the boundary (`base_edges`), except the edges
@@ -224,9 +227,7 @@ def _implicit_kernel(index: KernelIndex, i, s, t):
     twice_inside = sum([len(inside & g.neighbor_set(v)) for v in inside])
     # Each v in N(s) \\ core also has the edge to s, which the kernel keeps.
     cross = sum([side.degree[v] for v in outside]) - len(outside)
-    rows = dict(parts.rows)
-    rows[t] = side.boundary
-    return rows, side.base_edges - twice_inside // 2 - cross
+    return parts.rows, side.boundary, side.base_edges - twice_inside // 2 - cross
 
 
 def kernel_graph(index: KernelIndex, i, s, t):
@@ -247,11 +248,11 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     (values >= cap come back as cap); the default is the exact value.
 
     Each kernel is first read implicitly (`_implicit_kernel`): its edges
-    are counted, and a greedy packing of disjoint s-t paths
-    (`maxflow.disjoint_paths` on the kernel's rows) bounds its max flow
-    from below.  When the packing reaches the flow's limit, the flow could
-    not lower `best`, and it is skipped (counted as `path_skips`); only
-    the other kernels are assembled and get a capped flow.
+    are counted, and a unit-capacity packing of s-t paths over the
+    kernel's rows bounds its max flow from below.  When the packing reaches
+    the flow's limit (`maxflow.packing_reaches`), the flow could not lower
+    `best`, and it is skipped (counted as `path_skips`); only the other
+    kernels are assembled and get a capped flow.
     """
     g = index.graph
     if s == t:
@@ -264,15 +265,14 @@ def query_kappa_upper(index: KernelIndex, s, t, cap=None, stats=None):
     best = g.n
     if g.has_edge(s, t):
         return best  # every kernel carries the direct (s,t) edge
+    unit = [1] * g.n
     for i in usable:
         # s is in cluster i and outside N[t], so the core is never empty.
-        rows, edges = _implicit_kernel(index, i, s, t)
+        rows, boundary, edges = _implicit_kernel(index, i, s, t)
         if stats is not None:
             stats.add("kernel_edges", edges)
         limit = best if cap is None else min(best, cap)
-        if disjoint_paths(rows, s, (t,), limit) >= limit:
-            if stats is not None:
-                stats.add("path_skips")
+        if packing_reaches(rows, unit, s, boundary, limit, stats):
             continue
         kernel, _, ks, kt = kernel_graph(index, i, s, t)
         value, _, _, completed = _graph_flow(kernel, [ks], [kt], limit=limit, stats=stats)

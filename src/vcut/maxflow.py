@@ -16,30 +16,32 @@ from s_out (2s+1) to t_in (2t); this is the bypass-arc network minus its two
 terminal arcs, with the same flow value and the same reach mask over the
 split nodes, and it lets the pure-Python backend reuse its memoized residual
 structure.  Larger terminal sets copy the tuples and append the bypass arcs.
-`vertex_max_flow` builds a network per call from an arc list;
-`_graph_flow` builds one per Graph or WeightedDigraph and keeps it in the
-graph's `_network` slot, so repeated flows on one graph share it.
+`_graph_flow` builds one network per Graph or WeightedDigraph and keeps it
+in the graph's `_network` slot, so repeated flows on one graph share it;
+every flow of the package runs through it.  `vertex_max_flow`, the public
+entry point for an arc list with arbitrary (or uncuttable) vertex
+capacities, builds a network per call.
 
 Capped queries are answered without a flow when a path packing already
 reaches the cap.  Paths that respect the vertex capacities form a feasible
 flow, so their total is a lower bound on the max flow (Ford-Fulkerson;
 Menger).  A query with limit L returns (L, None) exactly when the max flow
-is >= L, so `min_st_cut` and `min_st_separator` return it directly when
-the packing reaches L, counting `path_skips` instead of a flow.  The check
-sits in those two entry points and not in `_graph_flow`, whose counters
-stay those of the bypass-arc network.
+is >= L, so a capped flow is skipped, and counted as `path_skips`, exactly
+when `packing_reaches` says the packing reaches L.  That is the one skip
+rule; a limit <= 0 is never a skip, because `_flow` answers it without a
+flow.  `min_st_cut`, `min_st_separator` and `min_s_to_set_separator` apply
+it (`_pair_screen`) before their flow, and the kernel query and the
+weighted pair loops apply it to the implicit kernels and the sparsified
+pair instances.  `_graph_flow` itself never screens, so its counters stay
+those of the bypass-arc network.
 
-There are two packing helpers, both greedy shortest-path BFS without
-residual arcs, and both take every two-hop path first:
-- `disjoint_paths` packs internally vertex-disjoint paths in an undirected
-  unit-capacity graph to a sink set.  It serves undirected pairs, the
-  kernel query (over implicit kernel rows) and the isocut pair flows (to a
-  sink set of two vertices).  It is most of a gabow call, so it keeps its
-  own lean loop rather than carrying capacities it never needs.
-- `weighted_paths` packs vertex-capacitated paths along out-arcs to a set
-  of end vertices, each path taking its bottleneck from every vertex on it.
-  It serves digraph pairs (ends: the in-neighbours of t) and the weighted
-  driver's sparsified pair instances.
+There is one packer, `weighted_paths`: a greedy shortest-path BFS without
+residual arcs that packs vertex-capacitated paths along out-arcs to a set
+of end vertices, taking every two-hop path first.  A flow to a sink set
+packs to the ends that are the sinks' in-neighbours (neighbours, on an
+undirected graph, the kernel rows and the isocut auxiliary graph, all
+packed with unit capacities).  A sink is reached only through those ends,
+which are never expanded, so the packing never needs a sink's own row.
 
 The inner solver is the compiled `vcut._core` when available, else the
 pure-Python `vcut._pyflow`; set VCUT_PURE_PYTHON=1 to force the fallback.
@@ -161,73 +163,6 @@ def _reach_cut(n, value, separator, reach):
     return VertexCut(left, sep_set, set(range(n)) - left - sep_set, value)
 
 
-def disjoint_paths(adj, s, sinks, limit, paths=None):
-    """Greedy packing of paths from s to the sink set `sinks` in the
-    undirected unit-capacity graph `adj`, internally vertex-disjoint (sinks
-    are uncuttable, so paths may share their end): repeat a BFS for a
-    shortest path from s to a sink through vertices that no earlier path
-    used.  Returns the number of paths found, a lower bound on the max flow
-    from s to the sink set (Menger).
-
-    `adj` is any view indexed by vertex whose rows can be iterated; the
-    packing reads the rows of s, of the sinks, and of the vertices it
-    expands, and expands no neighbour of a sink.  s must not be adjacent to
-    a sink.  The packing stops at `limit` paths (None: no limit) or when no
-    further path exists.  Every two-hop path s - v - sink is a shortest
-    path, so all of them are taken first, in the order of adj[s].  When
-    `paths` is a list, each path found is appended to it as a tuple from s
-    to a sink.
-    """
-    into = set()
-    for x in sinks:
-        into.update(adj[x])
-    if s in into:
-        raise InvariantError("disjoint paths need a source not adjacent to the sinks")
-    if limit is not None and limit <= 0:
-        return 0
-    used = [v for v in adj[s] if v in into][:limit]
-    if paths is not None:
-        paths.extend((s, v, _sink_next_to(adj, sinks, v)) for v in used)
-    count = len(used)
-    blocked = {s, *sinks, *used}
-    while limit is None or count < limit:
-        parent = {}
-        frontier = [s]
-        last = None
-        while frontier and last is None:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v in blocked or v in parent:
-                        continue
-                    parent[v] = u
-                    if v in into:
-                        last = v
-                        break
-                    nxt.append(v)
-                if last is not None:
-                    break
-            frontier = nxt
-        if last is None:
-            break
-        path = [_sink_next_to(adj, sinks, last)] if paths is not None else []
-        v = last
-        while v != s:
-            blocked.add(v)
-            path.append(v)
-            v = parent[v]
-        count += 1
-        if paths is not None:
-            path.append(s)
-            paths.append(tuple(reversed(path)))
-    return count
-
-
-def _sink_next_to(adj, sinks, v):
-    """The first sink adjacent to v (the end of a packed path)."""
-    return next(x for x in sinks if v in adj[x])
-
-
 def weighted_paths(out_adj, weights, s, ends, limit, paths=None):
     """Greedy packing of vertex-capacitated paths from s to the end set
     `ends` in the digraph `out_adj` with vertex capacities `weights`.
@@ -237,7 +172,9 @@ def weighted_paths(out_adj, weights, s, ends, limit, paths=None):
     least capacity left on it, s excluded) is subtracted from every vertex
     on it, the end included.  No residual arcs are used, so the paths form
     a feasible flow from s to the ends and their total is a lower bound on
-    the max flow from s to any sink that every end has an arc to.
+    the max flow from s to any uncuttable sink set that every end has an
+    arc into.  An undirected graph is packed as its symmetric digraph with
+    unit `weights`, which packs internally vertex-disjoint paths.
 
     Every end adjacent to s (a two-hop middle) is taken first, at full
     weight.  Then each path is a shortest one from s, so it never uses an
@@ -295,23 +232,33 @@ def weighted_paths(out_adj, weights, s, ends, limit, paths=None):
     return total
 
 
-def _pair_screen(g, s, t, limit, stats):
-    """NoSeparator for adjacent terminals, (limit, None) when a path
-    packing already reaches `limit`, else None (a flow is needed)."""
-    if s == t:
-        raise InvariantError("s == t")
-    adjacent = g.has_edge(s, t) if isinstance(g, Graph) else g.has_arc(s, t)
-    if adjacent:
-        return NoSeparator
-    if limit is None:
-        return None
+def packing_reaches(out_adj, weights, s, ends, limit, stats):
+    """True, counted as `path_skips`, when the packing `weighted_paths(out_adj,
+    weights, s, ends, limit)` reaches `limit`: the capped flow it stands in
+    for would stop at its limit.  A limit of None or <= 0 is never a skip."""
+    if limit is None or limit <= 0:
+        return False
+    if weighted_paths(out_adj, weights, s, ends, limit) < limit:
+        return False
+    if stats is not None:
+        stats.add("path_skips")
+    return True
+
+
+def _pair_screen(g, s, sinks, limit, stats):
+    """NoSeparator when s is adjacent to a sink, (limit, None) when a
+    packing from s to the sinks' in-neighbours (neighbours on a Graph)
+    already reaches `limit`, else None (a flow is needed)."""
+    if s in sinks:
+        raise InvariantError("source among the sinks")
     if isinstance(g, Graph):
-        found = disjoint_paths(g.adj, s, (t,), limit)
+        near, out_adj, weights = g.neighbor_set, g.adj, [1] * g.n
     else:
-        found = weighted_paths(g.out_adj, g.weights, s, g.in_set(t), limit)
-    if found >= limit:
-        if stats is not None:
-            stats.add("path_skips")
+        near, out_adj, weights = g.in_set, g.out_adj, g.weights
+    ends = near(sinks[0]) if len(sinks) == 1 else frozenset().union(*map(near, sinks))
+    if s in ends:
+        return NoSeparator
+    if packing_reaches(out_adj, weights, s, ends, limit, stats):
         return limit, None
     return None
 
@@ -322,7 +269,7 @@ def min_st_separator(g, s, t, limit=None, stats=None):
     Returns (value, separator_tuple).  With `limit`, values >= limit come
     back as (limit, None) and are exact below it.
     """
-    screened = _pair_screen(g, s, t, limit, stats)
+    screened = _pair_screen(g, s, (t,), limit, stats)
     if screened is not None:
         return screened
     value, sep, _, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
@@ -333,7 +280,7 @@ def min_st_separator(g, s, t, limit=None, stats=None):
 
 def min_st_cut(g, s, t, limit=None, stats=None):
     """Like min_st_separator but returns the full (L,S,R) cut."""
-    screened = _pair_screen(g, s, t, limit, stats)
+    screened = _pair_screen(g, s, (t,), limit, stats)
     if screened is not None:
         return screened
     value, sep, reach, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
@@ -342,20 +289,19 @@ def min_st_cut(g, s, t, limit=None, stats=None):
     return value, _reach_cut(g.n, value, sep, reach)
 
 
-def min_s_to_set_separator(g: Graph, s: int, terminals, limit=None, stats=None):
+def min_s_to_set_separator(g, s, terminals, limit=None, stats=None):
     """Minimum separator between s and a super-sink attached to all of
     `terminals` (simultaneous separation; terminals are uncuttable).
 
-    NoSeparator when some terminal is adjacent to s.
+    NoSeparator when some terminal is adjacent to s; capped like
+    `min_st_separator`.
     """
     terminals = sorted(set(terminals))
     if not terminals:
         raise InvariantError("empty terminal set")
-    if s in terminals:
-        raise InvariantError("s in terminal set")
-    nb = g.neighbor_set(s)
-    if any(t in nb for t in terminals):
-        return NoSeparator
+    screened = _pair_screen(g, s, terminals, limit, stats)
+    if screened is not None:
+        return screened
     value, sep, _, completed = _graph_flow(g, [s], terminals, limit=limit, stats=stats)
     if not completed:
         return value, None

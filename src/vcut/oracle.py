@@ -175,7 +175,7 @@ def brute_kappa(g, cfg: Config = DEFAULT):
     if g.n > guard:
         raise SizeGuardError(f"n={g.n} beyond oracle guard {guard}")
     if g.n <= 1:
-        return NoCut(g.n - 1 if g.n else None)
+        return NoCut(None if directed else 0)
     if directed:
         sccs = g.strongly_connected_components()
         if len(sccs) > 1:

@@ -397,7 +397,7 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     with |L| <= |R|.
     """
     if g.is_complete():
-        return NoCut(g.n - 1)
+        return NoCut(max(0, g.n - 1))
     delta = g.min_degree()
     best = min_degree_cut(g)
     logn = _log2ceil(g.n)

@@ -7,14 +7,16 @@ original digraph before it can become a candidate, so the returned cut is
 always sound; at verification scale the symmetric branch's pair families are
 complete, which makes the combined driver unconditionally exact.
 
-A pair skips its capped flow (`_packing_caps`, counted as `path_skips`)
-when a greedy packing of vertex-capacitated paths of its instance
-(`maxflow.weighted_paths`) already carries the current best value: the
-paths form a feasible flow, so the flow could only report "no better".  The
-packing runs on d itself, with rules that keep every packed path a path of
-the pair's instance, so no instance is built for it.  It takes every
-two-hop path s -> v -> t first, so it skips every pair the two-hop weight
-alone would skip.
+A pair skips its capped flow by the flow engine's one skip rule
+(`maxflow.packing_reaches`, counted as `path_skips`): a greedy packing of
+vertex-capacitated paths of its instance already carries the current best
+value, so the flow could only report "no better".  The packing runs on d
+itself, to ends that keep every packed path a path of the pair's instance,
+so no instance is built for it: the symmetric instance of (s, t) drops the
+arcs inside N_out(s) and inside N_in(t), and its ends are N_in(t); the
+lopsided instance's ends are `_ClusterParts.ends`.  The packing takes
+every two-hop path s -> v -> t first, so it skips every pair the two-hop
+weight alone would skip.
 
 The two bucketed unions are the only pair families this module
 de-duplicates, where they are built: `lopsided_pairs` returns its union
@@ -45,7 +47,7 @@ from .graphs import (
     min_out_neighborhood_cut,
     validate_cut,
 )
-from .maxflow import _graph_flow, weighted_paths
+from .maxflow import _graph_flow, packing_reaches
 from .pseudorandom import (
     PairFamily,
     asymmetric_crossing_family,
@@ -247,24 +249,6 @@ class _ClusterParts:
         return self.outside | (self.cluster & self.d.in_set(t))
 
 
-def _packing_caps(d: WeightedDigraph, s, ends, limit, stats):
-    """True (counted as `path_skips`) when the pair's capped flow would
-    stop at `limit` anyway: vertex-capacitated paths from s to `ends`
-    packed in d (`weighted_paths`), all of them paths of the pair's
-    instance, already carry weight >= limit.
-
-    The symmetric instance of (s, t) drops the arcs inside N_out(s) and
-    inside N_in(t); its ends are N_in(t).  The lopsided instance's ends
-    are `_ClusterParts.ends`."""
-    if limit is None:
-        return False
-    if weighted_paths(d.out_adj, d.weights, s, ends, limit) < limit:
-        return False
-    if stats is not None:
-        stats.add("path_skips")
-    return True
-
-
 def _digraph_pair_cut(d: WeightedDigraph, h: WeightedDigraph, ids, s, t,
                       limit, stats):
     """Min (s,t)-separator on the instance h, mapped back and validated as a
@@ -326,7 +310,7 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                     stats.add("sparsified_edges_lopsided", count)
                     stats.add("naive_edges_lopsided", naive)
                 limit = best.value if isinstance(best, VertexCut) else None
-                if _packing_caps(d, s, part.ends(t), limit, stats):
+                if packing_reaches(d.out_adj, d.weights, s, part.ends(t), limit, stats):
                     continue
                 ids, arcs = lopsided_arcs(d, s, t, cluster)
                 h = _instance(d, ids, arcs)
@@ -385,7 +369,7 @@ def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                     continue
                 evaluated.add((s, t))
                 limit = best.value if isinstance(best, VertexCut) else None
-                if _packing_caps(d, s, d.in_set(t), limit, stats):
+                if packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
                     continue
                 h = sparsify_symmetric(d, s, t)
                 if stats is not None:

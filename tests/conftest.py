@@ -10,8 +10,9 @@ import sysconfig
 import pytest
 
 from vcut import _pyflow, maxflow
+from vcut.errors import InvariantError
 from vcut.graphs import Graph, VertexCut, WeightedDigraph, better_cut
-from vcut.maxflow import min_st_cut
+from vcut.maxflow import min_st_cut, weighted_paths
 
 
 def petersen() -> Graph:
@@ -86,6 +87,87 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
             if res[1] is not None:
                 best = better_cut(best, res[1])
     return best
+
+
+def disjoint_paths(adj, s, sinks, limit, paths=None):
+    """Reference for the unit-capacity packing: greedy internally
+    vertex-disjoint paths from s to the sink set `sinks` in the undirected
+    graph `adj` (any view indexed by vertex).  Every two-hop path s - v -
+    sink is taken first, in the order of adj[s]; then each path is a BFS
+    shortest path through vertices that no earlier path used, stopping at
+    the first neighbour of a sink.  Stops at `limit` paths (None: no limit)
+    and returns their number; when `paths` is a list, each path is appended
+    to it as a tuple from s to the first sink adjacent to its last vertex.
+
+    This is the package's former undirected packer.  `maxflow.weighted_paths`
+    with unit weights, ends the sinks' neighbours, must pack the same paths,
+    less the final sink."""
+
+    def sink_next_to(v):
+        return next(x for x in sinks if v in adj[x])
+
+    into = set()
+    for x in sinks:
+        into.update(adj[x])
+    if s in into:
+        raise InvariantError("disjoint paths need a source not adjacent to the sinks")
+    if limit is not None and limit <= 0:
+        return 0
+    used = [v for v in adj[s] if v in into][:limit]
+    if paths is not None:
+        paths.extend((s, v, sink_next_to(v)) for v in used)
+    count = len(used)
+    blocked = {s, *sinks, *used}
+    while limit is None or count < limit:
+        parent = {}
+        frontier = [s]
+        last = None
+        while frontier and last is None:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v in blocked or v in parent:
+                        continue
+                    parent[v] = u
+                    if v in into:
+                        last = v
+                        break
+                    nxt.append(v)
+                if last is not None:
+                    break
+            frontier = nxt
+        if last is None:
+            break
+        path = [sink_next_to(last)] if paths is not None else []
+        v = last
+        while v != s:
+            blocked.add(v)
+            path.append(v)
+            v = parent[v]
+        count += 1
+        if paths is not None:
+            path.append(s)
+            paths.append(tuple(reversed(path)))
+    return count
+
+
+def unit_paths(adj, n, s, sinks, limit, paths=None):
+    """`maxflow.weighted_paths` as the package packs an undirected graph on
+    [0, n) toward a sink set: unit weights, ends the sinks' neighbours."""
+    ends = set().union(*(adj[x] for x in sinks))
+    return weighted_paths(adj, [1] * n, s, ends, limit, paths)
+
+
+def assert_matches_reference(adj, n, s, sinks, limit):
+    """The unit-capacity packing and the reference `disjoint_paths` give the
+    same count and the same paths (less the final sink), each of amount 1.
+    Returns the reference paths."""
+    mine, ref = [], []
+    count = unit_paths(adj, n, s, sinks, limit, mine)
+    assert count == disjoint_paths(adj, s, sinks, limit, ref) == len(ref)
+    assert [p for p, _ in mine] == [r[:-1] for r in ref], (s, sinks, limit)
+    assert all(amount == 1 for _, amount in mine)
+    return ref
 
 
 def two_hop_weight(g, s, t):

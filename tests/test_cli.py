@@ -40,6 +40,14 @@ class TestCompute:
         rep = json.loads(out)
         assert code == 0 and rep["complete"] is True and rep["value"] == 4
 
+    @pytest.mark.parametrize("algo", ["auto", "unweighted", "gabow", "unbalanced", "terminal"])
+    def test_empty_graph_value_zero(self, tmp_path, capsys, algo):
+        p = tmp_path / "empty.g"
+        p.write_text("p 0 0 u\n")
+        code, out = run(capsys, "compute", str(p), "--algo", algo, "--k", "1")
+        rep = json.loads(out)
+        assert code == 0 and rep["complete"] is True and rep["value"] == 0
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.g"
         p.write_text("p 3 1 u\ne 0 0\n")
@@ -286,6 +294,45 @@ class TestVerify:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("verify: malformed report")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "text, value, code",
+        [
+            ("p 3 3 u\ne 0 1\ne 1 2\ne 0 2\n", 2, 0),
+            ("p 3 3 u\ne 0 1\ne 1 2\ne 0 2\n", 0, 1),
+            ("p 3 3 u\ne 0 1\ne 1 2\ne 0 2\n", None, 1),
+            ("p 3 3 u\ne 0 1\ne 1 2\ne 0 2\n", "x", 2),
+            ("p 3 3 u\ne 0 1\ne 1 2\ne 0 2\n", 2.0, 2),
+            ("p 0 0 u\n", 0, 0),
+            ("p 0 0 u\n", -1, 1),
+            ("p 2 2 d\ne 0 1\ne 1 0\n", None, 0),
+            ("p 2 2 d\ne 0 1\ne 1 0\n", 1, 1),
+            ("p 1 0 d\n", None, 0),
+            ("p 1 0 d\n", 0, 1),
+        ],
+        ids=[
+            "triangle", "triangle-zero", "triangle-null", "triangle-str", "triangle-float",
+            "empty", "empty-minus-one", "digraph", "digraph-int", "one-vertex-digraph",
+            "one-vertex-digraph-zero",
+        ],
+    )
+    def test_complete_claim_value_checked(self, tmp_path, capsys, text, value, code):
+        """A complete graph's kappa is n-1 (0 when n <= 1); a complete
+        digraph reports no value.  The oracle agrees on every true claim."""
+        graph_path = tmp_path / "complete.g"
+        graph_path.write_text(text)
+        _, out = run(capsys, "compute", str(graph_path))
+        rep = json.loads(out)
+        assert rep["complete"] is True
+        rep["value"] = value
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(rep))
+        for oracle in ([], ["--oracle"]) if code == 0 else ([],):
+            got = main(["verify", str(graph_path), str(rep_path), *oracle])
+            captured = capsys.readouterr()
+            assert got == code, captured.err
+            assert (captured.out.strip() == "ok") == (code == 0)
+            assert "Traceback" not in captured.err
 
     def test_report_not_an_object(self, petersen_file, tmp_path, capsys):
         rep_path = tmp_path / "rep.json"

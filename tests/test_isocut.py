@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import complete, cycle
+from conftest import assert_matches_reference, complete, cycle, unit_paths
 from vcut.config import DEFAULT
 from vcut.errors import InvariantError
 from vcut.graphs import NoCut, VertexCut, better_cut, validate_cut
@@ -16,7 +16,7 @@ from vcut.isocut import (
     isolating_vertex_cuts,
     subgraph_balanced_terminal_vc,
 )
-from vcut.maxflow import disjoint_paths, vertex_max_flow
+from vcut.maxflow import vertex_max_flow
 from vcut.oracle import brute_isolating_values, generate_planted, random_graph
 from vcut.pseudorandom import map_pairs, symmetric_crossing_family
 
@@ -175,8 +175,9 @@ def _pair_branch_unchecked(g, terms, cfg=DEFAULT, stats=None):
 
 class TestSinkSetCertificate:
     """The pair flows of subgraph_balanced_terminal_vc go from a to the
-    sink set {b, super-vertex} on the auxiliary graph; a packing of paths
-    to that set decides the capped ones."""
+    sink set {b, super-vertex} on the auxiliary graph; a unit-capacity
+    packing of paths to that set (the reference packing of internally
+    disjoint paths) decides the capped ones."""
 
     def test_packing_below_uncapped_flow(self):
         checked = longer = 0
@@ -190,9 +191,9 @@ class TestSinkSetCertificate:
                 flow = vertex_max_flow(
                     aux.n, aux.flow_arcs(), [1] * aux.n, [pos[a]], list(sinks)
                 )[0]
-                paths = []
-                count = disjoint_paths(aux.adj, pos[a], sinks, None, paths)
-                assert count == len(paths) <= flow, (terms, a, b)
+                paths = assert_matches_reference(aux.adj, aux.n, pos[a], sinks, None)
+                count = len(paths)
+                assert count <= flow, (terms, a, b)
                 inner = [v for p in paths for v in p[1:-1]]
                 assert len(inner) == len(set(inner))
                 assert not set(inner) & {pos[a], *sinks}
@@ -200,7 +201,7 @@ class TestSinkSetCertificate:
                     assert p[0] == pos[a] and p[-1] in sinks
                     assert all(aux.has_edge(x, y) for x, y in zip(p, p[1:]))
                 for limit in (1, flow, flow + 1):
-                    assert disjoint_paths(aux.adj, pos[a], sinks, limit) == min(count, limit)
+                    assert unit_paths(aux.adj, aux.n, pos[a], sinks, limit) == min(count, limit)
                 longer += sum(len(p) > 3 for p in paths)
                 checked += 1
         assert checked > 500 and longer > 0

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import complete
+from conftest import complete, disjoint_paths
 from vcut.config import DEFAULT
 from vcut.errors import EmptyKernel, InvariantError
 from vcut.graphs import Graph, NoSeparator
@@ -15,7 +15,7 @@ from vcut.kernel import (
     kernel_graph,
     query_kappa_upper,
 )
-from vcut.maxflow import disjoint_paths, min_st_separator, vertex_max_flow
+from vcut.maxflow import min_st_separator, vertex_max_flow, weighted_paths
 from vcut.oracle import brute_pair_kappa, generate_planted, random_graph
 
 
@@ -220,31 +220,32 @@ def _random_indexes():
 
 
 class TestImplicitKernel:
-    """The query reads each kernel through `_implicit_kernel`: the rows it
-    hands the packing and the edges it counts are those of the assembled
-    kernel."""
+    """The query reads each kernel through `_implicit_kernel`: the rows and
+    ends (the boundary) it hands the packing and the edges it counts are
+    those of the assembled kernel."""
 
     def test_counted_edges_match_assembled(self):
         checked = 0
         for indexes in (_criterion_7_indexes(), _random_indexes()):
             for idx in indexes:
                 for i, s, t in _query_kernels(idx):
-                    rows, edges = _implicit_kernel(idx, i, s, t)
+                    _, _, edges = _implicit_kernel(idx, i, s, t)
                     _, adj = _assemble_kernel(idx, i, s, t)
                     assert edges == sum(map(len, adj.values())) // 2, (i, s, t)
                     checked += 1
         assert checked > 10_000
 
     def test_rows_match_assembled(self):
-        """t's row is the boundary and s's row is N(s); a core row holds the
-        kernel row plus, at most, middles of two-hop paths."""
+        """The ends are t's kernel row (the boundary) and s's row is N(s); a
+        core row holds the kernel row plus, at most, middles of two-hop
+        paths."""
         extra = 0
         for idx in _random_indexes():
             g = idx.graph
             for i, s, t in _query_kernels(idx):
-                rows, _ = _implicit_kernel(idx, i, s, t)
+                rows, boundary, _ = _implicit_kernel(idx, i, s, t)
                 _, adj = _assemble_kernel(idx, i, s, t)
-                assert set(rows[t]) == adj[t]
+                assert set(boundary) == adj[t]
                 assert set(rows[s]) == adj[s] == g.neighbor_set(s)
                 core = set(idx.clusters[i]) - g.neighbor_set(t) - {t}
                 middles = g.neighbor_set(s) - core
@@ -257,18 +258,21 @@ class TestImplicitKernel:
 
 class TestTwoHopSkip:
     def test_kernel_paths_below_kernel_flow(self):
-        """On every kernel the packing over the implicit rows is a set of
-        internally disjoint kernel paths, no more of them than the kernel's
-        own max flow."""
+        """On every kernel the unit-capacity packing over the implicit rows,
+        to the boundary, is the reference packing of internally disjoint
+        kernel paths (same count, same paths less t), no more of them than
+        the kernel's own max flow."""
         checked = longer = 0
         for idx in _random_indexes():
             for i, s, t in _query_kernels(idx):
-                rows, _ = _implicit_kernel(idx, i, s, t)
+                rows, boundary, _ = _implicit_kernel(idx, i, s, t)
                 _, adj = _assemble_kernel(idx, i, s, t)
                 kernel, _, ks, kt = kernel_graph(idx, i, s, t)
                 flow = min_st_separator(kernel, ks, kt)[0]
-                paths = []
-                count = disjoint_paths(rows, s, (t,), None, paths)
+                packed, paths = [], []
+                count = weighted_paths(rows, [1] * idx.graph.n, s, boundary, None, packed)
+                assert count == disjoint_paths({**rows, t: boundary}, s, (t,), None, paths)
+                assert [p for p, _ in packed] == [p[:-1] for p in paths]
                 assert count == len(paths) <= flow
                 inner = [v for p in paths for v in p[1:-1]]
                 assert len(inner) == len(set(inner)) and s not in inner and t not in inner

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     all_pairs_probe,
+    assert_matches_reference,
     bypass_network,
     cycle,
     path,
@@ -12,6 +13,7 @@ from conftest import (
     separator_first,
     star,
     two_hop_weight,
+    unit_paths,
 )
 from vcut import _pyflow, maxflow
 from vcut.errors import InvariantError
@@ -20,7 +22,6 @@ from vcut.instrument import Counters
 from vcut.maxflow import (
     BACKEND,
     _graph_flow,
-    disjoint_paths,
     even_sweep,
     min_s_to_set_separator,
     min_st_cut,
@@ -93,7 +94,7 @@ class TestMinStSeparator:
 
 class TestNonPositiveLimit:
     """A limit <= 0 is reached before any flow: every entry point returns
-    its capped answer and counts no flow."""
+    its capped answer and counts neither a flow nor a path skip."""
 
     @pytest.mark.parametrize("limit", [0, -2])
     def test_every_entry_point_is_capped(self, limit):
@@ -107,6 +108,7 @@ class TestNonPositiveLimit:
         assert _graph_flow(g, [0, 1], [2], limit=limit, stats=stats) == capped
         assert vertex_max_flow(3, g.flow_arcs(), [1] * 3, [0], [2], limit=limit, stats=stats) == capped
         assert stats.get("flow_calls") == 0 and stats.get("flow_edges") == 0
+        assert stats.get("path_skips") == 0
 
     def test_disconnected_pair(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -408,8 +410,11 @@ class TestGraphFlowFastPath:
 
 
 class TestDisjointPaths:
-    """The greedy packing is a set of real, internally vertex-disjoint s-t
-    paths, so its count lies between the two-hop paths and kappa(s,t)."""
+    """On an undirected graph the package packs with `weighted_paths` at unit
+    weights, to the sinks' neighbours (`unit_paths`).  That packing is the
+    greedy packing of internally vertex-disjoint paths (the reference
+    `disjoint_paths`: same count, same paths less the final sink), so its
+    count lies between the two-hop paths and kappa(s,t)."""
 
     def _cases(self):
         for seed in range(6):
@@ -426,10 +431,11 @@ class TestDisjointPaths:
                     continue
                 kappa = brute_pair_kappa(g, s, t)
                 hop = two_hop_weight(g, s, t)
+                full = unit_paths(g.adj, g.n, s, (t,), None)
                 for limit in (None, 0, 1, 2, hop, hop + 1, kappa, kappa + 1):
-                    paths = []
-                    count = disjoint_paths(g.adj, s, (t,), limit, paths)
-                    assert count == len(paths) <= kappa
+                    paths = assert_matches_reference(g.adj, g.n, s, (t,), limit)
+                    count = len(paths)
+                    assert count <= kappa
                     cap = kappa if limit is None else limit
                     assert count <= cap
                     assert count >= min(hop, cap)
@@ -440,19 +446,37 @@ class TestDisjointPaths:
                         assert p[0] == s and p[-1] == t
                         assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
                     longer += sum(len(p) > 3 for p in paths)
-                    full = disjoint_paths(g.adj, s, (t,), None)
                     assert count == (full if limit is None else min(full, max(limit, 0)))
         assert longer > 0
+
+    def test_sink_sets_match_reference(self):
+        """Toward a sink set of up to four vertices, as the isocut pair
+        flows pack, the unit-capacity packing matches the reference too."""
+        rng = random.Random(4)
+        checked = several = 0
+        for g in self._cases():
+            for _ in range(40):
+                s = rng.randrange(g.n)
+                free = [v for v in range(g.n) if v != s and not g.has_edge(s, v)]
+                if len(free) < 2:
+                    continue
+                sinks = tuple(rng.sample(free, rng.randrange(1, min(4, len(free)) + 1)))
+                full = unit_paths(g.adj, g.n, s, sinks, None)
+                for limit in (None, 1, full, full + 1):
+                    assert_matches_reference(g.adj, g.n, s, sinks, limit)
+                checked += 1
+                several += len(sinks) > 1 and full > 0
+        assert checked > 200 and several > 100
 
     def test_reaches_kappa_on_a_cycle_and_petersen(self):
         for g, kappa in ((cycle(9), 2), (petersen(), 3)):
             for s, t in itertools.combinations(range(g.n), 2):
                 if not g.has_edge(s, t):
-                    assert disjoint_paths(g.adj, s, (t,), None) == kappa
+                    assert unit_paths(g.adj, g.n, s, (t,), None) == kappa
 
     def test_adjacent_terminals_rejected(self):
         with pytest.raises(InvariantError):
-            disjoint_paths(cycle(5).adj, 0, (1,), 2)
+            unit_paths(cycle(5).adj, 5, 0, (1,), 2)
 
 
 class TestWeightedPaths:
@@ -502,8 +526,9 @@ class TestWeightedPaths:
 
 
 class TestTwoHopCertificate:
-    """The path check in min_st_cut/min_st_separator returns exactly what
-    the capped flow it skips would have returned."""
+    """The path check in min_st_cut, min_st_separator and
+    min_s_to_set_separator returns exactly what the capped flow it skips
+    would have returned, on both backends."""
 
     def _cases(self):
         for seed in range(4):
@@ -522,12 +547,13 @@ class TestTwoHopCertificate:
         return (value, VertexCut(left, sep, right, value)), (value, tuple(sep))
 
     @staticmethod
-    def _packed(g, s, t):
+    def _packed(g, s, sinks):
         if isinstance(g, Graph):
-            return disjoint_paths(g.adj, s, (t,), None)
-        return weighted_paths(g.out_adj, g.weights, s, g.in_set(t), None)
+            return unit_paths(g.adj, g.n, s, sinks, None)
+        ends = frozenset().union(*map(g.in_set, sinks))
+        return weighted_paths(g.out_adj, g.weights, s, ends, None)
 
-    def test_matches_unchecked_flow(self):
+    def _check_pairs(self):
         skips = 0
         for g in self._cases():
             adjacent = g.has_edge if isinstance(g, Graph) else g.has_arc
@@ -536,44 +562,78 @@ class TestTwoHopCertificate:
                     continue
                 hop = two_hop_weight(g, s, t)
                 kappa = _graph_flow(g, [s], [t])[0]
-                found = self._packed(g, s, t)
+                found = self._packed(g, s, (t,))
                 assert hop <= found <= kappa
                 for limit in sorted({1, hop, hop + 1, found, found + 1, kappa, kappa + 1}):
                     mine, ref = Counters(), Counters()
                     want_cut, want_sep = self._unchecked(g, s, t, limit, ref)
                     assert min_st_cut(g, s, t, limit=limit, stats=mine) == want_cut
                     assert min_st_separator(g, s, t, limit=limit, stats=mine) == want_sep
-                    if limit >= 1:
-                        # each skip stands in for one capped flow
-                        assert (
-                            mine.get("flow_calls") + mine.get("path_skips")
-                            == 2 * ref.get("flow_calls")
-                        )
-                    # a flow is skipped exactly when the packing reaches the limit
-                    assert mine.get("path_skips") == (2 if limit <= found else 0)
+                    # each skip stands in for one capped flow
+                    assert (
+                        mine.get("flow_calls") + mine.get("path_skips")
+                        == 2 * ref.get("flow_calls")
+                    )
+                    # a flow is skipped exactly when the packing reaches a
+                    # positive limit; a limit of 0 needs no flow
+                    assert mine.get("path_skips") == (2 if 0 < limit <= found else 0)
                     skips += mine.get("path_skips")
         assert skips > 0
+
+    def _check_sink_sets(self):
+        rng = random.Random(6)
+        skips = flows = 0
+        for g in self._cases():
+            adjacent = g.has_edge if isinstance(g, Graph) else g.has_arc
+            for s in range(g.n):
+                free = [v for v in range(g.n) if v != s and not adjacent(s, v)]
+                if len(free) < 2:
+                    continue
+                sinks = sorted(rng.sample(free, rng.randrange(2, min(4, len(free)) + 1)))
+                kappa = _graph_flow(g, [s], sinks)[0]
+                found = self._packed(g, s, sinks)
+                assert found <= kappa
+                for limit in sorted({1, found, found + 1, kappa, kappa + 1}):
+                    mine, ref = Counters(), Counters()
+                    value, sep, _, completed = _graph_flow(g, [s], sinks, limit=limit, stats=ref)
+                    want = (value, tuple(sep) if completed else None)
+                    assert min_s_to_set_separator(g, s, sinks, limit=limit, stats=mine) == want
+                    assert (
+                        mine.get("flow_calls") + mine.get("path_skips")
+                        == ref.get("flow_calls")
+                    )
+                    assert mine.get("path_skips") == (0 < limit <= found)
+                    skips += mine.get("path_skips")
+                    flows += mine.get("flow_calls")
+        assert skips > 0 and flows > 0
+
+    def test_matches_unchecked_flow(self, python_backend):
+        self._check_pairs()
+
+    def test_matches_unchecked_flow_compiled(self, compiled_backend):
+        self._check_pairs()
+
+    def test_sink_sets_match_unchecked_flow(self, python_backend):
+        self._check_sink_sets()
+
+    def test_sink_sets_match_unchecked_flow_compiled(self, compiled_backend):
+        self._check_sink_sets()
 
     def test_two_hop_weight_by_definition(self):
         """Both packings take the two-hop paths first, each at full weight;
         their summed weight is the two-hop weight by definition."""
         for g in self._cases():
-            weight = [1] * g.n if isinstance(g, Graph) else g.weights
+            if isinstance(g, Graph):
+                weight, out_adj, adjacent, near = [1] * g.n, g.adj, g.has_edge, g.neighbor_set
+            else:
+                weight, out_adj, adjacent, near = g.weights, g.out_adj, g.has_arc, g.in_set
             for s, t in itertools.permutations(range(g.n), 2):
-                if isinstance(g, Graph):
-                    if g.has_edge(s, t):
-                        continue
-                    middle = [v for v in range(g.n) if g.has_edge(s, v) and g.has_edge(v, t)]
-                    paths = []
-                    disjoint_paths(g.adj, s, (t,), None, paths)
-                    first = [(p[1], 1) for p in paths[: len(middle)]]
-                else:
-                    if g.has_arc(s, t):
-                        continue
-                    middle = [v for v in range(g.n) if g.has_arc(s, v) and g.has_arc(v, t)]
-                    paths = []
-                    weighted_paths(g.out_adj, g.weights, s, g.in_set(t), None, paths)
-                    first = [(p[1], amount) for p, amount in paths[: len(middle)]]
+                if adjacent(s, t):
+                    continue
+                middle = [v for v in range(g.n) if adjacent(s, v) and adjacent(v, t)]
+                paths = []
+                weighted_paths(out_adj, weight, s, near(t), None, paths)
+                first = [(p[1], amount) for p, amount in paths[: len(middle)]]
                 assert sorted(first) == [(v, weight[v]) for v in middle]
                 assert two_hop_weight(g, s, t) == sum(weight[v] for v in middle)
 

@@ -7,12 +7,11 @@ from conftest import complete_digraph, directed_cycle, two_hop_weight
 from vcut.errors import InvariantError
 from vcut.graphs import NoCut, VertexCut, WeightedDigraph, validate_cut
 from vcut.instrument import Counters
-from vcut.maxflow import vertex_max_flow, weighted_paths
+from vcut.maxflow import packing_reaches, vertex_max_flow, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
 from vcut import weighted
 from vcut.weighted import (
     _ClusterParts,
-    _packing_caps,
     _powers_up_to,
     identify_vlow,
     lopsided_arcs,
@@ -143,9 +142,10 @@ class TestLopsidedPairsOverGuesses:
 
 
 class TestPackingCaps:
-    """`_packing_caps` packs paths of the instance whose capped flow it
-    skips, so it skips exactly when that flow would stop at its limit, and
-    the drivers answer as without it."""
+    """The packing the weighted pair loops hand `maxflow.packing_reaches`
+    (d itself, to the instance's ends) packs paths of the instance whose
+    capped flow it skips, so it skips exactly when that flow would stop at
+    its limit, and the drivers answer as without it."""
 
     @staticmethod
     def _cases():
@@ -187,8 +187,9 @@ class TestPackingCaps:
                     assert all(c <= w for c, w in zip(carried, inst.weights))
                     for limit in (1, hop, hop + 1, packed, packed + 1, kappa, kappa + 1):
                         stats = Counters()
-                        got = _packing_caps(d, s, ends, limit, stats)
-                        assert got == (limit <= packed), (s, t, cluster, limit)
+                        got = packing_reaches(d.out_adj, d.weights, s, ends, limit, stats)
+                        # a limit of 0 needs no flow, so it is never a skip
+                        assert got == (0 < limit <= packed), (s, t, cluster, limit)
                         assert stats.get("path_skips") == got
         assert longer > 0
 
@@ -197,8 +198,8 @@ class TestPackingCaps:
         its place; each skip stands in for one flow, and the packing never
         leaves a flow that the two-hop weight would skip."""
 
-        def two_hop_caps(d, s, ends, limit, stats):
-            if limit is None or d.weight_of(v for v in d.out_adj[s] if v in ends) < limit:
+        def two_hop_caps(out_adj, weights, s, ends, limit, stats):
+            if limit is None or sum(weights[v] for v in out_adj[s] if v in ends) < limit:
                 return False
             stats.add("path_skips")
             return True
@@ -211,9 +212,9 @@ class TestPackingCaps:
                 mine, bare, hop = Counters(), Counters(), Counters()
                 got = branch(d, stats=mine)
                 with monkeypatch.context() as m:
-                    m.setattr(weighted, "_packing_caps", lambda *args, **kw: False)
+                    m.setattr(weighted, "packing_reaches", lambda *args, **kw: False)
                     assert branch(d, stats=bare) == got
-                    m.setattr(weighted, "_packing_caps", two_hop_caps)
+                    m.setattr(weighted, "packing_reaches", two_hop_caps)
                     assert branch(d, stats=hop) == got
                 assert mine.get("flow_calls") + mine.get("path_skips") == bare.get("flow_calls")
                 assert hop.get("flow_calls") + hop.get("path_skips") == bare.get("flow_calls")
