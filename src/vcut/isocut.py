@@ -232,12 +232,18 @@ def _remap_candidate(g: Graph, separator):
     return cut if validate_cut(g, cut) else None
 
 
-def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None):
+def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
+                                  best=None):
     """balanced_terminal_vc confined to the edges incident to the terminal
     set, with a super-vertex standing in for the rest of the graph.
 
     Minimum when the promise holds with the cut's small side inside T; every
     candidate is re-validated in g before it can win.
+
+    `best` is the caller's best cut so far.  Until a pair flow finds a cut,
+    the pair flows are capped at best.value + 1, not uncapped: a cut above
+    the caller's best loses to it anyway, and one of equal value can still
+    win on `key()`, so it must still be found.
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -245,6 +251,7 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     aux, nodes, virtual = _terminal_subgraph(g, terms)
     pos = {v: j for j, v in enumerate(nodes)}
     eps = cfg.eps_balanced
+    cap = best.value + 1 if isinstance(best, VertexCut) else None
     best = None
     use_pairs = (k / eps) > len(terms) / 4
     if not use_pairs:
@@ -269,7 +276,7 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     if use_pairs:
         family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
         for i, j in family.unordered():
-            limit = best.value if isinstance(best, VertexCut) else None
+            limit = best.value if isinstance(best, VertexCut) else cap
             res = min_s_to_set_separator(
                 aux, pos[terms[i]], (pos[terms[j]], virtual), limit, stats
             )

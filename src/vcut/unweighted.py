@@ -5,12 +5,32 @@ top-level driver.
 Every branch only ever contributes cuts that re-validate in the original
 graph, and the driver returns the minimum over all of them, so exactness at
 verification scale never depends on which case analysis actually applied.
+
+The driver searches the same expander pieces again and again: each
+terminal-reduction round decomposes the graph anew for a smaller terminal
+set, and each phi retry of a round decomposes it again.  Two things are
+shared so that no piece's search is repeated:
+
+- within a round, the sparsest cut of each piece for that round's terminal
+  set (the `_cache` of `expander_decomposition`), across its phi retries;
+- within a driver call, one `PieceStore`: each piece's induced subgraph
+  (built once, so its split network is too) and every uncapped pair probe
+  `min_st_cut` made on it, across all rounds.
+
+A probe depends only on the piece and the pair, not on the terminal set or
+phi, so a stored probe is exactly what a new flow would return; answers,
+cuts, decompositions, events and every counter but the flow counts are
+those of a fresh store per round.  Pieces of at most EXHAUSTIVE_MAX
+vertices are searched over all vertex subsets by one numpy scan
+(`_exhaustive_sparsest`), which needs no flows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .cnc import cnc
 from .config import DEFAULT, Config
@@ -33,8 +53,39 @@ from .pseudorandom import symmetric_crossing_family
 
 
 # Largest graph whose sparsest canonical cut is found by exhaustive search;
-# that search fills a table of 2^n neighbourhood masks.
+# that search fills a uint16 table of 2^n neighbourhood masks.
 EXHAUSTIVE_MAX = 16
+# lcm(1..16): h = |S| / denom with denom <= EXHAUSTIVE_MAX terminals, so
+# h * _H_SCALE is an exact integer.
+_H_SCALE = 720720
+# Subsets scored per numpy pass of the exhaustive search; it bounds the
+# search's temporaries at a few int64 arrays of this length.
+_SCAN_CHUNK = 4096
+
+
+class PieceStore:
+    """What one driver call learns about the expander pieces of its graph,
+    shared by every terminal-reduction round and phi retry of the call.
+
+    A piece (its sorted vertex tuple) maps to its induced subgraph, the
+    subgraph's id map (local id -> id in the graph) and the uncapped
+    `min_st_cut` probes made on the subgraph, keyed by the local pair.  The
+    subgraph is built once, so its split network is built once too.
+    """
+
+    __slots__ = ("graph", "pieces")
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.pieces = {}
+
+    def piece(self, piece):
+        """(subgraph, ids, probes) of `piece`, built on first use."""
+        entry = self.pieces.get(piece)
+        if entry is None:
+            sub, ids = self.graph.induced(piece)
+            entry = self.pieces[piece] = (sub, ids, {})
+        return entry
 
 
 class ExpanderDecomposition:
@@ -64,12 +115,66 @@ def terminal_expansion(g: Graph, terminals, cut: VertexCut) -> Fraction:
     return Fraction(len(cut.S), denom)
 
 
-def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats):
+def _exhaustive_sparsest(g: Graph, tset):
+    """(subset mask, separator mask) of the sparsest canonical cut of g over
+    all vertex subsets A, or None when no subset qualifies.
+
+    The separator N(A) is the set of neighbours of A outside A.  A qualifies
+    when some vertex lies outside A | N(A) and both closed sides hold
+    terminal mass; the sparsest has the least h = |N(A)| / denom (denom the
+    smaller terminal mass) and, among those, the least (separator mask,
+    subset mask).  The neighbourhood unions come from a uint16 table built
+    by doubling (entry A | 2^v is entry A or'ed with v's row, A < 2^v).  The
+    subsets are scored in numpy chunks of _SCAN_CHUNK on the exact integer
+    key (|N(A)| * _H_SCALE // denom, separator, subset), packed into one
+    int64, so the minimum follows that order exactly.
+    """
+    n = g.n
+    size = 1 << n
+    nbr = np.zeros(size, dtype=np.uint16)
+    for v in range(n):
+        mask = 0
+        for w in g.adj[v]:
+            mask |= 1 << w
+        lo = 1 << v
+        nbr[lo:2 * lo] = nbr[:lo] | mask
+    tmask = 0
+    for v in tset:
+        tmask |= 1 << v
+    full = size - 1
+    best = None
+    for start in range(0, size, _SCAN_CHUNK):
+        bits = np.arange(start, min(size, start + _SCAN_CHUNK), dtype=np.int64)
+        closed = nbr[start:start + len(bits)] | bits
+        lt = np.bitwise_count(closed & tmask)
+        rt = len(tset) - np.bitwise_count(bits & tmask)
+        denom = np.minimum(lt, rt)
+        ok = np.flatnonzero((denom > 0) & (closed != full))
+        if not ok.size:
+            continue
+        sep = closed[ok] ^ bits[ok]
+        key = np.bitwise_count(sep).astype(np.int64) * _H_SCALE // denom[ok]
+        low = int((key << 32 | sep << 16 | bits[ok]).min())
+        if best is None or low < best:
+            best = low
+    if best is None:
+        return None
+    return best & 0xFFFF, best >> 16 & 0xFFFF
+
+
+def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats, probes=None):
     """Best (lowest h_T) canonical cut (A, N(A), rest) of g.
 
-    Exhaustive over all vertex subsets for small graphs, terminal-pair flow
-    probing otherwise.  Returns (h, cut) or None when nothing with positive
-    terminal mass on both sides exists.
+    Exhaustive over all vertex subsets for graphs of at most EXHAUSTIVE_MAX
+    vertices (`_exhaustive_sparsest`), terminal-pair flow probing otherwise.
+    Returns (h, cut) or None when nothing with positive terminal mass on
+    both sides exists.
+
+    `probes` maps a pair (u, v) to its uncapped `min_st_cut(g, u, v)`.  A
+    pair found there is not solved again and a new one is added, so the
+    `PieceStore` entry of a piece carries its probes from one terminal set
+    to the next.  The result of a probe depends only on g and the pair, so
+    a stored one is exactly what a new flow would return.
     """
     tset = set(terminals)
     n = g.n
@@ -91,47 +196,14 @@ def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats):
             best = (key, cut)
 
     if n <= EXHAUSTIVE_MAX:
-        adj_mask = [0] * n
-        for v in range(n):
-            for w in g.adj[v]:
-                adj_mask[v] |= 1 << w
-        tmask = 0
-        for v in tset:
-            tmask |= 1 << v
-        full = (1 << n) - 1
-        nbr_or = [0] * (1 << n)
-        # Track the sparsest cut with integer cross-multiplication;
-        # ties break on (separator mask, subset mask) for determinism.
-        b_num = b_den = 0
-        best_bits = None
-        for bits in range(1, full):
-            low = bits & -bits
-            sep_mask = nbr_or[bits ^ low] | adj_mask[low.bit_length() - 1]
-            nbr_or[bits] = sep_mask
-            sep = sep_mask & ~bits
-            rest = full & ~bits & ~sep
-            if not rest:
-                continue
-            lt = ((bits | sep) & tmask).bit_count()
-            rt = ((rest | sep) & tmask).bit_count()
-            denom = lt if lt < rt else rt
-            if denom == 0:
-                continue
-            num = sep.bit_count()
-            if best_bits is None or num * b_den < b_num * denom or (
-                num * b_den == b_num * denom
-                and (sep, bits) < (best_bits[1], best_bits[0])
-            ):
-                b_num, b_den = num, denom
-                best_bits = (bits, sep, rest)
-        if best_bits is not None:
-            bits, sep, rest = best_bits
-            consider(
-                {v for v in range(n) if bits >> v & 1},
-                {v for v in range(n) if sep >> v & 1},
-                {v for v in range(n) if rest >> v & 1},
-            )
+        found = _exhaustive_sparsest(g, tset)
+        if found is not None:
+            left = {v for v in range(n) if found[0] >> v & 1}
+            sep = {v for v in range(n) if found[1] >> v & 1}
+            consider(left, sep, set(range(n)) - left - sep)
     else:
+        if probes is None:
+            probes = {}
         comps = g.components()
         if len(comps) > 1:
             universe = set(range(n))
@@ -139,20 +211,22 @@ def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats):
                 left = set(comp)
                 consider(left, set(), universe - left)
         terms = sorted(tset)
-        probes = 0
+        count = 0
         for i, u in enumerate(terms):
             for v in terms[i + 1:]:
-                if probes >= probe_budget:
+                if count >= probe_budget:
                     break
                 if g.has_edge(u, v):
                     continue
-                probes += 1
-                res = min_st_cut(g, u, v, stats=stats)
+                count += 1
+                res = probes.get((u, v))
+                if res is None:
+                    res = probes[u, v] = min_st_cut(g, u, v, stats=stats)
                 if res is NoSeparator:
                     continue
                 _, cut = res
                 consider(set(cut.L), set(cut.S), set(cut.R))
-            if probes >= probe_budget:
+            if count >= probe_budget:
                 break
     if best is None:
         return None
@@ -160,16 +234,27 @@ def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats):
 
 
 def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
-                           stats=None, _cache=None):
+                           stats=None, _cache=None, store=None):
     """Partition V into X plus mutually non-adjacent pieces on which no
     terminal-sparse cut below phi was found.
 
     Raises BudgetExceeded (carrying the partial result) when the separator
     mass exceeds max(1, budget_frac * |T|); callers retry with smaller phi.
+
+    `_cache` maps a piece to its sparsest cut for this terminal set, so the
+    phi retries of one round search no piece twice.  `store`, a `PieceStore`
+    of g (default: a fresh one), keeps each piece's induced subgraph and flow
+    probes for the whole driver call; neither depends on the terminals or
+    phi, so sharing it leaves the decomposition unchanged.
     """
     terms = sorted(set(terminals))
     if not terms:
         raise InvariantError("empty terminal set")
+    if store is None:
+        store = PieceStore(g)
+    elif store.graph is not g:
+        raise InvariantError("piece store of another graph")
+    tset = set(terms)
     budget = max(1, int(cfg.expander_budget_frac * len(terms)))
     cache = _cache if _cache is not None else {}
     x_set = set()
@@ -184,10 +269,11 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
             continue
         key = piece
         if key not in cache:
-            sub, ids = g.induced(piece)
-            local_terms = [j for j, v in enumerate(ids) if v in set(terms)]
+            sub, ids, probes = store.piece(piece)
+            local_terms = [j for j, v in enumerate(ids) if v in tset]
             got = _sparsest_canonical_cut(
-                sub, local_terms, probe_budget=min(48, 4 * len(piece)), stats=stats
+                sub, local_terms, probe_budget=min(48, 4 * len(piece)), stats=stats,
+                probes=probes,
             )
             if got is None:
                 cache[key] = None
@@ -213,11 +299,11 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
     return result
 
 
-def _decompose_with_retry(g, terms, cfg, stats, cache):
+def _decompose_with_retry(g, terms, cfg, stats, cache, store):
     phi = cfg.expander_phi
     while True:
         try:
-            return expander_decomposition(g, terms, phi, cfg, stats, _cache=cache)
+            return expander_decomposition(g, terms, phi, cfg, stats, _cache=cache, store=store)
         except BudgetExceeded as exc:
             if stats is not None:
                 stats.add("expander_budget_retries")
@@ -247,13 +333,15 @@ def shaving(h: Graph, candidates, a):
     return out
 
 
-def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None):
+def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
+                       store=None):
     """One reduction round: returns (best cut or NoCut, T') with
     |T'| <= 0.9 |T|.
 
     Follows the decomposition / contraction / shaving / clustering /
     pruning sequence; every candidate cut comes from the balanced-terminal
-    subroutine and validates in g.
+    subroutine and validates in g.  `store` is the `PieceStore` of g that
+    the expander decompositions read (default: a fresh one each).
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -263,7 +351,7 @@ def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None
     n = g.n
     logn = _log2ceil(n)
     cache = {}
-    decomp = _decompose_with_retry(g, terms, cfg, stats, cache)
+    decomp = _decompose_with_retry(g, terms, cfg, stats, cache, store)
     x_list = list(decomp.x)
     x_set = set(x_list)
     term_set = set(terms)
@@ -413,7 +501,9 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
             if key in seen_clusters or len(cluster) < 2:
                 continue
             seen_clusters.add(key)
-            cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, cfg, stats)
+            cand = subgraph_balanced_terminal_vc(
+                g, cluster, delta * logn, cfg, stats, best=best
+            )
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
         for s, t in family.unordered():
@@ -465,9 +555,10 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
     if unbalanced:
         offer(unbalanced_vc(gs, cfg, stats))
     terms = tuple(range(g.n))
+    store = PieceStore(gs)
     while terms:
         offer(balanced_terminal_vc(gs, terms, k, cfg, stats))
-        reduced, terms = terminal_reduction(gs, terms, k, cfg, stats)
+        reduced, terms = terminal_reduction(gs, terms, k, cfg, stats, store=store)
         offer(reduced)
     assert isinstance(best, VertexCut)
     return best

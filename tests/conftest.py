@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,53 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
             if res[1] is not None:
                 best = better_cut(best, res[1])
     return best
+
+
+def exhaustive_sparsest(g, terminals):
+    """Reference for the exhaustive branch of the sparsest canonical cut:
+    every vertex subset A in increasing mask order, scored by h = |N(A)| /
+    min(terminals in A | N(A), terminals outside A) over the subsets with a
+    non-empty rest and terminal mass on both closed sides, the least h
+    winning and ties broken by the least (separator mask, subset mask).
+    Returns (h, L, S, R) as a Fraction and sorted tuples, or None.
+
+    This is the package's former pure-Python subset loop; the numpy scan
+    of `unweighted._sparsest_canonical_cut` must pick the same cut."""
+    n = g.n
+    adj_mask = [0] * n
+    for v in range(n):
+        for w in g.adj[v]:
+            adj_mask[v] |= 1 << w
+    tmask = 0
+    for v in set(terminals):
+        tmask |= 1 << v
+    full = (1 << n) - 1
+    nbr_or = [0] * (1 << n)
+    b_num = b_den = 0
+    best_bits = None
+    for bits in range(1, full):
+        low = bits & -bits
+        sep_mask = nbr_or[bits ^ low] | adj_mask[low.bit_length() - 1]
+        nbr_or[bits] = sep_mask
+        sep = sep_mask & ~bits
+        rest = full & ~bits & ~sep
+        if not rest:
+            continue
+        lt = ((bits | sep) & tmask).bit_count()
+        rt = ((rest | sep) & tmask).bit_count()
+        denom = lt if lt < rt else rt
+        if denom == 0:
+            continue
+        num = sep.bit_count()
+        if best_bits is None or num * b_den < b_num * denom or (
+            num * b_den == b_num * denom and (sep, bits) < (best_bits[1], best_bits[0])
+        ):
+            b_num, b_den = num, denom
+            best_bits = (bits, sep, rest)
+    if best_bits is None:
+        return None
+    sides = tuple(tuple(v for v in range(n) if mask >> v & 1) for mask in best_bits)
+    return (Fraction(b_num, b_den), *sides)
 
 
 def disjoint_paths(adj, s, sinks, limit, paths=None):

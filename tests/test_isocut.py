@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_matches_reference, complete, cycle, unit_paths
 from vcut.config import DEFAULT
 from vcut.errors import InvariantError
-from vcut.graphs import NoCut, VertexCut, better_cut, validate_cut
+from vcut.graphs import NoCut, VertexCut, better_cut, min_degree_cut, validate_cut
 from vcut.instrument import Counters
 from vcut.isocut import (
     _remap_candidate,
@@ -205,6 +205,29 @@ class TestSinkSetCertificate:
                 longer += sum(len(p) > 3 for p in paths)
                 checked += 1
         assert checked > 500 and longer > 0
+
+    def test_callers_best_caps_the_pair_flows(self):
+        # Capped at the caller's best value + 1, the pair flows leave the
+        # caller's outcome (its best against the returned cut) unchanged
+        # and never run more flows.
+        saved = 0
+        for g, terms in _terminal_cases():
+            k = len(terms)
+            plain_stats = Counters()
+            plain = subgraph_balanced_terminal_vc(g, terms, k, stats=plain_stats)
+            callers = [min_degree_cut(g)]
+            if isinstance(plain, VertexCut):
+                # A best of plain's value and a larger key: plain must win.
+                last = tuple(range(g.n - plain.value, g.n))
+                callers += [plain, VertexCut((), last, (), plain.value)]
+            for best in callers:
+                capped_stats = Counters()
+                capped = subgraph_balanced_terminal_vc(g, terms, k, stats=capped_stats, best=best)
+                assert better_cut(best, capped) == better_cut(best, plain)
+                flows = capped_stats.get("flow_calls")
+                assert flows <= plain_stats.get("flow_calls")
+                saved += plain_stats.get("flow_calls") - flows
+        assert saved > 0
 
     def test_matches_unchecked_pair_branch(self):
         skips = 0

@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete, cycle, petersen, star, two_cliques_sharing
+from conftest import complete, cycle, exhaustive_sparsest, petersen, star, two_cliques_sharing
+from vcut import unweighted
 from vcut.config import DEFAULT
-from vcut.errors import BudgetExceeded, UndefinedExpansion
+from vcut.errors import BudgetExceeded, InvariantError, UndefinedExpansion
 from vcut.graphs import Graph, NoCut, VertexCut, validate_cut
 from vcut.instrument import Counters
+from vcut.maxflow import min_st_cut
 from vcut.oracle import brute_kappa, generate_planted, random_graph
 from vcut.unweighted import (
+    EXHAUSTIVE_MAX,
+    PieceStore,
+    _sparsest_canonical_cut,
     expander_decomposition,
     shaving,
     terminal_expansion,
@@ -89,6 +94,125 @@ class TestExpanderDecomposition:
             for a, b in itertools.combinations(piece_sets, 2):
                 for u in a:
                     assert not (g.neighbor_set(u) & b)
+
+
+def _scan_cases():
+    """(graph, terminals) for the exhaustive scan: 220 seeded G(n, p) with
+    n <= 12 (every fifth one possibly disconnected), tie-heavy cycles,
+    K_{a,b} and two cliques sharing vertices, and four graphs of n = 13..16
+    whose scan runs over several chunks.  Each graph gets a random terminal
+    subset of random size (often too small for any cut), and all vertices."""
+    rng = random.Random(11)
+    graphs = [
+        random_graph(2 + i % 11, (0.15, 0.3, 0.5, 0.8)[i % 4], 700 + i, connected=i % 5 != 0)
+        for i in range(220)
+    ]
+    graphs += [cycle(n) for n in range(4, 13)]
+    graphs += [
+        Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        for a, b in ((1, 3), (2, 2), (2, 5), (3, 3), (4, 4), (3, 6))
+    ]
+    graphs += [two_cliques_sharing(k, s) for k, s in ((3, 1), (4, 1), (4, 2), (5, 2), (6, 3))]
+    graphs += [random_graph(n, 0.3, 900 + n) for n in range(13, EXHAUSTIVE_MAX + 1)]
+    for g in graphs:
+        yield g, sorted(rng.sample(range(g.n), rng.randrange(g.n + 1)))
+        yield g, list(range(g.n))
+
+
+class TestExhaustiveScan:
+    """The numpy scan picks the cut of the former pure-Python subset loop
+    (`conftest.exhaustive_sparsest`), with the same h and tie-break."""
+
+    def test_matches_subset_loop(self):
+        found = none = 0
+        for g, terms in _scan_cases():
+            got = _sparsest_canonical_cut(g, terms, probe_budget=0, stats=None)
+            want = exhaustive_sparsest(g, terms)
+            if want is None:
+                assert got is None, (g.adj, terms)
+                none += 1
+            else:
+                h, cut = got
+                assert (h, cut.L, cut.S, cut.R) == want, (g.adj, terms)
+                assert cut.value == len(cut.S)
+                found += 1
+        assert found > 200 and none > 20
+
+
+def _fingerprint(cut):
+    if isinstance(cut, VertexCut):
+        return cut.L, cut.S, cut.R, cut.value
+    return type(cut).__name__, cut.value
+
+
+class TestPieceStore:
+    """The driver's one PieceStore per call against a fresh store per
+    terminal-reduction round: the same decompositions, cuts, T' sequences,
+    events and counters, and never more flows."""
+
+    @staticmethod
+    def _run(g, monkeypatch, fresh):
+        decomps, rounds, stores = [], [], []
+        real_decomp = unweighted.expander_decomposition
+        real_round = unweighted.terminal_reduction
+
+        def decomp(*args, **kwargs):
+            try:
+                d = real_decomp(*args, **kwargs)
+            except BudgetExceeded as exc:
+                d = exc.partial
+                decomps.append((d.x, d.pieces, d.phi, "over budget"))
+                raise
+            decomps.append((d.x, d.pieces, d.phi))
+            return d
+
+        def round_(*args, store):
+            stores.append(store)
+            cut, t_prime = real_round(*args, store=None if fresh else store)
+            rounds.append((args[1], _fingerprint(cut), t_prime))
+            return cut, t_prime
+
+        stats = Counters()
+        with monkeypatch.context() as patch:
+            patch.setattr(unweighted, "expander_decomposition", decomp)
+            patch.setattr(unweighted, "terminal_reduction", round_)
+            cut = vertex_connectivity_unweighted(g, stats=stats)
+        flows = stats.data.pop("flow_calls", 0)
+        stats.data.pop("flow_edges", None)
+        assert len(set(map(id, stores))) == 1
+        return (_fingerprint(cut), decomps, rounds, stats.data, stats.events), flows, stores[0]
+
+    def _check(self, monkeypatch):
+        graphs = [random_graph(n, p, 40 + n) for n in (18, 21, 24, 27) for p in (0.1, 0.3)]
+        graphs += [
+            generate_planted("unbalanced", {"l": 2, "s": 3, "r": 15}, seed=1).graph,
+            generate_planted("balanced-terminal", {"side": 8, "s": 3}, seed=1).graph,
+        ]
+        saved = split = probes = 0
+        for g in graphs:
+            shared, shared_flows, store = self._run(g, monkeypatch, fresh=False)
+            alone, alone_flows, _ = self._run(g, monkeypatch, fresh=True)
+            assert shared == alone
+            # Every stored probe is what a new flow returns.
+            for sub, _, stored in store.pieces.values():
+                for (u, v), res in stored.items():
+                    assert res == min_st_cut(sub, u, v)
+                    probes += 1
+            assert len(shared[2]) > 1
+            assert shared_flows <= alone_flows
+            saved += alone_flows - shared_flows
+            split += any(len(d[1]) > 1 for d in shared[1])
+        assert saved > 0 and split > 0 and probes > 0
+
+    def test_shared_store_matches_fresh_stores(self, python_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_shared_store_matches_fresh_stores_compiled(self, compiled_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_store_of_another_graph_rejected(self):
+        with pytest.raises(InvariantError):
+            expander_decomposition(cycle(6), range(6), 0.1, store=PieceStore(cycle(6)))
 
 
 class TestShaving:
