@@ -15,6 +15,17 @@ engine (`maxflow.packing_reaches`: a unit-capacity packing of s-t paths
 over those rows, a lower bound on the kernel's max flow) decides the flow;
 only the kernels it leaves open are assembled as a Graph (`kernel_graph`)
 and get a capped flow.
+
+Most pairs never reach a query.  `unweighted.unbalanced_vc` first packs
+paths from s to N(t) in the whole graph, once per unordered pair and call,
+and skips the pair (no query, no flow) while that total is >= the cap
+`best.value`.  The skip is exact: the packing is <= kappa_G(s,t) (Menger);
+a query never undershoots kappa_G(s,t), so it would have answered >= cap
+and led to no flow; and the cap never rises within a call, so a total kept
+from an earlier, higher cap still decides.  The index thus decides only
+the pairs that the greedy whole-graph packing leaves open (on the
+benchmark's unweighted workload, about 2 queries per driver call instead of
+about 1,570).
 """
 
 from __future__ import annotations

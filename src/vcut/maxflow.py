@@ -32,8 +32,10 @@ rule; a limit <= 0 is never a skip, because `_flow` answers it without a
 flow.  `min_st_cut`, `min_st_separator` and `min_s_to_set_separator` apply
 it (`_pair_screen`) before their flow, and the kernel query and the
 weighted pair loops apply it to the implicit kernels and the sparsified
-pair instances.  `_graph_flow` itself never screens, so its counters stay
-those of the bypass-arc network.
+pair instances.  The unbalanced branch applies it to a whole-graph packing
+per pair, with a memo that packs each pair once per call.  `_graph_flow`
+itself never screens, so its counters stay those of the bypass-arc
+network.
 
 There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set
@@ -232,13 +234,25 @@ def weighted_paths(out_adj, weights, s, ends, limit, paths=None):
     return total
 
 
-def packing_reaches(out_adj, weights, s, ends, limit, stats):
+def packing_reaches(out_adj, weights, s, ends, limit, stats, memo=None, key=None):
     """True, counted as `path_skips`, when the packing `weighted_paths(out_adj,
     weights, s, ends, limit)` reaches `limit`: the capped flow it stands in
-    for would stop at its limit.  A limit of None or <= 0 is never a skip."""
+    for would stop at its limit.  A limit of None or <= 0 is never a skip.
+
+    With a dict `memo`, the packing runs once per `key` and its total is
+    kept for every later call under that key.  The greedy packing adds one
+    path at a time in an order that does not depend on the limit, so a
+    packing under one limit is a prefix of the packing under any higher
+    one: the kept total is still a lower bound, and for every later limit
+    no higher than the first it decides exactly as a new packing would."""
     if limit is None or limit <= 0:
         return False
-    if weighted_paths(out_adj, weights, s, ends, limit) < limit:
+    total = None if memo is None else memo.get(key)
+    if total is None:
+        total = weighted_paths(out_adj, weights, s, ends, limit)
+        if memo is not None:
+            memo[key] = total
+    if total < limit:
         return False
     if stats is not None:
         stats.add("path_skips")

@@ -48,7 +48,7 @@ from .graphs import (
 )
 from .isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
 from .kernel import build_kernel_index, query_kappa_upper
-from .maxflow import min_st_cut
+from .maxflow import min_st_cut, packing_reaches
 from .pseudorandom import symmetric_crossing_family
 
 
@@ -483,6 +483,24 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     plus one balanced-terminal call per distinct cluster.  Always returns a
     valid cut; minimum whenever some minimum cut has |L| <= lambda * delta
     with |L| <= |R|.
+
+    Before any kernel query, each pair {s, t}, s < t, is settled by a
+    whole-graph certificate: a unit-capacity packing of paths from s to
+    N(t), run once per call and kept in a per-call memo
+    (`maxflow.packing_reaches`).  While its total is >= the cap
+    `best.value`, the pair is skipped in both orientations at every scale,
+    with no query and no flow.  The skip is exact:
+
+    - the packing's total is <= kappa_G(s,t) (Menger);
+    - `query_kappa_upper` never undershoots kappa_G(s,t), so the query
+      would have answered >= cap and made no full-graph flow;
+    - the cap never rises within a call, so a total kept from an earlier,
+      higher cap decides each later cap as a new packing would.
+
+    A skipped pair is thus one where the kernel query leaves `best` alone;
+    answers, cuts and events are those of querying every pair, and only
+    `path_skips`, `kernel_edges` and the flow counts move.  The kernel
+    index decides only the pairs the packing leaves open.
     """
     if g.is_complete():
         return NoCut(max(0, g.n - 1))
@@ -491,6 +509,8 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     logn = _log2ceil(g.n)
     max_scale = _log2ceil(delta * logn)
     seen_clusters = set()
+    unit = [1] * g.n
+    packed = {}  # (s, t), s < t -> whole-graph packing total
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
@@ -515,6 +535,10 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
             # clusters, so try both orientations before giving up.
             for a, b in ((s, t), (t, s)):
                 cap = best.value if isinstance(best, VertexCut) else g.n
+                if packing_reaches(
+                    g.adj, unit, s, g.neighbor_set(t), cap, stats, packed, (s, t)
+                ):
+                    break  # kappa_G(s,t) >= cap: no orientation can improve
                 kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
                 if kappa_hat < cap:
                     res = min_st_cut(g, a, b, stats=stats)

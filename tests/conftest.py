@@ -11,9 +11,23 @@ from fractions import Fraction
 import pytest
 
 from vcut import _pyflow, maxflow
+from vcut.config import DEFAULT
 from vcut.errors import InvariantError
-from vcut.graphs import Graph, VertexCut, WeightedDigraph, better_cut
+from vcut.graphs import (
+    Graph,
+    NoCut,
+    NoSeparator,
+    VertexCut,
+    WeightedDigraph,
+    _log2ceil,
+    better_cut,
+    min_degree_cut,
+    validate_cut,
+)
+from vcut.isocut import subgraph_balanced_terminal_vc
+from vcut.kernel import build_kernel_index, query_kappa_upper
 from vcut.maxflow import min_st_cut, weighted_paths
+from vcut.pseudorandom import symmetric_crossing_family
 
 
 def petersen() -> Graph:
@@ -87,6 +101,49 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
             res = min_st_cut(g, s, t, limit=limit, stats=stats)
             if res[1] is not None:
                 best = better_cut(best, res[1])
+    return best
+
+
+def query_every_pair(g, cfg=DEFAULT, stats=None):
+    """Reference for `unweighted.unbalanced_vc`: the same scales, cluster
+    calls and pair order, but every non-adjacent pair goes to the kernel
+    index in both orientations at every scale, with no whole-graph
+    certificate before it.
+
+    This is the package's former pair loop; `unbalanced_vc` must return the
+    same cut, with no more kernel queries and no more flows."""
+    if g.is_complete():
+        return NoCut(max(0, g.n - 1))
+    delta = g.min_degree()
+    best = min_degree_cut(g)
+    logn = _log2ceil(g.n)
+    max_scale = _log2ceil(delta * logn)
+    seen_clusters = set()
+    for i in range(1, max_scale + 1):
+        ell = 2 ** i
+        alpha = max(1, Fraction(2 * delta, ell))
+        family = symmetric_crossing_family(g.n, alpha, cfg)
+        index = build_kernel_index(g, ell, cfg, stats)
+        for cluster in index.clusters:
+            key = frozenset(cluster)
+            if key in seen_clusters or len(cluster) < 2:
+                continue
+            seen_clusters.add(key)
+            cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, cfg, stats, best=best)
+            if isinstance(cand, VertexCut) and validate_cut(g, cand):
+                best = better_cut(best, cand)
+        for s, t in family.unordered():
+            if isinstance(best, VertexCut) and best.value <= 1:
+                break
+            if g.has_edge(s, t):
+                continue
+            for a, b in ((s, t), (t, s)):
+                cap = best.value if isinstance(best, VertexCut) else g.n
+                kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
+                if kappa_hat < cap:
+                    res = min_st_cut(g, a, b, stats=stats)
+                    if res is not NoSeparator and res[1] is not None:
+                        best = better_cut(best, res[1])
     return best
 
 

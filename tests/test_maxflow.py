@@ -26,6 +26,7 @@ from vcut.maxflow import (
     min_s_to_set_separator,
     min_st_cut,
     min_st_separator,
+    packing_reaches,
     rooted_connectivity,
     vertex_max_flow,
     weak_separator,
@@ -523,6 +524,36 @@ class TestWeightedPaths:
         d = random_digraph(6, 0.5, 3, 1)
         with pytest.raises(InvariantError):
             weighted_paths(d.out_adj, d.weights, 0, {0, 1}, 2)
+
+
+class TestPackingMemo:
+    """`packing_reaches` with a memo packs once per key.  Under limits that
+    never rise it decides and counts skips as a new packing per call does;
+    under a rising limit a kept total still never claims a skip that a new
+    packing would not."""
+
+    def test_memo_decides_as_new_packings(self):
+        skips = 0
+        for seed in range(4):
+            d = random_digraph(10, (0.25, 0.4)[seed % 2], (1, 8)[seed % 2], seed)
+            for s, t in itertools.permutations(range(d.n), 2):
+                if d.has_arc(s, t):
+                    continue
+                ends = d.in_set(t)
+                full = weighted_paths(d.out_adj, d.weights, s, ends, None)
+                memo, mine, fresh = {}, Counters(), Counters()
+                for limit in (full + 2, full + 1, full, full, full - 1, 1, 0, None):
+                    got = packing_reaches(d.out_adj, d.weights, s, ends, limit, mine, memo, (s, t))
+                    want = packing_reaches(d.out_adj, d.weights, s, ends, limit, fresh)
+                    assert got == want, (s, t, limit)
+                    assert mine.data == fresh.data
+                assert list(memo) == [(s, t)] and memo[(s, t)] == full
+                rising = {}
+                for limit in range(1, full + 3):
+                    got = packing_reaches(d.out_adj, d.weights, s, ends, limit, None, rising, 0)
+                    assert not got or full >= limit
+                skips += mine.get("path_skips")
+        assert skips > 0
 
 
 class TestTwoHopCertificate:

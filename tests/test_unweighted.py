@@ -5,14 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete, cycle, exhaustive_sparsest, petersen, star, two_cliques_sharing
+import conftest
+from conftest import (
+    complete,
+    cycle,
+    exhaustive_sparsest,
+    petersen,
+    query_every_pair,
+    star,
+    two_cliques_sharing,
+)
 from vcut import unweighted
 from vcut.config import DEFAULT
 from vcut.errors import BudgetExceeded, InvariantError, UndefinedExpansion
-from vcut.graphs import Graph, NoCut, VertexCut, validate_cut
+from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, validate_cut
 from vcut.instrument import Counters
-from vcut.maxflow import min_st_cut
-from vcut.oracle import brute_kappa, generate_planted, random_graph
+from vcut.kernel import build_kernel_index, query_kappa_upper
+from vcut.maxflow import min_st_cut, weighted_paths
+from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_graph
 from vcut.unweighted import (
     EXHAUSTIVE_MAX,
     PieceStore,
@@ -292,6 +302,115 @@ class TestUnbalanced:
 
     def test_complete_sentinel(self):
         assert isinstance(unbalanced_vc(complete(6)), NoCut)
+
+
+def _relabelled(g, seed):
+    """g with its vertices renamed by a seeded permutation, so that a
+    planted cut's sides are not runs of consecutive ids."""
+    name = list(range(g.n))
+    random.Random(seed).shuffle(name)
+    return Graph.from_edges(g.n, [(name[u], name[v]) for u in range(g.n) for v in g.adj[u] if u < v])
+
+
+def _certificate_graphs(max_n):
+    """Seeded G(n, p), planted unbalanced instances (as built and
+    relabelled), cycles and two cliques sharing vertices, n <= max_n."""
+    graphs = [
+        random_graph(n, p, 300 + n) for n in range(10, max_n + 1, 5) for p in (0.15, 0.3)
+    ]
+    for seed in range(3):
+        inst = generate_planted("unbalanced", {"l": 2, "s": 3, "r": 14}, seed=seed)
+        graphs += [inst.graph, _relabelled(inst.graph, seed)]
+    graphs += [cycle(9), cycle(14), two_cliques_sharing(6, 2), two_cliques_sharing(7, 3)]
+    return [g for g in graphs if g.n <= max_n]
+
+
+class TestPairCertificate:
+    """`unbalanced_vc` settles each pair by one whole-graph packing per call
+    before any kernel query.  Against the former loop that queries every
+    pair (`conftest.query_every_pair`): the same cuts, events and counters
+    but the flow and skip counts, and never more kernel queries or flows."""
+
+    @staticmethod
+    def _run(search, g, monkeypatch, module):
+        queries = [0]
+        real = module.query_kappa_upper
+
+        def counted(*args, **kwargs):
+            queries[0] += 1
+            return real(*args, **kwargs)
+
+        stats = Counters()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "query_kappa_upper", counted)
+            cut = search(g, stats=stats)
+        flows = stats.data.pop("flow_calls", 0)
+        for key in ("flow_edges", "path_skips", "kernel_edges"):
+            stats.data.pop(key, None)
+        return (_fingerprint(cut), stats.data, stats.events), flows, queries[0]
+
+    def _check(self, monkeypatch):
+        saved = asked = decided = 0
+        for g in _certificate_graphs(40):
+            mine, flows, queries = self._run(unbalanced_vc, g, monkeypatch, unweighted)
+            ref, ref_flows, ref_queries = self._run(query_every_pair, g, monkeypatch, conftest)
+            assert mine == ref, g.adj
+            assert flows <= ref_flows and queries <= ref_queries
+            saved += ref_queries - queries
+            asked += queries
+            decided += mine[0][-1] < g.min_degree()
+        assert saved > 0 and asked > 0 and decided > 0
+
+    def test_matches_query_every_pair(self, python_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_matches_query_every_pair_compiled(self, compiled_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_chain_behind_the_skip(self, monkeypatch):
+        """For every non-adjacent pair, n <= 20, in both orientations: the
+        whole-graph packing toward N(t) <= kappa_G(s,t) <= the kernel
+        answer at every scale of the call.  Every total the call keeps is
+        under its own pair's key and no more than that pair's packing, and
+        each kept total decides as a new packing under the same limit."""
+        memos = []
+        real = unweighted.packing_reaches
+
+        def spy(out_adj, weights, s, ends, limit, stats, memo, key):
+            memos.append(memo)
+            got = real(out_adj, weights, s, ends, limit, stats, memo, key)
+            assert got == (weighted_paths(out_adj, weights, s, ends, limit) >= limit)
+            return got
+
+        kept = 0
+        for g in _certificate_graphs(20):
+            memos.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(unweighted, "packing_reaches", spy)
+                unbalanced_vc(g)
+            assert len(set(map(id, memos))) <= 1
+            memo = memos[0] if memos else {}
+            unit = [1] * g.n
+            delta, logn = g.min_degree(), _log2ceil(g.n)
+            indexes = [
+                build_kernel_index(g, 2 ** i) for i in range(1, _log2ceil(delta * logn) + 1)
+            ]
+            pairs = [
+                (s, t) for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)
+            ]
+            assert set(memo) <= set(pairs)
+            for s, t in pairs:
+                kappa = brute_pair_kappa(g, s, t)
+                packed = {}
+                for a, b in ((s, t), (t, s)):
+                    packed[a] = weighted_paths(g.adj, unit, a, g.neighbor_set(b), None)
+                    assert packed[a] <= kappa, (g.adj, a, b)
+                    for index in indexes:
+                        assert query_kappa_upper(index, a, b) >= kappa, (g.adj, a, b)
+                if (s, t) in memo:
+                    assert memo[(s, t)] <= packed[s], (g.adj, s, t)
+                    kept += 1
+        assert kept > 0
 
 
 class TestDriver:
