@@ -6,6 +6,17 @@ Every branch only ever contributes cuts that re-validate in the original
 graph, and the driver returns the minimum over all of them, so exactness at
 verification scale never depends on which case analysis actually applied.
 
+The expander decomposition cuts a piece only at a cut with h_T < phi, so
+each terminal-pair probe of a piece is a capped `min_st_cut`: a probe cut
+(L, S, R) has |S| = kappa(u, v), and its smaller closed terminal side holds
+at most (|T| + |S|) / 2 terminals, so h_T >= 2 kappa / (|T| + kappa).  That
+bound rises with kappa, so a probe at or above the least c with
+2c / (|T| + c) >= phi (`_probe_cap`, compared exactly) cannot give the cut
+that splits a piece, and the probe stops there (most often by the
+`packing_reaches` skip rule, with no flow).  Below the cap a capped flow
+returns the cut of an uncapped one, since the source-closest minimum cut is
+unique; so decompositions are those of uncapped probes.
+
 The driver searches the same expander pieces again and again: each
 terminal-reduction round decomposes the graph anew for a smaller terminal
 set, and each phi retry of a round decomposes it again.  Two things are
@@ -13,16 +24,19 @@ shared so that no piece's search is repeated:
 
 - within a round, the sparsest cut of each piece for that round's terminal
   set (the `_cache` of `expander_decomposition`), across its phi retries;
+  an entry is found under its filling call's cap, so it is valid for that
+  phi and any smaller one, which is all a halving retry asks of it;
 - within a driver call, one `PieceStore`: each piece's induced subgraph
-  (built once, so its split network is too) and every uncapped pair probe
-  `min_st_cut` made on it, across all rounds.
+  (built once, so its split network is too) and every pair probe made on
+  it, across all rounds.  A stored completed probe answers every later
+  cap; a stored (L, None) says kappa >= L and answers any later cap <= L,
+  and a larger cap (|T| grows when X holds non-terminals) solves the pair
+  again.
 
-A probe depends only on the piece and the pair, not on the terminal set or
-phi, so a stored probe is exactly what a new flow would return; answers,
-cuts, decompositions, events and every counter but the flow counts are
-those of a fresh store per round.  Pieces of at most EXHAUSTIVE_MAX
-vertices are searched over all vertex subsets by one numpy scan
-(`_exhaustive_sparsest`), which needs no flows.
+Answers, cuts, decompositions and events are those of uncapped probes and a
+fresh store per round; only `flow_calls`, `flow_edges` and `path_skips`
+move.  Pieces of at most EXHAUSTIVE_MAX vertices are searched by one numpy
+scan over all vertex subsets (`_exhaustive_sparsest`), which needs no flows.
 """
 
 from __future__ import annotations
@@ -68,9 +82,13 @@ class PieceStore:
     shared by every terminal-reduction round and phi retry of the call.
 
     A piece (its sorted vertex tuple) maps to its induced subgraph, the
-    subgraph's id map (local id -> id in the graph) and the uncapped
+    subgraph's id map (local id -> id in the graph) and the capped
     `min_st_cut` probes made on the subgraph, keyed by the local pair.  The
-    subgraph is built once, so its split network is built once too.
+    subgraph is built once, so its split network is built once too.  A
+    probe is kept as its flow returned it: a completed (value, cut), which
+    answers every later cap, or (L, None) for kappa >= L, which answers
+    every later cap <= L; `_sparsest_canonical_cut` solves a pair again
+    under a larger cap and keeps the new answer.
     """
 
     __slots__ = ("graph", "pieces")
@@ -162,19 +180,40 @@ def _exhaustive_sparsest(g: Graph, tset):
     return best & 0xFFFF, best >> 16 & 0xFFFF
 
 
-def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats, probes=None):
-    """Best (lowest h_T) canonical cut (A, N(A), rest) of g.
+def _probe_cap(terminals, phi):
+    """Least c >= 1 with 2c / (terminals + c) >= phi, compared exactly
+    (`Fraction(phi)`, as `expander_decomposition` compares h with phi), or
+    None when no c qualifies (phi >= 2); terminals >= 1.
+
+    A probe cut of value kappa >= c has h_T >= 2 kappa / (terminals + kappa)
+    >= phi, so it cannot split a piece at phi.  2c >= phi (terminals + c)
+    is c >= phi * terminals / (2 - phi)."""
+    phi = Fraction(phi)
+    if phi >= 2:
+        return None
+    return max(1, math.ceil(phi * terminals / (2 - phi)))
+
+
+def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, probes=None):
+    """Best (lowest h_T) canonical cut (A, N(A), rest) of g whenever some
+    cut has h_T < phi.
 
     Exhaustive over all vertex subsets for graphs of at most EXHAUSTIVE_MAX
-    vertices (`_exhaustive_sparsest`), terminal-pair flow probing otherwise.
-    Returns (h, cut) or None when nothing with positive terminal mass on
-    both sides exists.
+    vertices (`_exhaustive_sparsest`), which finds the sparsest cut whatever
+    phi is; terminal-pair flow probing otherwise.  Each probe is a
+    `min_st_cut` capped at `_probe_cap(|T|, phi)`: a pair at or above the
+    cap has every cut at h_T >= phi, and a probe below it returns the cut
+    of an uncapped flow.  So when the sparsest probed cut has h_T < phi it
+    is returned as uncapped probes would return it; otherwise the result
+    is some cut with h_T >= phi, or None.  None also when nothing with
+    positive terminal mass on both sides exists.  Returns (h, cut) or None.
 
-    `probes` maps a pair (u, v) to its uncapped `min_st_cut(g, u, v)`.  A
-    pair found there is not solved again and a new one is added, so the
-    `PieceStore` entry of a piece carries its probes from one terminal set
-    to the next.  The result of a probe depends only on g and the pair, so
-    a stored one is exactly what a new flow would return.
+    `probes` maps a pair (u, v) to its stored probe: a completed (value,
+    cut), whose cut counts under a cap above value, or (L, None), which
+    stands for any cap <= L and is solved again (and replaced) under a
+    larger one.  Either way a stored probe answers as a new capped flow
+    would, and the `PieceStore` entry of a piece carries its probes from
+    one terminal set to the next.
     """
     tset = set(terminals)
     n = g.n
@@ -210,6 +249,7 @@ def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats, probes=Non
             for comp in comps:
                 left = set(comp)
                 consider(left, set(), universe - left)
+        cap = _probe_cap(len(tset), phi)
         terms = sorted(tset)
         count = 0
         for i, u in enumerate(terms):
@@ -220,12 +260,11 @@ def _sparsest_canonical_cut(g: Graph, terminals, probe_budget, stats, probes=Non
                     continue
                 count += 1
                 res = probes.get((u, v))
-                if res is None:
-                    res = probes[u, v] = min_st_cut(g, u, v, stats=stats)
-                if res is NoSeparator:
-                    continue
-                _, cut = res
-                consider(set(cut.L), set(cut.S), set(cut.R))
+                if res is None or (res[1] is None and (cap is None or res[0] < cap)):
+                    res = probes[u, v] = min_st_cut(g, u, v, limit=cap, stats=stats)
+                value, cut = res
+                if cut is not None and (cap is None or value < cap):
+                    consider(set(cut.L), set(cut.S), set(cut.R))
             if count >= probe_budget:
                 break
     if best is None:
@@ -241,11 +280,15 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
     Raises BudgetExceeded (carrying the partial result) when the separator
     mass exceeds max(1, budget_frac * |T|); callers retry with smaller phi.
 
-    `_cache` maps a piece to its sparsest cut for this terminal set, so the
-    phi retries of one round search no piece twice.  `store`, a `PieceStore`
-    of g (default: a fresh one), keeps each piece's induced subgraph and flow
-    probes for the whole driver call; neither depends on the terminals or
-    phi, so sharing it leaves the decomposition unchanged.
+    `_cache` maps a piece to its `_sparsest_canonical_cut` for this terminal
+    set, so the phi retries of one round search no piece twice.  An entry
+    is found with probes capped for the phi of the call that fills it, so
+    it decides a piece exactly for that phi and any smaller one, and a
+    cache must never be read at a larger phi.  `store`, a `PieceStore` of g
+    (default: a fresh one), keeps each piece's induced subgraph and flow
+    probes for the whole driver call; a stored probe answers a later cap
+    as a new capped flow would, so sharing it leaves the decomposition
+    unchanged.
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -272,7 +315,7 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
             sub, ids, probes = store.piece(piece)
             local_terms = [j for j, v in enumerate(ids) if v in tset]
             got = _sparsest_canonical_cut(
-                sub, local_terms, probe_budget=min(48, 4 * len(piece)), stats=stats,
+                sub, local_terms, phi, probe_budget=min(48, 4 * len(piece)), stats=stats,
                 probes=probes,
             )
             if got is None:

@@ -194,6 +194,51 @@ def exhaustive_sparsest(g, terminals):
     return (Fraction(b_num, b_den), *sides)
 
 
+def uncapped_sparsest_cut(g, terminals, probe_budget, stats=None, probes=None):
+    """Reference for the probe branch of the sparsest canonical cut (graphs
+    above `unweighted.EXHAUSTIVE_MAX` vertices): a cut per component when g
+    is disconnected, then every non-adjacent terminal pair (u, v), u < v,
+    in order, up to `probe_budget` pairs, each probed by an uncapped
+    `min_st_cut` (kept in the dict `probes`, when given, and reused from
+    it).  The least (h, sorted S, sorted L) wins.  Returns (h, cut) or None.
+
+    This is the package's former probe loop; with probes capped at
+    `unweighted._probe_cap`, `expander_decomposition` must give the same X
+    and pieces."""
+    tset = set(terminals)
+    n = g.n
+    best = None
+
+    def consider(left, sep, rest):
+        nonlocal best
+        if not left or not rest:
+            return
+        denom = min(len(tset & (left | sep)), len(tset & (rest | sep)))
+        if denom == 0:
+            return
+        key = (Fraction(len(sep), denom), tuple(sorted(sep)), tuple(sorted(left)))
+        if best is None or key < best[0]:
+            best = (key, VertexCut(left, sep, rest, len(sep)))
+
+    if probes is None:
+        probes = {}
+    comps = g.components()
+    if len(comps) > 1:
+        for comp in comps:
+            consider(set(comp), set(), set(range(n)) - set(comp))
+    pairs = [
+        (u, v) for u, v in itertools.combinations(sorted(tset), 2) if not g.has_edge(u, v)
+    ]
+    for u, v in pairs[:probe_budget]:
+        if (u, v) not in probes:
+            probes[u, v] = min_st_cut(g, u, v, stats=stats)
+        _, cut = probes[u, v]
+        consider(set(cut.L), set(cut.S), set(cut.R))
+    if best is None:
+        return None
+    return best[0][0], best[1]
+
+
 def disjoint_paths(adj, s, sinks, limit, paths=None):
     """Reference for the unit-capacity packing: greedy internally
     vertex-disjoint paths from s to the sink set `sinks` in the undirected

@@ -136,7 +136,7 @@ class TestExhaustiveScan:
     def test_matches_subset_loop(self):
         found = none = 0
         for g, terms in _scan_cases():
-            got = _sparsest_canonical_cut(g, terms, probe_budget=0, stats=None)
+            got = _sparsest_canonical_cut(g, terms, 1, probe_budget=0, stats=None)
             want = exhaustive_sparsest(g, terms)
             if want is None:
                 assert got is None, (g.adj, terms)
@@ -158,7 +158,8 @@ def _fingerprint(cut):
 class TestPieceStore:
     """The driver's one PieceStore per call against a fresh store per
     terminal-reduction round: the same decompositions, cuts, T' sequences,
-    events and counters, and never more flows."""
+    events and counters but the flow and skip counts, never more flows and
+    never more probes solved (flows plus packing skips)."""
 
     @staticmethod
     def _run(g, monkeypatch, fresh):
@@ -187,10 +188,14 @@ class TestPieceStore:
             patch.setattr(unweighted, "expander_decomposition", decomp)
             patch.setattr(unweighted, "terminal_reduction", round_)
             cut = vertex_connectivity_unweighted(g, stats=stats)
+        # A probe reused from the shared store repeats neither a fresh
+        # store's flow nor its packing skip.
         flows = stats.data.pop("flow_calls", 0)
+        skips = stats.data.pop("path_skips", 0)
         stats.data.pop("flow_edges", None)
         assert len(set(map(id, stores))) == 1
-        return (_fingerprint(cut), decomps, rounds, stats.data, stats.events), flows, stores[0]
+        report = (_fingerprint(cut), decomps, rounds, stats.data, stats.events)
+        return report, flows, skips, stores[0]
 
     def _check(self, monkeypatch):
         graphs = [random_graph(n, p, 40 + n) for n in (18, 21, 24, 27) for p in (0.1, 0.3)]
@@ -200,17 +205,20 @@ class TestPieceStore:
         ]
         saved = split = probes = 0
         for g in graphs:
-            shared, shared_flows, store = self._run(g, monkeypatch, fresh=False)
-            alone, alone_flows, _ = self._run(g, monkeypatch, fresh=True)
+            shared, shared_flows, shared_skips, store = self._run(g, monkeypatch, fresh=False)
+            alone, alone_flows, alone_skips, _ = self._run(g, monkeypatch, fresh=True)
             assert shared == alone
-            # Every stored probe is what a new flow returns.
+            # Every stored probe is what a new flow returns: a completed
+            # one that of an uncapped flow, an (L, None) one that of a flow
+            # capped at L.
             for sub, _, stored in store.pieces.values():
                 for (u, v), res in stored.items():
-                    assert res == min_st_cut(sub, u, v)
+                    assert res == min_st_cut(sub, u, v, limit=None if res[1] is not None else res[0])
                     probes += 1
             assert len(shared[2]) > 1
             assert shared_flows <= alone_flows
-            saved += alone_flows - shared_flows
+            assert shared_flows + shared_skips <= alone_flows + alone_skips
+            saved += alone_flows + alone_skips - shared_flows - shared_skips
             split += any(len(d[1]) > 1 for d in shared[1])
         assert saved > 0 and split > 0 and probes > 0
 
@@ -223,6 +231,140 @@ class TestPieceStore:
     def test_store_of_another_graph_rejected(self):
         with pytest.raises(InvariantError):
             expander_decomposition(cycle(6), range(6), 0.1, store=PieceStore(cycle(6)))
+
+
+def _clique_chain(k, m):
+    """m copies of K_k in a row, each sharing one vertex with the next."""
+    edges = set()
+    for c in range(m):
+        edges.update(itertools.combinations(range(c * (k - 1), c * (k - 1) + k), 2))
+    return Graph.from_edges(m * (k - 1) + 1, sorted(edges))
+
+
+def _split_cases():
+    """(graph, terminal sets): chains of cliques joined by single vertices,
+    sparse G(n, p) and the two cliques of `TestProbeCap.test_float_boundary`,
+    all above EXHAUSTIVE_MAX vertices, each with a seeded third of the
+    vertices, every second vertex and all vertices as terminals (growing,
+    so the probe caps of one store grow too).  G(n, 1.5/n) has cut
+    vertices and splits; G(n, 3.5/n) mostly does not, and there the cap
+    settles probes."""
+    graphs = [_clique_chain(k, m) for k, m in ((4, 6), (5, 5), (6, 4), (7, 3), (5, 8))]
+    graphs += [random_graph(n, c / n, 500 + n) for n in range(18, 40, 3) for c in (1.5, 3.5)]
+    graphs.append(two_cliques_sharing(10, 1))
+    rng = random.Random(5)
+    for g in graphs:
+        assert g.n > EXHAUSTIVE_MAX
+        yield g, [
+            sorted(rng.sample(range(g.n), g.n // 3)),
+            list(range(0, g.n, 2)),
+            list(range(g.n)),
+        ]
+
+
+def _halving_decompositions(g, term_sets, store, stats):
+    """expander_decomposition of g for each terminal set, over phi = 0.4
+    halved down to 0.0125 with one `_cache` per terminal set and `store`
+    shared by all: a list of (X, pieces, over budget), and how many of those
+    calls split the whole graph at a non-empty separator."""
+    out, splits = [], 0
+    for terms in term_sets:
+        cache = {}
+        phi = 0.4
+        while phi >= 0.0125:
+            try:
+                d = expander_decomposition(g, terms, phi, stats=stats, _cache=cache, store=store)
+                over = False
+            except BudgetExceeded as exc:
+                d, over = exc.partial, True
+            out.append((d.x, d.pieces, over))
+            entry = cache[tuple(range(g.n))]
+            splits += entry is not None and entry[0] < phi and bool(entry[2])
+            phi /= 2
+    return out, splits
+
+
+class TestProbeCap:
+    """Expander probes capped at `_probe_cap` against the former uncapped
+    probe loop (`conftest.uncapped_sparsest_cut`): the same X and pieces."""
+
+    @staticmethod
+    def _uncapped(monkeypatch):
+        real = unweighted._sparsest_canonical_cut
+
+        def probe(g, terminals, phi, probe_budget, stats, probes=None):
+            if g.n <= EXHAUSTIVE_MAX:
+                return real(g, terminals, phi, probe_budget, stats, probes)
+            return conftest.uncapped_sparsest_cut(g, terminals, probe_budget, stats, probes)
+
+        monkeypatch.setattr(unweighted, "_sparsest_canonical_cut", probe)
+
+    def _check(self, monkeypatch):
+        flows = ref_flows = splits = 0
+        for g, term_sets in _split_cases():
+            stats = Counters()
+            got, split = _halving_decompositions(g, term_sets, PieceStore(g), stats)
+            ref_stats = Counters()
+            with monkeypatch.context() as patch:
+                self._uncapped(patch)
+                want, _ = _halving_decompositions(g, term_sets, PieceStore(g), ref_stats)
+            assert got == want, g.adj
+            flows += stats.get("flow_calls")
+            ref_flows += ref_stats.get("flow_calls")
+            splits += split
+        assert splits >= 30
+        assert flows < ref_flows
+
+    def test_matches_uncapped_probes(self, python_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_matches_uncapped_probes_compiled(self, compiled_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_cap_is_least_bound_reaching_phi(self):
+        for terms in range(1, 40):
+            for phi in (0.0125, 0.1, 0.25, 1 / 3, 0.4, 1.0, 1.5, 1.9, 2.0, 3.0):
+                want = next(
+                    (c for c in range(1, 1000) if Fraction(2 * c, terms + c) >= Fraction(phi)),
+                    None,
+                )
+                assert unweighted._probe_cap(terms, phi) == want, (terms, phi)
+
+    def test_float_boundary(self):
+        """2/20 equals 0.1 as a rational but lies below the float 0.1, so
+        with 19 terminals a cut of one vertex splitting them 9 + 1 + 9 is
+        sparse at phi = 0.1 and the cap must be 2, not 1."""
+        assert Fraction(2, 20) < 0.1
+        assert unweighted._probe_cap(19, 0.1) == 2
+        g = two_cliques_sharing(10, 1)
+        d = expander_decomposition(g, range(g.n), 0.1)
+        assert d.x == (9,)
+        assert d.pieces == (tuple(range(9)), tuple(range(10, 19)))
+
+    def test_stored_probe_by_cap(self):
+        """A stored (L, None) answers a later cap <= L with no flow or skip
+        and is solved again under a larger cap; a stored completed probe
+        answers every cap, its cut counting only below the cap."""
+        g = Graph.from_edges(20, [e for e in itertools.combinations(range(20), 2) if e != (0, 1)])
+        probes = {}
+
+        def probe(phi):
+            stats = Counters()
+            got = _sparsest_canonical_cut(g, [0, 1], phi, 48, stats, probes)
+            return got, stats.get("flow_calls") + stats.get("path_skips")
+
+        # |T| = 2: cap 2 at phi = 1, 6 at phi = 1.5; kappa(0, 1) = 18.
+        assert probe(1.0) == (None, 1) and probes == {(0, 1): (2, None)}
+        assert probe(1.0) == (None, 0)
+        assert probe(1.5) == (None, 1) and probes == {(0, 1): (6, None)}
+        assert probe(1.0) == (None, 0) and probes == {(0, 1): (6, None)}
+        # No cap at phi >= 2: the flow completes and its cut is kept.
+        h, cut = probe(2.0)[0]
+        assert (h, cut.S) == (18, tuple(range(2, 20)))
+        assert probes == {(0, 1): (18, cut)}
+        assert probe(1.0) == (None, 0)
+        assert unweighted._probe_cap(2, 1.95) == 78
+        assert probe(1.95) == ((h, cut), 0)
 
 
 class TestShaving:
