@@ -78,10 +78,6 @@ class Config:
     oracle_unweighted_guard: int = 64
     oracle_weighted_guard: int = 24
 
-    # Soft instrumentation threshold: total sparsified-instance edges must
-    # beat the naive |P|*m total by this factor on n >= 16 instances.
-    instr_sparsify_factor: float = 2.0
-
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)
 
@@ -127,7 +123,6 @@ _RANGES = {
     "gabow_mixing_c": _POSITIVE,
     "oracle_unweighted_guard": _NON_NEGATIVE,
     "oracle_weighted_guard": _NON_NEGATIVE,
-    "instr_sparsify_factor": _NON_NEGATIVE,
 }
 SKETCH_BACKENDS = ("exact", "syndrome")
 

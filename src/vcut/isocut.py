@@ -9,23 +9,37 @@ no terminal but its own, and its boundary (separator vertices) none at all.
 So the local flow, from the terminal to the super-vertex, is a plain
 unit-capacity flow on the local Graph (`maxflow._graph_flow`).
 
-The balanced-terminal algorithms drive isolating cuts through a selector
-family (or fall back to crossing-family pair flows when the selector regime
-is out of range) and always return a cut that validates in the original
-graph.
+Both balanced-terminal algorithms run one search, `_balanced_search`, over
+the sorted terminal list and always return a cut that validates in the
+original graph.  They differ only in the pair probe (a whole-graph
+`min_st_cut`, or a flow to {b, super-vertex} on the auxiliary graph of the
+edges at the terminals) and in how an isolating cut becomes a candidate.
 
-Both pair branches take the crossing family over positions in the sorted
-terminal list and visit `PairFamily.unordered()`: each unordered pair
-(i, j), i < j, once, mapped to terminals (terms[i], terms[j]).  The map is
-monotone, so the pairs come in the family's first-occurrence order with the
-smaller terminal first.
+- *Selector regime* (k/eps <= |T|/4): each member set of a selector family
+  is thinned to an independent set.  For two terminals u, v the isolating
+  cuts are exactly the u-closest and the v-closest minimum u-v cuts (the
+  engine's canonical separator is the source-closest one), so a set of two
+  is probed as the two oriented pair flows.  Only sets of three or more,
+  which the unique-neighbour selectors of large ground sets produce, run
+  `isolating_vertex_cuts`.  At every size the drivers run, `build_selector`
+  returns the family of all 2-subsets, so this regime is a search over
+  both orientations of every non-adjacent pair.
+- *Pair regime* (otherwise, or when the selector cannot be built or
+  probes no set): the crossing family over positions in the sorted
+  terminal list, visited as `PairFamily.unordered()`: each unordered pair
+  (i, j), i < j, once, mapped to terminals (terms[i], terms[j]).  The map
+  is monotone, so the pairs come in the family's first-occurrence order
+  with the smaller terminal first.
 
-The pair flows of `subgraph_balanced_terminal_vc` run from a terminal a to
-the sink set {b, super-vertex} on the auxiliary graph, capped at the best
-cut so far, through `maxflow.min_s_to_set_separator`, so the flow engine's
-one skip rule applies: when a unit-capacity packing of paths from a to
-that set reaches the cap, the capped flow would stop at its limit and is
-skipped instead, counted as `path_skips`.
+Every probe is capped, so the engine's one skip rule applies: when a
+unit-capacity packing of paths reaches the cap, the capped flow would stop
+at its limit and is skipped instead, counted as `path_skips`.  The caller's
+best cut starts the cap at best.value + 1: a cut above it loses to the
+caller's best anyway, and one of equal value can still win on `key()`.  In
+the selector regime the cap stays the least value found plus one, so the
+result is the minimum, by `key()`, of every isolating cut at or below the
+caller's best.  In the pair regime, once a cut is found, the cap is its
+value: only a strictly smaller cut replaces it.
 """
 
 from __future__ import annotations
@@ -123,71 +137,79 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
 
 def _greedy_independent(g: Graph, vertices):
     chosen = []
-    taken = set()
     for v in sorted(vertices):
-        if v in taken:
-            continue
         if all(not g.has_edge(v, u) for u in chosen):
             chosen.append(v)
-            taken.add(v)
     return chosen
 
 
-def _selector_candidates(g: Graph, terms, k_sel, eps, cfg, stats):
-    """Isolating-cut candidates from one selector family mapped onto terms."""
-    family = build_selector(len(terms), k_sel, eps, cfg)
-    best = None
-    for members in family:
-        group = [terms[j] for j in members]
-        indep = _greedy_independent(g, group)
-        if len(indep) < 2:
-            continue
-        result = isolating_vertex_cuts(g, indep, stats=stats)
-        for _, (_, _, cut) in result.items():
-            best = better_cut(best, cut)
-    return best
+def _balanced_search(g: Graph, terms, k, cfg, best, probe, isolate):
+    """The balanced-terminal search over the sorted terminal list `terms` of
+    g (see the module docstring), capped from the caller's `best`.
 
-
-def _pair_candidates(g: Graph, terms, eps, cfg, stats, best=None):
-    """Crossing-family pair flows over the sorted terminal list, one per
-    unordered pair of the family over its positions."""
-    family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
-    for i, j in family.unordered():
-        limit = best.value if isinstance(best, VertexCut) else None
-        res = min_st_cut(g, terms[i], terms[j], limit=limit, stats=stats)
-        if res is NoSeparator or res[1] is None:
-            continue
-        best = better_cut(best, res[1])
-    return best
-
-
-def balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None):
-    """Always returns a valid cut of g (or NoCut); it is a minimum cut
-    whenever some cut splits the terminals with both sides large relative
-    to the separator's terminal mass.
-
-    Selector branch when k/eps fits the terminal budget, crossing-family
-    pair flows otherwise.
+    `probe(a, b, limit)` returns the candidate cut of the a-closest minimum
+    a-b separation, or None when it is capped, adjacent or not a cut of g.
+    `isolate(indep)` returns the candidate cuts of the isolating cuts of an
+    independent set of three or more terminals.  Returns the best candidate,
+    or NoCut(g.n - 1) when there is none; a candidate above the caller's
+    best may be missed, so callers keep `better_cut(best, result)`.
     """
-    terms = sorted(set(terminals))
     if not terms:
         raise InvariantError("empty terminal set")
     if k < 1:
         raise InvariantError("k must be >= 1")
     eps = cfg.eps_balanced
-    best = None
-    use_pairs = (k / eps) > len(terms) / 4
-    if not use_pairs:
+    cap = best.value + 1 if isinstance(best, VertexCut) else None
+    found = None
+    probed = False
+    if k / eps <= len(terms) / 4:
         try:
-            best = _selector_candidates(g, terms, math.ceil(k / eps), eps, cfg, stats)
+            family = build_selector(len(terms), math.ceil(k / eps), eps, cfg)
         except ConstructionFailed:
-            use_pairs = True
-    if use_pairs or best is None:
-        best = _pair_candidates(g, terms, eps, cfg, stats, best=best)
-    if isinstance(best, VertexCut):
-        assert validate_cut(g, best)
-        return best
-    return NoCut(g.n - 1)
+            family = ()
+        for members in family:
+            indep = _greedy_independent(g, [terms[j] for j in members])
+            if len(indep) < 2:
+                continue
+            probed = True
+            if len(indep) == 2:
+                u, v = indep
+                cuts = (probe(u, v, cap), probe(v, u, cap))
+            else:
+                cuts = isolate(indep)
+            for cut in cuts:
+                found = better_cut(found, cut)
+            if isinstance(found, VertexCut) and (cap is None or found.value < cap):
+                cap = found.value + 1
+    if not probed:
+        family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
+        for i, j in family.unordered():
+            limit = found.value if isinstance(found, VertexCut) else cap
+            found = better_cut(found, probe(terms[i], terms[j], limit))
+    return found if isinstance(found, VertexCut) else NoCut(g.n - 1)
+
+
+def balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
+                         best=None):
+    """Always returns a valid cut of g (or NoCut); it is a minimum cut
+    whenever some cut splits the terminals with both sides large relative
+    to the separator's terminal mass and is no larger than the caller's
+    `best` (a cut of g or None).
+
+    The pair probes are whole-graph `min_st_cut` flows.
+    """
+
+    def probe(a, b, limit):
+        res = min_st_cut(g, a, b, limit=limit, stats=stats)
+        return None if res is NoSeparator else res[1]
+
+    def isolate(indep):
+        result = isolating_vertex_cuts(g, indep, stats=stats)
+        return [result.cut(v) for v in indep]
+
+    found = _balanced_search(g, sorted(set(terminals)), k, cfg, best, probe, isolate)
+    assert not isinstance(found, VertexCut) or validate_cut(g, found)
+    return found
 
 
 def _terminal_subgraph(g: Graph, terms):
@@ -238,52 +260,23 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     set, with a super-vertex standing in for the rest of the graph.
 
     Minimum when the promise holds with the cut's small side inside T; every
-    candidate is re-validated in g before it can win.
-
-    `best` is the caller's best cut so far.  Until a pair flow finds a cut,
-    the pair flows are capped at best.value + 1, not uncapped: a cut above
-    the caller's best loses to it anyway, and one of equal value can still
-    win on `key()`, so it must still be found.
+    candidate is re-validated in g before it can win.  A pair probe from a
+    to b is a flow from a to the sink set {b, super-vertex} on the
+    auxiliary graph (`maxflow.min_s_to_set_separator`); the super-vertex is
+    an isolating terminal beside every member set.
     """
     terms = sorted(set(terminals))
-    if not terms:
-        raise InvariantError("empty terminal set")
     aux, nodes, virtual = _terminal_subgraph(g, terms)
     pos = {v: j for j, v in enumerate(nodes)}
-    eps = cfg.eps_balanced
-    cap = best.value + 1 if isinstance(best, VertexCut) else None
-    best = None
-    use_pairs = (k / eps) > len(terms) / 4
-    if not use_pairs:
-        try:
-            family = build_selector(len(terms), math.ceil(k / eps), eps, cfg)
-        except ConstructionFailed:
-            family = None
-            use_pairs = True
-        if family is not None:
-            for members in family:
-                group = [terms[j] for j in members]
-                indep = _greedy_independent(g, group)
-                if len(indep) < 2:
-                    continue
-                indep_aux = [pos[v] for v in indep] + [virtual]
-                result = isolating_vertex_cuts(aux, indep_aux, stats=stats)
-                for av, (_, sep_aux, _) in result.items():
-                    if av == virtual:
-                        continue
-                    cand = _remap_candidate(g, (nodes[j] for j in sep_aux))
-                    best = better_cut(best, cand)
-    if use_pairs:
-        family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
-        for i, j in family.unordered():
-            limit = best.value if isinstance(best, VertexCut) else cap
-            res = min_s_to_set_separator(
-                aux, pos[terms[i]], (pos[terms[j]], virtual), limit, stats
-            )
-            if res is NoSeparator or res[1] is None:
-                continue
-            cand = _remap_candidate(g, (nodes[x] for x in res[1]))
-            best = better_cut(best, cand)
-    if isinstance(best, VertexCut):
-        return best
-    return NoCut(g.n - 1)
+
+    def probe(a, b, limit):
+        res = min_s_to_set_separator(aux, pos[a], (pos[b], virtual), limit, stats)
+        if res is NoSeparator or res[1] is None:
+            return None
+        return _remap_candidate(g, (nodes[x] for x in res[1]))
+
+    def isolate(indep):
+        result = isolating_vertex_cuts(aux, [pos[v] for v in indep] + [virtual], stats=stats)
+        return [_remap_candidate(g, (nodes[j] for j in result.separator(pos[v]))) for v in indep]
+
+    return _balanced_search(g, terms, k, cfg, best, probe, isolate)

@@ -596,8 +596,9 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
 
     Disconnected inputs yield a value-0 cut, complete inputs the NoCut
     sentinel carrying n-1.  Otherwise: sparsify, run the unbalanced branch,
-    then alternate balanced-terminal calls with terminal reduction until the
-    terminal set empties, returning the minimum valid cut seen anywhere.
+    then alternate balanced-terminal calls (capped from the best cut so
+    far) with terminal reduction until the terminal set empties, returning
+    the minimum valid cut seen anywhere.
     With `unbalanced=False` the unbalanced branch is left out, which leaves
     the terminal-reduction loop alone (`vcut compute --algo terminal`).
     """
@@ -624,7 +625,7 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
     terms = tuple(range(g.n))
     store = PieceStore(gs)
     while terms:
-        offer(balanced_terminal_vc(gs, terms, k, cfg, stats))
+        offer(balanced_terminal_vc(gs, terms, k, cfg, stats, best=best))
         reduced, terms = terminal_reduction(gs, terms, k, cfg, stats, store=store)
         offer(reduced)
     assert isinstance(best, VertexCut)

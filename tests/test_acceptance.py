@@ -45,6 +45,10 @@ from vcut.weighted import sparsify_symmetric, vertex_connectivity_weighted
 
 _CACHE = {}
 
+# Criterion 12 (soft): on n >= 16 instances the sparsified lopsided
+# instances must hold this many times fewer edges than the naive |P| * m.
+SPARSIFY_FACTOR = 2.0
+
 
 def _verdict(name, ok, detail):
     line = f"{name}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -369,7 +373,7 @@ def test_criterion_12_instrumentation():
     spars = sum(s.get("sparsified_edges_lopsided") for n, s in per_graph if n >= 16)
     naive = sum(s.get("naive_edges_lopsided") for n, s in per_graph if n >= 16)
     factor = naive / spars if spars else float("inf")
-    threshold = DEFAULT.instr_sparsify_factor
+    threshold = SPARSIFY_FACTOR
     ok = naive > 0 and factor >= threshold
     assert _verdict(
         "criterion 12 (instrumentation, soft)",

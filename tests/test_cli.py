@@ -86,10 +86,11 @@ class TestCompute:
         "text, reason",
         [
             ("expander_exhaustive_max = 16\n", "unknown config key"),
+            ("instr_sparsify_factor = 2.0\n", "unknown config key"),
             ("lam = eight\n", "lam"),
             (None, "No such file"),
         ],
-        ids=["removed-key", "bad-value", "missing"],
+        ids=["removed-key", "removed-instr-key", "bad-value", "missing"],
     )
     def test_bad_config_is_usage_error(self, petersen_file, tmp_path, capsys, text, reason):
         cfg = tmp_path / "vcut.cfg"

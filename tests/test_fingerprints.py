@@ -44,6 +44,11 @@ def _instances():
         for seed in (0, 1):
             g = generate_planted(kind, params, seed).graph
             out[f"unweighted {kind} n={g.n} seed={seed}"] = (vertex_connectivity_unweighted, (g,))
+    # Sparse graphs whose balanced-terminal calls take the selector regime
+    # (k / eps <= |T| / 4), which the instances above never reach.
+    for n, p, seed in ((20, 0.12, 502), (28, 0.1, 505), (32, 0.12, 602), (36, 0.1, 601)):
+        out[f"unweighted selector gnp n={n} p={p} seed={seed}"] = (
+            vertex_connectivity_unweighted, (random_graph(n, p, seed),))
     for i in range(18):
         n, p, w = 6 + i % 9, (0.3, 0.45)[i % 2], (1, 4, 16, 64)[i % 4]
         out[f"weighted digraph n={n} p={p} W={w} seed={200 + i}"] = (

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import assert_matches_reference, complete, cycle, unit_paths
+from vcut import isocut
 from vcut.config import DEFAULT
 from vcut.errors import InvariantError
 from vcut.graphs import NoCut, VertexCut, better_cut, min_degree_cut, validate_cut
@@ -16,9 +18,9 @@ from vcut.isocut import (
     isolating_vertex_cuts,
     subgraph_balanced_terminal_vc,
 )
-from vcut.maxflow import vertex_max_flow
+from vcut.maxflow import min_st_cut, vertex_max_flow
 from vcut.oracle import brute_isolating_values, generate_planted, random_graph
-from vcut.pseudorandom import map_pairs, symmetric_crossing_family
+from vcut.pseudorandom import SubsetFamily, build_selector, map_pairs, symmetric_crossing_family
 
 
 def greedy_independent(g, size, rng):
@@ -242,3 +244,114 @@ class TestSinkSetCertificate:
             assert mine.get("flow_calls") + mine.get("path_skips") == ref.get("flow_calls")
             skips += mine.get("path_skips")
         assert skips > 0
+
+
+def _former_selector_route(g, terms, k, isolating_candidates, family=None, cfg=DEFAULT):
+    """The former selector regime of both balanced-terminal entry points:
+    the isolating cuts of every member set, uncapped and unscreened, with
+    `isolating_candidates(indep)` turning a member set into candidates."""
+    eps = cfg.eps_balanced
+    assert k / eps <= len(terms) / 4  # the selector regime
+    if family is None:
+        family = build_selector(len(terms), math.ceil(k / eps), eps, cfg)
+    best = None
+    for members in family:
+        indep = sorted(terms[j] for j in members)
+        indep = [v for i, v in enumerate(indep) if all(not g.has_edge(v, u) for u in indep[:i])]
+        if len(indep) >= 2:
+            for cut in isolating_candidates(indep):
+                best = better_cut(best, cut)
+    assert isinstance(best, VertexCut)
+    return best
+
+
+def _former_balanced(g, terms, k, stats, family=None):
+    def candidates(indep):
+        return [cut for _, (_, _, cut) in isolating_vertex_cuts(g, indep, stats=stats).items()]
+
+    return _former_selector_route(g, terms, k, candidates, family)
+
+
+def _former_subgraph(g, terms, k, stats, family=None):
+    aux, nodes, virtual = _terminal_subgraph(g, terms)
+    pos = {v: j for j, v in enumerate(nodes)}
+
+    def candidates(indep):
+        result = isolating_vertex_cuts(aux, [pos[v] for v in indep] + [virtual], stats=stats)
+        return [_remap_candidate(g, (nodes[j] for j in sep))
+                for av, (_, sep, _) in result.items() if av != virtual]
+
+    return _former_selector_route(g, terms, k, candidates, family)
+
+
+def _selector_cases():
+    """(graph, terminals, k) in the selector regime, |T| >= 16k: sparse
+    random graphs with every vertex a terminal, and with 16 random ones.
+    On the first four graphs, probing each pair in one orientation only
+    would return another cut of the same separator."""
+    for n, p, seed in ((16, 0.12, 31), (16, 0.2, 13), (18, 0.12, 6), (18, 0.12, 16),
+                       (20, 0.3, 2), (22, 0.15, 3)):
+        g = random_graph(n, p, seed)
+        yield g, list(range(n)), 1
+        yield g, sorted(random.Random(seed).sample(range(n), 16)), 1
+    g = random_graph(32, 0.1, 706)
+    yield g, list(range(g.n)), 2
+
+
+ENTRY_POINTS = pytest.mark.parametrize("entry, former", [
+    (balanced_terminal_vc, _former_balanced),
+    (subgraph_balanced_terminal_vc, _former_subgraph),
+])
+
+
+class TestSelectorRegime:
+    """A member set of two terminals is probed as the two oriented, capped
+    pair flows; the caller sees the same outcome as from the isolating cuts
+    of every member set, with no more flows."""
+
+    @ENTRY_POINTS
+    def test_matches_former_isolating_route(self, entry, former):
+        saved = 0
+        for g, terms, k in _selector_cases():
+            old_stats = Counters()
+            old = former(g, terms, k, old_stats)
+            last = tuple(range(g.n - old.value, g.n))
+            for best in (None, min_degree_cut(g), VertexCut((), last, (), old.value)):
+                new_stats = Counters()
+                new = entry(g, terms, k, stats=new_stats, best=best)
+                assert better_cut(best, new) == better_cut(best, old), (g.n, terms, k, best)
+                assert new_stats.get("flow_calls") <= old_stats.get("flow_calls")
+                saved += old_stats.get("flow_calls") - new_stats.get("flow_calls")
+        assert saved > 0
+
+    def test_oriented_probes_are_the_isolating_cuts(self):
+        checked = 0
+        for g, terms, _ in _selector_cases():
+            for u, v in itertools.combinations(terms, 2):
+                if g.has_edge(u, v):
+                    continue
+                iso = isolating_vertex_cuts(g, [u, v])
+                for a, b in ((u, v), (v, u)):
+                    assert min_st_cut(g, a, b)[1] == iso.cut(a)
+                checked += 1
+        assert checked > 500
+
+    @ENTRY_POINTS
+    def test_larger_member_sets_keep_isolating_cuts(self, entry, former, monkeypatch):
+        # Overlapping windows of five positions: thinned to independent
+        # sets, some keep two terminals and some three or more.
+        sizes = Counter()
+        for g, terms, k in _selector_cases():
+            family = SubsetFamily(len(terms), [range(i, min(i + 5, len(terms)))
+                                               for i in range(0, len(terms) - 1, 3)])
+            monkeypatch.setattr(isocut, "build_selector", lambda *args: family)
+            old = former(g, terms, k, Counters(), family)
+            for best in (None, min_degree_cut(g)):
+                new = entry(g, terms, k, best=best)
+                assert better_cut(best, new) == better_cut(best, old), (g.n, terms, k, best)
+            for members in family:
+                indep = [terms[j] for j in members]
+                indep = [v for i, v in enumerate(indep)
+                         if all(not g.has_edge(v, u) for u in indep[:i])]
+                sizes[min(len(indep), 3)] += 1
+        assert sizes[2] > 0 and sizes[3] > 0
