@@ -59,13 +59,18 @@ class Clustering:
         return f"Clustering(n={self.n}, partitions={sizes})"
 
 
-def cnc(g, dist, d, candidates="edges", stats=None):
+def cnc(g, dist, d, candidates="edges", stats=None, cache=None):
     """Ball-growing clustering over the candidate graph filtered by `dist`.
 
     `g` is a Graph (candidates="edges") or a vertex count (candidates
     "all-pairs").  Roots are always the smallest remaining id.  Later rounds
     only re-cluster the residual carry-over set; their partitions are padded
     with singleton clusters so every partition covers the ground set.
+
+    `dist` is asked once per unordered pair (u, v), u < v, and its answers
+    are kept in the dict `cache`, keyed by (u, v).  A caller that clusters
+    with the same `dist` at several `d` may pass one dict to all the calls,
+    so no pair is asked twice; None (the default) starts a fresh dict.
     """
     if d < 1:
         raise InvariantError("d must be >= 1")
@@ -80,7 +85,8 @@ def cnc(g, dist, d, candidates="edges", stats=None):
     elif candidate_edges is None:
         raise InvariantError("candidates must be 'edges' (with a Graph) or 'all-pairs'")
 
-    cache = {}
+    if cache is None:
+        cache = {}
 
     def dd(u, v):
         if u == v:
@@ -150,12 +156,14 @@ def cnc(g, dist, d, candidates="edges", stats=None):
     return Clustering(n, partitions)
 
 
-def weighted_cnc(d_graph: WeightedDigraph, ell, stats=None):
+def weighted_cnc(d_graph: WeightedDigraph, ell, stats=None, cache=None):
     """Clusters covering the left side of every minimum cut with w(L) <= ell.
 
     Runs the clustering engine over the all-pairs candidate graph with the
     weighted out-neighborhood symmetric difference as distance and d = 2*ell.
     Returns the flat cluster list (each vertex appears once per partition).
+    The distance does not depend on ell, so calls on one digraph may share
+    one `cache` dict (see `cnc`).
     """
     if ell < 0:
         raise InvariantError("ell must be >= 0")
@@ -165,6 +173,7 @@ def weighted_cnc(d_graph: WeightedDigraph, ell, stats=None):
         max(1, 2 * ell),
         candidates="all-pairs",
         stats=stats,
+        cache=cache,
     )
     if ell == 0:
         # Only identical out-neighborhoods may share a cluster.

@@ -23,6 +23,22 @@ de-duplicates, where they are built: `lopsided_pairs` returns its union
 sorted, the order `lopsided_vc` visits it in, and `symmetric_pairs` in
 first-occurrence order; the pair loops take the pairs as they come.
 
+Both branches guess ell = w(L) over the powers of two up to w(V) and
+evaluate each pair (each (s, t, cluster) in the lopsided branch) at the
+first guess that offers it.  Two rules skip work whose result is already
+decided, so the pairs evaluated, and their order, stay the same:
+
+- A lopsided cluster C is *covered* once its bucketed union has
+  |C| * |v_low(C)| pairs (or v_low(C) is empty).  The union is distinct
+  and lies in C x v_low(C), and v_low depends only on (d, C), so every
+  pair a later guess could offer C has been evaluated or is skipped as
+  s == t or an arc; later guesses skip C before `identify_vlow`.  The
+  clusterings of all guesses share one distance table: the weighted
+  symmetric difference does not depend on ell.
+- The symmetric branch stops once it has evaluated all n(n-1) - m ordered
+  non-adjacent pairs (`WeightedDigraph` has no self-loops and no duplicate
+  arcs, so that is every pair a family can offer).
+
 The lopsided branch counts the arcs of every evaluated pair's instance
 (they feed the naive/sparsified edge ratio that the instrumentation
 reports, which must not depend on which pairs were skipped) from
@@ -73,7 +89,7 @@ def _powers_up_to(limit):
 
 def identify_vlow(d: WeightedDigraph, cluster):
     """Vertices whose in-neighborhood covers at most 0.9 of the cluster's
-    weight; one scan over the cluster's out-arcs."""
+    weight; one scan over the cluster's out-arcs, compared in integers."""
     cset = set(cluster)
     wc = d.weight_of(cset)
     if wc <= 0:
@@ -83,7 +99,7 @@ def identify_vlow(d: WeightedDigraph, cluster):
         wu = d.weights[u]
         for v in d.out_adj[u]:
             covered[v] += wu
-    return [v for v in range(d.n) if covered[v] <= 0.9 * wc]
+    return [v for v in range(d.n) if 10 * covered[v] <= 9 * wc]
 
 
 def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEFAULT):
@@ -276,25 +292,30 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     weight.  Always returns a valid cut; minimum under the lopsidedness
     promise."""
     best = min_out_neighborhood_cut(d)
-    total = d.weight_of(range(d.n))
+    guesses = _powers_up_to(d.weight_of(range(d.n)))
     naive = d.m
     evaluated = set()
     parts = {}
-    for ell in _powers_up_to(total):
-        clusters = weighted_cnc(d, ell, stats=stats)
+    covered = set()
+    distances = {}
+    for ell in guesses:
+        clusters = weighted_cnc(d, ell, stats=stats, cache=distances)
         seen_clusters = set()
         for cluster in clusters:
             ckey = frozenset(cluster)
-            if ckey in seen_clusters:
+            if ckey in seen_clusters or ckey in covered:
                 continue
             seen_clusters.add(ckey)
             v_low = identify_vlow(d, cluster)
             if not v_low:
+                covered.add(ckey)
                 continue
             part = parts.get(ckey)
             if part is None:
                 part = parts[ckey] = _ClusterParts(d, ckey)
-            fam = lopsided_pairs(d, cluster, v_low, ell, _powers_up_to(total), cfg)
+            fam = lopsided_pairs(d, cluster, v_low, ell, guesses, cfg)
+            if len(fam.pairs) == len(ckey) * len(v_low):
+                covered.add(ckey)
             for s, t in fam.pairs:
                 if s == t or d.has_arc(s, t):
                     continue
@@ -361,7 +382,10 @@ def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     best = min_out_neighborhood_cut(d)
     total = d.weight_of(range(d.n))
     evaluated = set()
+    evaluable = d.n * (d.n - 1) - d.m
     for ell in _powers_up_to(total):
+        if len(evaluated) == evaluable:
+            break
         fam = symmetric_pairs(d, ell, cfg)
         for u, v in fam:
             for s, t in ((u, v), (v, u)):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcut import _pyflow, maxflow
+from vcut import _pyflow, maxflow, weighted
 from vcut.config import DEFAULT
 from vcut.errors import InvariantError
 from vcut.graphs import (
@@ -22,6 +22,7 @@ from vcut.graphs import (
     _log2ceil,
     better_cut,
     min_degree_cut,
+    min_out_neighborhood_cut,
     validate_cut,
 )
 from vcut.isocut import subgraph_balanced_terminal_vc
@@ -144,6 +145,91 @@ def query_every_pair(g, cfg=DEFAULT, stats=None):
                     res = min_st_cut(g, a, b, stats=stats)
                     if res is not NoSeparator and res[1] is not None:
                         best = better_cut(best, res[1])
+    return best
+
+
+def every_guess_lopsided(d, cfg=DEFAULT, stats=None):
+    """Reference for `weighted.lopsided_vc`: the same guesses, clusters and
+    pair order, but every distinct cluster of every guess is bucketed again
+    (`identify_vlow`, `lopsided_pairs`) and each clustering computes its
+    own distances.  Looks the helpers up on `vcut.weighted`, so a test that
+    patches them there counts the calls of both loops.
+
+    This is the package's former lopsided loop; `lopsided_vc` must return
+    the same cut and counters, with no more calls of the helpers."""
+    best = min_out_neighborhood_cut(d)
+    total = d.weight_of(range(d.n))
+    naive = d.m
+    evaluated = set()
+    parts = {}
+    for ell in weighted._powers_up_to(total):
+        clusters = weighted.weighted_cnc(d, ell, stats=stats)
+        seen_clusters = set()
+        for cluster in clusters:
+            ckey = frozenset(cluster)
+            if ckey in seen_clusters:
+                continue
+            seen_clusters.add(ckey)
+            v_low = weighted.identify_vlow(d, cluster)
+            if not v_low:
+                continue
+            part = parts.get(ckey)
+            if part is None:
+                part = parts[ckey] = weighted._ClusterParts(d, ckey)
+            fam = weighted.lopsided_pairs(
+                d, cluster, v_low, ell, weighted._powers_up_to(total), cfg
+            )
+            for s, t in fam.pairs:
+                if s == t or d.has_arc(s, t):
+                    continue
+                key = (s, t, ckey)
+                if key in evaluated:
+                    continue
+                evaluated.add(key)
+                if stats is not None:
+                    count = part.arc_count(s, t)
+                    stats.add("sparsified_instances")
+                    stats.add("sparsified_edges", count)
+                    stats.add("naive_edges", naive)
+                    stats.add("sparsified_edges_lopsided", count)
+                    stats.add("naive_edges_lopsided", naive)
+                limit = best.value if isinstance(best, VertexCut) else None
+                if maxflow.packing_reaches(d.out_adj, d.weights, s, part.ends(t), limit, stats):
+                    continue
+                ids, arcs = weighted.lopsided_arcs(d, s, t, cluster)
+                h = weighted._instance(d, ids, arcs)
+                cand = weighted._digraph_pair_cut(d, h, ids, s, t, limit, stats)
+                best = better_cut(best, cand)
+    return best
+
+
+def every_guess_symmetric(d, cfg=DEFAULT, stats=None):
+    """Reference for `weighted.symmetric_vc`: the same pair order, but a
+    family (`symmetric_pairs`, looked up on `vcut.weighted`) is built for
+    every guess, even after every pair has been evaluated.
+
+    This is the package's former symmetric loop; `symmetric_vc` must return
+    the same cut and counters, with no more families."""
+    best = min_out_neighborhood_cut(d)
+    total = d.weight_of(range(d.n))
+    evaluated = set()
+    for ell in weighted._powers_up_to(total):
+        fam = weighted.symmetric_pairs(d, ell, cfg)
+        for u, v in fam:
+            for s, t in ((u, v), (v, u)):
+                if s == t or d.has_arc(s, t) or (s, t) in evaluated:
+                    continue
+                evaluated.add((s, t))
+                limit = best.value if isinstance(best, VertexCut) else None
+                if maxflow.packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
+                    continue
+                h = weighted.sparsify_symmetric(d, s, t)
+                if stats is not None:
+                    stats.add("sparsified_instances")
+                    stats.add("sparsified_edges", h.m)
+                    stats.add("naive_edges", d.m)
+                cand = weighted._digraph_pair_cut(d, h, list(range(d.n)), s, t, limit, stats)
+                best = better_cut(best, cand)
     return best
 
 

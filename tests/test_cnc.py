@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import complete, path
+from vcut import cnc as cnc_module
 from vcut.cnc import (
     TOO_LARGE,
     cnc,
@@ -14,7 +15,8 @@ from vcut.cnc import (
 from vcut.config import DEFAULT
 from vcut.errors import MixedSketchError
 from vcut.graphs import Graph, symdiff_size
-from vcut.oracle import check_clustering, generate_planted, random_graph
+from vcut.oracle import check_clustering, generate_planted, random_digraph, random_graph
+from vcut.weighted import _powers_up_to
 
 
 def symdiff_dist(g):
@@ -97,6 +99,30 @@ class TestWeightedCnc:
         for c in clusters:
             outs = {d.out_adj[v] for v in c}
             assert len(outs) == 1
+
+    def test_shared_cache_over_guesses(self, monkeypatch):
+        """One `cache` over every guess of the weighted driver gives the
+        clusters of fresh calls, and asks for each unordered pair's
+        distance at most once."""
+        real = cnc_module.weighted_symdiff
+        asked = []
+
+        def counted(d, u, v):
+            asked.append((u, v))
+            return real(d, u, v)
+
+        monkeypatch.setattr(cnc_module, "weighted_symdiff", counted)
+        for seed, wmax in enumerate((1, 4, 64)):
+            d = random_digraph(14, 0.3, wmax, seed)
+            guesses = _powers_up_to(d.weight_of(range(d.n)))
+            fresh = [weighted_cnc(d, ell) for ell in guesses]
+            fresh_asks = len(asked)
+            asked.clear()
+            cache = {}
+            assert [weighted_cnc(d, ell, cache=cache) for ell in guesses] == fresh
+            assert len(asked) == len(set(asked)) < fresh_asks
+            assert all(u < v for u, v in asked) and set(cache) == set(asked)
+            asked.clear()
 
     def test_sparse_membership(self):
         inst = generate_planted("symmetric", {"l": 4, "s": 3, "r": 5}, seed=1)

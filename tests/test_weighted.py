@@ -1,15 +1,24 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from conftest import complete_digraph, directed_cycle, two_hop_weight
+from conftest import (
+    complete_digraph,
+    directed_cycle,
+    every_guess_lopsided,
+    every_guess_symmetric,
+    two_hop_weight,
+)
 from vcut.errors import InvariantError
 from vcut.graphs import NoCut, VertexCut, WeightedDigraph, validate_cut
 from vcut.instrument import Counters
 from vcut.maxflow import packing_reaches, vertex_max_flow, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
-from vcut import weighted
+from vcut import cnc, weighted
+from vcut.pseudorandom import PairFamily
 from vcut.weighted import (
     _ClusterParts,
     _powers_up_to,
@@ -50,6 +59,17 @@ class TestIdentifyVlow:
 
         logn = max(1, math.ceil(math.log2(d.n)))
         assert sym_diff_weight <= 8 * d.weight_of(inst.cut.L) * logn
+
+    def test_exact_near_the_weight_limit(self):
+        """The 0.9 split is exact where a float product rounds: with
+        weights near 2^59, vertex 2 gets 9k + 1 of C = {0, 1}'s 10k + 1,
+        just over 0.9, so it is not low (the float test would keep it)."""
+        for k in (2**56 + 7, 2**56 + 20, 163_555_071_989_122_842):
+            d = WeightedDigraph.from_arcs(3, [(0, 2), (1, 0), (2, 1)], [9 * k + 1, k, 1])
+            covered, wc = [k, 0, 9 * k + 1], 10 * k + 1
+            assert covered[2] <= 0.9 * wc
+            want = [v for v in range(3) if covered[v] <= Fraction(9, 10) * wc]
+            assert identify_vlow(d, [0, 1]) == want == [0, 1]
 
 
 class TestLopsidedPairs:
@@ -420,3 +440,107 @@ class TestDriver:
         vertex_connectivity_weighted(d, stats=stats)
         assert stats.get("sparsified_instances") > 0
         assert stats.get("sparsified_edges") <= stats.get("naive_edges")
+
+
+BACKENDS = ("python_backend", "compiled_backend")
+# The helpers whose calls the settled loops save, where the pair loops and
+# the clustering look them up.
+COUNTED = ((weighted, "lopsided_pairs"), (weighted, "symmetric_pairs"), (cnc, "weighted_symdiff"))
+
+
+def _counting(monkeypatch, calls):
+    """Count the calls of the COUNTED helpers into the Counter `calls`."""
+    for module, name in COUNTED:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def _run(monkeypatch, d, branches):
+    """The driver on d with `branches` (lopsided, symmetric) in place of the
+    package's: (cut, counters, events, helper calls)."""
+    calls, stats = Counter(), Counters()
+    with monkeypatch.context() as m:
+        m.setattr(weighted, "lopsided_vc", branches[0])
+        m.setattr(weighted, "symmetric_vc", branches[1])
+        _counting(m, calls)
+        cut = vertex_connectivity_weighted(d, stats=stats)
+    return cut, stats.as_dict(), stats.events, calls
+
+
+class TestSettledWork:
+    """`lopsided_vc` skips the clusters it has covered and shares one
+    distance table over its guesses, and `symmetric_vc` stops once every
+    pair is evaluated.  The former loops (`conftest.every_guess_lopsided`,
+    `every_guess_symmetric`) give the same cuts, counters and events, with
+    no more calls of the helpers on any digraph and fewer on some."""
+
+    NEW = (lopsided_vc, symmetric_vc)
+    OLD = (every_guess_lopsided, every_guess_symmetric)
+
+    @staticmethod
+    def _cases():
+        for n in range(5, 31):
+            for wmax in (1, 4, 64):
+                yield random_digraph(n, 0.3, wmax, n)
+        # One heavy weight bucket: many guesses over the same clusters.
+        yield WeightedDigraph(14, random_digraph(14, 0.3, 1, 2).out_adj, [2**40] * 14)
+        yield generate_planted("lopsided", {"l": 2, "s": 3, "r": 10, "W": 8}, seed=3).graph
+        yield generate_planted("symmetric", {"l": 3, "s": 3, "r": 8, "W": 8}, seed=3).graph
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_same_as_every_guess(self, backend, request, monkeypatch):
+        request.getfixturevalue(backend)
+        fewer = Counter()
+        for d in self._cases():
+            cut, data, events, calls = _run(monkeypatch, d, self.NEW)
+            old_cut, old_data, old_events, old_calls = _run(monkeypatch, d, self.OLD)
+            # VertexCut equality compares value, L, S and R
+            assert (cut, data, events) == (old_cut, old_data, old_events), d.n
+            for _, name in COUNTED:
+                assert calls[name] <= old_calls[name], (d.n, name)
+                fewer[name] += calls[name] < old_calls[name]
+        assert all(fewer[name] > 0 for _, name in COUNTED), fewer
+
+    def test_uncovered_cluster_is_visited_again(self, monkeypatch):
+        """With a pair (max A, max B) left out of every crossing family built
+        at the first guess, no cluster with a low set is covered there: the
+        later guesses must bucket it again and reach the old answer."""
+        real_pairs = weighted.lopsided_pairs
+        real_family = weighted.asymmetric_crossing_family
+        state = {"ell": None, "cluster": None}
+        dropped, visits = set(), []
+
+        def lopsided_pairs(d, cluster, v_low, ell, r, cfg=weighted.DEFAULT):
+            state["ell"], state["cluster"] = ell, frozenset(cluster)
+            visits.append((ell, state["cluster"]))
+            return real_pairs(d, cluster, v_low, ell, r, cfg)
+
+        def family(a, b, l, r, cfg):
+            fam = real_family(a, b, l, r, cfg)
+            if state["ell"] != 1:
+                return fam
+            drop = (max(a), max(b))
+            dropped.add(state["cluster"])
+            return PairFamily([p for p in fam.pairs if p != drop], fam.degree_bound, fam.method)
+
+        monkeypatch.setattr(weighted, "lopsided_pairs", lopsided_pairs)
+        monkeypatch.setattr(weighted, "asymmetric_crossing_family", family)
+        again = 0
+        for seed in range(3):
+            d = random_digraph(12, 0.3, 64, seed)
+            for variant in (d, d.reverse()):
+                dropped.clear()
+                visits.clear()
+                mine = Counters()
+                got = lopsided_vc(variant, stats=mine)
+                later = {c for ell, c in visits if ell > 1}
+                again += len(dropped & later)
+                ref = Counters()
+                assert every_guess_lopsided(variant, stats=ref) == got
+                assert (mine.as_dict(), mine.events) == (ref.as_dict(), ref.events)
+        assert again > 0
