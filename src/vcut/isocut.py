@@ -40,6 +40,20 @@ the selector regime the cap stays the least value found plus one, so the
 result is the minimum, by `key()`, of every isolating cut at or below the
 caller's best.  In the pair regime, once a cut is found, the cap is its
 value: only a strictly smaller cut replaces it.
+
+Whole-graph probes are asked of a `maxflow.PairLedger` of g.  The
+unweighted driver owns one ledger of its sparsified graph per call and
+passes it to every balanced-terminal call (its rounds and terminal
+reduction's), to the unbalanced branch and to the expander pieces; without
+one, each call makes a fresh ledger.  The ledger only answers probes; the
+search still asks every probe, in the same order.  Each answer is exact: a
+probe of a fixed graph depends only on the pair and the cap (value and
+a-closest cut below the cap, (cap, None) at or above it), and the ledger
+answers from what it has stored only when that decides the probe.  The
+subgraph entry point sends its probes there too when T is all of V: its
+auxiliary graph is then g plus an isolated super-vertex, so the flow from
+a to {b, super-vertex} has the value and the a-closest separator of the
+a-b flow in g, and the candidate is remapped from that separator as before.
 """
 
 from __future__ import annotations
@@ -56,7 +70,7 @@ from .graphs import (
     better_cut,
     validate_cut,
 )
-from .maxflow import _graph_flow, min_s_to_set_separator, min_st_cut
+from .maxflow import _graph_flow, ledger_for, min_s_to_set_separator
 from .pseudorandom import build_selector, symmetric_crossing_family
 
 
@@ -190,17 +204,19 @@ def _balanced_search(g: Graph, terms, k, cfg, best, probe, isolate):
 
 
 def balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                         best=None):
+                         best=None, ledger=None):
     """Always returns a valid cut of g (or NoCut); it is a minimum cut
     whenever some cut splits the terminals with both sides large relative
     to the separator's terminal mass and is no larger than the caller's
     `best` (a cut of g or None).
 
-    The pair probes are whole-graph `min_st_cut` flows.
+    The pair probes are whole-graph `min_st_cut` flows, asked of `ledger`
+    (a `maxflow.PairLedger` of g; default: a fresh one).
     """
+    ledger = ledger_for(g, ledger)
 
     def probe(a, b, limit):
-        res = min_st_cut(g, a, b, limit=limit, stats=stats)
+        res = ledger.cut(a, b, limit, stats)
         return None if res is NoSeparator else res[1]
 
     def isolate(indep):
@@ -255,7 +271,7 @@ def _remap_candidate(g: Graph, separator):
 
 
 def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                                  best=None):
+                                  best=None, ledger=None):
     """balanced_terminal_vc confined to the edges incident to the terminal
     set, with a super-vertex standing in for the rest of the graph.
 
@@ -264,16 +280,28 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     to b is a flow from a to the sink set {b, super-vertex} on the
     auxiliary graph (`maxflow.min_s_to_set_separator`); the super-vertex is
     an isolating terminal beside every member set.
+
+    When T is all of V, the auxiliary graph is g plus an isolated
+    super-vertex, so that flow has the value and the separator of the a-b
+    flow in g: such a probe is asked of `ledger` (a `maxflow.PairLedger` of
+    g; default: a fresh one), and its separator is remapped as before.
     """
     terms = sorted(set(terminals))
     aux, nodes, virtual = _terminal_subgraph(g, terms)
     pos = {v: j for j, v in enumerate(nodes)}
 
+    whole = len(terms) == g.n
+    if whole:
+        ledger = ledger_for(g, ledger)
+
     def probe(a, b, limit):
-        res = min_s_to_set_separator(aux, pos[a], (pos[b], virtual), limit, stats)
+        if whole:
+            res = ledger.cut(a, b, limit, stats)
+        else:
+            res = min_s_to_set_separator(aux, pos[a], (pos[b], virtual), limit, stats)
         if res is NoSeparator or res[1] is None:
             return None
-        return _remap_candidate(g, (nodes[x] for x in res[1]))
+        return _remap_candidate(g, res[1].S if whole else (nodes[x] for x in res[1]))
 
     def isolate(indep):
         result = isolating_vertex_cuts(aux, [pos[v] for v in indep] + [virtual], stats=stats)

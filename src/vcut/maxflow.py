@@ -32,10 +32,11 @@ rule; a limit <= 0 is never a skip, because `_flow` answers it without a
 flow.  `min_st_cut`, `min_st_separator` and `min_s_to_set_separator` apply
 it (`_pair_screen`) before their flow, and the kernel query and the
 weighted pair loops apply it to the implicit kernels and the sparsified
-pair instances.  The unbalanced branch applies it to a whole-graph packing
-per pair, with a memo that packs each pair once per call.  `_graph_flow`
-itself never screens, so its counters stay those of the bypass-arc
-network.
+pair instances.  `PairLedger`, one per unweighted driver call and graph,
+applies it with a memo of each pair's packing, and keeps each pair's
+probe answer, so no (s, t) question on that graph is solved twice.
+`_graph_flow` itself never screens, so its counters stay those of the
+bypass-arc network.
 
 There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set
@@ -239,20 +240,23 @@ def packing_reaches(out_adj, weights, s, ends, limit, stats, memo=None, key=None
     weights, s, ends, limit)` reaches `limit`: the capped flow it stands in
     for would stop at its limit.  A limit of None or <= 0 is never a skip.
 
-    With a dict `memo`, the packing runs once per `key` and its total is
-    kept for every later call under that key.  The greedy packing adds one
+    With a dict `memo`, the packing's (total, limit) is kept under `key`
+    and decides later calls under that key.  The greedy packing adds one
     path at a time in an order that does not depend on the limit, so a
     packing under one limit is a prefix of the packing under any higher
-    one: the kept total is still a lower bound, and for every later limit
-    no higher than the first it decides exactly as a new packing would."""
+    one.  A kept total below its own limit ran out of paths: it is the
+    whole greedy packing and decides every later limit.  A kept total that
+    stopped at its limit decides every later limit up to the total; a
+    higher limit packs again and replaces it.  Either way each call decides
+    exactly as a new packing would."""
     if limit is None or limit <= 0:
         return False
-    total = None if memo is None else memo.get(key)
-    if total is None:
-        total = weighted_paths(out_adj, weights, s, ends, limit)
+    got = None if memo is None else memo.get(key)
+    if got is None or got[1] <= got[0] < limit:
+        got = weighted_paths(out_adj, weights, s, ends, limit), limit
         if memo is not None:
-            memo[key] = total
-    if total < limit:
+            memo[key] = got
+    if got[0] < limit:
         return False
     if stats is not None:
         stats.add("path_skips")
@@ -320,6 +324,92 @@ def min_s_to_set_separator(g, s, terminals, limit=None, stats=None):
     if not completed:
         return value, None
     return value, tuple(sep)
+
+
+def stored_probe(got, limit):
+    """The answer of a capped probe under `limit` (None: no limit), read
+    from an earlier probe `got` of the same ordered pair on the same graph,
+    or None when `got` (None: no earlier probe) does not decide it.
+
+    A completed (value, cut) knows kappa: it answers every limit, with the
+    cut below it and (limit, None) at or above it.  A capped (L, None)
+    knows only kappa >= L, so it answers limits <= L."""
+    if got is None:
+        return None
+    value, cut = got
+    if limit is not None and limit <= value:
+        return limit, None
+    return got if cut is not None else None
+
+
+class PairLedger:
+    """What one driver call learns about the vertex pairs of one Graph, so
+    that no (a, b) question on it is solved twice.
+
+    Per ordered pair it keeps the greedy packing from a to N(b) (`packs`,
+    the memo of `packing_reaches`) and the probe as a capped flow returned
+    it (`probes`): a completed (value, cut), or (L, None) for kappa(a, b)
+    >= L, also written when a packing reaches L.  Adjacency is the graph's
+    own.  `cut` answers `min_st_cut` from these by `stored_probe`, and by
+    the mirror pair's bound, since kappa is symmetric; only the cut of a
+    completed probe is one-sided (the a-closest minimum cut), so a mirror
+    never supplies it.  Every answer is what `min_st_cut` returns on the
+    graph: the entries depend only on the pair, and an answer depends only
+    on kappa, the limit and the a-closest cut.
+    """
+
+    __slots__ = ("graph", "packs", "probes", "_unit")
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.packs = {}
+        self.probes = {}
+        self._unit = [1] * graph.n
+
+    def at_least(self, a, b, limit, stats=None):
+        """True when kappa(a, b) >= `limit` follows from a stored probe of
+        either orientation, or from the packing from a to N(b), which is
+        then recorded as (limit, None).  A limit of None is never reached;
+        a and b must not be adjacent."""
+        if limit is None:
+            return False
+        for key in ((a, b), (b, a)):
+            got = self.probes.get(key)
+            if got is not None and got[0] >= limit:
+                return True
+        g = self.graph
+        if not packing_reaches(
+            g.adj, self._unit, a, g.neighbor_set(b), limit, stats, self.packs, (a, b)
+        ):
+            return False
+        self.probes[a, b] = (limit, None)
+        return True
+
+    def cut(self, a, b, limit=None, stats=None):
+        """`min_st_cut(self.graph, a, b, limit, stats)`, answered from the
+        ledger where it can be; a flow's answer is recorded."""
+        got = stored_probe(self.probes.get((a, b)), limit)
+        if got is not None:
+            return got
+        g = self.graph
+        if a in g.neighbor_set(b):
+            return NoSeparator
+        if self.at_least(a, b, limit, stats):
+            return limit, None
+        value, sep, reach, completed = _graph_flow(g, [a], [b], limit=limit, stats=stats)
+        cut = _reach_cut(g.n, value, sep, reach) if completed else None
+        self.probes[a, b] = (value, cut)
+        return value, cut
+
+
+def ledger_for(g: Graph, ledger=None):
+    """`ledger`, checked to be a `PairLedger` of g, or a fresh one when it
+    is None."""
+    if ledger is None:
+        return PairLedger(g)
+    if ledger.graph is not g:
+        raise InvariantError("pair ledger of another graph")
+    return ledger
 
 
 def rooted_connectivity(g: Graph, a: int, stats=None):

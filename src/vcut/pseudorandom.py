@@ -86,7 +86,8 @@ class PairFamily:
 
     def unordered(self):
         if self._unordered is None:
-            keys = ((u, v) if u < v else (v, u) for u, v in self.pairs if u != v)
+            # A pair already written (min, max) is reused, not copied.
+            keys = (p if p[0] < p[1] else p[::-1] for p in self.pairs if p[0] != p[1])
             self._unordered = tuple(dict.fromkeys(keys))
         return self._unordered
 
@@ -431,6 +432,13 @@ def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
     whose floor-power-of-two sizes are (l, r)), de-duplicated in
     first-occurrence order.  Ground sets of size <= 2 or alpha >= n
     short-circuit to the complete family.
+
+    The union stops at the first guess after which it holds all n * n
+    pairs: later guesses could add no pair and move none, and the bound is
+    n either way (each family's degree bound is at least its largest
+    source degree, so the bounds of a union that gives every source n
+    targets sum to at least n).  Only `method` omits the labels of the
+    guesses left out.
     """
     universe = tuple(range(n))
     if n <= 2 or alpha >= n:
@@ -444,17 +452,19 @@ def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
                 guesses.append((l, r))
             r *= 2
         l *= 2
-    pairs = []
+    if not guesses:
+        return PairFamily(_complete_pairs(universe, universe), n, "complete")
+    pairs = {}
     total_bound = 0
     methods = set()
     for l, r in guesses:
         fam = asymmetric_crossing_family(universe, universe, l, r, cfg)
-        pairs.extend(fam.pairs)
+        pairs.update(dict.fromkeys(fam.pairs))
         total_bound += fam.degree_bound
         methods.add(fam.method)
-    if not guesses:
-        return PairFamily(_complete_pairs(universe, universe), n, "complete")
-    return PairFamily(dict.fromkeys(pairs), min(total_bound, n), "+".join(sorted(methods)))
+        if len(pairs) == n * n:
+            break
+    return PairFamily(pairs, min(total_bound, n), "+".join(sorted(methods)))
 
 
 def map_pairs(family: PairFamily, vertices) -> PairFamily:

@@ -27,16 +27,36 @@ shared so that no piece's search is repeated:
   an entry is found under its filling call's cap, so it is valid for that
   phi and any smaller one, which is all a halving retry asks of it;
 - within a driver call, one `PieceStore`: each piece's induced subgraph
-  (built once, so its split network is too) and every pair probe made on
-  it, across all rounds.  A stored completed probe answers every later
-  cap; a stored (L, None) says kappa >= L and answers any later cap <= L,
-  and a larger cap (|T| grows when X holds non-terminals) solves the pair
-  again.
+  (built once, so its split network is too) and a `PairLedger` of it that
+  keeps every pair probe made on it, across all rounds.  A stored
+  completed probe answers every later cap; a stored (L, None) says kappa
+  >= L and answers any later cap <= L, and a larger cap (|T| grows when X
+  holds non-terminals) solves the pair again.
 
 Answers, cuts, decompositions and events are those of uncapped probes and a
 fresh store per round; only `flow_calls`, `flow_edges` and `path_skips`
 move.  Pieces of at most EXHAUSTIVE_MAX vertices are searched by one numpy
 scan over all vertex subsets (`_exhaustive_sparsest`), which needs no flows.
+
+The driver asks the same (s, t) questions of its sparsified graph gs in
+every branch, so it owns one `maxflow.PairLedger` of gs per call and
+passes it down.  The ledger keeps, per ordered pair, the greedy packing
+from s to N(t) and the probe as a capped flow returned it, and answers a
+`min_st_cut` question from them where they decide it.  Four routes use it:
+
+- the whole-graph probes of every balanced-terminal call (the driver's
+  rounds and terminal reduction's);
+- the cluster calls of the unbalanced branch whose cluster is all of V
+  (see `isocut`: that probe is the a-b flow of gs);
+- the unbalanced branch's pair loop: a pair is settled once the ledger
+  shows kappa >= the cap (`unbalanced_vc`), and its flows are the
+  ledger's uncapped probes;
+- the expander piece that is all of V, which is gs itself.
+
+Each route is exact because an answer depends only on the pair, kappa,
+the cap and the s-closest minimum cut, all fixed for gs, and the ledger
+answers only when its entries decide that answer; the callers still ask
+every question in the same order.  The ledger lives as long as the call.
 """
 
 from __future__ import annotations
@@ -52,7 +72,6 @@ from .errors import BudgetExceeded, InvariantError, UndefinedExpansion
 from .graphs import (
     Graph,
     NoCut,
-    NoSeparator,
     VertexCut,
     _log2ceil,
     better_cut,
@@ -62,7 +81,7 @@ from .graphs import (
 )
 from .isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
 from .kernel import build_kernel_index, query_kappa_upper
-from .maxflow import min_st_cut, packing_reaches
+from .maxflow import PairLedger, ledger_for
 from .pseudorandom import symmetric_crossing_family
 
 
@@ -82,27 +101,34 @@ class PieceStore:
     shared by every terminal-reduction round and phi retry of the call.
 
     A piece (its sorted vertex tuple) maps to its induced subgraph, the
-    subgraph's id map (local id -> id in the graph) and the capped
-    `min_st_cut` probes made on the subgraph, keyed by the local pair.  The
-    subgraph is built once, so its split network is built once too.  A
+    subgraph's id map (local id -> id in the graph) and a `PairLedger` of
+    the subgraph, which keeps the capped `min_st_cut` probes made on it.
+    The subgraph is built once, so its split network is built once too.  A
     probe is kept as its flow returned it: a completed (value, cut), which
     answers every later cap, or (L, None) for kappa >= L, which answers
-    every later cap <= L; `_sparsest_canonical_cut` solves a pair again
-    under a larger cap and keeps the new answer.
+    every later cap <= L (`maxflow.stored_probe`); a larger cap solves the
+    pair again and keeps the new answer.  The piece that is all of V is
+    the graph itself, and its probes go to `ledger`, the ledger of the
+    graph (default: a fresh one; the driver passes its own).
     """
 
-    __slots__ = ("graph", "pieces")
+    __slots__ = ("graph", "pieces", "ledger")
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, ledger=None):
         self.graph = graph
         self.pieces = {}
+        self.ledger = ledger_for(graph, ledger)
 
     def piece(self, piece):
-        """(subgraph, ids, probes) of `piece`, built on first use."""
+        """(subgraph, ids, ledger) of `piece`, built on first use."""
         entry = self.pieces.get(piece)
         if entry is None:
-            sub, ids = self.graph.induced(piece)
-            entry = self.pieces[piece] = (sub, ids, {})
+            if len(piece) == self.graph.n:
+                entry = (self.graph, range(self.graph.n), self.ledger)
+            else:
+                sub, ids = self.graph.induced(piece)
+                entry = (sub, ids, PairLedger(sub))
+            self.pieces[piece] = entry
         return entry
 
 
@@ -194,7 +220,7 @@ def _probe_cap(terminals, phi):
     return max(1, math.ceil(phi * terminals / (2 - phi)))
 
 
-def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, probes=None):
+def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, ledger=None):
     """Best (lowest h_T) canonical cut (A, N(A), rest) of g whenever some
     cut has h_T < phi.
 
@@ -208,12 +234,10 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, probe
     is some cut with h_T >= phi, or None.  None also when nothing with
     positive terminal mass on both sides exists.  Returns (h, cut) or None.
 
-    `probes` maps a pair (u, v) to its stored probe: a completed (value,
-    cut), whose cut counts under a cap above value, or (L, None), which
-    stands for any cap <= L and is solved again (and replaced) under a
-    larger one.  Either way a stored probe answers as a new capped flow
-    would, and the `PieceStore` entry of a piece carries its probes from
-    one terminal set to the next.
+    The probes are asked of `ledger`, a `maxflow.PairLedger` of g (default:
+    a fresh one), which answers each from a stored probe where it can, as
+    a new capped flow would; the `PieceStore` entry of a piece carries its
+    ledger from one terminal set to the next.
     """
     tset = set(terminals)
     n = g.n
@@ -241,8 +265,8 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, probe
             sep = {v for v in range(n) if found[1] >> v & 1}
             consider(left, sep, set(range(n)) - left - sep)
     else:
-        if probes is None:
-            probes = {}
+        if ledger is None:
+            ledger = PairLedger(g)
         comps = g.components()
         if len(comps) > 1:
             universe = set(range(n))
@@ -259,11 +283,8 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, probe
                 if g.has_edge(u, v):
                     continue
                 count += 1
-                res = probes.get((u, v))
-                if res is None or (res[1] is None and (cap is None or res[0] < cap)):
-                    res = probes[u, v] = min_st_cut(g, u, v, limit=cap, stats=stats)
-                value, cut = res
-                if cut is not None and (cap is None or value < cap):
+                cut = ledger.cut(u, v, cap, stats)[1]
+                if cut is not None:
                     consider(set(cut.L), set(cut.S), set(cut.R))
             if count >= probe_budget:
                 break
@@ -285,10 +306,10 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
     is found with probes capped for the phi of the call that fills it, so
     it decides a piece exactly for that phi and any smaller one, and a
     cache must never be read at a larger phi.  `store`, a `PieceStore` of g
-    (default: a fresh one), keeps each piece's induced subgraph and flow
-    probes for the whole driver call; a stored probe answers a later cap
-    as a new capped flow would, so sharing it leaves the decomposition
-    unchanged.
+    (default: a fresh one), keeps each piece's induced subgraph and its
+    probes' ledger for the whole driver call; a stored probe answers a
+    later cap as a new capped flow would, so sharing it leaves the
+    decomposition unchanged.
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -312,11 +333,11 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
             continue
         key = piece
         if key not in cache:
-            sub, ids, probes = store.piece(piece)
+            sub, ids, ledger = store.piece(piece)
             local_terms = [j for j, v in enumerate(ids) if v in tset]
             got = _sparsest_canonical_cut(
                 sub, local_terms, phi, probe_budget=min(48, 4 * len(piece)), stats=stats,
-                probes=probes,
+                ledger=ledger,
             )
             if got is None:
                 cache[key] = None
@@ -377,14 +398,16 @@ def shaving(h: Graph, candidates, a):
 
 
 def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                       store=None):
+                       store=None, ledger=None):
     """One reduction round: returns (best cut or NoCut, T') with
     |T'| <= 0.9 |T|.
 
     Follows the decomposition / contraction / shaving / clustering /
     pruning sequence; every candidate cut comes from the balanced-terminal
     subroutine and validates in g.  `store` is the `PieceStore` of g that
-    the expander decompositions read (default: a fresh one each).
+    the expander decompositions read (default: a fresh one each), and
+    `ledger` the `PairLedger` of g that the balanced-terminal calls ask
+    (default: a fresh one each).
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -491,10 +514,10 @@ def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None
                             x_prime.discard(x)
             cand_terms = sorted(x_prime | set(t_bar))
             if cand_terms:
-                offer(balanced_terminal_vc(g, cand_terms, k, cfg, stats))
+                offer(balanced_terminal_vc(g, cand_terms, k, cfg, stats, ledger=ledger))
             cand_low = sorted(set(x_low) | set(t_bar))
             if cand_low:
-                offer(balanced_terminal_vc(g, cand_low, k, cfg, stats))
+                offer(balanced_terminal_vc(g, cand_low, k, cfg, stats, ledger=ledger))
 
     t_prime = sorted(set(x_list) | set(t_big) | set(t_small) | set(t_bar))
     limit = math.floor(0.9 * len(terms))
@@ -516,7 +539,7 @@ def _adj_from_edges(n, edges):
     return [sorted(r) for r in adj]
 
 
-def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
+def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None, ledger=None):
     """Cut search targeting minimum cuts with a small side.
 
     Per power-of-two scale: crossing-family pairs answered through the
@@ -525,25 +548,31 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     best cut so far, with any improvement realized by one full-graph flow;
     plus one balanced-terminal call per distinct cluster.  Always returns a
     valid cut; minimum whenever some minimum cut has |L| <= lambda * delta
-    with |L| <= |R|.
+    with |L| <= |R|.  The kernel indexes of all scales share one table of
+    clustering distances, since neither the low-degree set nor the
+    distances depend on the scale.
 
-    Before any kernel query, each pair {s, t}, s < t, is settled by a
-    whole-graph certificate: a unit-capacity packing of paths from s to
-    N(t), run once per call and kept in a per-call memo
-    (`maxflow.packing_reaches`).  While its total is >= the cap
-    `best.value`, the pair is skipped in both orientations at every scale,
-    with no query and no flow.  The skip is exact:
+    Every pair question goes to `ledger`, a `maxflow.PairLedger` of g
+    (default: a fresh one), which the driver shares with its balanced
+    rounds.  Before any kernel query, each pair {s, t}, s < t, is settled
+    when the ledger shows kappa_G(s,t) >= the cap `best.value`: from a
+    probe of either orientation stored by a cluster call, or from a
+    unit-capacity packing of paths from s to N(t), packed once per call
+    unless a higher limit asks for more.  A settled pair is skipped in
+    both orientations, with no query and no flow.  The skip is exact:
 
-    - the packing's total is <= kappa_G(s,t) (Menger);
+    - the packing's total, and a stored probe's value, is <= kappa_G(s,t)
+      (Menger);
     - `query_kappa_upper` never undershoots kappa_G(s,t), so the query
       would have answered >= cap and made no full-graph flow;
-    - the cap never rises within a call, so a total kept from an earlier,
-      higher cap decides each later cap as a new packing would.
+    - the cap never rises within a call, so a pair settled at one cap is
+      settled at every later one, and the ledger says so with no call.
 
     A skipped pair is thus one where the kernel query leaves `best` alone;
     answers, cuts and events are those of querying every pair, and only
     `path_skips`, `kernel_edges` and the flow counts move.  The kernel
-    index decides only the pairs the packing leaves open.
+    index decides only the pairs the ledger leaves open, and the flow it
+    asks for is the ledger's uncapped probe of the pair.
     """
     if g.is_complete():
         return NoCut(max(0, g.n - 1))
@@ -552,20 +581,20 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     logn = _log2ceil(g.n)
     max_scale = _log2ceil(delta * logn)
     seen_clusters = set()
-    unit = [1] * g.n
-    packed = {}  # (s, t), s < t -> whole-graph packing total
+    ledger = ledger_for(g, ledger)
+    distances = {}
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
         family = symmetric_crossing_family(g.n, alpha, cfg)
-        index = build_kernel_index(g, ell, cfg, stats)
-        for ci, cluster in enumerate(index.clusters):
+        index = build_kernel_index(g, ell, cfg, stats, cache=distances)
+        for cluster in index.clusters:
             key = frozenset(cluster)
             if key in seen_clusters or len(cluster) < 2:
                 continue
             seen_clusters.add(key)
             cand = subgraph_balanced_terminal_vc(
-                g, cluster, delta * logn, cfg, stats, best=best
+                g, cluster, delta * logn, cfg, stats, best=best, ledger=ledger
             )
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
@@ -578,15 +607,11 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
             # clusters, so try both orientations before giving up.
             for a, b in ((s, t), (t, s)):
                 cap = best.value if isinstance(best, VertexCut) else g.n
-                if packing_reaches(
-                    g.adj, unit, s, g.neighbor_set(t), cap, stats, packed, (s, t)
-                ):
+                if ledger.at_least(s, t, cap, stats):
                     break  # kappa_G(s,t) >= cap: no orientation can improve
                 kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
                 if kappa_hat < cap:
-                    res = min_st_cut(g, a, b, stats=stats)
-                    if res is not NoSeparator and res[1] is not None:
-                        best = better_cut(best, res[1])
+                    best = better_cut(best, ledger.cut(a, b, None, stats)[1])
     return best
 
 
@@ -614,6 +639,7 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
     gs = ni_sparsify(g, g.min_degree())
     k = max(1, gs.min_degree())
     best = min_degree_cut(g)
+    ledger = PairLedger(gs)
 
     def offer(candidate):
         nonlocal best
@@ -621,12 +647,12 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
             best = better_cut(best, candidate)
 
     if unbalanced:
-        offer(unbalanced_vc(gs, cfg, stats))
+        offer(unbalanced_vc(gs, cfg, stats, ledger=ledger))
     terms = tuple(range(g.n))
-    store = PieceStore(gs)
+    store = PieceStore(gs, ledger)
     while terms:
-        offer(balanced_terminal_vc(gs, terms, k, cfg, stats, best=best))
-        reduced, terms = terminal_reduction(gs, terms, k, cfg, stats, store=store)
+        offer(balanced_terminal_vc(gs, terms, k, cfg, stats, best=best, ledger=ledger))
+        reduced, terms = terminal_reduction(gs, terms, k, cfg, stats, store=store, ledger=ledger)
         offer(reduced)
     assert isinstance(best, VertexCut)
     return best

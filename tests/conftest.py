@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from vcut import _pyflow, maxflow, weighted
+from vcut import _pyflow, isocut, maxflow, unweighted, weighted
 from vcut.config import DEFAULT
 from vcut.errors import InvariantError
 from vcut.graphs import (
@@ -23,11 +23,12 @@ from vcut.graphs import (
     better_cut,
     min_degree_cut,
     min_out_neighborhood_cut,
+    ni_sparsify,
     validate_cut,
 )
 from vcut.isocut import subgraph_balanced_terminal_vc
 from vcut.kernel import build_kernel_index, query_kappa_upper
-from vcut.maxflow import min_st_cut, weighted_paths
+from vcut.maxflow import min_s_to_set_separator, min_st_cut, weighted_paths
 from vcut.pseudorandom import symmetric_crossing_family
 
 
@@ -145,6 +146,134 @@ def query_every_pair(g, cfg=DEFAULT, stats=None):
                     res = min_st_cut(g, a, b, stats=stats)
                     if res is not NoSeparator and res[1] is not None:
                         best = better_cut(best, res[1])
+    return best
+
+
+def unledgered_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None, best=None,
+                                    ledger=None):
+    """Reference for `isocut.balanced_terminal_vc`: the same search, but
+    each pair probe is its own whole-graph `min_st_cut`; `ledger` is
+    ignored.  This is the package's former probe closure."""
+
+    def probe(a, b, limit):
+        res = min_st_cut(g, a, b, limit=limit, stats=stats)
+        return None if res is NoSeparator else res[1]
+
+    def isolate(indep):
+        result = isocut.isolating_vertex_cuts(g, indep, stats=stats)
+        return [result.cut(v) for v in indep]
+
+    return isocut._balanced_search(g, sorted(set(terminals)), k, cfg, best, probe, isolate)
+
+
+def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None,
+                                             best=None):
+    """Reference for `isocut.subgraph_balanced_terminal_vc`: every pair
+    probe is a flow to {b, super-vertex} on the auxiliary graph, also when
+    the terminals are all of V.  This is the package's former probe
+    closure."""
+    terms = sorted(set(terminals))
+    aux, nodes, virtual = isocut._terminal_subgraph(g, terms)
+    pos = {v: j for j, v in enumerate(nodes)}
+
+    def probe(a, b, limit):
+        res = min_s_to_set_separator(aux, pos[a], (pos[b], virtual), limit, stats)
+        if res is NoSeparator or res[1] is None:
+            return None
+        return isocut._remap_candidate(g, (nodes[x] for x in res[1]))
+
+    def isolate(indep):
+        result = isocut.isolating_vertex_cuts(aux, [pos[v] for v in indep] + [virtual], stats=stats)
+        return [
+            isocut._remap_candidate(g, (nodes[j] for j in result.separator(pos[v])))
+            for v in indep
+        ]
+
+    return isocut._balanced_search(g, terms, k, cfg, best, probe, isolate)
+
+
+def unledgered_unbalanced_vc(g, cfg=DEFAULT, stats=None):
+    """Reference for `unweighted.unbalanced_vc`: the same scales, cluster
+    calls and pair order, with the former per-call packing memo (each pair
+    {s, t}, s < t, packed from s to N(t) once), the former cluster probes
+    (`unledgered_subgraph_balanced_terminal_vc`), a fresh distance table
+    per kernel index, and a full-graph `min_st_cut` per improving query.
+    This is the package's former loop, before the pair ledger."""
+    if g.is_complete():
+        return NoCut(max(0, g.n - 1))
+    delta = g.min_degree()
+    best = min_degree_cut(g)
+    logn = _log2ceil(g.n)
+    max_scale = _log2ceil(delta * logn)
+    seen_clusters = set()
+    unit = [1] * g.n
+    packed = {}
+    for i in range(1, max_scale + 1):
+        ell = 2 ** i
+        alpha = max(1, Fraction(2 * delta, ell))
+        family = symmetric_crossing_family(g.n, alpha, cfg)
+        index = build_kernel_index(g, ell, cfg, stats)
+        for cluster in index.clusters:
+            key = frozenset(cluster)
+            if key in seen_clusters or len(cluster) < 2:
+                continue
+            seen_clusters.add(key)
+            cand = unledgered_subgraph_balanced_terminal_vc(
+                g, cluster, delta * logn, cfg, stats, best=best
+            )
+            if isinstance(cand, VertexCut) and validate_cut(g, cand):
+                best = better_cut(best, cand)
+        for s, t in family.unordered():
+            if isinstance(best, VertexCut) and best.value <= 1:
+                break
+            if g.has_edge(s, t):
+                continue
+            for a, b in ((s, t), (t, s)):
+                cap = best.value if isinstance(best, VertexCut) else g.n
+                if maxflow.packing_reaches(
+                    g.adj, unit, s, g.neighbor_set(t), cap, stats, packed, (s, t)
+                ):
+                    break
+                kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
+                if kappa_hat < cap:
+                    res = min_st_cut(g, a, b, stats=stats)
+                    if res is not NoSeparator and res[1] is not None:
+                        best = better_cut(best, res[1])
+    return best
+
+
+def unledgered_driver(g, cfg=DEFAULT, stats=None, unbalanced=True):
+    """Reference for `unweighted.vertex_connectivity_unweighted`: the same
+    driver with no pair ledger.  The unbalanced branch is
+    `unledgered_unbalanced_vc`, every balanced-terminal call (the driver's
+    rounds and terminal reduction's, through `unweighted`) is
+    `unledgered_balanced_terminal_vc`, and the piece store has a ledger
+    of its own, so the piece that is all of V shares no probe with the
+    rest of the call."""
+    if g.n <= 1 or len(g.components()) > 1 or g.is_complete():
+        return unweighted.vertex_connectivity_unweighted(g, cfg, stats, unbalanced)
+    gs = ni_sparsify(g, g.min_degree())
+    k = max(1, gs.min_degree())
+    best = min_degree_cut(g)
+
+    def offer(candidate):
+        nonlocal best
+        if isinstance(candidate, VertexCut) and validate_cut(g, candidate):
+            best = better_cut(best, candidate)
+
+    if unbalanced:
+        offer(unledgered_unbalanced_vc(gs, cfg, stats))
+    terms = tuple(range(g.n))
+    store = unweighted.PieceStore(gs)
+    real = unweighted.balanced_terminal_vc
+    unweighted.balanced_terminal_vc = unledgered_balanced_terminal_vc
+    try:
+        while terms:
+            offer(unledgered_balanced_terminal_vc(gs, terms, k, cfg, stats, best=best))
+            reduced, terms = unweighted.terminal_reduction(gs, terms, k, cfg, stats, store=store)
+            offer(reduced)
+    finally:
+        unweighted.balanced_terminal_vc = real
     return best
 
 

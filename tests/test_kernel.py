@@ -4,9 +4,10 @@ import math
 import pytest
 
 from conftest import complete, disjoint_paths
+from vcut import kernel
 from vcut.config import DEFAULT
 from vcut.errors import EmptyKernel, InvariantError
-from vcut.graphs import Graph, NoSeparator
+from vcut.graphs import Graph, NoSeparator, _log2ceil
 from vcut.instrument import Counters
 from vcut.kernel import (
     _assemble_kernel,
@@ -40,6 +41,38 @@ class TestBuildIndex:
         logn = max(1, math.ceil(math.log2(20)))
         for v in idx.v_low:
             assert len(idx.clusters_of(v)) <= DEFAULT.cnc_partition_factor * logn
+
+
+    def test_shared_cache_over_scales(self, monkeypatch):
+        """One distance `cache` over the scales of an unbalanced call gives
+        the clusters of fresh builds at every scale, and asks for each
+        pair's symmetric difference at most once."""
+        real = kernel.symdiff_size
+        asked = []
+
+        def counted(g, u, v):
+            asked.append((u, v))
+            return real(g, u, v)
+
+        monkeypatch.setattr(kernel, "symdiff_size", counted)
+        graphs = [random_graph(n, p, 60 + n) for n in (16, 24, 32) for p in (0.15, 0.3)]
+        graphs += [
+            generate_planted("unbalanced", {"l": 2, "s": 3, "r": 14}, seed=seed).graph
+            for seed in range(2)
+        ]
+        saved = 0
+        for g in graphs:
+            top = _log2ceil(g.min_degree() * _log2ceil(g.n))
+            scales = [2 ** i for i in range(1, top + 1)]
+            fresh = [build_kernel_index(g, ell).clusters for ell in scales]
+            fresh_asks = len(asked)
+            asked.clear()
+            cache = {}
+            assert [build_kernel_index(g, ell, cache=cache).clusters for ell in scales] == fresh
+            assert len(asked) == len(set(asked)) <= fresh_asks
+            saved += fresh_asks - len(asked)
+            asked.clear()
+        assert saved > 0
 
 
 class TestKernelGraph:

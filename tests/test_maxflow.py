@@ -21,6 +21,7 @@ from vcut.graphs import Graph, NoCut, NoSeparator, VertexCut, min_degree_cut, va
 from vcut.instrument import Counters
 from vcut.maxflow import (
     BACKEND,
+    PairLedger,
     _graph_flow,
     even_sweep,
     min_s_to_set_separator,
@@ -28,6 +29,7 @@ from vcut.maxflow import (
     min_st_separator,
     packing_reaches,
     rooted_connectivity,
+    stored_probe,
     vertex_max_flow,
     weak_separator,
     weighted_paths,
@@ -529,8 +531,8 @@ class TestWeightedPaths:
 class TestPackingMemo:
     """`packing_reaches` with a memo packs once per key.  Under limits that
     never rise it decides and counts skips as a new packing per call does;
-    under a rising limit a kept total still never claims a skip that a new
-    packing would not."""
+    under a rising limit a kept total that stopped at its own limit packs
+    again, so each call still decides as a new packing would."""
 
     def test_memo_decides_as_new_packings(self):
         skips = 0
@@ -547,13 +549,113 @@ class TestPackingMemo:
                     want = packing_reaches(d.out_adj, d.weights, s, ends, limit, fresh)
                     assert got == want, (s, t, limit)
                     assert mine.data == fresh.data
-                assert list(memo) == [(s, t)] and memo[(s, t)] == full
+                assert list(memo) == [(s, t)] and memo[(s, t)] == (full, full + 2)
                 rising = {}
                 for limit in range(1, full + 3):
                     got = packing_reaches(d.out_adj, d.weights, s, ends, limit, None, rising, 0)
-                    assert not got or full >= limit
+                    assert got == (full >= limit), (s, t, limit)
                 skips += mine.get("path_skips")
         assert skips > 0
+
+
+def _two_layers():
+    """0 - {2, 3} - {4, 5} - 1, each layer joined to the next in full:
+    kappa(0, 1) = 2, the 0-closest separator is {2, 3} and the 1-closest
+    is {4, 5}."""
+    return Graph.from_edges(6, [(0, 2), (0, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 1), (5, 1)])
+
+
+class TestPairLedger:
+    """The ledger's answer rule: every answer is `min_st_cut`'s, and a
+    stored probe, a mirror bound or a kept packing stands in for work
+    only where it decides the question."""
+
+    @staticmethod
+    def _ask(ledger, a, b, limit, monkeypatch):
+        """(answer, packings, flows) of one ledger question."""
+        packings = []
+        real = maxflow.weighted_paths
+
+        def counted(*args):
+            packings.append(args)
+            return real(*args)
+
+        stats = Counters()
+        with monkeypatch.context() as patch:
+            patch.setattr(maxflow, "weighted_paths", counted)
+            got = ledger.cut(a, b, limit, stats)
+        return got, len(packings), stats.get("flow_calls")
+
+    def test_stored_probe_rule(self):
+        cut = VertexCut([0], [1, 2], [3], 2)
+        assert stored_probe(None, 3) is None
+        assert stored_probe((2, cut), None) == (2, cut)
+        assert stored_probe((2, cut), 3) == (2, cut)
+        assert stored_probe((2, cut), 2) == (2, None)
+        assert stored_probe((5, None), 5) == (5, None)
+        assert stored_probe((5, None), 4) == (4, None)
+        assert stored_probe((5, None), 6) is None
+        assert stored_probe((5, None), None) is None
+
+    def test_mirror_bound_answers(self, monkeypatch):
+        g = Graph.from_edges(20, [e for e in itertools.combinations(range(20), 2) if e != (0, 1)])
+        ledger = PairLedger(g)
+        assert self._ask(ledger, 0, 1, 5, monkeypatch) == ((5, None), 1, 0)
+        assert ledger.probes == {(0, 1): (5, None)}
+        assert self._ask(ledger, 1, 0, 5, monkeypatch) == ((5, None), 0, 0)
+        assert self._ask(ledger, 1, 0, 3, monkeypatch) == ((3, None), 0, 0)
+        assert (1, 0) not in ledger.packs and (1, 0) not in ledger.probes
+        assert self._ask(ledger, 1, 0, 6, monkeypatch) == ((6, None), 1, 0)
+
+    def test_mirror_cut_does_not_answer(self, monkeypatch):
+        g = _two_layers()
+        ledger = PairLedger(g)
+        (value, far), _, flows = self._ask(ledger, 1, 0, None, monkeypatch)
+        assert (value, far.S, flows) == (2, (4, 5), 1)
+        # The mirror's value decides a capped question ...
+        assert self._ask(ledger, 0, 1, 2, monkeypatch) == ((2, None), 0, 0)
+        # ... but its cut is the other closest cut, so this one needs a flow.
+        (value, near), _, flows = self._ask(ledger, 0, 1, 3, monkeypatch)
+        assert (value, near.S, flows) == (2, (2, 3), 1)
+        assert near == min_st_cut(g, 0, 1)[1] and far == min_st_cut(g, 1, 0)[1]
+
+    def test_completed_probe_answers_every_limit(self, monkeypatch):
+        g = _two_layers()
+        ledger = PairLedger(g)
+        got, _, flows = self._ask(ledger, 0, 1, None, monkeypatch)
+        assert flows == 1
+        assert self._ask(ledger, 0, 1, None, monkeypatch) == (got, 0, 0)
+        assert self._ask(ledger, 0, 1, 3, monkeypatch) == (got, 0, 0)
+        assert self._ask(ledger, 0, 1, 2, monkeypatch) == ((2, None), 0, 0)
+        assert self._ask(ledger, 0, 2, 1, monkeypatch) == (NoSeparator, 0, 0)
+
+    def test_stopped_packing_packs_again(self, monkeypatch):
+        g = Graph.from_edges(20, [e for e in itertools.combinations(range(20), 2) if e != (0, 1)])
+        ledger = PairLedger(g)
+        assert ledger.at_least(0, 1, 2)
+        assert ledger.packs == {(0, 1): (2, 2)}
+        assert self._ask(ledger, 0, 1, 6, monkeypatch) == ((6, None), 1, 0)
+        assert ledger.packs == {(0, 1): (6, 6)}
+        # A packing that ran out of paths below its limit is never redone.
+        ledger = PairLedger(_two_layers())
+        assert not ledger.at_least(0, 1, 5)
+        assert ledger.packs == {(0, 1): (2, 5)}
+        got, packings, flows = self._ask(ledger, 0, 1, 7, monkeypatch)
+        assert (got[0], packings, flows) == (2, 0, 1)
+
+    def test_answers_are_min_st_cut(self):
+        rng = random.Random(3)
+        asked = 0
+        for seed in range(6):
+            g = random_graph(14, (0.2, 0.35)[seed % 2], seed)
+            ledger = PairLedger(g)
+            for _ in range(300):
+                a, b = rng.sample(range(g.n), 2)
+                limit = rng.choice((None, 1, 2, 3, 4, 5))
+                assert ledger.cut(a, b, limit) == min_st_cut(g, a, b, limit), (seed, a, b, limit)
+                asked += 1
+            assert any(cut is not None for _, cut in ledger.probes.values())
+        assert asked == 1800
 
 
 class TestTwoHopCertificate:

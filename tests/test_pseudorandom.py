@@ -1,9 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vcut import pseudorandom
 from vcut.config import DEFAULT
 from vcut.errors import ConstructionFailed, InvariantError
 from vcut.oracle import (
@@ -220,6 +222,62 @@ class TestPairFamilyContract:
         fam = PairFamily([(2, 1), (1, 1), (0, 3), (1, 2), (3, 0), (4, 2)], 3, "test")
         assert fam.unordered() == ((1, 2), (0, 3), (2, 4))
         assert len(fam) == 6 and fam.max_degree() == 2
+
+
+def every_guess_union(n, alpha, build):
+    """Reference for `symmetric_crossing_family` at n >= 3, alpha < n: the
+    union over every compatible (l, r) guess, with no early stop, of
+    `build(l, r)` (the asymmetric family over [n]).  This is the package's
+    former union.  Returns (pairs, degree bound, number of guesses)."""
+    pairs, total, guesses = [], 0, 0
+    l = 1
+    while l <= n:
+        r = l
+        while r <= n:
+            if l + r <= n and n < (2 * alpha + 2) * l + 2 * r:
+                fam = build(l, r)
+                pairs.extend(fam.pairs)
+                total += fam.degree_bound
+                guesses += 1
+            r *= 2
+        l *= 2
+    return tuple(dict.fromkeys(pairs)), min(total, n), guesses
+
+
+class TestSymmetricStop:
+    """The union stops once it holds all n * n pairs; its pairs, their
+    order, `unordered()` and the bound stay those of the full union
+    (`every_guess_union`), and some unions build fewer families."""
+
+    def test_same_family_as_every_guess(self, monkeypatch):
+        saved = 0
+        for n in range(3, 81):
+            universe = tuple(range(n))
+            build = functools.lru_cache(maxsize=None)(
+                lambda l, r: asymmetric_crossing_family(universe, universe, l, r)
+            )
+            asked = []
+
+            def counted(a, b, l, r, cfg=DEFAULT):
+                if not a == b == universe:  # the large-r builder's inner call
+                    return asymmetric_crossing_family(a, b, l, r, cfg)
+                asked.append((l, r))
+                return build(l, r)
+
+            monkeypatch.setattr(pseudorandom, "asymmetric_crossing_family", counted)
+            for alpha in ALPHAS:
+                if alpha >= n:
+                    continue
+                asked.clear()
+                # Past the cache, so that the union is built here.
+                fam = pseudorandom.symmetric_crossing_family.__wrapped__(n, alpha)
+                pairs, bound, guesses = every_guess_union(n, alpha, build)
+                assert fam.pairs == pairs, (n, alpha)
+                assert fam.degree_bound == bound, (n, alpha)
+                assert fam.unordered() == PairFamily(pairs, bound, "").unordered()
+                assert len(asked) <= guesses
+                saved += guesses - len(asked)
+        assert saved > 0
 
 
 class TestSelector:

@@ -1,7 +1,10 @@
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +18,14 @@ from conftest import (
     star,
     two_cliques_sharing,
 )
-from vcut import unweighted
+from vcut import maxflow, unweighted
 from vcut.config import DEFAULT
 from vcut.errors import BudgetExceeded, InvariantError, UndefinedExpansion
-from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, validate_cut
+from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, min_degree_cut, validate_cut
 from vcut.instrument import Counters
+from vcut.isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
 from vcut.kernel import build_kernel_index, query_kappa_upper
-from vcut.maxflow import min_st_cut, weighted_paths
+from vcut.maxflow import PairLedger, min_st_cut, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_graph
 from vcut.unweighted import (
     EXHAUSTIVE_MAX,
@@ -177,9 +181,9 @@ class TestPieceStore:
             decomps.append((d.x, d.pieces, d.phi))
             return d
 
-        def round_(*args, store):
+        def round_(*args, store, ledger):
             stores.append(store)
-            cut, t_prime = real_round(*args, store=None if fresh else store)
+            cut, t_prime = real_round(*args, store=None if fresh else store, ledger=ledger)
             rounds.append((args[1], _fingerprint(cut), t_prime))
             return cut, t_prime
 
@@ -211,8 +215,8 @@ class TestPieceStore:
             # Every stored probe is what a new flow returns: a completed
             # one that of an uncapped flow, an (L, None) one that of a flow
             # capped at L.
-            for sub, _, stored in store.pieces.values():
-                for (u, v), res in stored.items():
+            for sub, _, ledger in store.pieces.values():
+                for (u, v), res in ledger.probes.items():
                     assert res == min_st_cut(sub, u, v, limit=None if res[1] is not None else res[0])
                     probes += 1
             assert len(shared[2]) > 1
@@ -292,9 +296,10 @@ class TestProbeCap:
     def _uncapped(monkeypatch):
         real = unweighted._sparsest_canonical_cut
 
-        def probe(g, terminals, phi, probe_budget, stats, probes=None):
+        def probe(g, terminals, phi, probe_budget, stats, ledger=None):
             if g.n <= EXHAUSTIVE_MAX:
-                return real(g, terminals, phi, probe_budget, stats, probes)
+                return real(g, terminals, phi, probe_budget, stats, ledger)
+            probes = None if ledger is None else ledger.probes
             return conftest.uncapped_sparsest_cut(g, terminals, probe_budget, stats, probes)
 
         monkeypatch.setattr(unweighted, "_sparsest_canonical_cut", probe)
@@ -346,11 +351,12 @@ class TestProbeCap:
         and is solved again under a larger cap; a stored completed probe
         answers every cap, its cut counting only below the cap."""
         g = Graph.from_edges(20, [e for e in itertools.combinations(range(20), 2) if e != (0, 1)])
-        probes = {}
+        ledger = PairLedger(g)
+        probes = ledger.probes
 
         def probe(phi):
             stats = Counters()
-            got = _sparsest_canonical_cut(g, [0, 1], phi, 48, stats, probes)
+            got = _sparsest_canonical_cut(g, [0, 1], phi, 48, stats, ledger)
             return got, stats.get("flow_calls") + stats.get("path_skips")
 
         # |T| = 2: cap 2 at phi = 1, 6 at phi = 1.5; kappa(0, 1) = 18.
@@ -512,26 +518,37 @@ class TestPairCertificate:
     def test_chain_behind_the_skip(self, monkeypatch):
         """For every non-adjacent pair, n <= 20, in both orientations: the
         whole-graph packing toward N(t) <= kappa_G(s,t) <= the kernel
-        answer at every scale of the call.  Every total the call keeps is
-        under its own pair's key and no more than that pair's packing, and
-        each kept total decides as a new packing under the same limit."""
-        memos = []
-        real = unweighted.packing_reaches
+        answer at every scale of the call.  The call keeps one ledger.
+        Every packing total it keeps is under its own ordered pair's key and
+        no more than that pair's packing, and each kept total decides as a
+        new packing under the same limit.  Every stored probe is a bound
+        (L, None) with L <= kappa_G, or a new flow's completed answer."""
+        memos, ledgers = [], []
+        real = maxflow.packing_reaches
+        real_ledger = unweighted.ledger_for
 
-        def spy(out_adj, weights, s, ends, limit, stats, memo, key):
-            memos.append(memo)
+        def spy(out_adj, weights, s, ends, limit, stats, memo=None, key=None):
+            if memo is not None:
+                memos.append(memo)
             got = real(out_adj, weights, s, ends, limit, stats, memo, key)
             assert got == (weighted_paths(out_adj, weights, s, ends, limit) >= limit)
             return got
 
-        kept = 0
+        def spy_ledger(g, ledger=None):
+            ledgers.append(real_ledger(g, ledger))
+            return ledgers[-1]
+
+        kept = stored = 0
         for g in _certificate_graphs(20):
             memos.clear()
+            ledgers.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(unweighted, "packing_reaches", spy)
+                patch.setattr(maxflow, "packing_reaches", spy)
+                patch.setattr(unweighted, "ledger_for", spy_ledger)
                 unbalanced_vc(g)
-            assert len(set(map(id, memos))) <= 1
-            memo = memos[0] if memos else {}
+            assert len(ledgers) == 1
+            ledger = ledgers[0]
+            assert all(memo is ledger.packs for memo in memos)
             unit = [1] * g.n
             delta, logn = g.min_degree(), _log2ceil(g.n)
             indexes = [
@@ -540,19 +557,129 @@ class TestPairCertificate:
             pairs = [
                 (s, t) for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)
             ]
-            assert set(memo) <= set(pairs)
+            ordered = set(pairs) | {(t, s) for s, t in pairs}
+            assert set(ledger.packs) <= ordered and set(ledger.probes) <= ordered
             for s, t in pairs:
                 kappa = brute_pair_kappa(g, s, t)
-                packed = {}
                 for a, b in ((s, t), (t, s)):
-                    packed[a] = weighted_paths(g.adj, unit, a, g.neighbor_set(b), None)
-                    assert packed[a] <= kappa, (g.adj, a, b)
+                    packed = weighted_paths(g.adj, unit, a, g.neighbor_set(b), None)
+                    assert packed <= kappa, (g.adj, a, b)
                     for index in indexes:
                         assert query_kappa_upper(index, a, b) >= kappa, (g.adj, a, b)
-                if (s, t) in memo:
-                    assert memo[(s, t)] <= packed[s], (g.adj, s, t)
-                    kept += 1
-        assert kept > 0
+                    if (a, b) in ledger.packs:
+                        assert ledger.packs[a, b][0] <= packed, (g.adj, a, b)
+                        kept += 1
+                    got = ledger.probes.get((a, b))
+                    if got is not None:
+                        assert got[0] <= kappa if got[1] is None else got == min_st_cut(g, a, b)
+                        stored += 1
+        assert kept > 0 and stored > 0
+
+
+def _perfbench_design(seed):
+    """The graphs of perfbench's unweighted workload at `seed`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [i.graph for i in workloads.unweighted_instances(seed, workloads.SCALES["unweighted"])]
+
+
+class TestPairLedger:
+    """One pair ledger per driver call against the driver without one
+    (`conftest.unledgered_driver`: the former unbalanced loop, cluster
+    probes and balanced-search probes): the same cuts, events and counters
+    but `flow_calls`, `flow_edges`, `path_skips` and `kernel_edges`, and
+    never more flows or packings."""
+
+    MOVED = ("flow_calls", "flow_edges", "path_skips", "kernel_edges")
+
+    def _run(self, driver, g, unbalanced, monkeypatch):
+        packings = [0]
+        real = maxflow.weighted_paths
+
+        def counted(*args):
+            packings[0] += 1
+            return real(*args)
+
+        stats = Counters()
+        with monkeypatch.context() as patch:
+            patch.setattr(maxflow, "weighted_paths", counted)
+            cut = driver(g, stats=stats, unbalanced=unbalanced)
+        flows = stats.data.pop("flow_calls", 0)
+        for key in self.MOVED:
+            stats.data.pop(key, None)
+        return (_fingerprint(cut), stats.data, stats.events), flows, packings[0]
+
+    def _check(self, monkeypatch):
+        from test_fingerprints import _instances
+
+        graphs = [
+            args[0] for label, (_, args) in _instances().items() if label.startswith("unweighted")
+        ]
+        assert len(graphs) == 32
+        cases = [(g, True) for g in graphs] + [(g, False) for g in graphs]
+        cases += [(g, True) for g in _perfbench_design(7)]
+        cases += [(g, True) for g in _certificate_graphs(40) if g.n > 16]
+        totals = [0, 0, 0, 0]
+        for g, unbalanced in cases:
+            mine, flows, packs = self._run(
+                vertex_connectivity_unweighted, g, unbalanced, monkeypatch
+            )
+            ref, ref_flows, ref_packs = self._run(
+                conftest.unledgered_driver, g, unbalanced, monkeypatch
+            )
+            assert mine == ref, (g.adj, unbalanced)
+            assert flows <= ref_flows and packs <= ref_packs, (g.adj, unbalanced)
+            for i, x in enumerate((flows, ref_flows, packs, ref_packs)):
+                totals[i] += x
+        assert totals[0] < totals[1] and totals[2] < totals[3]
+
+    def test_matches_unledgered_driver(self, python_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_matches_unledgered_driver_compiled(self, compiled_backend, monkeypatch):
+        self._check(monkeypatch)
+
+    def test_entry_points_match_unledgered_probes(self):
+        """Both balanced-terminal entry points with all of V as terminals,
+        one ledger shared by all their calls on a graph, and the caller's
+        best None or the min-degree cut: the same result as their former
+        probe closures (`conftest.unledgered_*`)."""
+        differ = 0
+        for seed in range(40):
+            n = 12 + seed % 17
+            g = random_graph(n, (0.12, 0.2, 0.3)[seed % 3], 900 + seed)
+            if len(g.components()) > 1 or g.is_complete():
+                continue
+            ledger = PairLedger(g)
+            k = max(1, g.min_degree())
+            for best in (None, min_degree_cut(g)):
+                for mine, ref in (
+                    (subgraph_balanced_terminal_vc, conftest.unledgered_subgraph_balanced_terminal_vc),
+                    (balanced_terminal_vc, conftest.unledgered_balanced_terminal_vc),
+                ):
+                    got = mine(g, range(n), k, best=best, ledger=ledger)
+                    want = ref(g, range(n), k, best=best)
+                    assert _fingerprint(got) == _fingerprint(want), (seed, mine.__name__)
+                    differ += isinstance(got, VertexCut) and got != best
+        assert differ > 0
+
+    def test_ledger_of_another_graph_rejected(self):
+        g = cycle(8)
+        other = PairLedger(cycle(8))
+        with pytest.raises(InvariantError):
+            unbalanced_vc(g, ledger=other)
+        with pytest.raises(InvariantError):
+            PieceStore(g, other)
+        with pytest.raises(InvariantError):
+            balanced_terminal_vc(g, range(8), 2, ledger=other)
+        with pytest.raises(InvariantError):
+            subgraph_balanced_terminal_vc(g, range(8), 2, ledger=other)
+        # A ledger of the graph itself is accepted everywhere.
+        mine = PairLedger(g)
+        assert unbalanced_vc(g, ledger=mine).value == 2
+        assert PieceStore(g, mine).piece(tuple(range(8)))[2] is mine
 
 
 class TestDriver:
