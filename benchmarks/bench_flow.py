@@ -1,24 +1,37 @@
-"""Benchmark the compiled flow kernel against the pure-Python twin.
+"""Benchmark the compiled flow core against the pure-Python twin.
 
 The solvers share one contract (see vcut._pyflow), so the comparison runs
-identical split networks through both and checks that values and canonical
-cuts agree while timing them.  Run:
+identical split networks through each, uncapped and at the limits 1..5,
+checks that every answer (value, reach mask, completion) equals the
+pure-Python one, and times the solvers in a rotating order, one pass over
+all networks and limits per solver and round.  The compiled core is built
+from `src/vcut/_core.c` with the test suite's `build_core`;
+`--baseline-source` adds a second C core (say, an older `_core.c`) timed
+against it.  `--json` writes the agreement counts and the round times.
+Run:
 
-    python3 benchmarks/bench_flow.py [--rounds 3]
+    python3 benchmarks/bench_flow.py [--rounds 20] [--baseline-source FILE] [--json FILE]
 """
 
 import argparse
 import itertools
+import json
+import os
+import platform
+import statistics
 import sys
+import tempfile
 import time
 
-from vcut import _pyflow
-from vcut.oracle import random_digraph, random_graph
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
 
-try:
-    from vcut import _core
-except ImportError:
-    _core = None
+from conftest import CORE_SOURCE, build_core, core_build_problem  # noqa: E402
+from vcut import _pyflow  # noqa: E402
+from vcut.oracle import random_digraph, random_graph  # noqa: E402
+
+LIMITS = (None, 1, 2, 3, 4, 5)
 
 
 def split_network(n, arcs, caps, s, t):
@@ -63,38 +76,75 @@ def workload():
 
 
 def run(solver, nets):
+    """Seconds for one pass over `nets` at every limit, and the answers."""
     t0 = time.perf_counter()
-    results = [solver(*net, None) for net in nets]
+    results = [solver(*net, limit) for limit in LIMITS for net in nets]
     return time.perf_counter() - t0, results
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--rounds", type=int, default=3)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--baseline-source", help="a second C flow core to time")
+    ap.add_argument("--json", help="file to write the results to")
     args = ap.parse_args()
 
     nets = workload()
-    print(f"{len(nets)} flow instances per round, {args.rounds} rounds")
+    solvers = {"python": _pyflow.solve}
+    problem = core_build_problem()
+    with tempfile.TemporaryDirectory() as tmp:
+        if problem is None:
+            for name, source in (("compiled", CORE_SOURCE), ("baseline", args.baseline_source)):
+                if source is not None:
+                    os.mkdir(os.path.join(tmp, name))
+                    solvers[name] = build_core(source, os.path.join(tmp, name)).solve
+        else:
+            print(f"compiled core: not built ({problem})")
+        print(f"{len(nets)} networks at limits {LIMITS}: "
+              f"{len(nets) * len(LIMITS)} solves per solver and round, {args.rounds} rounds")
 
-    py_time, py_results = min(
-        (run(_pyflow.solve, nets) for _ in range(args.rounds)), key=lambda x: x[0]
-    )
-    print(f"python backend : {py_time * 1000:8.1f} ms")
+        names = list(solvers)
+        times = {name: [] for name in names}
+        answers = {}
+        for r in range(args.rounds):
+            # Rotate the order so that no solver always runs first.
+            for name in names[r % len(names):] + names[: r % len(names)]:
+                seconds, answers[name] = run(solvers[name], nets)
+                times[name].append(seconds * 1000)
 
-    if _core is None:
-        print("cython backend : not built (pip install -e . rebuilds it)")
-        return 0
-
-    c_time, c_results = min(
-        (run(_core.solve, nets) for _ in range(args.rounds)), key=lambda x: x[0]
-    )
-    print(f"cython backend : {c_time * 1000:8.1f} ms")
-    print(f"speedup        : {py_time / c_time:8.1f}x")
-
-    mismatches = sum(
-        1 for a, b in zip(py_results, c_results) if a[0] != b[0] or a[1] != b[1]
-    )
-    print(f"agreement      : {len(nets) - mismatches}/{len(nets)} identical (value + canonical cut)")
+    record = {
+        "description": " ".join(__doc__.split("\n\n")[0].split()),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "networks": len(nets),
+        "limits": [str(limit) for limit in LIMITS],
+        "rounds": args.rounds,
+        "agreement": {},
+        "round_ms": {name: [round(ms, 3) for ms in times[name]] for name in names},
+        "best_ms": {name: round(min(times[name]), 3) for name in names},
+        "median_ms": {name: round(statistics.median(times[name]), 3) for name in names},
+    }
+    for name in names:
+        print(f"{name:9s}: best {min(times[name]):8.2f} ms, "
+              f"median {statistics.median(times[name]):8.2f} ms per round")
+    mismatches = 0
+    want = answers["python"]
+    for name in names[1:]:
+        agree = {}
+        for i, limit in enumerate(LIMITS):
+            block = slice(i * len(nets), (i + 1) * len(nets))
+            agree[str(limit)] = sum(a == b for a, b in zip(want[block], answers[name][block]))
+            mismatches += len(nets) - agree[str(limit)]
+        record["agreement"][name] = agree
+        print(f"{name:9s}: agrees with python on {agree} of {len(nets)} networks per limit")
+    if "baseline" in times:
+        faster = sum(c < b for c, b in zip(times["compiled"], times["baseline"]))
+        record["compiled_faster_rounds"] = faster
+        print(f"compiled faster than baseline in {faster} of {args.rounds} rounds")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     return 1 if mismatches else 0
 
 

@@ -1,14 +1,5 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("vcut._core", ["src/vcut/_core.pyx"])],
-        compiler_directives={"language_level": "3", "boundscheck": False, "wraparound": False},
-    )
-except ImportError:
-    # Pure-Python fallback (vcut._pyflow) is selected at import time.
-    extensions = []
-
-setup(ext_modules=extensions)
+# optional: without a C compiler the build skips the extension, and
+# vcut.maxflow falls back to the pure-Python twin vcut._pyflow.
+setup(ext_modules=[Extension("vcut._core", ["src/vcut/_core.c"], optional=True)])

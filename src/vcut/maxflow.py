@@ -52,6 +52,7 @@ pure-Python `vcut._pyflow`; set VCUT_PURE_PYTHON=1 to force the fallback.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 from .errors import InvariantError
@@ -96,7 +97,13 @@ def _flow(n, network, sources, sinks, limit, stats):
     each s_out and each t_in wired to a super-sink.  Both have the flows
     and reach of the bypass-arc network, whose arc count is recorded as
     `flow_edges`.  A limit <= 0 is reached before any flow, so it returns
-    the capped answer uncounted."""
+    the capped answer uncounted.
+
+    Every solve stops by `inf` at the latest: a separator of cuttable
+    vertices weighs less, so a flow of `inf` means that none exists.  With
+    no limit that is an InvariantError; under a limit it is the capped
+    answer.  Flows below `inf` augment as without the stop, so no backend
+    sums past `inf`."""
     if limit is not None and limit <= 0:
         return limit, None, None, False
     tails, heads, arc_caps, caps, inf = network
@@ -112,15 +119,16 @@ def _flow(n, network, sources, sinks, limit, stats):
     if stats is not None:
         stats.add("flow_calls")
         stats.add("flow_edges", num_arcs)
+    stop = inf if limit is None else min(limit, inf)
     value, reach, completed = _backend.solve(
-        num_nodes, tails, heads, arc_caps, source, sink, limit
+        num_nodes, tails, heads, arc_caps, source, sink, stop
     )
     if not completed:
+        if limit is None:
+            # A path of uncuttable vertices joins the terminals, such as a
+            # source-sink adjacency the caller should have screened.
+            raise InvariantError("no finite separator exists (terminals joined)")
         return limit, None, None, False
-    if value >= inf:
-        # Only possible via a direct source-sink adjacency the caller should
-        # have screened; surface it as an invariant breach.
-        raise InvariantError("no finite separator exists (adjacent terminals)")
     separator = [v for v in range(n) if reach[2 * v] and not reach[2 * v + 1]]
     sep_weight = sum(caps[v] for v in separator)
     assert sep_weight == value, "max-flow / min-separator duality violated"
@@ -137,11 +145,25 @@ def vertex_max_flow(n, arcs, caps, sources, sinks, limit=None, stats=None):
     `(value, separator, reach, completed)` where `reach[v]` is true when v
     lies strictly on the source side; when `limit` is hit early the result
     is `(limit, None, None, False)`.
+
+    InvariantError when an arc end or a terminal lies outside [0, n), a
+    capacity is below 1, or n * max(caps) reaches 2^62 (the bound of the
+    flow engine's 64-bit arithmetic, as for `WeightedDigraph`).
     """
+    arcs = list(arcs)
     sources = sorted(set(sources))
     sinks = sorted(set(sinks))
     if set(sources) & set(sinks):
         raise InvariantError("source and sink sets overlap")
+    if any(not 0 <= v < n for v in itertools.chain(sources, sinks, *arcs)):
+        raise InvariantError(f"vertex id out of range [0,{n})")
+    if len(caps) != n:
+        raise InvariantError("caps length does not match n")
+    finite = [c for c in caps if c is not None]
+    if any(c < 1 for c in finite):
+        raise InvariantError("vertex capacities must be >= 1 or None")
+    if n * max(finite, default=1) >= 2**62:
+        raise InvariantError("n*W too large for 64-bit weight arithmetic")
     return _flow(n, _split_network(n, arcs, caps), sources, sinks, limit, stats)
 
 

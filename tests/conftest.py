@@ -587,28 +587,44 @@ def petersen_graph():
 CORE_SOURCE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "vcut", "_core.c")
 
 
-@pytest.fixture(scope="session")
-def compiled_core(tmp_path_factory):
-    """The compiled flow backend, built from `src/vcut/_core.c` into a
-    temporary directory with the C compiler that `sysconfig` names, and
-    loaded from there.  It is not put in `sys.modules` and not written to
-    `src/`, so `vcut.maxflow` keeps the backend it chose.  Skips, with the
-    reason, when there is no compiler or no `Python.h`."""
+def core_build_problem():
+    """Why `build_core` cannot run here (no C compiler through `sysconfig`,
+    or no `Python.h`), or None when it can."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler found through sysconfig (CC={cc!r})")
+        return f"no C compiler found through sysconfig (CC={cc!r})"
     include = sysconfig.get_paths()["include"]
     if not os.path.exists(os.path.join(include, "Python.h")):
-        pytest.skip(f"Python.h not found in {include}")
-    out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = cc + ["-shared", "-fPIC", "-O2", "-I", include, CORE_SOURCE, "-o", str(out)]
+        return f"Python.h not found in {include}"
+    return None
+
+
+def build_core(source, out_dir):
+    """The flow core `source` (a C file), built into `out_dir` with the C
+    compiler that `sysconfig` names (any warning fails the build) and
+    loaded from there as `vcut._core`.  It is not put in `sys.modules` and
+    not written to `src/`, so `vcut.maxflow` keeps the backend it chose."""
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    out = os.path.join(out_dir, "_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    flags = ["-shared", "-fPIC", "-O2", "-Wall", "-Werror"]
+    cmd = cc + flags + ["-I", sysconfig.get_paths()["include"], source, "-o", out]
     built = subprocess.run(cmd, capture_output=True, text=True)
     assert built.returncode == 0, built.stderr[-2000:]
-    loader = importlib.machinery.ExtensionFileLoader("vcut._core", str(out))
-    spec = importlib.util.spec_from_file_location("vcut._core", str(out), loader=loader)
+    loader = importlib.machinery.ExtensionFileLoader("vcut._core", out)
+    spec = importlib.util.spec_from_file_location("vcut._core", out, loader=loader)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def compiled_core(tmp_path_factory):
+    """The compiled flow backend, `build_core` of `src/vcut/_core.c` in a
+    temporary directory.  Skips, with the reason, where it cannot be built."""
+    problem = core_build_problem()
+    if problem is not None:
+        pytest.skip(problem)
+    return build_core(CORE_SOURCE, str(tmp_path_factory.mktemp("core")))
 
 
 @pytest.fixture

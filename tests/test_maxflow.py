@@ -269,21 +269,63 @@ class TestWeakSeparator:
 
 
 class TestBackendTwins:
-    def test_pure_python_twin_agrees(self, compiled_core):
+    """The compiled core answers every solve as `_pyflow` does, and rejects a
+    malformed network by raising instead of writing out of bounds."""
+
+    @staticmethod
+    def _networks():
+        """Bypass-arc networks of single pairs and of terminal sets."""
         rng = random.Random(0)
-        for seed in range(6):
-            g = random_graph(12, 0.35, seed)
-            s, t = rng.randrange(g.n), rng.randrange(g.n)
-            if s == t or g.has_edge(s, t):
-                continue
-            net = bypass_network(g, [s], [t])
-            got_py = _pyflow.solve(*net, None)
-            got_c = compiled_core.solve(*net, None)
-            assert got_py[0] == got_c[0]
-            assert got_py[1] == got_c[1]
+        graphs = [random_graph(12, 0.35, seed) for seed in range(6)]
+        graphs += [random_digraph(9, 0.35, 5, seed) for seed in range(3)]
+        for g in graphs:
+            adjacent = g.has_edge if isinstance(g, Graph) else g.has_arc
+            for size in (2, 2, 4, 5):
+                picked = rng.sample(range(g.n), size)
+                cut = rng.randrange(1, size)
+                sources, sinks = picked[:cut], picked[cut:]
+                if not any(adjacent(s, t) for s in sources for t in sinks):
+                    yield bypass_network(g, sources, sinks)
+
+    def test_pure_python_twin_agrees(self, compiled_core):
+        """At every limit from 0 to one past the max flow, and with none, on
+        list and on tuple networks: the capped limits take the early stop."""
+        stops = 0
+        for num, tails, heads, caps, s, t in self._networks():
+            value = _pyflow.solve(num, tails, heads, caps, s, t, None)[0]
+            for seq in (list, tuple):
+                net = (num, seq(tails), seq(heads), seq(caps), s, t)
+                for limit in [None, *range(value + 2)]:
+                    got = compiled_core.solve(*net, limit)
+                    assert got == _pyflow.solve(*net, limit), (net[4:], limit)
+                    stops += not got[2]
+        assert stops > 0
+        assert compiled_core.BACKEND_NAME == "c"
+
+    def test_compiled_rejects_malformed_networks(self, compiled_core):
+        num, tails, heads, caps, s, t = bypass_network(petersen(), [0], [7])
+        bad = [
+            (num, tails, heads, caps, s, num),  # terminal outside [0, num)
+            (num, tails, heads, caps, -1, t),
+            (num, tails, heads, caps, s, s),
+            (num, tails[:-1] + [400000], heads, caps, s, t),  # arc end outside
+            (num, tails, heads[:-1] + [-1], caps, s, t),
+            (num, tails[:-1], heads, caps, s, t),  # lengths differ
+            (num, tails, heads, caps[:-1], s, t),
+            (num, tails, heads, caps[:-1] + [-1], s, t),  # negative capacity
+            (0, [], [], [], 0, 0),
+        ]
+        for net in bad:
+            with pytest.raises(ValueError):
+                compiled_core.solve(*net, None)
+        with pytest.raises(OverflowError):  # a capacity past 2^63 - 1
+            compiled_core.solve(num, tails, heads, caps[:-1] + [2**63], s, t, None)
+        # Two arcs of 2^62 into t: the flow value passes 2^63 - 1.
+        with pytest.raises(OverflowError):
+            compiled_core.solve(3, [0, 0, 1], [1, 2, 2], [2**62] * 3, 0, 2, None)
 
     def test_backend_reported(self):
-        assert BACKEND in ("cython", "python")
+        assert BACKEND in ("c", "python")
 
 
 class TestVertexMaxFlow:
@@ -306,6 +348,49 @@ class TestVertexMaxFlow:
     def test_overlapping_terminals_rejected(self):
         with pytest.raises(InvariantError):
             vertex_max_flow(3, [(0, 1), (1, 2)], [1] * 3, [1], [1])
+
+    @staticmethod
+    def _check_rejects_bad_input():
+        """Arc ends and terminals outside [0, n), capacities below 1, and
+        n * max(caps) >= 2^62 are refused before any network is built."""
+        bad = [
+            (3, [(0, 1), (1, 400000)], [1, 1, 1], [0], [2]),
+            (3, [(0, 1), (1, -1)], [1, 1, 1], [0], [2]),
+            (3, [(0, 1), (1, 2)], [1, 1, 1], [0], [3]),
+            (3, [(0, 1), (1, 2)], [1, 1, 1], [-1], [2]),
+            (3, [(0, 1), (1, 2)], [1, 1], [0], [2]),
+            (3, [(0, 1), (1, 2)], [1, 0, 1], [0], [2]),
+            (3, [(0, 1), (1, 2)], [1, -2, 1], [0], [2]),
+            (3, [(0, 1), (1, 2)], [1, 2**62 // 3 + 1, 1], [0], [2]),
+        ]
+        for args in bad:
+            with pytest.raises(InvariantError):
+                vertex_max_flow(*args)
+        w = 2**62 // 3  # the largest capacity that 3 * w < 2^62 allows
+        assert vertex_max_flow(3, [(0, 1), (1, 2)], [1, w, 1], [0], [2])[0] == w
+
+    def test_rejects_bad_input(self, python_backend):
+        self._check_rejects_bad_input()
+
+    def test_rejects_bad_input_compiled(self, compiled_backend):
+        self._check_rejects_bad_input()
+
+    @staticmethod
+    def _check_no_finite_separator():
+        """Terminals joined by an arc and by two uncuttable vertices: three
+        paths of capacity inf = 2^62 - 3, whose sum passes 2^63."""
+        w = 2**60 - 1
+        args = (4, [(0, 3), (0, 1), (1, 3), (0, 2), (2, 3)], [w, None, None, w], [0], [3])
+        with pytest.raises(InvariantError, match="no finite separator"):
+            vertex_max_flow(*args)
+        for limit in (1, 2**62 - 3, 2**63):
+            assert vertex_max_flow(*args, limit=limit) == (limit, None, None, False)
+
+    def test_no_finite_separator(self, python_backend):
+        self._check_no_finite_separator()
+
+    def test_no_finite_separator_compiled(self, compiled_backend):
+        self._check_no_finite_separator()
 
 
 class TestGraphFlowFastPath:
