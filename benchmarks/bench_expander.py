@@ -33,11 +33,13 @@ ROOT = os.path.join(HERE, os.pardir)
 OUT = os.path.join(ROOT, "BENCH_expander.json")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from conftest import bare_min_st_cut  # noqa: E402
 from vcut import unweighted  # noqa: E402
 from vcut.graphs import NoCut, VertexCut  # noqa: E402
 from vcut.instrument import Counters  # noqa: E402
-from vcut.maxflow import BACKEND, min_st_cut  # noqa: E402
+from vcut.maxflow import BACKEND  # noqa: E402
 from vcut.oracle import random_graph  # noqa: E402
 
 PERFBENCH_SEED = 7
@@ -45,12 +47,18 @@ SIZES = (32, 48, 64, 96)
 SEED = 3
 
 
-def uncapped_sparsest_cut(g, terminals, phi, probe_budget, stats, probes=None):
+# The probes of the uncapped loop in one replay, per piece subgraph (by
+# identity; the driver's piece store keeps each subgraph for the call).
+PROBES = {}
+
+
+def uncapped_sparsest_cut(g, terminals, phi, probe_budget, stats):
     """The former `unweighted._sparsest_canonical_cut` probe loop: every
-    pair probe an uncapped `min_st_cut`.  Graphs of at most EXHAUSTIVE_MAX
-    vertices go to the package's exhaustive scan, as before."""
+    pair probe an uncapped flow (`conftest.bare_min_st_cut`), kept per
+    piece for the replay.  Graphs of at most EXHAUSTIVE_MAX vertices go to
+    the package's exhaustive scan, as before."""
     if g.n <= unweighted.EXHAUSTIVE_MAX:
-        return CAPPED(g, terminals, phi, probe_budget, stats, probes)
+        return CAPPED(g, terminals, phi, probe_budget, stats)
     tset = set(terminals)
     best = None
 
@@ -63,8 +71,7 @@ def uncapped_sparsest_cut(g, terminals, phi, probe_budget, stats, probes=None):
         if best is None or key < best[0]:
             best = (key, VertexCut(left, sep, rest, len(sep)))
 
-    if probes is None:
-        probes = {}
+    probes = PROBES.setdefault(id(g), {})
     comps = g.components()
     if len(comps) > 1:
         for comp in comps:
@@ -72,7 +79,7 @@ def uncapped_sparsest_cut(g, terminals, phi, probe_budget, stats, probes=None):
     pairs = [(u, v) for u, v in itertools.combinations(sorted(tset), 2) if not g.has_edge(u, v)]
     for u, v in pairs[:probe_budget]:
         if (u, v) not in probes:
-            probes[u, v] = min_st_cut(g, u, v, stats=stats)
+            probes[u, v] = bare_min_st_cut(g, u, v, stats=stats)
         cut = probes[u, v][1]
         consider(set(cut.L), set(cut.S), set(cut.R))
     return None if best is None else (best[0][0], best[1])
@@ -85,6 +92,7 @@ LOOPS = {"capped": CAPPED, "uncapped": uncapped_sparsest_cut}
 def replay(g, loop):
     """(decompositions, flow_calls, path_skips, seconds) of the driver's
     expander decompositions on g with the probe loop `loop`."""
+    PROBES.clear()
     decomps = []
     spent = [0.0]
     stats = Counters()

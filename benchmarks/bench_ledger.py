@@ -1,8 +1,9 @@
 """Count and time the unweighted driver's pair questions: the package's
-driver, which asks every (s, t) question on the sparsified graph of one
-call through one `maxflow.PairLedger`, against the former driver, which
-solves each balanced-search probe, cluster probe and unbalanced-branch
-pair on its own (`unledgered_driver` in `tests/conftest.py`).
+driver, whose (s, t) questions on the sparsified graph of one call are
+all answered through that graph's pair ledger (`maxflow.min_st_cut`),
+against the former driver, which solves each balanced-search probe,
+cluster probe and unbalanced-branch pair on its own (`unledgered_driver`
+in `tests/conftest.py`, probing with `bare_min_st_cut`).
 
 Cases: the perfbench unweighted design at seeds 1 and 7 (30 instances
 each), and G(n, 8/n), seed 3, at n = 48, 64 and 96.  Per case and path
@@ -14,9 +15,8 @@ with counting wrappers
 - `packings`: `maxflow.weighted_paths` runs (every packing of the call,
   the kernel query's included);
 - `probes`: balanced-search pair probes (`isocut._balanced_search`);
-- `probes_to_maxflow`: those that ran a packing, a flow or one of
-  `maxflow`'s screened entry points, rather than being answered from the
-  ledger or the graph's adjacency;
+- `probes_to_maxflow`: those that ran a packing or a flow, rather than
+  being answered from the ledger or the graph's adjacency;
 - `flows`: the `flow_calls` counter.
 
 The counts and times of a row are totals over its `calls`.  It checks
@@ -55,7 +55,7 @@ SIZES = (48, 64, 96)
 SEED = 3
 PATHS = {"ledger": vertex_connectivity_unweighted, "former": unledgered_driver}
 # maxflow functions whose call marks a probe as reaching the engine.
-ENGINE = ("weighted_paths", "_flow", "_pair_screen")
+ENGINE = ("weighted_paths", "_flow")
 
 
 def cases():

@@ -26,6 +26,11 @@ never memoized.
 Each phase's breadth-first search stops once the frontier holding t is
 labelled; the search that fails to reach t is complete and its labels are
 the returned reach mask.
+
+A malformed network raises ValueError, as the compiled core does: s == t,
+a terminal or an arc end outside [0, num_nodes), arrays of different
+lengths, or a negative capacity.  The arrays are checked when the memo
+misses, so a repeat solve costs no check.
 """
 
 from __future__ import annotations
@@ -38,7 +43,16 @@ _memo = None
 
 def _build(num_nodes, tails, heads, caps):
     """Arc 2i runs tails[i] -> heads[i] with capacity caps[i]; arc 2i+1 is
-    its reverse.  adj[u] lists the ids of the arcs leaving u."""
+    its reverse.  adj[u] lists the ids of the arcs leaving u.  ValueError
+    when the arrays differ in length, an arc end lies outside [0,
+    num_nodes) or a capacity is negative."""
+    if not len(tails) == len(heads) == len(caps):
+        raise ValueError("tails, heads and caps differ in length")
+    if tails and not (0 <= min(tails) and max(tails) < num_nodes
+                      and 0 <= min(heads) and max(heads) < num_nodes):
+        raise ValueError(f"an arc end is outside [0, {num_nodes})")
+    if caps and min(caps) < 0:
+        raise ValueError("a capacity is negative")
     num_slots = 2 * len(tails)
     to = [0] * num_slots
     to[0::2] = heads
@@ -82,6 +96,8 @@ def _levels(num_nodes, adj, to, cap, s, t):
 
 def solve(num_nodes, tails, heads, caps, s, t, limit):
     global _memo
+    if not (0 <= s < num_nodes and 0 <= t < num_nodes) or s == t:
+        raise ValueError(f"terminals s = {s}, t = {t} on {num_nodes} nodes")
     memo = _memo
     if (
         memo is not None

@@ -20,7 +20,7 @@ def _log2ceil(x) -> int:
 class Graph:
     """Undirected unweighted graph with per-vertex sorted adjacency."""
 
-    __slots__ = ("n", "adj", "_adjsets", "_min_degree", "_network")
+    __slots__ = ("n", "adj", "_adjsets", "_min_degree", "_network", "_ledger")
 
     def __init__(self, n: int, adj):
         self.n = n
@@ -44,6 +44,7 @@ class Graph:
                     raise InvariantError(f"asymmetric edge ({u},{v})")
         self._min_degree = None
         self._network = None  # split network, built by maxflow._graph_flow
+        self._ledger = None  # pair ledger, made by maxflow.min_st_cut
 
     def flow_arcs(self):
         """Both orientations of every edge."""
@@ -149,7 +150,9 @@ class Graph:
 class WeightedDigraph:
     """Directed graph with positive integer vertex weights."""
 
-    __slots__ = ("n", "out_adj", "in_adj", "weights", "_outsets", "_insets", "_network")
+    __slots__ = (
+        "n", "out_adj", "in_adj", "weights", "_outsets", "_insets", "_network", "_ledger",
+    )
 
     def __init__(self, n: int, out_adj, weights):
         self.n = n
@@ -182,6 +185,7 @@ class WeightedDigraph:
         self._outsets = tuple(frozenset(row) for row in self.out_adj)
         self._insets = tuple(frozenset(row) for row in self.in_adj)
         self._network = None  # split network, built by maxflow._graph_flow
+        self._ledger = None  # pair ledger, made by maxflow.min_st_cut
 
     @classmethod
     def from_arcs(cls, n: int, arcs, weights=None) -> "WeightedDigraph":

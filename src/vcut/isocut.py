@@ -41,19 +41,13 @@ result is the minimum, by `key()`, of every isolating cut at or below the
 caller's best.  In the pair regime, once a cut is found, the cap is its
 value: only a strictly smaller cut replaces it.
 
-Whole-graph probes are asked of a `maxflow.PairLedger` of g.  The
-unweighted driver owns one ledger of its sparsified graph per call and
-passes it to every balanced-terminal call (its rounds and terminal
-reduction's), to the unbalanced branch and to the expander pieces; without
-one, each call makes a fresh ledger.  The ledger only answers probes; the
-search still asks every probe, in the same order.  Each answer is exact: a
-probe of a fixed graph depends only on the pair and the cap (value and
-a-closest cut below the cap, (cap, None) at or above it), and the ledger
-answers from what it has stored only when that decides the probe.  The
-subgraph entry point sends its probes there too when T is all of V: its
-auxiliary graph is then g plus an isolated super-vertex, so the flow from
-a to {b, super-vertex} has the value and the a-closest separator of the
-a-b flow in g, and the candidate is remapped from that separator as before.
+Whole-graph probes are `min_st_cut` calls, answered from the graph's own
+pair ledger where it can (see `maxflow`); the search still asks every
+probe, in the same order.  The subgraph entry point sends its probes there
+too when T is all of V: its auxiliary graph is then g plus an isolated
+super-vertex, so the flow from a to {b, super-vertex} has the value and the
+a-closest separator of the a-b flow in g, and the candidate is remapped
+from that separator as before.
 """
 
 from __future__ import annotations
@@ -70,7 +64,7 @@ from .graphs import (
     better_cut,
     validate_cut,
 )
-from .maxflow import _graph_flow, ledger_for, min_s_to_set_separator
+from .maxflow import _graph_flow, min_s_to_set_separator, min_st_cut
 from .pseudorandom import build_selector, symmetric_crossing_family
 
 
@@ -204,19 +198,16 @@ def _balanced_search(g: Graph, terms, k, cfg, best, probe, isolate):
 
 
 def balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                         best=None, ledger=None):
+                         best=None):
     """Always returns a valid cut of g (or NoCut); it is a minimum cut
     whenever some cut splits the terminals with both sides large relative
     to the separator's terminal mass and is no larger than the caller's
-    `best` (a cut of g or None).
-
-    The pair probes are whole-graph `min_st_cut` flows, asked of `ledger`
-    (a `maxflow.PairLedger` of g; default: a fresh one).
+    `best` (a cut of g or None).  The pair probes are whole-graph
+    `min_st_cut` calls.
     """
-    ledger = ledger_for(g, ledger)
 
     def probe(a, b, limit):
-        res = ledger.cut(a, b, limit, stats)
+        res = min_st_cut(g, a, b, limit, stats)
         return None if res is NoSeparator else res[1]
 
     def isolate(indep):
@@ -271,7 +262,7 @@ def _remap_candidate(g: Graph, separator):
 
 
 def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                                  best=None, ledger=None):
+                                  best=None):
     """balanced_terminal_vc confined to the edges incident to the terminal
     set, with a super-vertex standing in for the rest of the graph.
 
@@ -283,20 +274,17 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
 
     When T is all of V, the auxiliary graph is g plus an isolated
     super-vertex, so that flow has the value and the separator of the a-b
-    flow in g: such a probe is asked of `ledger` (a `maxflow.PairLedger` of
-    g; default: a fresh one), and its separator is remapped as before.
+    flow in g: such a probe is a whole-graph `min_st_cut`, and its
+    separator is remapped as before.
     """
     terms = sorted(set(terminals))
     aux, nodes, virtual = _terminal_subgraph(g, terms)
     pos = {v: j for j, v in enumerate(nodes)}
-
     whole = len(terms) == g.n
-    if whole:
-        ledger = ledger_for(g, ledger)
 
     def probe(a, b, limit):
         if whole:
-            res = ledger.cut(a, b, limit, stats)
+            res = min_st_cut(g, a, b, limit, stats)
         else:
             res = min_s_to_set_separator(aux, pos[a], (pos[b], virtual), limit, stats)
         if res is NoSeparator or res[1] is None:

@@ -17,16 +17,16 @@ only the kernels it leaves open are assembled as a Graph (`kernel_graph`)
 and get a capped flow.
 
 Most pairs never reach a query.  `unweighted.unbalanced_vc` first asks
-the driver's pair ledger whether kappa_G(s,t) >= the cap `best.value`
-(from a stored probe of the pair, or a whole-graph packing of paths from
-s to N(t), kept for the call), and skips the pair (no query, no flow)
-when it is.  The skip is exact: the packing and a stored bound are <=
-kappa_G(s,t) (Menger); a query never undershoots kappa_G(s,t), so it would
-have answered >= cap and led to no flow; and the cap never rises within a
-call, so a pair settled at one cap stays settled.  The index thus decides
-only the pairs that the ledger leaves open (on the benchmark's unweighted
-workload at seed 7, 4 queries over its 30 driver calls, against about
-1,570 per call with no skip).
+the graph's pair ledger (`maxflow.kappa_at_least`) whether kappa_G(s,t)
+>= the cap `best.value` (from a stored probe of the pair, or a
+whole-graph packing of paths from s to N(t), kept for the call), and
+skips the pair (no query, no flow) when it is.  The skip is exact: the
+packing and a stored bound are <= kappa_G(s,t) (Menger); a query never
+undershoots kappa_G(s,t), so it would have answered >= cap and led to no
+flow; and the cap never rises within a call, so a pair settled at one cap
+stays settled.  The index thus decides only the pairs that the ledger
+leaves open (on the benchmark's unweighted workload at seed 7, 4 queries
+over its 30 driver calls, against about 1,570 per call with no skip).
 """
 
 from __future__ import annotations

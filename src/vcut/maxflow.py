@@ -29,14 +29,22 @@ Menger).  A query with limit L returns (L, None) exactly when the max flow
 is >= L, so a capped flow is skipped, and counted as `path_skips`, exactly
 when `packing_reaches` says the packing reaches L.  That is the one skip
 rule; a limit <= 0 is never a skip, because `_flow` answers it without a
-flow.  `min_st_cut`, `min_st_separator` and `min_s_to_set_separator` apply
-it (`_pair_screen`) before their flow, and the kernel query and the
-weighted pair loops apply it to the implicit kernels and the sparsified
-pair instances.  `PairLedger`, one per unweighted driver call and graph,
-applies it with a memo of each pair's packing, and keeps each pair's
-probe answer, so no (s, t) question on that graph is solved twice.
-`_graph_flow` itself never screens, so its counters stay those of the
-bypass-arc network.
+flow.  `min_st_cut` (and `min_st_separator` through it) and
+`min_s_to_set_separator` apply it before their flow, and the kernel query
+and the weighted pair loops apply it to the implicit kernels and the
+sparsified pair instances.  `_graph_flow` itself never screens, so its
+counters stay those of the bypass-arc network.
+
+A graph carries its own pair ledger (`PairLedger`, in its `_ledger` slot,
+made on first use), and `min_st_cut` is the only way to ask a single-pair
+question: it answers from a stored probe of the pair, then the adjacency,
+then the packing (kept per pair), then a flow, whose answer is recorded.
+The answers are exact because graphs are immutable and a probe's answer
+depends only on the graph, the pair, the cap and the s-closest cut; on an
+undirected Graph a bound also answers the mirror pair, since kappa(s,t) =
+kappa(t,s).  The drivers probe only graphs they build per call (the
+sparsified graph, induced pieces, auxiliary and kernel graphs), so a
+ledger lives as long as one driver call.
 
 There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set
@@ -285,69 +293,6 @@ def packing_reaches(out_adj, weights, s, ends, limit, stats, memo=None, key=None
     return True
 
 
-def _pair_screen(g, s, sinks, limit, stats):
-    """NoSeparator when s is adjacent to a sink, (limit, None) when a
-    packing from s to the sinks' in-neighbours (neighbours on a Graph)
-    already reaches `limit`, else None (a flow is needed)."""
-    if s in sinks:
-        raise InvariantError("source among the sinks")
-    if isinstance(g, Graph):
-        near, out_adj, weights = g.neighbor_set, g.adj, [1] * g.n
-    else:
-        near, out_adj, weights = g.in_set, g.out_adj, g.weights
-    ends = near(sinks[0]) if len(sinks) == 1 else frozenset().union(*map(near, sinks))
-    if s in ends:
-        return NoSeparator
-    if packing_reaches(out_adj, weights, s, ends, limit, stats):
-        return limit, None
-    return None
-
-
-def min_st_separator(g, s, t, limit=None, stats=None):
-    """Minimum (s,t) vertex separator; NoSeparator when t is adjacent to s.
-
-    Returns (value, separator_tuple).  With `limit`, values >= limit come
-    back as (limit, None) and are exact below it.
-    """
-    screened = _pair_screen(g, s, (t,), limit, stats)
-    if screened is not None:
-        return screened
-    value, sep, _, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
-    if not completed:
-        return value, None
-    return value, tuple(sep)
-
-
-def min_st_cut(g, s, t, limit=None, stats=None):
-    """Like min_st_separator but returns the full (L,S,R) cut."""
-    screened = _pair_screen(g, s, (t,), limit, stats)
-    if screened is not None:
-        return screened
-    value, sep, reach, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
-    if not completed:
-        return value, None
-    return value, _reach_cut(g.n, value, sep, reach)
-
-
-def min_s_to_set_separator(g, s, terminals, limit=None, stats=None):
-    """Minimum separator between s and a super-sink attached to all of
-    `terminals` (simultaneous separation; terminals are uncuttable).
-
-    NoSeparator when some terminal is adjacent to s; capped like
-    `min_st_separator`.
-    """
-    terminals = sorted(set(terminals))
-    if not terminals:
-        raise InvariantError("empty terminal set")
-    screened = _pair_screen(g, s, terminals, limit, stats)
-    if screened is not None:
-        return screened
-    value, sep, _, completed = _graph_flow(g, [s], terminals, limit=limit, stats=stats)
-    if not completed:
-        return value, None
-    return value, tuple(sep)
-
-
 def stored_probe(got, limit):
     """The answer of a capped probe under `limit` (None: no limit), read
     from an earlier probe `got` of the same ordered pair on the same graph,
@@ -365,73 +310,117 @@ def stored_probe(got, limit):
 
 
 class PairLedger:
-    """What one driver call learns about the vertex pairs of one Graph, so
-    that no (a, b) question on it is solved twice.
+    """What is known about the vertex pairs of one graph, kept in the
+    graph's `_ledger` slot.
 
-    Per ordered pair it keeps the greedy packing from a to N(b) (`packs`,
-    the memo of `packing_reaches`) and the probe as a capped flow returned
-    it (`probes`): a completed (value, cut), or (L, None) for kappa(a, b)
-    >= L, also written when a packing reaches L.  Adjacency is the graph's
-    own.  `cut` answers `min_st_cut` from these by `stored_probe`, and by
-    the mirror pair's bound, since kappa is symmetric; only the cut of a
-    completed probe is one-sided (the a-closest minimum cut), so a mirror
-    never supplies it.  Every answer is what `min_st_cut` returns on the
-    graph: the entries depend only on the pair, and an answer depends only
-    on kappa, the limit and the a-closest cut.
-    """
+    Per ordered pair (s, t) it keeps the greedy packing from s toward t
+    (`packs`, the memo of `packing_reaches`) and the probe as a capped flow
+    returned it (`probes`): a completed (value, cut), or (L, None) for
+    kappa(s, t) >= L, also written when a packing reaches L.  The packing
+    runs along `out_adj` with vertex capacities `weights` (1 per vertex on
+    a Graph) to `near[t]`, the vertices with an arc into t (t's neighbours
+    on a Graph); `min_s_to_set_separator` packs along the same view.
+    `mirror` says whether kappa is symmetric (a Graph)."""
 
-    __slots__ = ("graph", "packs", "probes", "_unit")
+    __slots__ = ("packs", "probes", "out_adj", "weights", "near", "mirror")
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
+    def __init__(self, g):
         self.packs = {}
         self.probes = {}
-        self._unit = [1] * graph.n
-
-    def at_least(self, a, b, limit, stats=None):
-        """True when kappa(a, b) >= `limit` follows from a stored probe of
-        either orientation, or from the packing from a to N(b), which is
-        then recorded as (limit, None).  A limit of None is never reached;
-        a and b must not be adjacent."""
-        if limit is None:
-            return False
-        for key in ((a, b), (b, a)):
-            got = self.probes.get(key)
-            if got is not None and got[0] >= limit:
-                return True
-        g = self.graph
-        if not packing_reaches(
-            g.adj, self._unit, a, g.neighbor_set(b), limit, stats, self.packs, (a, b)
-        ):
-            return False
-        self.probes[a, b] = (limit, None)
-        return True
-
-    def cut(self, a, b, limit=None, stats=None):
-        """`min_st_cut(self.graph, a, b, limit, stats)`, answered from the
-        ledger where it can be; a flow's answer is recorded."""
-        got = stored_probe(self.probes.get((a, b)), limit)
-        if got is not None:
-            return got
-        g = self.graph
-        if a in g.neighbor_set(b):
-            return NoSeparator
-        if self.at_least(a, b, limit, stats):
-            return limit, None
-        value, sep, reach, completed = _graph_flow(g, [a], [b], limit=limit, stats=stats)
-        cut = _reach_cut(g.n, value, sep, reach) if completed else None
-        self.probes[a, b] = (value, cut)
-        return value, cut
+        self.mirror = isinstance(g, Graph)
+        if self.mirror:
+            self.out_adj, self.weights, self.near = g.adj, [1] * g.n, g._adjsets
+        else:
+            self.out_adj, self.weights, self.near = g.out_adj, g.weights, g._insets
 
 
-def ledger_for(g: Graph, ledger=None):
-    """`ledger`, checked to be a `PairLedger` of g, or a fresh one when it
-    is None."""
+def _ledger(g):
+    """The `PairLedger` of g, made on first use (graphs are immutable)."""
+    ledger = g._ledger
     if ledger is None:
-        return PairLedger(g)
-    if ledger.graph is not g:
-        raise InvariantError("pair ledger of another graph")
+        ledger = g._ledger = PairLedger(g)
     return ledger
+
+
+def kappa_at_least(g, s, t, limit, stats=None):
+    """True when kappa(s, t) >= `limit` follows from g's ledger: a stored
+    probe of (s, t), or on a Graph of (t, s), or the packing from s to the
+    vertices with an arc into t, which is then recorded as (limit, None).
+    A limit of None is never reached; s must not have an arc into t."""
+    if limit is None:
+        return False
+    ledger = _ledger(g)
+    probes = ledger.probes
+    for key in ((s, t), (t, s)) if ledger.mirror else ((s, t),):
+        got = probes.get(key)
+        if got is not None and got[0] >= limit:
+            return True
+    if not packing_reaches(
+        ledger.out_adj, ledger.weights, s, ledger.near[t], limit, stats, ledger.packs, (s, t)
+    ):
+        return False
+    probes[s, t] = (limit, None)
+    return True
+
+
+def min_st_cut(g, s, t, limit=None, stats=None):
+    """Minimum (s,t) vertex cut (L, S, R) of a Graph or WeightedDigraph,
+    the s-closest one; NoSeparator when s has an arc into t.
+
+    Returns (value, cut).  With `limit`, values >= limit come back as
+    (limit, None) and are exact below it.  Answered from g's ledger where
+    it decides the question (see the module docstring); a flow's answer is
+    recorded there.
+    """
+    if s == t:
+        raise InvariantError("source among the sinks")
+    ledger = _ledger(g)
+    got = stored_probe(ledger.probes.get((s, t)), limit)
+    if got is not None:
+        return got
+    if s in ledger.near[t]:
+        return NoSeparator
+    if kappa_at_least(g, s, t, limit, stats):
+        return limit, None
+    value, sep, reach, completed = _graph_flow(g, [s], [t], limit=limit, stats=stats)
+    cut = _reach_cut(g.n, value, sep, reach) if completed else None
+    ledger.probes[s, t] = (value, cut)
+    return value, cut
+
+
+def min_st_separator(g, s, t, limit=None, stats=None):
+    """`min_st_cut` with the cut's separator, a sorted tuple, in place of
+    the cut: (value, separator), or (limit, None), or NoSeparator."""
+    res = min_st_cut(g, s, t, limit, stats)
+    if res is NoSeparator or res[1] is None:
+        return res
+    return res[0], res[1].S
+
+
+def min_s_to_set_separator(g, s, terminals, limit=None, stats=None):
+    """Minimum separator between s and a super-sink attached to all of
+    `terminals` (simultaneous separation; terminals are uncuttable).
+
+    NoSeparator when s has an arc into some terminal.  Returns (value,
+    separator tuple); with `limit`, values >= limit come back as (limit,
+    None), after a flow or when the packing from s to the vertices with an
+    arc into a terminal already reaches `limit`.
+    """
+    terminals = sorted(set(terminals))
+    if not terminals:
+        raise InvariantError("empty terminal set")
+    if s in terminals:
+        raise InvariantError("source among the sinks")
+    ledger = _ledger(g)
+    ends = frozenset().union(*(ledger.near[t] for t in terminals))
+    if s in ends:
+        return NoSeparator
+    if packing_reaches(ledger.out_adj, ledger.weights, s, ends, limit, stats):
+        return limit, None
+    value, sep, _, completed = _graph_flow(g, [s], terminals, limit=limit, stats=stats)
+    if not completed:
+        return value, None
+    return value, tuple(sep)
 
 
 def rooted_connectivity(g: Graph, a: int, stats=None):

@@ -626,37 +626,16 @@ def _circulant_adj(n, offsets):
     return [sorted(row) for row in adj]
 
 
-def _spectral_lambda(adj, cfg: Config = DEFAULT) -> float:
-    """max |eigenvalue| of the degree-normalized adjacency, principal
-    eigenvector excluded.  Dense eigensolve up to n=2048, power iteration
-    with Rayleigh quotients above."""
+def _spectral_lambda(adj) -> float:
+    """max |eigenvalue| of the degree-normalized adjacency of the circulant
+    graph `adj`, principal eigenvalue excluded.  A circulant's eigenvectors
+    are the Fourier characters, so its eigenvalues are lambda_k = sum over
+    w in N(0) of cos(2 pi w k / n) / deg, k = 0..n-1, with lambda_0 = 1
+    the principal one."""
     n = len(adj)
-    degs = [len(r) for r in adj]
-    dmax = max(degs) if degs else 1
-    a = np.zeros((n, n))
-    for u, row in enumerate(adj):
-        for v in row:
-            a[u, v] = 1.0 / dmax
-    if n <= 2048:
-        eigs = np.linalg.eigvalsh(a)
-        principal = max(range(len(eigs)), key=lambda i: eigs[i])
-        rest = [abs(float(e)) for i, e in enumerate(eigs) if i != principal]
-        return max(rest, default=0.0)
-    rng = np.random.default_rng(12345)
-    ones = np.ones(n) / math.sqrt(n)
-    x = rng.standard_normal(n)
-    x -= ones * (ones @ x)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(300):
-        y = a @ x
-        y -= ones * (ones @ y)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0
-        x = y / norm
-        lam = norm
-    return float(lam) * 1.05  # Rayleigh estimate padded toward safety
+    ks = np.arange(1, n)
+    lam = np.cos(2 * math.pi * np.outer(ks, adj[0]) / n).sum(axis=1) / len(adj[0])
+    return float(np.max(np.abs(lam), initial=0.0))
 
 
 def build_mixing_graph(n, d, cfg: Config = DEFAULT) -> MixingGraph:
@@ -664,9 +643,10 @@ def build_mixing_graph(n, d, cfg: Config = DEFAULT) -> MixingGraph:
     guaranteeing E(A,B) != empty whenever |A|*|B| >= pair_threshold.
 
     Backend: deterministic circulant with offsets chosen by a greedy
-    spectral search (closed-form circulant eigenvalues), certified by an
-    eigensolve of the final graph.  Complete graph when d >= n-1 (or when n
-    is too small to do better within the degree budget).
+    spectral search (closed-form circulant eigenvalues), certified by the
+    closed-form spectrum of the final graph (`_spectral_lambda`).  Complete
+    graph when d >= n-1 (or when n is too small to do better within the
+    degree budget).
     """
     if n < 1:
         raise InvariantError("n must be >= 1")
@@ -710,7 +690,7 @@ def build_mixing_graph(n, d, cfg: Config = DEFAULT) -> MixingGraph:
     adj = _circulant_adj(n, chosen)
     if max(len(r) for r in adj) > 4 * d:
         raise ConstructionFailed(f"degree budget 4d={4*d} unreachable at n={n}")
-    lam = _spectral_lambda(adj, cfg)
+    lam = _spectral_lambda(adj)
     lam_safe = lam * (1 + 1e-9) + 1e-12
     threshold = int(lam_safe * lam_safe * n * n) + 1
     return MixingGraph(n, adj, lam, threshold, "circulant")

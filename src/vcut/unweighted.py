@@ -26,37 +26,24 @@ shared so that no piece's search is repeated:
   set (the `_cache` of `expander_decomposition`), across its phi retries;
   an entry is found under its filling call's cap, so it is valid for that
   phi and any smaller one, which is all a halving retry asks of it;
-- within a driver call, one `PieceStore`: each piece's induced subgraph
-  (built once, so its split network is too) and a `PairLedger` of it that
-  keeps every pair probe made on it, across all rounds.  A stored
-  completed probe answers every later cap; a stored (L, None) says kappa
-  >= L and answers any later cap <= L, and a larger cap (|T| grows when X
-  holds non-terminals) solves the pair again.
+- within a driver call, one `PieceStore`: each piece's induced subgraph,
+  built once, so its split network and its pair ledger (`maxflow`) keep
+  every pair probe made on it across all rounds.  A stored completed
+  probe answers every later cap; a stored (L, None) says kappa >= L and
+  answers any later cap <= L, and a larger cap (|T| grows when X holds
+  non-terminals) solves the pair again.
 
 Answers, cuts, decompositions and events are those of uncapped probes and a
 fresh store per round; only `flow_calls`, `flow_edges` and `path_skips`
 move.  Pieces of at most EXHAUSTIVE_MAX vertices are searched by one numpy
 scan over all vertex subsets (`_exhaustive_sparsest`), which needs no flows.
 
-The driver asks the same (s, t) questions of its sparsified graph gs in
-every branch, so it owns one `maxflow.PairLedger` of gs per call and
-passes it down.  The ledger keeps, per ordered pair, the greedy packing
-from s to N(t) and the probe as a capped flow returned it, and answers a
-`min_st_cut` question from them where they decide it.  Four routes use it:
-
-- the whole-graph probes of every balanced-terminal call (the driver's
-  rounds and terminal reduction's);
-- the cluster calls of the unbalanced branch whose cluster is all of V
-  (see `isocut`: that probe is the a-b flow of gs);
-- the unbalanced branch's pair loop: a pair is settled once the ledger
-  shows kappa >= the cap (`unbalanced_vc`), and its flows are the
-  ledger's uncapped probes;
-- the expander piece that is all of V, which is gs itself.
-
-Each route is exact because an answer depends only on the pair, kappa,
-the cap and the s-closest minimum cut, all fixed for gs, and the ledger
-answers only when its entries decide that answer; the callers still ask
-every question in the same order.  The ledger lives as long as the call.
+Every (s, t) question of the driver is a `maxflow.min_st_cut` (or
+`maxflow.kappa_at_least`) on a graph the call builds, so the graph's pair
+ledger answers it if the call already knows the answer.  The sparsified
+graph gs is asked by the unbalanced branch, every balanced-terminal call
+and the expander piece that is all of V; the other pieces are induced
+subgraphs kept in the `PieceStore`.
 """
 
 from __future__ import annotations
@@ -81,7 +68,7 @@ from .graphs import (
 )
 from .isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
 from .kernel import build_kernel_index, query_kappa_upper
-from .maxflow import PairLedger, ledger_for
+from .maxflow import kappa_at_least, min_st_cut
 from .pseudorandom import symmetric_crossing_family
 
 
@@ -100,34 +87,27 @@ class PieceStore:
     """What one driver call learns about the expander pieces of its graph,
     shared by every terminal-reduction round and phi retry of the call.
 
-    A piece (its sorted vertex tuple) maps to its induced subgraph, the
-    subgraph's id map (local id -> id in the graph) and a `PairLedger` of
-    the subgraph, which keeps the capped `min_st_cut` probes made on it.
-    The subgraph is built once, so its split network is built once too.  A
-    probe is kept as its flow returned it: a completed (value, cut), which
-    answers every later cap, or (L, None) for kappa >= L, which answers
-    every later cap <= L (`maxflow.stored_probe`); a larger cap solves the
-    pair again and keeps the new answer.  The piece that is all of V is
-    the graph itself, and its probes go to `ledger`, the ledger of the
-    graph (default: a fresh one; the driver passes its own).
+    A piece (its sorted vertex tuple) maps to its induced subgraph and the
+    subgraph's id map (local id -> id in the graph).  The subgraph is built
+    once, so its split network and its pair ledger, which keeps the capped
+    `min_st_cut` probes made on it (`maxflow.stored_probe`), last the whole
+    call.  The piece that is all of V is the graph itself.
     """
 
-    __slots__ = ("graph", "pieces", "ledger")
+    __slots__ = ("graph", "pieces")
 
-    def __init__(self, graph: Graph, ledger=None):
+    def __init__(self, graph: Graph):
         self.graph = graph
         self.pieces = {}
-        self.ledger = ledger_for(graph, ledger)
 
     def piece(self, piece):
-        """(subgraph, ids, ledger) of `piece`, built on first use."""
+        """(subgraph, ids) of `piece`, built on first use."""
         entry = self.pieces.get(piece)
         if entry is None:
             if len(piece) == self.graph.n:
-                entry = (self.graph, range(self.graph.n), self.ledger)
+                entry = (self.graph, range(self.graph.n))
             else:
-                sub, ids = self.graph.induced(piece)
-                entry = (sub, ids, PairLedger(sub))
+                entry = self.graph.induced(piece)
             self.pieces[piece] = entry
         return entry
 
@@ -220,7 +200,7 @@ def _probe_cap(terminals, phi):
     return max(1, math.ceil(phi * terminals / (2 - phi)))
 
 
-def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, ledger=None):
+def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats):
     """Best (lowest h_T) canonical cut (A, N(A), rest) of g whenever some
     cut has h_T < phi.
 
@@ -233,11 +213,6 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, ledge
     is returned as uncapped probes would return it; otherwise the result
     is some cut with h_T >= phi, or None.  None also when nothing with
     positive terminal mass on both sides exists.  Returns (h, cut) or None.
-
-    The probes are asked of `ledger`, a `maxflow.PairLedger` of g (default:
-    a fresh one), which answers each from a stored probe where it can, as
-    a new capped flow would; the `PieceStore` entry of a piece carries its
-    ledger from one terminal set to the next.
     """
     tset = set(terminals)
     n = g.n
@@ -265,8 +240,6 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, ledge
             sep = {v for v in range(n) if found[1] >> v & 1}
             consider(left, sep, set(range(n)) - left - sep)
     else:
-        if ledger is None:
-            ledger = PairLedger(g)
         comps = g.components()
         if len(comps) > 1:
             universe = set(range(n))
@@ -283,7 +256,7 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats, ledge
                 if g.has_edge(u, v):
                     continue
                 count += 1
-                cut = ledger.cut(u, v, cap, stats)[1]
+                cut = min_st_cut(g, u, v, cap, stats)[1]
                 if cut is not None:
                     consider(set(cut.L), set(cut.S), set(cut.R))
             if count >= probe_budget:
@@ -306,8 +279,8 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
     is found with probes capped for the phi of the call that fills it, so
     it decides a piece exactly for that phi and any smaller one, and a
     cache must never be read at a larger phi.  `store`, a `PieceStore` of g
-    (default: a fresh one), keeps each piece's induced subgraph and its
-    probes' ledger for the whole driver call; a stored probe answers a
+    (default: a fresh one), keeps each piece's induced subgraph, and so its
+    stored probes, for the whole driver call; a stored probe answers a
     later cap as a new capped flow would, so sharing it leaves the
     decomposition unchanged.
     """
@@ -333,11 +306,10 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
             continue
         key = piece
         if key not in cache:
-            sub, ids, ledger = store.piece(piece)
+            sub, ids = store.piece(piece)
             local_terms = [j for j, v in enumerate(ids) if v in tset]
             got = _sparsest_canonical_cut(
-                sub, local_terms, phi, probe_budget=min(48, 4 * len(piece)), stats=stats,
-                ledger=ledger,
+                sub, local_terms, phi, probe_budget=min(48, 4 * len(piece)), stats=stats
             )
             if got is None:
                 cache[key] = None
@@ -398,16 +370,14 @@ def shaving(h: Graph, candidates, a):
 
 
 def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                       store=None, ledger=None):
+                       store=None):
     """One reduction round: returns (best cut or NoCut, T') with
     |T'| <= 0.9 |T|.
 
     Follows the decomposition / contraction / shaving / clustering /
     pruning sequence; every candidate cut comes from the balanced-terminal
     subroutine and validates in g.  `store` is the `PieceStore` of g that
-    the expander decompositions read (default: a fresh one each), and
-    `ledger` the `PairLedger` of g that the balanced-terminal calls ask
-    (default: a fresh one each).
+    the expander decompositions read (default: a fresh one each).
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -514,10 +484,10 @@ def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None
                             x_prime.discard(x)
             cand_terms = sorted(x_prime | set(t_bar))
             if cand_terms:
-                offer(balanced_terminal_vc(g, cand_terms, k, cfg, stats, ledger=ledger))
+                offer(balanced_terminal_vc(g, cand_terms, k, cfg, stats))
             cand_low = sorted(set(x_low) | set(t_bar))
             if cand_low:
-                offer(balanced_terminal_vc(g, cand_low, k, cfg, stats, ledger=ledger))
+                offer(balanced_terminal_vc(g, cand_low, k, cfg, stats))
 
     t_prime = sorted(set(x_list) | set(t_big) | set(t_small) | set(t_bar))
     limit = math.floor(0.9 * len(terms))
@@ -539,7 +509,7 @@ def _adj_from_edges(n, edges):
     return [sorted(r) for r in adj]
 
 
-def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None, ledger=None):
+def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     """Cut search targeting minimum cuts with a small side.
 
     Per power-of-two scale: crossing-family pairs answered through the
@@ -552,14 +522,13 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None, ledger=None):
     clustering distances, since neither the low-degree set nor the
     distances depend on the scale.
 
-    Every pair question goes to `ledger`, a `maxflow.PairLedger` of g
-    (default: a fresh one), which the driver shares with its balanced
-    rounds.  Before any kernel query, each pair {s, t}, s < t, is settled
-    when the ledger shows kappa_G(s,t) >= the cap `best.value`: from a
-    probe of either orientation stored by a cluster call, or from a
-    unit-capacity packing of paths from s to N(t), packed once per call
-    unless a higher limit asks for more.  A settled pair is skipped in
-    both orientations, with no query and no flow.  The skip is exact:
+    Before any kernel query, each pair {s, t}, s < t, is settled when g's
+    pair ledger shows kappa_G(s,t) >= the cap `best.value`
+    (`maxflow.kappa_at_least`): from a probe of either orientation stored
+    by a cluster call, or from a unit-capacity packing of paths from s to
+    N(t), packed once unless a higher limit asks for more.  A settled pair
+    is skipped in both orientations, with no query and no flow.  The skip
+    is exact:
 
     - the packing's total, and a stored probe's value, is <= kappa_G(s,t)
       (Menger);
@@ -572,7 +541,7 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None, ledger=None):
     answers, cuts and events are those of querying every pair, and only
     `path_skips`, `kernel_edges` and the flow counts move.  The kernel
     index decides only the pairs the ledger leaves open, and the flow it
-    asks for is the ledger's uncapped probe of the pair.
+    asks for is an uncapped `min_st_cut` of the pair.
     """
     if g.is_complete():
         return NoCut(max(0, g.n - 1))
@@ -581,7 +550,6 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None, ledger=None):
     logn = _log2ceil(g.n)
     max_scale = _log2ceil(delta * logn)
     seen_clusters = set()
-    ledger = ledger_for(g, ledger)
     distances = {}
     for i in range(1, max_scale + 1):
         ell = 2 ** i
@@ -593,9 +561,7 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None, ledger=None):
             if key in seen_clusters or len(cluster) < 2:
                 continue
             seen_clusters.add(key)
-            cand = subgraph_balanced_terminal_vc(
-                g, cluster, delta * logn, cfg, stats, best=best, ledger=ledger
-            )
+            cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, cfg, stats, best=best)
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
         for s, t in family.unordered():
@@ -607,11 +573,11 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None, ledger=None):
             # clusters, so try both orientations before giving up.
             for a, b in ((s, t), (t, s)):
                 cap = best.value if isinstance(best, VertexCut) else g.n
-                if ledger.at_least(s, t, cap, stats):
+                if kappa_at_least(g, s, t, cap, stats):
                     break  # kappa_G(s,t) >= cap: no orientation can improve
                 kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
                 if kappa_hat < cap:
-                    best = better_cut(best, ledger.cut(a, b, None, stats)[1])
+                    best = better_cut(best, min_st_cut(g, a, b, None, stats)[1])
     return best
 
 
@@ -639,7 +605,6 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
     gs = ni_sparsify(g, g.min_degree())
     k = max(1, gs.min_degree())
     best = min_degree_cut(g)
-    ledger = PairLedger(gs)
 
     def offer(candidate):
         nonlocal best
@@ -647,12 +612,12 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
             best = better_cut(best, candidate)
 
     if unbalanced:
-        offer(unbalanced_vc(gs, cfg, stats, ledger=ledger))
+        offer(unbalanced_vc(gs, cfg, stats))
     terms = tuple(range(g.n))
-    store = PieceStore(gs, ledger)
+    store = PieceStore(gs)
     while terms:
-        offer(balanced_terminal_vc(gs, terms, k, cfg, stats, best=best, ledger=ledger))
-        reduced, terms = terminal_reduction(gs, terms, k, cfg, stats, store=store, ledger=ledger)
+        offer(balanced_terminal_vc(gs, terms, k, cfg, stats, best=best))
+        reduced, terms = terminal_reduction(gs, terms, k, cfg, stats, store=store)
         offer(reduced)
     assert isinstance(best, VertexCut)
     return best

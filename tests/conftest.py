@@ -26,9 +26,8 @@ from vcut.graphs import (
     ni_sparsify,
     validate_cut,
 )
-from vcut.isocut import subgraph_balanced_terminal_vc
 from vcut.kernel import build_kernel_index, query_kappa_upper
-from vcut.maxflow import min_s_to_set_separator, min_st_cut, weighted_paths
+from vcut.maxflow import min_s_to_set_separator, weighted_paths
 from vcut.pseudorandom import symmetric_crossing_family
 
 
@@ -92,6 +91,28 @@ def separator_first(kappa, side) -> Graph:
     )
 
 
+def bare_min_st_cut(g, s, t, limit=None, stats=None):
+    """`maxflow.min_st_cut` with nothing stored: the adjacency, then the
+    packing from s to the vertices with an arc into t, then a flow.  This
+    is the package's former single-pair probe, before graphs kept a pair
+    ledger; the references below probe with it, so that they stay
+    independent of the ledger."""
+    if s == t:
+        raise InvariantError("source among the sinks")
+    if isinstance(g, Graph):
+        near, out_adj, weights = g.neighbor_set(t), g.adj, [1] * g.n
+    else:
+        near, out_adj, weights = g.in_set(t), g.out_adj, g.weights
+    if s in near:
+        return NoSeparator
+    if maxflow.packing_reaches(out_adj, weights, s, near, limit, stats):
+        return limit, None
+    value, sep, reach, completed = maxflow._graph_flow(g, [s], [t], limit=limit, stats=stats)
+    if not completed:
+        return value, None
+    return value, maxflow._reach_cut(g.n, value, sep, reach)
+
+
 def all_pairs_probe(g, best=None, cap=None, stats=None):
     """Reference for Even's sweep: every non-adjacent pair (s,t), t > s, in
     lexicographic order, each limited by `best.value` (else `cap`)."""
@@ -100,7 +121,7 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
             if g.has_edge(s, t):
                 continue
             limit = best.value if isinstance(best, VertexCut) else cap
-            res = min_st_cut(g, s, t, limit=limit, stats=stats)
+            res = bare_min_st_cut(g, s, t, limit=limit, stats=stats)
             if res[1] is not None:
                 best = better_cut(best, res[1])
     return best
@@ -108,9 +129,9 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
 
 def query_every_pair(g, cfg=DEFAULT, stats=None):
     """Reference for `unweighted.unbalanced_vc`: the same scales, cluster
-    calls and pair order, but every non-adjacent pair goes to the kernel
-    index in both orientations at every scale, with no whole-graph
-    certificate before it.
+    calls (`unledgered_subgraph_balanced_terminal_vc`) and pair order, but
+    every non-adjacent pair goes to the kernel index in both orientations
+    at every scale, with no whole-graph certificate before it.
 
     This is the package's former pair loop; `unbalanced_vc` must return the
     same cut, with no more kernel queries and no more flows."""
@@ -131,7 +152,9 @@ def query_every_pair(g, cfg=DEFAULT, stats=None):
             if key in seen_clusters or len(cluster) < 2:
                 continue
             seen_clusters.add(key)
-            cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, cfg, stats, best=best)
+            cand = unledgered_subgraph_balanced_terminal_vc(
+                g, cluster, delta * logn, cfg, stats, best=best
+            )
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
         for s, t in family.unordered():
@@ -143,20 +166,19 @@ def query_every_pair(g, cfg=DEFAULT, stats=None):
                 cap = best.value if isinstance(best, VertexCut) else g.n
                 kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
                 if kappa_hat < cap:
-                    res = min_st_cut(g, a, b, stats=stats)
+                    res = bare_min_st_cut(g, a, b, stats=stats)
                     if res is not NoSeparator and res[1] is not None:
                         best = better_cut(best, res[1])
     return best
 
 
-def unledgered_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None, best=None,
-                                    ledger=None):
+def unledgered_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None, best=None):
     """Reference for `isocut.balanced_terminal_vc`: the same search, but
-    each pair probe is its own whole-graph `min_st_cut`; `ledger` is
-    ignored.  This is the package's former probe closure."""
+    each pair probe is its own whole-graph `bare_min_st_cut`.  This is the
+    package's former probe closure."""
 
     def probe(a, b, limit):
-        res = min_st_cut(g, a, b, limit=limit, stats=stats)
+        res = bare_min_st_cut(g, a, b, limit=limit, stats=stats)
         return None if res is NoSeparator else res[1]
 
     def isolate(indep):
@@ -197,7 +219,8 @@ def unledgered_unbalanced_vc(g, cfg=DEFAULT, stats=None):
     calls and pair order, with the former per-call packing memo (each pair
     {s, t}, s < t, packed from s to N(t) once), the former cluster probes
     (`unledgered_subgraph_balanced_terminal_vc`), a fresh distance table
-    per kernel index, and a full-graph `min_st_cut` per improving query.
+    per kernel index, and a full-graph `bare_min_st_cut` per improving
+    query.
     This is the package's former loop, before the pair ledger."""
     if g.is_complete():
         return NoCut(max(0, g.n - 1))
@@ -236,7 +259,7 @@ def unledgered_unbalanced_vc(g, cfg=DEFAULT, stats=None):
                     break
                 kappa_hat = query_kappa_upper(index, a, b, cap=cap, stats=stats)
                 if kappa_hat < cap:
-                    res = min_st_cut(g, a, b, stats=stats)
+                    res = bare_min_st_cut(g, a, b, stats=stats)
                     if res is not NoSeparator and res[1] is not None:
                         best = better_cut(best, res[1])
     return best
@@ -247,9 +270,9 @@ def unledgered_driver(g, cfg=DEFAULT, stats=None, unbalanced=True):
     driver with no pair ledger.  The unbalanced branch is
     `unledgered_unbalanced_vc`, every balanced-terminal call (the driver's
     rounds and terminal reduction's, through `unweighted`) is
-    `unledgered_balanced_terminal_vc`, and the piece store has a ledger
-    of its own, so the piece that is all of V shares no probe with the
-    rest of the call."""
+    `unledgered_balanced_terminal_vc`.  Only the expander pieces probe
+    with `maxflow.min_st_cut`, so the piece that is all of V shares no
+    probe with the rest of the call."""
     if g.n <= 1 or len(g.components()) > 1 or g.is_complete():
         return unweighted.vertex_connectivity_unweighted(g, cfg, stats, unbalanced)
     gs = ni_sparsify(g, g.min_degree())
@@ -414,8 +437,8 @@ def uncapped_sparsest_cut(g, terminals, probe_budget, stats=None, probes=None):
     above `unweighted.EXHAUSTIVE_MAX` vertices): a cut per component when g
     is disconnected, then every non-adjacent terminal pair (u, v), u < v,
     in order, up to `probe_budget` pairs, each probed by an uncapped
-    `min_st_cut` (kept in the dict `probes`, when given, and reused from
-    it).  The least (h, sorted S, sorted L) wins.  Returns (h, cut) or None.
+    `bare_min_st_cut` (kept in the dict `probes`, when given, and reused
+    from it).  The least (h, sorted S, sorted L) wins.  Returns (h, cut) or None.
 
     This is the package's former probe loop; with probes capped at
     `unweighted._probe_cap`, `expander_decomposition` must give the same X
@@ -446,7 +469,7 @@ def uncapped_sparsest_cut(g, terminals, probe_budget, stats=None, probes=None):
     ]
     for u, v in pairs[:probe_budget]:
         if (u, v) not in probes:
-            probes[u, v] = min_st_cut(g, u, v, stats=stats)
+            probes[u, v] = bare_min_st_cut(g, u, v, stats=stats)
         _, cut = probes[u, v]
         consider(set(cut.L), set(cut.S), set(cut.R))
     if best is None:

@@ -22,6 +22,7 @@ import pytest
 
 from vcut.gabow import KConnected, gabow_vc
 from vcut.graphs import VertexCut
+from vcut.instrument import Counters
 from vcut.oracle import generate_planted, random_digraph, random_graph
 from vcut.unweighted import vertex_connectivity_unweighted
 from vcut.weighted import vertex_connectivity_weighted
@@ -105,6 +106,32 @@ def test_answer_is_pinned(label, python_backend):
 def test_answers_pinned_on_compiled_backend(compiled_backend):
     for label, (driver, args) in sorted(INSTANCES.items()):
         assert fingerprint(driver(*args)) == _pinned()[label], label
+
+
+def _check_repeat_calls():
+    """A second call on the same input object returns the same cut,
+    counters and events as the first: the drivers keep what they learn
+    about vertex pairs on the graphs they build per call, never on their
+    input."""
+    probes = 0
+    for label, (driver, args) in sorted(INSTANCES.items()):
+        runs = []
+        for _ in range(2):
+            stats = Counters()
+            result = driver(*args, stats=stats)
+            runs.append((fingerprint(result), stats.as_dict(), stats.events))
+        assert runs[0] == runs[1], label
+        assert runs[0][0] == _pinned()[label], label
+        probes += runs[0][1].get("flow_calls", 0) + runs[0][1].get("path_skips", 0)
+    assert probes > 0
+
+
+def test_repeat_calls_match(python_backend):
+    _check_repeat_calls()
+
+
+def test_repeat_calls_match_compiled(compiled_backend):
+    _check_repeat_calls()
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import (
     all_pairs_probe,
     assert_matches_reference,
+    bare_min_st_cut,
     bypass_network,
     cycle,
     path,
@@ -17,13 +21,22 @@ from conftest import (
 )
 from vcut import _pyflow, maxflow
 from vcut.errors import InvariantError
-from vcut.graphs import Graph, NoCut, NoSeparator, VertexCut, min_degree_cut, validate_cut
+from vcut.graphs import (
+    Graph,
+    NoCut,
+    NoSeparator,
+    VertexCut,
+    WeightedDigraph,
+    min_degree_cut,
+    validate_cut,
+)
 from vcut.instrument import Counters
 from vcut.maxflow import (
     BACKEND,
-    PairLedger,
     _graph_flow,
+    _ledger,
     even_sweep,
+    kappa_at_least,
     min_s_to_set_separator,
     min_st_cut,
     min_st_separator,
@@ -302,7 +315,32 @@ class TestBackendTwins:
         assert stops > 0
         assert compiled_core.BACKEND_NAME == "c"
 
-    def test_compiled_rejects_malformed_networks(self, compiled_core):
+    # Loads a flow backend from the file argv[1] and prints, for each
+    # network of the JSON list on stdin, what solve(*net, None) raised.
+    _SOLVE_EACH = """
+import importlib.machinery, importlib.util, json, sys
+path = sys.argv[1]
+if path.endswith(".py"):
+    loader = importlib.machinery.SourceFileLoader("vcut._pyflow", path)
+else:
+    loader = importlib.machinery.ExtensionFileLoader("vcut._core", path)
+spec = importlib.util.spec_from_file_location(loader.name, path, loader=loader)
+backend = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(backend)
+out = []
+for net in json.load(sys.stdin):
+    try:
+        backend.solve(*net, None)
+        out.append("returned")
+    except Exception as exc:
+        out.append(type(exc).__name__)
+print(json.dumps(out))
+"""
+
+    def _check_rejects(self, backend):
+        """Every malformed network raises ValueError.  The solves run in a
+        child interpreter, so one that never returns fails the test after
+        a minute instead of stalling the suite."""
         num, tails, heads, caps, s, t = bypass_network(petersen(), [0], [7])
         bad = [
             (num, tails, heads, caps, s, num),  # terminal outside [0, num)
@@ -314,10 +352,22 @@ class TestBackendTwins:
             (num, tails, heads, caps[:-1], s, t),
             (num, tails, heads, caps[:-1] + [-1], s, t),  # negative capacity
             (0, [], [], [], 0, 0),
+            (3, [0, 1], [1, -1], [1, 1], 0, 2),  # a negative arc end
+            (3, [0, 1], [1, 2], [1, 1], 0, -1),  # a negative sink
         ]
-        for net in bad:
-            with pytest.raises(ValueError):
-                compiled_core.solve(*net, None)
+        done = subprocess.run(
+            [sys.executable, "-c", self._SOLVE_EACH, backend.__file__],
+            input=json.dumps(bad), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout) == ["ValueError"] * len(bad)
+
+    def test_pure_python_rejects_malformed_networks(self):
+        self._check_rejects(_pyflow)
+
+    def test_compiled_rejects_malformed_networks(self, compiled_core):
+        self._check_rejects(compiled_core)
+        num, tails, heads, caps, s, t = bypass_network(petersen(), [0], [7])
         with pytest.raises(OverflowError):  # a capacity past 2^63 - 1
             compiled_core.solve(num, tails, heads, caps[:-1] + [2**63], s, t, None)
         # Two arcs of 2^62 into t: the flow value passes 2^63 - 1.
@@ -651,13 +701,14 @@ def _two_layers():
 
 
 class TestPairLedger:
-    """The ledger's answer rule: every answer is `min_st_cut`'s, and a
-    stored probe, a mirror bound or a kept packing stands in for work
-    only where it decides the question."""
+    """The answer rule of a graph's pair ledger: every `min_st_cut` answer
+    is a bare probe's (`conftest.bare_min_st_cut`), and a stored probe, a
+    mirror bound or a kept packing stands in for work only where it
+    decides the question."""
 
     @staticmethod
-    def _ask(ledger, a, b, limit, monkeypatch):
-        """(answer, packings, flows) of one ledger question."""
+    def _ask(g, a, b, limit, monkeypatch):
+        """(answer, packings, flows) of one `min_st_cut` question."""
         packings = []
         real = maxflow.weighted_paths
 
@@ -668,7 +719,7 @@ class TestPairLedger:
         stats = Counters()
         with monkeypatch.context() as patch:
             patch.setattr(maxflow, "weighted_paths", counted)
-            got = ledger.cut(a, b, limit, stats)
+            got = min_st_cut(g, a, b, limit, stats)
         return got, len(packings), stats.get("flow_calls")
 
     def test_stored_probe_rule(self):
@@ -684,63 +735,89 @@ class TestPairLedger:
 
     def test_mirror_bound_answers(self, monkeypatch):
         g = Graph.from_edges(20, [e for e in itertools.combinations(range(20), 2) if e != (0, 1)])
-        ledger = PairLedger(g)
-        assert self._ask(ledger, 0, 1, 5, monkeypatch) == ((5, None), 1, 0)
+        ledger = _ledger(g)
+        assert self._ask(g, 0, 1, 5, monkeypatch) == ((5, None), 1, 0)
         assert ledger.probes == {(0, 1): (5, None)}
-        assert self._ask(ledger, 1, 0, 5, monkeypatch) == ((5, None), 0, 0)
-        assert self._ask(ledger, 1, 0, 3, monkeypatch) == ((3, None), 0, 0)
+        assert self._ask(g, 1, 0, 5, monkeypatch) == ((5, None), 0, 0)
+        assert self._ask(g, 1, 0, 3, monkeypatch) == ((3, None), 0, 0)
         assert (1, 0) not in ledger.packs and (1, 0) not in ledger.probes
-        assert self._ask(ledger, 1, 0, 6, monkeypatch) == ((6, None), 1, 0)
+        assert self._ask(g, 1, 0, 6, monkeypatch) == ((6, None), 1, 0)
+
+    def test_mirror_bound_of_a_digraph_does_not_answer(self, monkeypatch):
+        """kappa(s, t) and kappa(t, s) differ on a digraph: 0 -> {2..6} -> 1,
+        but only 1 -> 7 -> 0 back."""
+        arcs = [(0, v) for v in range(2, 7)] + [(v, 1) for v in range(2, 7)] + [(1, 7), (7, 0)]
+        d = WeightedDigraph.from_arcs(8, arcs)
+        assert self._ask(d, 0, 1, 5, monkeypatch) == ((5, None), 1, 0)
+        assert not kappa_at_least(d, 1, 0, 5)
+        (value, cut), _, flows = self._ask(d, 1, 0, 5, monkeypatch)
+        assert (value, cut.S, flows) == (1, (7,), 1)
+        assert _ledger(d).probes == {(0, 1): (5, None), (1, 0): (1, cut)}
 
     def test_mirror_cut_does_not_answer(self, monkeypatch):
         g = _two_layers()
-        ledger = PairLedger(g)
-        (value, far), _, flows = self._ask(ledger, 1, 0, None, monkeypatch)
+        (value, far), _, flows = self._ask(g, 1, 0, None, monkeypatch)
         assert (value, far.S, flows) == (2, (4, 5), 1)
         # The mirror's value decides a capped question ...
-        assert self._ask(ledger, 0, 1, 2, monkeypatch) == ((2, None), 0, 0)
+        assert self._ask(g, 0, 1, 2, monkeypatch) == ((2, None), 0, 0)
         # ... but its cut is the other closest cut, so this one needs a flow.
-        (value, near), _, flows = self._ask(ledger, 0, 1, 3, monkeypatch)
+        (value, near), _, flows = self._ask(g, 0, 1, 3, monkeypatch)
         assert (value, near.S, flows) == (2, (2, 3), 1)
-        assert near == min_st_cut(g, 0, 1)[1] and far == min_st_cut(g, 1, 0)[1]
+        h = _two_layers()
+        assert near == bare_min_st_cut(h, 0, 1)[1] and far == bare_min_st_cut(h, 1, 0)[1]
 
     def test_completed_probe_answers_every_limit(self, monkeypatch):
         g = _two_layers()
-        ledger = PairLedger(g)
-        got, _, flows = self._ask(ledger, 0, 1, None, monkeypatch)
+        got, _, flows = self._ask(g, 0, 1, None, monkeypatch)
         assert flows == 1
-        assert self._ask(ledger, 0, 1, None, monkeypatch) == (got, 0, 0)
-        assert self._ask(ledger, 0, 1, 3, monkeypatch) == (got, 0, 0)
-        assert self._ask(ledger, 0, 1, 2, monkeypatch) == ((2, None), 0, 0)
-        assert self._ask(ledger, 0, 2, 1, monkeypatch) == (NoSeparator, 0, 0)
+        assert self._ask(g, 0, 1, None, monkeypatch) == (got, 0, 0)
+        assert self._ask(g, 0, 1, 3, monkeypatch) == (got, 0, 0)
+        assert self._ask(g, 0, 1, 2, monkeypatch) == ((2, None), 0, 0)
+        assert self._ask(g, 0, 2, 1, monkeypatch) == (NoSeparator, 0, 0)
+        assert min_st_separator(g, 0, 1) == (2, (2, 3))
 
     def test_stopped_packing_packs_again(self, monkeypatch):
         g = Graph.from_edges(20, [e for e in itertools.combinations(range(20), 2) if e != (0, 1)])
-        ledger = PairLedger(g)
-        assert ledger.at_least(0, 1, 2)
+        ledger = _ledger(g)
+        assert kappa_at_least(g, 0, 1, 2)
         assert ledger.packs == {(0, 1): (2, 2)}
-        assert self._ask(ledger, 0, 1, 6, monkeypatch) == ((6, None), 1, 0)
+        assert self._ask(g, 0, 1, 6, monkeypatch) == ((6, None), 1, 0)
         assert ledger.packs == {(0, 1): (6, 6)}
         # A packing that ran out of paths below its limit is never redone.
-        ledger = PairLedger(_two_layers())
-        assert not ledger.at_least(0, 1, 5)
-        assert ledger.packs == {(0, 1): (2, 5)}
-        got, packings, flows = self._ask(ledger, 0, 1, 7, monkeypatch)
+        g = _two_layers()
+        assert not kappa_at_least(g, 0, 1, 5)
+        assert _ledger(g).packs == {(0, 1): (2, 5)}
+        got, packings, flows = self._ask(g, 0, 1, 7, monkeypatch)
         assert (got[0], packings, flows) == (2, 0, 1)
 
+    def test_same_source_and_sink_rejected(self):
+        with pytest.raises(InvariantError):
+            min_st_cut(cycle(5), 2, 2)
+        with pytest.raises(InvariantError):
+            min_st_cut(WeightedDigraph.from_arcs(2, [(0, 1)]), 1, 1)
+
     def test_answers_are_min_st_cut(self):
+        """300 random questions on each of 6 graphs and 4 digraphs, each
+        asked of the one ledger of its graph, against bare probes on a
+        separate copy of the graph."""
         rng = random.Random(3)
         asked = 0
-        for seed in range(6):
-            g = random_graph(14, (0.2, 0.35)[seed % 2], seed)
-            ledger = PairLedger(g)
+        graphs = [random_graph(14, (0.2, 0.35)[seed % 2], seed) for seed in range(6)]
+        graphs += [random_digraph(11, (0.3, 0.45)[seed % 2], 5, seed) for seed in range(4)]
+        for g in graphs:
+            if isinstance(g, Graph):
+                copy = Graph(g.n, g.adj)
+            else:
+                copy = WeightedDigraph(g.n, g.out_adj, g.weights)
             for _ in range(300):
                 a, b = rng.sample(range(g.n), 2)
                 limit = rng.choice((None, 1, 2, 3, 4, 5))
-                assert ledger.cut(a, b, limit) == min_st_cut(g, a, b, limit), (seed, a, b, limit)
+                want = bare_min_st_cut(copy, a, b, limit)
+                assert min_st_cut(g, a, b, limit) == want, (g, a, b, limit)
                 asked += 1
-            assert any(cut is not None for _, cut in ledger.probes.values())
-        assert asked == 1800
+            assert copy._ledger is None
+            assert any(cut is not None for _, cut in _ledger(g).probes.values())
+        assert asked == 3000
 
 
 class TestTwoHopCertificate:
@@ -765,6 +842,13 @@ class TestTwoHopCertificate:
         return (value, VertexCut(left, sep, right, value)), (value, tuple(sep))
 
     @staticmethod
+    def _fresh(g):
+        """g rebuilt, so that a question meets an empty pair ledger."""
+        if isinstance(g, Graph):
+            return Graph(g.n, g.adj)
+        return WeightedDigraph(g.n, g.out_adj, g.weights)
+
+    @staticmethod
     def _packed(g, s, sinks):
         if isinstance(g, Graph):
             return unit_paths(g.adj, g.n, s, sinks, None)
@@ -785,8 +869,9 @@ class TestTwoHopCertificate:
                 for limit in sorted({1, hop, hop + 1, found, found + 1, kappa, kappa + 1}):
                     mine, ref = Counters(), Counters()
                     want_cut, want_sep = self._unchecked(g, s, t, limit, ref)
-                    assert min_st_cut(g, s, t, limit=limit, stats=mine) == want_cut
-                    assert min_st_separator(g, s, t, limit=limit, stats=mine) == want_sep
+                    fresh = self._fresh
+                    assert min_st_cut(fresh(g), s, t, limit=limit, stats=mine) == want_cut
+                    assert min_st_separator(fresh(g), s, t, limit=limit, stats=mine) == want_sep
                     # each skip stands in for one capped flow
                     assert (
                         mine.get("flow_calls") + mine.get("path_skips")

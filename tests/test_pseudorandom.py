@@ -376,6 +376,26 @@ class TestMixingGraph:
         eigs = sorted(abs(x) for x in np.linalg.eigvalsh(a))
         assert abs(eigs[-2] - mg.lam) < 1e-8
 
+    def test_closed_form_spectrum_matches_eigensolve(self):
+        """Every circulant that `build_mixing_graph(n, d)` builds for
+        n <= 40: its closed-form lambda is the dense eigensolve's, and so is
+        the pair threshold derived from it."""
+        checked = 0
+        for n in range(2, 41):
+            for d in range(1, n):
+                mg = build_mixing_graph(n, d)
+                if mg.method != "circulant":
+                    continue
+                a = np.zeros((n, n))
+                for u, row in enumerate(mg.adj):
+                    a[u, list(row)] = 1.0 / mg.max_degree
+                lam = sorted(abs(x) for x in np.linalg.eigvalsh(a))[-2]
+                assert abs(lam - mg.lam) < 1e-9, (n, d)
+                safe = lam * (1 + 1e-9) + 1e-12
+                assert mg.pair_threshold == int(safe * safe * n * n) + 1, (n, d)
+                checked += 1
+        assert checked > 400
+
     def test_degree_budget_respected(self):
         for n, d in [(20, 3), (50, 5), (33, 4)]:
             mg = build_mixing_graph(n, d)

@@ -25,7 +25,7 @@ from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, min_degree_cut, vali
 from vcut.instrument import Counters
 from vcut.isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
 from vcut.kernel import build_kernel_index, query_kappa_upper
-from vcut.maxflow import PairLedger, min_st_cut, weighted_paths
+from vcut.maxflow import _ledger, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_graph
 from vcut.unweighted import (
     EXHAUSTIVE_MAX,
@@ -160,10 +160,12 @@ def _fingerprint(cut):
 
 
 class TestPieceStore:
-    """The driver's one PieceStore per call against a fresh store per
-    terminal-reduction round: the same decompositions, cuts, T' sequences,
-    events and counters but the flow and skip counts, never more flows and
-    never more probes solved (flows plus packing skips)."""
+    """The driver's one PieceStore per call, and the one pair ledger of its
+    sparsified graph, against a fresh store and a fresh copy of that graph
+    (so an empty ledger) per terminal-reduction round: the same
+    decompositions, cuts, T' sequences, events and counters but the flow
+    and skip counts, never more flows and never more probes solved (flows
+    plus packing skips)."""
 
     @staticmethod
     def _run(g, monkeypatch, fresh):
@@ -181,9 +183,11 @@ class TestPieceStore:
             decomps.append((d.x, d.pieces, d.phi))
             return d
 
-        def round_(*args, store, ledger):
+        def round_(gs, *args, store):
             stores.append(store)
-            cut, t_prime = real_round(*args, store=None if fresh else store, ledger=ledger)
+            if fresh:
+                gs, store = Graph(gs.n, gs.adj), None
+            cut, t_prime = real_round(gs, *args, store=store)
             rounds.append((args[1], _fingerprint(cut), t_prime))
             return cut, t_prime
 
@@ -215,9 +219,10 @@ class TestPieceStore:
             # Every stored probe is what a new flow returns: a completed
             # one that of an uncapped flow, an (L, None) one that of a flow
             # capped at L.
-            for sub, _, ledger in store.pieces.values():
-                for (u, v), res in ledger.probes.items():
-                    assert res == min_st_cut(sub, u, v, limit=None if res[1] is not None else res[0])
+            for sub, _ in store.pieces.values():
+                for (u, v), res in _ledger(sub).probes.items():
+                    limit = None if res[1] is not None else res[0]
+                    assert res == conftest.bare_min_st_cut(sub, u, v, limit=limit)
                     probes += 1
             assert len(shared[2]) > 1
             assert shared_flows <= alone_flows
@@ -294,12 +299,16 @@ class TestProbeCap:
 
     @staticmethod
     def _uncapped(monkeypatch):
+        """The former probe loop, which keeps the probes of each piece (by
+        the identity of its subgraph, which the piece store keeps alive)
+        across terminal sets, as the store does."""
         real = unweighted._sparsest_canonical_cut
+        kept = {}
 
-        def probe(g, terminals, phi, probe_budget, stats, ledger=None):
+        def probe(g, terminals, phi, probe_budget, stats):
             if g.n <= EXHAUSTIVE_MAX:
-                return real(g, terminals, phi, probe_budget, stats, ledger)
-            probes = None if ledger is None else ledger.probes
+                return real(g, terminals, phi, probe_budget, stats)
+            probes = kept.setdefault(id(g), {})
             return conftest.uncapped_sparsest_cut(g, terminals, probe_budget, stats, probes)
 
         monkeypatch.setattr(unweighted, "_sparsest_canonical_cut", probe)
@@ -351,12 +360,11 @@ class TestProbeCap:
         and is solved again under a larger cap; a stored completed probe
         answers every cap, its cut counting only below the cap."""
         g = Graph.from_edges(20, [e for e in itertools.combinations(range(20), 2) if e != (0, 1)])
-        ledger = PairLedger(g)
-        probes = ledger.probes
+        probes = _ledger(g).probes
 
         def probe(phi):
             stats = Counters()
-            got = _sparsest_canonical_cut(g, [0, 1], phi, 48, stats, ledger)
+            got = _sparsest_canonical_cut(g, [0, 1], phi, 48, stats)
             return got, stats.get("flow_calls") + stats.get("path_skips")
 
         # |T| = 2: cap 2 at phi = 1, 6 at phi = 1.5; kappa(0, 1) = 18.
@@ -518,14 +526,14 @@ class TestPairCertificate:
     def test_chain_behind_the_skip(self, monkeypatch):
         """For every non-adjacent pair, n <= 20, in both orientations: the
         whole-graph packing toward N(t) <= kappa_G(s,t) <= the kernel
-        answer at every scale of the call.  The call keeps one ledger.
-        Every packing total it keeps is under its own ordered pair's key and
-        no more than that pair's packing, and each kept total decides as a
-        new packing under the same limit.  Every stored probe is a bound
-        (L, None) with L <= kappa_G, or a new flow's completed answer."""
-        memos, ledgers = [], []
+        answer at every scale of the call.  The call keeps its packings
+        in g's ledger.  Every packing total it keeps is under its own
+        ordered pair's key and no more than that pair's packing, and each
+        kept total decides as a new packing under the same limit.  Every
+        stored probe is a bound (L, None) with L <= kappa_G, or a new
+        flow's completed answer."""
+        memos = []
         real = maxflow.packing_reaches
-        real_ledger = unweighted.ledger_for
 
         def spy(out_adj, weights, s, ends, limit, stats, memo=None, key=None):
             if memo is not None:
@@ -534,20 +542,13 @@ class TestPairCertificate:
             assert got == (weighted_paths(out_adj, weights, s, ends, limit) >= limit)
             return got
 
-        def spy_ledger(g, ledger=None):
-            ledgers.append(real_ledger(g, ledger))
-            return ledgers[-1]
-
         kept = stored = 0
         for g in _certificate_graphs(20):
             memos.clear()
-            ledgers.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(maxflow, "packing_reaches", spy)
-                patch.setattr(unweighted, "ledger_for", spy_ledger)
                 unbalanced_vc(g)
-            assert len(ledgers) == 1
-            ledger = ledgers[0]
+            ledger = _ledger(g)
             assert all(memo is ledger.packs for memo in memos)
             unit = [1] * g.n
             delta, logn = g.min_degree(), _log2ceil(g.n)
@@ -571,7 +572,10 @@ class TestPairCertificate:
                         kept += 1
                     got = ledger.probes.get((a, b))
                     if got is not None:
-                        assert got[0] <= kappa if got[1] is None else got == min_st_cut(g, a, b)
+                        if got[1] is None:
+                            assert got[0] <= kappa
+                        else:
+                            assert got == conftest.bare_min_st_cut(g, a, b)
                         stored += 1
         assert kept > 0 and stored > 0
 
@@ -586,11 +590,11 @@ def _perfbench_design(seed):
 
 
 class TestPairLedger:
-    """One pair ledger per driver call against the driver without one
-    (`conftest.unledgered_driver`: the former unbalanced loop, cluster
-    probes and balanced-search probes): the same cuts, events and counters
-    but `flow_calls`, `flow_edges`, `path_skips` and `kernel_edges`, and
-    never more flows or packings."""
+    """The pair ledger of the sparsified graph of a driver call against
+    the driver that probes it without one (`conftest.unledgered_driver`:
+    the former unbalanced loop, cluster probes and balanced-search probes):
+    the same cuts, events and counters but `flow_calls`, `flow_edges`,
+    `path_skips` and `kernel_edges`, and never more flows or packings."""
 
     MOVED = ("flow_calls", "flow_edges", "path_skips", "kernel_edges")
 
@@ -643,43 +647,26 @@ class TestPairLedger:
 
     def test_entry_points_match_unledgered_probes(self):
         """Both balanced-terminal entry points with all of V as terminals,
-        one ledger shared by all their calls on a graph, and the caller's
-        best None or the min-degree cut: the same result as their former
-        probe closures (`conftest.unledgered_*`)."""
+        the graph's one ledger shared by all their calls on it, and the
+        caller's best None or the min-degree cut: the same result as their
+        former probe closures (`conftest.unledgered_*`)."""
         differ = 0
         for seed in range(40):
             n = 12 + seed % 17
             g = random_graph(n, (0.12, 0.2, 0.3)[seed % 3], 900 + seed)
             if len(g.components()) > 1 or g.is_complete():
                 continue
-            ledger = PairLedger(g)
             k = max(1, g.min_degree())
             for best in (None, min_degree_cut(g)):
                 for mine, ref in (
                     (subgraph_balanced_terminal_vc, conftest.unledgered_subgraph_balanced_terminal_vc),
                     (balanced_terminal_vc, conftest.unledgered_balanced_terminal_vc),
                 ):
-                    got = mine(g, range(n), k, best=best, ledger=ledger)
+                    got = mine(g, range(n), k, best=best)
                     want = ref(g, range(n), k, best=best)
                     assert _fingerprint(got) == _fingerprint(want), (seed, mine.__name__)
                     differ += isinstance(got, VertexCut) and got != best
         assert differ > 0
-
-    def test_ledger_of_another_graph_rejected(self):
-        g = cycle(8)
-        other = PairLedger(cycle(8))
-        with pytest.raises(InvariantError):
-            unbalanced_vc(g, ledger=other)
-        with pytest.raises(InvariantError):
-            PieceStore(g, other)
-        with pytest.raises(InvariantError):
-            balanced_terminal_vc(g, range(8), 2, ledger=other)
-        with pytest.raises(InvariantError):
-            subgraph_balanced_terminal_vc(g, range(8), 2, ledger=other)
-        # A ledger of the graph itself is accepted everywhere.
-        mine = PairLedger(g)
-        assert unbalanced_vc(g, ledger=mine).value == 2
-        assert PieceStore(g, mine).piece(tuple(range(8)))[2] is mine
 
 
 class TestDriver:
