@@ -10,9 +10,7 @@ lands inside one cluster.
 from __future__ import annotations
 
 import itertools
-import math
 
-from .config import DEFAULT, Config
 from .errors import InvariantError, MixedSketchError
 from .graphs import Graph, WeightedDigraph, weighted_symdiff
 
@@ -191,174 +189,30 @@ def weighted_cnc(d_graph: WeightedDigraph, ell, stats=None, cache=None):
 # Pairwise sparse recovery
 # ---------------------------------------------------------------------------
 
-class TooLarge:
-    """Sentinel: the symmetric difference exceeded the sketch threshold."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TooLarge"
-
-
-TOO_LARGE = TooLarge()
-
-
 class RecoverySketch:
     """Per-vertex digest supporting pairwise symmetric-difference recovery."""
 
-    __slots__ = ("n", "x", "backend", "payload", "field")
+    __slots__ = ("n", "x", "payload")
 
-    def __init__(self, n, x, backend, payload, field=None):
+    def __init__(self, n, x, payload):
         self.n = n
         self.x = x
-        self.backend = backend
         self.payload = payload
-        self.field = field
 
 
-def _small_prime_above(n):
-    candidate = max(3, n + 1)
-    while True:
-        if all(candidate % q for q in range(2, int(math.isqrt(candidate)) + 1)):
-            return candidate
-        candidate += 1
+def sketch_construct(g: Graph, x):
+    """Build one sketch per vertex at recovery threshold x.
 
-
-def _primitive_root(p):
-    phi = p - 1
-    factors = set()
-    rem = phi
-    q = 2
-    while q * q <= rem:
-        while rem % q == 0:
-            factors.add(q)
-            rem //= q
-        q += 1
-    if rem > 1:
-        factors.add(rem)
-    for g in range(2, p):
-        if all(pow(g, phi // q, p) != 1 for q in factors):
-            return g
-    raise InvariantError(f"no primitive root mod {p}")
-
-
-def sketch_construct(g: Graph, x, backend=None, cfg: Config = DEFAULT):
-    """Build one sketch per vertex; pairwise recovery is exact up to size x.
-
-    The reference backend stores neighborhoods outright and never fails; the
-    syndrome backend stores 2x power sums over a prime field and fails with
-    TooLarge beyond the threshold.
-    """
-    backend = backend or cfg.sketch_backend
+    Each sketch stores the vertex's neighborhood outright, so pairwise
+    recovery is exact at every size; x is kept so that sketches of
+    different thresholds are never mixed."""
     if x < 0:
         raise InvariantError("x must be >= 0")
-    if backend == "exact":
-        return [
-            RecoverySketch(g.n, x, "exact", g.neighbor_set(v)) for v in range(g.n)
-        ]
-    if backend != "syndrome":
-        raise InvariantError(f"unknown sketch backend {backend!r}")
-    p = _small_prime_above(max(g.n + 1, 2 * x + 2))
-    omega = _primitive_root(p)
-    powers = [pow(omega, i, p) for i in range(g.n)]
-    sketches = []
-    for v in range(g.n):
-        syndromes = []
-        for j in range(1, 2 * x + 1):
-            acc = 0
-            for i in g.adj[v]:
-                acc = (acc + pow(powers[i], j, p)) % p
-            syndromes.append(acc)
-        sketches.append(RecoverySketch(g.n, x, "syndrome", tuple(syndromes), (p, omega)))
-    return sketches
-
-
-def _berlekamp_massey(seq, p):
-    """Minimal LFSR (connection polynomial) for `seq` over F_p."""
-    c = [1]
-    b = [1]
-    L, m, bb = 0, 1, 1
-    for i, s in enumerate(seq):
-        delta = s
-        for j in range(1, L + 1):
-            delta = (delta + c[j] * seq[i - j]) % p
-        if delta == 0:
-            m += 1
-        elif 2 * L <= i:
-            t = list(c)
-            coef = delta * pow(bb, -1, p) % p
-            c = c + [0] * (len(b) + m - len(c))
-            for j, bj in enumerate(b):
-                c[j + m] = (c[j + m] - coef * bj) % p
-            L = i + 1 - L
-            b = t
-            bb = delta
-            m = 1
-        else:
-            coef = delta * pow(bb, -1, p) % p
-            c = c + [0] * max(0, len(b) + m - len(c))
-            for j, bj in enumerate(b):
-                c[j + m] = (c[j + m] - coef * bj) % p
-            m += 1
-    return c[: L + 1], L
-
-
-def _solve_mod(matrix, rhs, p):
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] % p), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [x * inv % p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    return [RecoverySketch(g.n, x, g.neighbor_set(v)) for v in range(g.n)]
 
 
 def sketch_recover(a: RecoverySketch, b: RecoverySketch):
-    """N(u) triangle N(v) from two sketches; TooLarge when out of range."""
-    if (a.n, a.x, a.backend, a.field) != (b.n, b.x, b.backend, b.field):
+    """N(u) triangle N(v) from two sketches of one construction."""
+    if (a.n, a.x) != (b.n, b.x):
         raise MixedSketchError("sketches built with different parameters")
-    if a.backend == "exact":
-        return set(a.payload ^ b.payload)
-    p, omega = a.field
-    x = a.x
-    diff = [(sa - sb) % p for sa, sb in zip(a.payload, b.payload)]
-    if all(v == 0 for v in diff):
-        return set()
-    if x == 0:
-        return TOO_LARGE
-    conn, degree = _berlekamp_massey(diff, p)
-    if degree == 0 or degree > x:
-        return TOO_LARGE
-    positions = []
-    for i in range(a.n):
-        z = pow(omega, (p - 1 - i) % (p - 1), p)  # omega^{-i}
-        acc = 0
-        for coeff in reversed(conn):
-            acc = (acc * z + coeff) % p
-        if acc == 0:
-            positions.append(i)
-    if len(positions) != degree:
-        return TOO_LARGE
-    vander = [[pow(omega, i * j, p) for i in positions] for j in range(1, degree + 1)]
-    amps = _solve_mod(vander, diff[:degree], p)
-    if amps is None or any(e not in (1, p - 1) for e in amps):
-        return TOO_LARGE
-    for j in range(1, 2 * x + 1):
-        acc = 0
-        for i, e in zip(positions, amps):
-            acc = (acc + e * pow(omega, i * j, p)) % p
-        if acc != diff[j - 1]:
-            return TOO_LARGE
-    return set(positions)
+    return set(a.payload ^ b.payload)

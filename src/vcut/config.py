@@ -36,9 +36,6 @@ class Config:
     # gate |V_i| <= kernel_gate_mult * delta * ceil(log2 n).
     clow_mult: int = 8
     kernel_gate_mult: int = 8
-    # Sparse-recovery backend: "exact" (reference, never TooLarge) or
-    # "syndrome" (power-sum syndromes with bounded recovery).
-    sketch_backend: str = "exact"
 
     # Crossing families: declared per-source degree bound is
     # crossing_c * ceil(log2 |B|)^crossing_polylog_exp * max(1, (|B|-r)/l).
@@ -124,13 +121,10 @@ _RANGES = {
     "oracle_unweighted_guard": _NON_NEGATIVE,
     "oracle_weighted_guard": _NON_NEGATIVE,
 }
-SKETCH_BACKENDS = ("exact", "syndrome")
 
 
 def _check_range(name: str, value):
     """The reason `value` is out of range for field `name`, or None."""
-    if name == "sketch_backend":
-        return None if value in SKETCH_BACKENDS else f"must be one of {', '.join(SKETCH_BACKENDS)}"
     least, greatest, excluded = _RANGES[name]
     if isinstance(value, float) and not math.isfinite(value):
         return "must be finite"
@@ -142,13 +136,7 @@ def _check_range(name: str, value):
 
 
 def _parse_value(name: str, raw: str):
-    typ = _FIELD_TYPES[name]
-    raw = raw.strip()
-    if typ in ("int", int):
-        return int(raw)
-    if typ in ("float", float):
-        return float(raw)
-    return raw.strip("\"'")
+    return int(raw) if _FIELD_TYPES[name] in ("int", int) else float(raw)
 
 
 def load_config(path) -> Config:

@@ -29,11 +29,11 @@ Menger).  A query with limit L returns (L, None) exactly when the max flow
 is >= L, so a capped flow is skipped, and counted as `path_skips`, exactly
 when `packing_reaches` says the packing reaches L.  That is the one skip
 rule; a limit <= 0 is never a skip, because `_flow` answers it without a
-flow.  `min_st_cut` (and `min_st_separator` through it) and
-`min_s_to_set_separator` apply it before their flow, and the kernel query
-and the weighted pair loops apply it to the implicit kernels and the
-sparsified pair instances.  `_graph_flow` itself never screens, so its
-counters stay those of the bypass-arc network.
+flow.  `min_st_cut` (and `min_st_separator` and the kernel query through
+it) and `min_s_to_set_separator` apply it before their flow, and the
+weighted pair loops apply it to the sparsified pair instances.
+`_graph_flow` itself never screens, so its counters stay those of the
+bypass-arc network.
 
 A graph carries its own pair ledger (`PairLedger`, in its `_ledger` slot,
 made on first use), and `min_st_cut` is the only way to ask a single-pair
@@ -50,8 +50,7 @@ There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set
 of end vertices, taking every two-hop path first.  A flow to a sink set
 packs to the ends that are the sinks' in-neighbours (neighbours, on an
-undirected graph, the kernel rows and the isocut auxiliary graph, all
-packed with unit capacities).  A sink is reached only through those ends,
+undirected graph, packed with unit capacities).  A sink is reached only through those ends,
 which are never expanded, so the packing never needs a sink's own row.
 
 The inner solver is the compiled `vcut._core` when available, else the

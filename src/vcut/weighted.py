@@ -124,14 +124,16 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEF
         by_bucket_c.setdefault(_bucket(d.weights[u]), []).append(u)
     for v in v_low:
         by_bucket_d.setdefault(_bucket(d.weights[v]), []).append(v)
+    for bucket in (*by_bucket_c.values(), *by_bucket_d.values()):
+        bucket.sort()
     pairs = []
     bound = 0
     for i in range(1, logw + 1):
-        ci = sorted(by_bucket_c.get(i, []))
+        ci = by_bucket_c.get(i)
         if not ci:
             continue
         for j in range(1, logw + 1):
-            dj = sorted(by_bucket_d.get(j, []))
+            dj = by_bucket_d.get(j)
             if not dj:
                 continue
             l_i = min(max(1, math.ceil(ell / (2**i * logw))), len(ci))

@@ -87,10 +87,11 @@ class TestCompute:
         [
             ("expander_exhaustive_max = 16\n", "unknown config key"),
             ("instr_sparsify_factor = 2.0\n", "unknown config key"),
+            ("sketch_backend = exact\n", "unknown config key 'sketch_backend'"),
             ("lam = eight\n", "lam"),
             (None, "No such file"),
         ],
-        ids=["removed-key", "removed-instr-key", "bad-value", "missing"],
+        ids=["removed-key", "removed-instr-key", "removed-sketch-key", "bad-value", "missing"],
     )
     def test_bad_config_is_usage_error(self, petersen_file, tmp_path, capsys, text, reason):
         cfg = tmp_path / "vcut.cfg"
@@ -98,7 +99,7 @@ class TestCompute:
             cfg.write_text(text)
         code = main(["compute", petersen_file, "--config", str(cfg)])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
+        assert code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("config error") and reason in captured.err
 
     @pytest.mark.parametrize(
@@ -137,7 +138,7 @@ class TestCompute:
     def test_every_config_field_has_a_range(self):
         from vcut.config import _FIELD_TYPES, _RANGES
 
-        assert set(_RANGES) | {"sketch_backend"} == set(_FIELD_TYPES)
+        assert set(_RANGES) == set(_FIELD_TYPES)
 
     def test_deterministic_reports(self, petersen_file, capsys):
         _, a = run(capsys, "compute", petersen_file)

@@ -231,9 +231,8 @@ class TestLoadConfigFuzz:
                 name == "lam" or name.endswith(("_mult", "_factor", "_div", "_c"))
             ):
                 assert value >= 1, name  # integer factors and multipliers
-            elif not isinstance(value, str):
+            else:
                 assert value >= 0, name
-        assert cfg.sketch_backend in ("exact", "syndrome")
 
     @FUZZ
     @given(st.binary(max_size=40))

@@ -3,20 +3,14 @@ import math
 
 import pytest
 
-from conftest import complete, disjoint_paths
+from conftest import complete
 from vcut import kernel
 from vcut.config import DEFAULT
 from vcut.errors import EmptyKernel, InvariantError
 from vcut.graphs import Graph, NoSeparator, _log2ceil
 from vcut.instrument import Counters
-from vcut.kernel import (
-    _assemble_kernel,
-    _implicit_kernel,
-    build_kernel_index,
-    kernel_graph,
-    query_kappa_upper,
-)
-from vcut.maxflow import min_st_separator, vertex_max_flow, weighted_paths
+from vcut.kernel import build_kernel_index, kernel_graph, query_kappa_upper
+from vcut.maxflow import min_st_separator, vertex_max_flow
 from vcut.oracle import brute_pair_kappa, generate_planted, random_graph
 
 
@@ -196,9 +190,47 @@ class TestQuery:
                 assert small or sparse_s
 
 
+def _assemble_kernel(index, i, s, t):
+    """Reference kernel: sorted vertex list and adjacency (vertex -> set of
+    neighbours) of the kernel for (cluster i, s, t), assembled from the
+    reduced lists N(u) \\ N(s) of the cluster members and their reverse
+    index, as the package assembled it before `kernel_graph` built the
+    kernel directly.
+
+    The core is the cluster minus N[t]; each core vertex u keeps its edges
+    to N(u) \\ N(s).  The boundary N(core) \\ core is joined to t, and s
+    is joined to its neighbours in the kernel."""
+    g = index.graph
+    cluster = index.clusters[i]
+    if s not in cluster:
+        raise InvariantError("s is not in the requested cluster")
+    reduced = {u: g.neighbor_set(u) - g.neighbor_set(s) for u in cluster}
+    reverse = {}
+    for u in cluster:
+        for v in reduced[u]:
+            reverse.setdefault(v, []).append(u)
+    core = set(cluster) - g.neighbor_set(t) - {t}
+    if not core:
+        raise EmptyKernel(f"cluster {i} is contained in N[t]")
+    boundary = {v for u in core for v in g.adj[u]} - core
+    adj = {u: set(reduced[u]) for u in core}
+    for u in core:
+        adj[u].update(core.intersection(reverse.get(u, ())))
+    for v in boundary:
+        back = core.intersection(reverse.get(v, ()))
+        back.add(t)
+        adj[v] = back
+    adj[t] = set(boundary)
+    near_s = adj.setdefault(s, set())
+    for v in g.neighbor_set(s) & adj.keys():
+        near_s.add(v)
+        adj[v].add(s)
+    return sorted(adj), adj
+
+
 def _query_unchecked(index, s, t, cap=None, stats=None):
-    """query_kappa_upper without the two-hop check: one capped flow per
-    usable kernel."""
+    """query_kappa_upper without the packing: one capped flow per usable
+    reference kernel (`_assemble_kernel`)."""
     g = index.graph
     usable = [i for i in index.clusters_of(s) if len(index.clusters[i]) <= index.size_gate]
     if not usable or g.has_edge(s, t):
@@ -252,71 +284,30 @@ def _random_indexes():
                 yield build_kernel_index(g, ell)
 
 
-class TestImplicitKernel:
-    """The query reads each kernel through `_implicit_kernel`: the rows and
-    ends (the boundary) it hands the packing and the edges it counts are
-    those of the assembled kernel."""
-
-    def test_counted_edges_match_assembled(self):
+class TestKernelReference:
+    def test_kernel_graph_matches_reference(self):
+        """On every kernel a query reads, `kernel_graph` has the reference
+        kernel's vertex ids and edges, and its edge count `m` (what the
+        query counts as `kernel_edges`) is the reference's."""
         checked = 0
         for indexes in (_criterion_7_indexes(), _random_indexes()):
             for idx in indexes:
                 for i, s, t in _query_kernels(idx):
-                    _, _, edges = _implicit_kernel(idx, i, s, t)
-                    _, adj = _assemble_kernel(idx, i, s, t)
-                    assert edges == sum(map(len, adj.values())) // 2, (i, s, t)
+                    kern, ids, ks, kt = kernel_graph(idx, i, s, t)
+                    ref_ids, adj = _assemble_kernel(idx, i, s, t)
+                    assert ids == ref_ids and (ids[ks], ids[kt]) == (s, t), (i, s, t)
+                    assert [{ids[v] for v in row} for row in kern.adj] == [adj[u] for u in ids]
+                    assert kern.m == sum(map(len, adj.values())) // 2, (i, s, t)
                     checked += 1
         assert checked > 10_000
 
-    def test_rows_match_assembled(self):
-        """The ends are t's kernel row (the boundary) and s's row is N(s); a
-        core row holds the kernel row plus, at most, middles of two-hop
-        paths."""
-        extra = 0
-        for idx in _random_indexes():
-            g = idx.graph
-            for i, s, t in _query_kernels(idx):
-                rows, boundary, _ = _implicit_kernel(idx, i, s, t)
-                _, adj = _assemble_kernel(idx, i, s, t)
-                assert set(boundary) == adj[t]
-                assert set(rows[s]) == adj[s] == g.neighbor_set(s)
-                core = set(idx.clusters[i]) - g.neighbor_set(t) - {t}
-                middles = g.neighbor_set(s) - core
-                assert middles == adj[s] & adj[t]
-                for u in core - {s}:
-                    assert adj[u] <= set(rows[u]) <= adj[u] | middles, (i, s, t, u)
-                    extra += len(set(rows[u]) - adj[u])
-        assert extra > 0
-
 
 class TestTwoHopSkip:
-    def test_kernel_paths_below_kernel_flow(self):
-        """On every kernel the unit-capacity packing over the implicit rows,
-        to the boundary, is the reference packing of internally disjoint
-        kernel paths (same count, same paths less t), no more of them than
-        the kernel's own max flow."""
-        checked = longer = 0
-        for idx in _random_indexes():
-            for i, s, t in _query_kernels(idx):
-                rows, boundary, _ = _implicit_kernel(idx, i, s, t)
-                _, adj = _assemble_kernel(idx, i, s, t)
-                kernel, _, ks, kt = kernel_graph(idx, i, s, t)
-                flow = min_st_separator(kernel, ks, kt)[0]
-                packed, paths = [], []
-                count = weighted_paths(rows, [1] * idx.graph.n, s, boundary, None, packed)
-                assert count == disjoint_paths({**rows, t: boundary}, s, (t,), None, paths)
-                assert [p for p, _ in packed] == [p[:-1] for p in paths]
-                assert count == len(paths) <= flow
-                inner = [v for p in paths for v in p[1:-1]]
-                assert len(inner) == len(set(inner)) and s not in inner and t not in inner
-                for p in paths:
-                    assert p[0] == s and p[-1] == t
-                    assert all(b in adj[a] for a, b in zip(p, p[1:]))
-                longer += sum(len(p) > 3 for p in paths)
-                checked += 1
-        assert checked > 1000 and longer > 0
+    """The query, whose `min_st_cut` on each kernel skips the flow when the
+    kernel's packing reaches the limit, against one capped flow per
+    reference kernel: the same answer at every cap, and no more flows."""
 
-    def test_matches_unchecked_query(self):
+    def _check(self):
         skips = 0
         for seed in range(4):
             g = random_graph(15, (0.2, 0.3, 0.4, 0.55)[seed], seed)
@@ -331,3 +322,9 @@ class TestTwoHopSkip:
                         assert mine.get("flow_calls") <= ref.get("flow_calls")
                         skips += mine.get("path_skips")
         assert skips > 0
+
+    def test_matches_unchecked_query(self, python_backend):
+        self._check()
+
+    def test_matches_unchecked_query_compiled(self, compiled_backend):
+        self._check()

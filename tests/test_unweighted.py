@@ -18,7 +18,7 @@ from conftest import (
     star,
     two_cliques_sharing,
 )
-from vcut import maxflow, unweighted
+from vcut import kernel, maxflow, unweighted
 from vcut.config import DEFAULT
 from vcut.errors import BudgetExceeded, InvariantError, UndefinedExpansion
 from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, min_degree_cut, validate_cut
@@ -527,13 +527,16 @@ class TestPairCertificate:
         """For every non-adjacent pair, n <= 20, in both orientations: the
         whole-graph packing toward N(t) <= kappa_G(s,t) <= the kernel
         answer at every scale of the call.  The call keeps its packings
-        in g's ledger.  Every packing total it keeps is under its own
-        ordered pair's key and no more than that pair's packing, and each
-        kept total decides as a new packing under the same limit.  Every
-        stored probe is a bound (L, None) with L <= kappa_G, or a new
+        in g's ledger, or in the ledger of a kernel graph that a kernel
+        query built.  Every packing total it keeps in g's ledger is under
+        its own ordered pair's key and no more than that pair's packing,
+        and each kept total decides as a new packing under the same limit.
+        Every stored probe is a bound (L, None) with L <= kappa_G, or a new
         flow's completed answer."""
         memos = []
+        kernels = []
         real = maxflow.packing_reaches
+        real_kernel_graph = kernel.kernel_graph
 
         def spy(out_adj, weights, s, ends, limit, stats, memo=None, key=None):
             if memo is not None:
@@ -542,14 +545,22 @@ class TestPairCertificate:
             assert got == (weighted_paths(out_adj, weights, s, ends, limit) >= limit)
             return got
 
+        def kernel_spy(*args):
+            built = real_kernel_graph(*args)
+            kernels.append(built[0])
+            return built
+
         kept = stored = 0
         for g in _certificate_graphs(20):
             memos.clear()
+            kernels.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(maxflow, "packing_reaches", spy)
+                patch.setattr(kernel, "kernel_graph", kernel_spy)
                 unbalanced_vc(g)
             ledger = _ledger(g)
-            assert all(memo is ledger.packs for memo in memos)
+            allowed = [ledger.packs] + [_ledger(k).packs for k in kernels]
+            assert all(any(memo is packs for packs in allowed) for memo in memos)
             unit = [1] * g.n
             delta, logn = g.min_degree(), _log2ceil(g.n)
             indexes = [
