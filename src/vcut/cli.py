@@ -310,7 +310,8 @@ def cmd_check_pr(args) -> int:
                     cert["counterexample"] = witness
         elif args.object == "selector":
             cert["params"] = {"n": args.n, "k": args.k, "eps": str(eps)}
-            fam = build_selector(args.n, args.k, eps, cfg)
+            fam = build_selector(args.n, args.k, eps)
+            cert["family"] = fam.method
             if args.n > 12:
                 cert["verdict"] = "skipped"
                 cert["reason"] = "exhaustive check gated at n <= 12"

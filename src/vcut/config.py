@@ -23,7 +23,7 @@ class Config:
     lam: int = 8
     # Epsilon for the balanced-terminal algorithm (replaces the asymptotic
     # n^{-2g(n)}), and its branch switch: use the pair branch when
-    # k/eps > |T|/4.
+    # k/eps > |T|/4.  At most 1: a selector needs eps in (0, 1].
     eps_balanced: float = 0.25
 
     # Clustering: partition-count bound C1 * ceil(log2 n) and intra-cluster
@@ -44,9 +44,6 @@ class Config:
     # which the pipelines' unconditional exactness relies on.
     crossing_c: int = 2
     crossing_polylog_exp: int = 2
-
-    # Selector family size budget (|S| <= selector_budget_mult * n^2).
-    selector_budget_mult: int = 1
 
     # Disperser: base left degree max(d, ceil(log2 n)^disperser_base_exp);
     # exhaustive verification gate on the number of left k-subsets.
@@ -88,24 +85,25 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
 
 # The values a config file may set, as (least, greatest, least excluded).
-# Floats must also be finite.  A zero epsilon is a division by zero, and a
-# zero or nan phi (or phi floor) never ends the expander retry loop, which
-# halves phi until it drops below the floor.  Exponents are capped: a large
-# one makes a polylog factor a number of millions of digits.
+# Floats must also be finite.  A zero epsilon is a division by zero, and
+# one above 1 has no selector (`build_selector`).  A zero or nan phi (or phi
+# floor) never ends the expander retry loop, which halves phi until it drops
+# below the floor.  Exponents are capped: a large one makes a polylog factor
+# a number of millions of digits.
 _POSITIVE = (0, None, True)
+_UP_TO_ONE = (0, 1, True)
 _AT_LEAST_ONE = (1, None, False)
 _NON_NEGATIVE = (0, None, False)
 _EXPONENT = (0, 16, False)
 _RANGES = {
     "lam": _AT_LEAST_ONE,
-    "eps_balanced": _POSITIVE,
+    "eps_balanced": _UP_TO_ONE,
     "cnc_partition_factor": _AT_LEAST_ONE,
     "cnc_distance_factor": _AT_LEAST_ONE,
     "clow_mult": _AT_LEAST_ONE,
     "kernel_gate_mult": _AT_LEAST_ONE,
     "crossing_c": _AT_LEAST_ONE,
     "crossing_polylog_exp": _EXPONENT,
-    "selector_budget_mult": _AT_LEAST_ONE,
     "disperser_base_exp": _EXPONENT,
     "exhaustive_subset_limit": _NON_NEGATIVE,
     "sampled_check_trials": _NON_NEGATIVE,

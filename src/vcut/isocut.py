@@ -11,25 +11,24 @@ unit-capacity flow on the local Graph (`maxflow._graph_flow`).
 
 Both balanced-terminal algorithms run one search, `_balanced_search`, over
 the sorted terminal list and always return a cut that validates in the
-original graph.  They differ only in the pair probe (a whole-graph
+original graph.  They differ only in the pair probe: a whole-graph
 `min_st_cut`, or a flow to {b, super-vertex} on the auxiliary graph of the
-edges at the terminals) and in how an isolating cut becomes a candidate.
+edges at the terminals.
 
-- *Selector regime* (k/eps <= |T|/4): each member set of a selector family
-  is thinned to an independent set.  For two terminals u, v the isolating
-  cuts are exactly the u-closest and the v-closest minimum u-v cuts (the
-  engine's canonical separator is the source-closest one), so a set of two
-  is probed as the two oriented pair flows.  Only sets of three or more,
-  which the unique-neighbour selectors of large ground sets produce, run
-  `isolating_vertex_cuts`.  At every size the drivers run, `build_selector`
-  returns the family of all 2-subsets, so this regime is a search over
-  both orientations of every non-adjacent pair.
-- *Pair regime* (otherwise, or when the selector cannot be built or
-  probes no set): the crossing family over positions in the sorted
-  terminal list, visited as `PairFamily.unordered()`: each unordered pair
-  (i, j), i < j, once, mapped to terminals (terms[i], terms[j]).  The map
-  is monotone, so the pairs come in the family's first-occurrence order
-  with the smaller terminal first.
+- *Selector regime* (k/eps <= |T|/4): the selector is the family of all
+  2-subsets {i, j}, i < j, of positions in the sorted terminal list
+  (`build_selector`).  For two terminals u, v the isolating cuts are
+  exactly the u-closest and the v-closest minimum u-v cuts (the engine's
+  canonical separator is the source-closest one), so each member set is
+  probed as the two oriented pair flows, and an adjacent pair is skipped.
+  This regime is a search over both orientations of every non-adjacent
+  pair, in the family's lexicographic order.
+- *Pair regime* (otherwise, or when every pair of terminals is adjacent):
+  the crossing family over positions in the sorted terminal list, visited
+  as `PairFamily.unordered()`: each unordered pair (i, j), i < j, once,
+  mapped to terminals (terms[i], terms[j]).  The map is monotone, so the
+  pairs come in the family's first-occurrence order with the smaller
+  terminal first.
 
 Every probe is capped, so the engine's one skip rule applies: when a
 unit-capacity packing of paths reaches the cap, the capped flow would stop
@@ -55,7 +54,7 @@ from __future__ import annotations
 import math
 
 from .config import DEFAULT, Config
-from .errors import ConstructionFailed, InvariantError
+from .errors import InvariantError
 from .graphs import (
     Graph,
     NoCut,
@@ -94,7 +93,10 @@ class IsolatingResult:
 
 def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
     """Minimum (v, I\\{v}) vertex separator for every v in the independent
-    set I, via bit-partition flows plus one local flow per region."""
+    set I, via bit-partition flows plus one local flow per region.
+
+    No driver calls it: the selector's member sets are pairs, whose
+    isolating cuts the balanced search gets as two oriented pair probes."""
     terms = sorted(set(terminals))
     if len(terms) < 2:
         raise InvariantError("need at least 2 terminals")
@@ -143,24 +145,20 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
     return IsolatingResult(cuts)
 
 
-def _greedy_independent(g: Graph, vertices):
-    chosen = []
-    for v in sorted(vertices):
-        if all(not g.has_edge(v, u) for u in chosen):
-            chosen.append(v)
-    return chosen
-
-
-def _balanced_search(g: Graph, terms, k, cfg, best, probe, isolate):
+def _balanced_search(g: Graph, terms, k, cfg, best, probe):
     """The balanced-terminal search over the sorted terminal list `terms` of
     g (see the module docstring), capped from the caller's `best`.
 
     `probe(a, b, limit)` returns the candidate cut of the a-closest minimum
     a-b separation, or None when it is capped, adjacent or not a cut of g.
-    `isolate(indep)` returns the candidate cuts of the isolating cuts of an
-    independent set of three or more terminals.  Returns the best candidate,
-    or NoCut(g.n - 1) when there is none; a candidate above the caller's
-    best may be missed, so callers keep `better_cut(best, result)`.
+    Returns the best candidate, or NoCut(g.n - 1) when there is none; a
+    candidate above the caller's best may be missed, so callers keep
+    `better_cut(best, result)`.
+
+    The selector regime always gets its family.  `build_selector` raises
+    ConstructionFailed only when 2*ceil(k/eps) >= |T|, and the regime's
+    k/eps <= |T|/4, with eps <= 1 and k >= 1, gives |T| >= 4 and
+    2*ceil(k/eps) < |T|/2 + 2 <= |T|.
     """
     if not terms:
         raise InvariantError("empty terminal set")
@@ -171,21 +169,12 @@ def _balanced_search(g: Graph, terms, k, cfg, best, probe, isolate):
     found = None
     probed = False
     if k / eps <= len(terms) / 4:
-        try:
-            family = build_selector(len(terms), math.ceil(k / eps), eps, cfg)
-        except ConstructionFailed:
-            family = ()
-        for members in family:
-            indep = _greedy_independent(g, [terms[j] for j in members])
-            if len(indep) < 2:
+        for i, j in build_selector(len(terms), math.ceil(k / eps), eps):
+            u, v = terms[i], terms[j]
+            if g.has_edge(u, v):
                 continue
             probed = True
-            if len(indep) == 2:
-                u, v = indep
-                cuts = (probe(u, v, cap), probe(v, u, cap))
-            else:
-                cuts = isolate(indep)
-            for cut in cuts:
+            for cut in (probe(u, v, cap), probe(v, u, cap)):
                 found = better_cut(found, cut)
             if isinstance(found, VertexCut) and (cap is None or found.value < cap):
                 cap = found.value + 1
@@ -210,11 +199,7 @@ def balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=No
         res = min_st_cut(g, a, b, limit, stats)
         return None if res is NoSeparator else res[1]
 
-    def isolate(indep):
-        result = isolating_vertex_cuts(g, indep, stats=stats)
-        return [result.cut(v) for v in indep]
-
-    found = _balanced_search(g, sorted(set(terminals)), k, cfg, best, probe, isolate)
+    found = _balanced_search(g, sorted(set(terminals)), k, cfg, best, probe)
     assert not isinstance(found, VertexCut) or validate_cut(g, found)
     return found
 
@@ -269,8 +254,7 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
     Minimum when the promise holds with the cut's small side inside T; every
     candidate is re-validated in g before it can win.  A pair probe from a
     to b is a flow from a to the sink set {b, super-vertex} on the
-    auxiliary graph (`maxflow.min_s_to_set_separator`); the super-vertex is
-    an isolating terminal beside every member set.
+    auxiliary graph (`maxflow.min_s_to_set_separator`).
 
     When T is all of V, the auxiliary graph is g plus an isolated
     super-vertex, so that flow has the value and the separator of the a-b
@@ -291,8 +275,4 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
             return None
         return _remap_candidate(g, res[1].S if whole else (nodes[x] for x in res[1]))
 
-    def isolate(indep):
-        result = isolating_vertex_cuts(aux, [pos[v] for v in indep] + [virtual], stats=stats)
-        return [_remap_candidate(g, (nodes[j] for j in result.separator(pos[v]))) for v in indep]
-
-    return _balanced_search(g, terms, k, cfg, best, probe, isolate)
+    return _balanced_search(g, terms, k, cfg, best, probe)

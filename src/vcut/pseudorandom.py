@@ -516,7 +516,9 @@ def build_unique_neighbor_expander(n_left, k, d, m, alpha, forbid=None, cfg: Con
     """Greedy d-left-regular (k,alpha)-unique-neighbor expander on [m].
 
     `forbid` pairs (x, y) must differ under every slot index.  Returns None
-    when no certified attempt exists at these parameters.
+    when no certified attempt exists at these parameters.  No driver calls
+    it: `build_selector` returns the 2-subset family, since this route never
+    certified a table at a size the drivers run (see there).
     """
     forbid = forbid or []
     partners = {}
@@ -554,28 +556,23 @@ def build_unique_neighbor_expander(n_left, k, d, m, alpha, forbid=None, cfg: Con
     return None
 
 
-def selector_backend_threshold(n, eps, cfg: Config = DEFAULT) -> int:
-    """Largest k for which the unique-neighbor-expander route is even
-    parameter-feasible here (sets of size >= 2 force m <= n'/2, and
-    alpha*d*k' <= m caps k' = 4k)."""
-    n_pow = 1 << max(1, (n - 1).bit_length())
-    eps = Fraction(eps)
-    alpha = 1 - 2 * (eps / 8)
-    d = max(2, _log2ceil(n_pow))
-    m = n_pow // 2
-    return int(Fraction(m) / (alpha * d) / 4)
-
-
-def build_selector(n, k, eps, cfg: Config = DEFAULT):
+def build_selector(n, k, eps):
     """(n,k,eps)-selector: for all disjoint L, S with eps*k < |L| <= k and
     |S| <= k some member set hits L exactly once and misses S; every member
     set has size >= 2.
 
-    Tries the unique-neighbor-expander construction (power-of-two padding
-    with duplicates, k' = 4k, eps' = eps/8) when parameter-feasible, else
-    falls back to the verified family of all 2-element subsets, which is a
-    valid selector whenever 2k < n.  ConstructionFailed when 2k >= n: L and
-    S can then cover the whole ground set and no size->=2 selector exists.
+    The family of all 2-subsets of [n], in lexicographic order.  It is a
+    selector whenever 2k < n: pick l in L and some x outside L and S; {l, x}
+    hits L once and misses S.  ConstructionFailed when 2k >= n: L and S can
+    then cover the whole ground set and no size->=2 selector exists.
+
+    The paper's unique-neighbour-expander selector never built here.  A scan
+    made 1,957 calls that reached `build_unique_neighbor_expander`, and none
+    got a certified table: every n = 129..512 at eps = 1/4 (k' = 4); n = 600,
+    800, 1,024, 1,500 and 2,048 for every k' the route allowed; every
+    n <= 256 and allowed k' at eps = 1/2 and 1.  Each failed attempt cost
+    2.4-3.3 s at n = 1,024 and 9.3-11.2 s at n = 2,048 on a 2-core machine,
+    and this family was built after it anyway, so the route is gone.
     """
     eps = Fraction(eps)
     if k < 1 or not (0 < eps <= 1):
@@ -584,33 +581,7 @@ def build_selector(n, k, eps, cfg: Config = DEFAULT):
         raise ConstructionFailed(
             f"no selector with member sets >= 2 exists for 2k={2*k} >= n={n}"
         )
-    if k <= selector_backend_threshold(n, eps, cfg):
-        n_pow = 1 << max(1, (n - 1).bit_length())
-        dup_of = {n + j: j for j in range(n_pow - n)}
-        forbid = [(n + j, j) for j in range(n_pow - n)]
-        alpha = 1 - 2 * (eps / 8)
-        d = max(2, _log2ceil(n_pow))
-        m = n_pow // 2
-        bip = build_unique_neighbor_expander(n_pow, 4 * k, d, m, alpha, forbid, cfg)
-        if bip is not None:
-            sets = []
-            for i in range(d):
-                groups = {}
-                for v in range(n_pow):
-                    groups.setdefault(bip.table[v][i], []).append(v)
-                for members in groups.values():
-                    mapped = {dup_of.get(v, v) for v in members}
-                    if len(mapped) < 2:
-                        raise InvariantError("selector set below the size-2 floor")
-                    sets.append(sorted(mapped))
-            fam = SubsetFamily(n, sets, "unique-neighbor")
-            if len(fam) <= cfg.selector_budget_mult * n * n:
-                return fam
-    pairs = [frozenset(p) for p in itertools.combinations(range(n), 2)]
-    fam = SubsetFamily(n, pairs, "pair-fallback")
-    if len(fam) > cfg.selector_budget_mult * n * n:
-        raise ConstructionFailed("selector budget exceeded")
-    return fam
+    return SubsetFamily(n, itertools.combinations(range(n), 2), "2-subsets")
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,7 @@ def unledgered_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None, be
         res = bare_min_st_cut(g, a, b, limit=limit, stats=stats)
         return None if res is NoSeparator else res[1]
 
-    def isolate(indep):
-        result = isocut.isolating_vertex_cuts(g, indep, stats=stats)
-        return [result.cut(v) for v in indep]
-
-    return isocut._balanced_search(g, sorted(set(terminals)), k, cfg, best, probe, isolate)
+    return isocut._balanced_search(g, sorted(set(terminals)), k, cfg, best, probe)
 
 
 def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None,
@@ -204,14 +200,7 @@ def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats
             return None
         return isocut._remap_candidate(g, (nodes[x] for x in res[1]))
 
-    def isolate(indep):
-        result = isocut.isolating_vertex_cuts(aux, [pos[v] for v in indep] + [virtual], stats=stats)
-        return [
-            isocut._remap_candidate(g, (nodes[j] for j in result.separator(pos[v])))
-            for v in indep
-        ]
-
-    return isocut._balanced_search(g, terms, k, cfg, best, probe, isolate)
+    return isocut._balanced_search(g, terms, k, cfg, best, probe)
 
 
 def unledgered_unbalanced_vc(g, cfg=DEFAULT, stats=None):

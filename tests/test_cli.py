@@ -106,6 +106,7 @@ class TestCompute:
         "line",
         [
             "eps_balanced = 0",
+            "eps_balanced = 2",
             "expander_phi = nan",
             "expander_phi_floor = 0",
             "expander_phi = inf",
@@ -113,11 +114,13 @@ class TestCompute:
             "tr_tbar_div = -3",
             "crossing_polylog_exp = 1000000",
             "sketch_backend = nope",
+            "selector_budget_mult = 1",
         ],
     )
     def test_out_of_range_config_is_usage_error(self, tmp_path, line):
-        """Values the drivers cannot use (a division by zero, a retry loop
-        that never ends on a nan or zero phi) are refused before any run.
+        """Values the drivers cannot use (a division by zero, an epsilon
+        above 1 that no selector takes, a retry loop that never ends on a nan
+        or zero phi) and removed keys are refused before any run.
         In a separate process under a timeout, since the run they would
         start need not end."""
         graph = tmp_path / "path.g"
@@ -376,6 +379,7 @@ class TestCheckPr:
         code, out = run(capsys, "check-pr", "selector", "-n", "8", "-k", "2", "-e", "1/2")
         cert = json.loads(out)
         assert code == 0 and cert["verdict"] is True and cert["sizes_ok"]
+        assert cert["family"] == "2-subsets"
 
     def test_degenerate_params_skipped(self, capsys):
         code, out = run(capsys, "check-pr", "selector", "-n", "4", "-k", "2", "-e", "1/2")

@@ -225,7 +225,9 @@ class TestLoadConfigFuzz:
             assert type(value) is type(default), name
             if isinstance(value, float):
                 assert math.isfinite(value), name
-            if name in ("eps_balanced", "expander_phi", "expander_phi_floor", "gabow_mixing_c"):
+            if name == "eps_balanced":
+                assert 0 < value <= 1, name
+            elif name in ("expander_phi", "expander_phi_floor", "gabow_mixing_c"):
                 assert value > 0, name
             elif isinstance(value, int) and (
                 name == "lam" or name.endswith(("_mult", "_factor", "_div", "_c"))

@@ -1,12 +1,10 @@
 import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
 from conftest import assert_matches_reference, complete, cycle, unit_paths
-from vcut import isocut
 from vcut.config import DEFAULT
 from vcut.errors import InvariantError
 from vcut.graphs import NoCut, VertexCut, better_cut, min_degree_cut, validate_cut
@@ -20,7 +18,7 @@ from vcut.isocut import (
 )
 from vcut.maxflow import min_st_cut, vertex_max_flow
 from vcut.oracle import brute_isolating_values, generate_planted, random_graph
-from vcut.pseudorandom import SubsetFamily, build_selector, map_pairs, symmetric_crossing_family
+from vcut.pseudorandom import build_selector, map_pairs, symmetric_crossing_family
 
 
 def greedy_independent(g, size, rng):
@@ -246,16 +244,14 @@ class TestSinkSetCertificate:
         assert skips > 0
 
 
-def _former_selector_route(g, terms, k, isolating_candidates, family=None, cfg=DEFAULT):
+def _former_selector_route(g, terms, k, isolating_candidates, cfg=DEFAULT):
     """The former selector regime of both balanced-terminal entry points:
     the isolating cuts of every member set, uncapped and unscreened, with
     `isolating_candidates(indep)` turning a member set into candidates."""
     eps = cfg.eps_balanced
     assert k / eps <= len(terms) / 4  # the selector regime
-    if family is None:
-        family = build_selector(len(terms), math.ceil(k / eps), eps, cfg)
     best = None
-    for members in family:
+    for members in build_selector(len(terms), math.ceil(k / eps), eps):
         indep = sorted(terms[j] for j in members)
         indep = [v for i, v in enumerate(indep) if all(not g.has_edge(v, u) for u in indep[:i])]
         if len(indep) >= 2:
@@ -265,14 +261,14 @@ def _former_selector_route(g, terms, k, isolating_candidates, family=None, cfg=D
     return best
 
 
-def _former_balanced(g, terms, k, stats, family=None):
+def _former_balanced(g, terms, k, stats):
     def candidates(indep):
         return [cut for _, (_, _, cut) in isolating_vertex_cuts(g, indep, stats=stats).items()]
 
-    return _former_selector_route(g, terms, k, candidates, family)
+    return _former_selector_route(g, terms, k, candidates)
 
 
-def _former_subgraph(g, terms, k, stats, family=None):
+def _former_subgraph(g, terms, k, stats):
     aux, nodes, virtual = _terminal_subgraph(g, terms)
     pos = {v: j for j, v in enumerate(nodes)}
 
@@ -281,7 +277,7 @@ def _former_subgraph(g, terms, k, stats, family=None):
         return [_remap_candidate(g, (nodes[j] for j in sep))
                 for av, (_, sep, _) in result.items() if av != virtual]
 
-    return _former_selector_route(g, terms, k, candidates, family)
+    return _former_selector_route(g, terms, k, candidates)
 
 
 def _selector_cases():
@@ -335,23 +331,3 @@ class TestSelectorRegime:
                     assert min_st_cut(g, a, b)[1] == iso.cut(a)
                 checked += 1
         assert checked > 500
-
-    @ENTRY_POINTS
-    def test_larger_member_sets_keep_isolating_cuts(self, entry, former, monkeypatch):
-        # Overlapping windows of five positions: thinned to independent
-        # sets, some keep two terminals and some three or more.
-        sizes = Counter()
-        for g, terms, k in _selector_cases():
-            family = SubsetFamily(len(terms), [range(i, min(i + 5, len(terms)))
-                                               for i in range(0, len(terms) - 1, 3)])
-            monkeypatch.setattr(isocut, "build_selector", lambda *args: family)
-            old = former(g, terms, k, Counters(), family)
-            for best in (None, min_degree_cut(g)):
-                new = entry(g, terms, k, best=best)
-                assert better_cut(best, new) == better_cut(best, old), (g.n, terms, k, best)
-            for members in family:
-                indep = [terms[j] for j in members]
-                indep = [v for i, v in enumerate(indep)
-                         if all(not g.has_edge(v, u) for u in indep[:i])]
-                sizes[min(len(indep), 3)] += 1
-        assert sizes[2] > 0 and sizes[3] > 0

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from vcut.pseudorandom import (
     build_unique_neighbor_expander,
     check_unique_neighbor_expansion,
     map_pairs,
-    selector_backend_threshold,
     symmetric_crossing_family,
 )
 
@@ -297,13 +297,23 @@ class TestSelector:
         with pytest.raises(ConstructionFailed):
             build_selector(4, 2, Fraction(1, 2))  # 2k >= n: L and S can cover [n]
 
-    def test_backend_threshold_reported(self):
-        thr = selector_backend_threshold(64, Fraction(1, 2))
-        assert thr >= 0
+    @pytest.mark.parametrize("n,k,eps", [
+        (8, 2, Fraction(1, 2)), (10, 3, Fraction(1, 4)), (7, 3, Fraction(1, 2)),
+        (129, 4, Fraction(1, 4)), (256, 2, Fraction(1, 2)), (300, 8, Fraction(1)),
+    ])
+    def test_family_of_all_two_subsets(self, n, k, eps):
+        fam = build_selector(n, k, eps)
+        assert fam.sets == tuple(itertools.combinations(range(n), 2))
+        assert fam.method == "2-subsets"
 
-    def test_family_size_budget(self):
-        fam = build_selector(10, 3, Fraction(1, 4))
-        assert len(fam) <= DEFAULT.selector_budget_mult * 10 * 10
+    def test_no_expander_attempt(self, monkeypatch):
+        # n = 1,024 with k = 8 was inside the unique-neighbour route's range.
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_selector tried a unique-neighbour expander")
+
+        monkeypatch.setattr(pseudorandom, "build_unique_neighbor_expander", refuse)
+        fam = build_selector(1024, 8, Fraction(1, 4))
+        assert fam.sets == tuple(itertools.combinations(range(1024), 2))
 
 
 class TestUniqueNeighbor:
