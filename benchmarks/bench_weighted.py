@@ -6,8 +6,10 @@ against the former loops, which redo that work at every guess.
 Cases: the perfbench weighted instances (seed 7, full design) and
 `random_digraph(n, 0.3, 64, n)` at n = 24, 32 and 48.  Per case and loop
 ("settled", the package's; "every_guess", a copy of the former loops kept
-in this file) it records one `vertex_connectivity_weighted` call: the best
-wall time over `--rounds` calls, and from one further call with counting
+in this file) it records one call of `four_call_weighted` (in
+`tests/conftest.py`), which runs both loops on the digraph and on its
+reverse, where the package's driver skips some `lopsided_vc` calls: the
+best wall time over `--rounds` calls, and from one further call with counting
 wrappers the calls of `lopsided_pairs`, `symmetric_pairs` and
 `weighted_symdiff` and the `flow_calls` and `path_skips` counters.  It
 checks that both loops give the same cut (value, L, S, R) and counters.
@@ -31,7 +33,9 @@ ROOT = os.path.join(HERE, os.pardir)
 OUT = os.path.join(ROOT, "BENCH_weighted.json")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from conftest import four_call_weighted  # noqa: E402
 from vcut import cnc, weighted  # noqa: E402
 from vcut.graphs import VertexCut, better_cut, min_out_neighborhood_cut  # noqa: E402
 from vcut.instrument import Counters  # noqa: E402
@@ -126,10 +130,10 @@ LOOPS = {
 
 
 def call(d, branches, calls=None):
-    """One driver call with `branches` in place of the package's; with a
-    Counter `calls`, the COUNTED helpers count their calls into it.
+    """One four-call driver call with `branches` (lopsided, symmetric); with
+    a Counter `calls`, the COUNTED helpers count their calls into it.
     Returns (cut, Counters, seconds)."""
-    patches = [((weighted, "lopsided_vc"), branches[0]), ((weighted, "symmetric_vc"), branches[1])]
+    patches = []
     if calls is not None:
         for module, name in COUNTED:
             real = getattr(module, name)
@@ -145,7 +149,7 @@ def call(d, branches, calls=None):
     stats = Counters()
     try:
         t0 = time.perf_counter()
-        cut = weighted.vertex_connectivity_weighted(d, stats=stats)
+        cut = four_call_weighted(d, stats=stats, branches=branches)
         return cut, stats, time.perf_counter() - t0
     finally:
         for (module, name), fn in originals:

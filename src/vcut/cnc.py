@@ -19,6 +19,12 @@ from .graphs import Graph, WeightedDigraph, weighted_symdiff
 # RADIUS_STEP * i * d increments (final clusters use RADIUS_STEP*i - 3).
 GROWTH_FACTOR = 1.1
 RADIUS_STEP = 5
+# The clustering contract that `oracle.check_clustering` verifies: at most
+# PARTITION_FACTOR * ceil(log2 n) partitions, and intra-cluster distance at
+# most DISTANCE_FACTOR * d * ceil(log2 n).  DISTANCE_FACTOR tracks the
+# worst-case ball radius of the loop above, which is why it is large.
+PARTITION_FACTOR = 2
+DISTANCE_FACTOR = 160
 
 
 class Clustering:

@@ -18,19 +18,15 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Config:
-    # Lopsidedness threshold ("sufficiently large constant"); both case
-    # branches always run, so exactness never hinges on it.
+    # Lopsidedness threshold ("sufficiently large constant"), read by the
+    # symmetric pair families.  Exactness never hinges on it: the weighted
+    # driver runs the lopsided branch wherever the symmetric search was
+    # incomplete or went below its baseline.
     lam: int = 8
     # Epsilon for the balanced-terminal algorithm (replaces the asymptotic
     # n^{-2g(n)}), and its branch switch: use the pair branch when
     # k/eps > |T|/4.  At most 1: a selector needs eps in (0, 1].
     eps_balanced: float = 0.25
-
-    # Clustering: partition-count bound C1 * ceil(log2 n) and intra-cluster
-    # distance bound C2 * d * ceil(log2 n).  C2 tracks the worst-case ball
-    # radius of the clustering loop, which is why it is large.
-    cnc_partition_factor: int = 2
-    cnc_distance_factor: int = 160
 
     # Kernel index: V_low threshold |N(v)| <= clow_mult * delta, cluster size
     # gate |V_i| <= kernel_gate_mult * delta * ceil(log2 n).
@@ -98,8 +94,6 @@ _EXPONENT = (0, 16, False)
 _RANGES = {
     "lam": _AT_LEAST_ONE,
     "eps_balanced": _UP_TO_ONE,
-    "cnc_partition_factor": _AT_LEAST_ONE,
-    "cnc_distance_factor": _AT_LEAST_ONE,
     "clow_mult": _AT_LEAST_ONE,
     "kernel_gate_mult": _AT_LEAST_ONE,
     "crossing_c": _AT_LEAST_ONE,

@@ -17,13 +17,14 @@ edges at the terminals.
 
 - *Selector regime* (k/eps <= |T|/4): the selector is the family of all
   2-subsets {i, j}, i < j, of positions in the sorted terminal list
-  (`build_selector`).  For two terminals u, v the isolating cuts are
-  exactly the u-closest and the v-closest minimum u-v cuts (the engine's
-  canonical separator is the source-closest one), so each member set is
-  probed as the two oriented pair flows, and an adjacent pair is skipped.
+  (`build_selector`'s family, walked lazily in its lexicographic order).
+  For two terminals u, v the isolating cuts are exactly the u-closest and
+  the v-closest minimum u-v cuts (the engine's canonical separator is the
+  source-closest one), so each member set is probed as the two oriented
+  pair flows, and an adjacent pair is skipped.
   This regime is a search over both orientations of every non-adjacent
   pair, in the family's lexicographic order.
-- *Pair regime* (otherwise, or when every pair of terminals is adjacent):
+- *Pair regime* (otherwise):
   the crossing family over positions in the sorted terminal list, visited
   as `PairFamily.unordered()`: each unordered pair (i, j), i < j, once,
   mapped to terminals (terms[i], terms[j]).  The map is monotone, so the
@@ -51,6 +52,7 @@ from that separator as before.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .config import DEFAULT, Config
@@ -64,7 +66,7 @@ from .graphs import (
     validate_cut,
 )
 from .maxflow import _graph_flow, min_s_to_set_separator, min_st_cut
-from .pseudorandom import build_selector, symmetric_crossing_family
+from .pseudorandom import symmetric_crossing_family
 
 
 class IsolatingResult:
@@ -155,10 +157,13 @@ def _balanced_search(g: Graph, terms, k, cfg, best, probe):
     candidate above the caller's best may be missed, so callers keep
     `better_cut(best, result)`.
 
-    The selector regime always gets its family.  `build_selector` raises
+    The selector regime walks the 2-subsets as `itertools.combinations`
+    yields them, the order of `build_selector`'s family, without building
+    it.  That family exists there: `build_selector` raises
     ConstructionFailed only when 2*ceil(k/eps) >= |T|, and the regime's
     k/eps <= |T|/4, with eps <= 1 and k >= 1, gives |T| >= 4 and
-    2*ceil(k/eps) < |T|/2 + 2 <= |T|.
+    2*ceil(k/eps) < |T|/2 + 2 <= |T|.  When every two terminals are
+    adjacent, the selector regime makes no probe and returns NoCut.
     """
     if not terms:
         raise InvariantError("empty terminal set")
@@ -167,18 +172,16 @@ def _balanced_search(g: Graph, terms, k, cfg, best, probe):
     eps = cfg.eps_balanced
     cap = best.value + 1 if isinstance(best, VertexCut) else None
     found = None
-    probed = False
     if k / eps <= len(terms) / 4:
-        for i, j in build_selector(len(terms), math.ceil(k / eps), eps):
+        for i, j in itertools.combinations(range(len(terms)), 2):
             u, v = terms[i], terms[j]
             if g.has_edge(u, v):
                 continue
-            probed = True
             for cut in (probe(u, v, cap), probe(v, u, cap)):
                 found = better_cut(found, cut)
             if isinstance(found, VertexCut) and (cap is None or found.value < cap):
                 cap = found.value + 1
-    if not probed:
+    else:
         family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
         for i, j in family.unordered():
             limit = found.value if isinstance(found, VertexCut) else cap

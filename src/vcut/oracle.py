@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cnc import DISTANCE_FACTOR, PARTITION_FACTOR
 from .config import DEFAULT, Config
 from .errors import GenerationFailed, InvariantError, SizeGuardError
 from .graphs import (
@@ -319,17 +320,18 @@ def check_disperser(bip, k, eps, cfg: Config = DEFAULT):
     return True, "sampled", None
 
 
-def check_clustering(clustering, graph, dist, d, cfg: Config = DEFAULT, samples=200, seed=7):
+def check_clustering(clustering, graph, dist, d, samples=200, seed=7):
     """Verify the clustering contract; returns (verdict, failures list).
 
-    Checks: partition count bound, exact partition structure, the cover
-    property on sampled connected low-oracle-diameter sets, and the sampled
-    intra-cluster distance bound.
+    Checks: the partition count bound (`cnc.PARTITION_FACTOR`), exact
+    partition structure, the cover property on sampled connected
+    low-oracle-diameter sets, and the sampled intra-cluster distance bound
+    (`cnc.DISTANCE_FACTOR`).
     """
     n = clustering.n
     failures = []
     logn = _log2ceil(n)
-    if len(clustering.partitions) > cfg.cnc_partition_factor * logn:
+    if len(clustering.partitions) > PARTITION_FACTOR * logn:
         failures.append(("partition-count", len(clustering.partitions)))
     for pi, partition in enumerate(clustering.partitions):
         seen = []
@@ -338,7 +340,7 @@ def check_clustering(clustering, graph, dist, d, cfg: Config = DEFAULT, samples=
         if sorted(seen) != list(range(n)):
             failures.append(("not-a-partition", pi))
     rng = random.Random(seed)
-    bound = cfg.cnc_distance_factor * d * logn
+    bound = DISTANCE_FACTOR * d * logn
     for partition in clustering.partitions:
         for cluster in partition:
             k = len(cluster)

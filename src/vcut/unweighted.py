@@ -592,6 +592,37 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
     the minimum valid cut seen anywhere.
     With `unbalanced=False` the unbalanced branch is left out, which leaves
     the terminal-reduction loop alone (`vcut compute --algo terminal`).
+
+    The unbalanced branch stays on the default path, although it is often
+    output-redundant.  The argument for that, and where it stops:
+
+    - In the selector regime (k/eps <= n/4, T = V), the first balanced
+      round probes both orientations of every non-adjacent pair, capped
+      at the least value found plus one.  So it finishes the a-closest
+      cut of every ordered pair (a, b) whose kappa is the minimum over
+      pairs, and offers each such cut or a key()-smaller one.  A candidate
+      of the unbalanced pair loop is the uncapped `min_st_cut` of a pair of
+      gs, so one that could win the driver is such a cut.
+    - `unbalanced_vc`'s own baseline `min_degree_cut(gs)` validates in g
+      only when N_gs(a) = N_g(a), that is as one of `min_degree_cut(g)`'s
+      candidates, which the driver starts from.
+
+    The cases the argument misses:
+
+    - (a) The cluster calls (`subgraph_balanced_terminal_vc`) remap a
+      separator S to the cut whose L is the smallest component of gs - S,
+      a cut that no pair probe need return.
+    - (b) The pair regime (k/eps > n/4), which holds for every perfbench
+      unweighted instance (n <= 28 < 16 delta).  There the round probes
+      one orientation of each pair, and once it has found a cut its cap is
+      strict, so a later cut of the same value is not offered.
+    - (c) The driver validates every offer in g, not in gs.  When the
+      round's key()-smaller cut of gs fails that check, the pair loop's
+      cut can still win.
+
+    The two drivers agreed on every graph `benchmarks/bench_identity.py`
+    scans, but a finite scan rules out none of these cases, so it does not
+    gate the branch.
     """
     if g.n <= 1:
         return NoCut(max(0, g.n - 1))

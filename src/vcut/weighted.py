@@ -4,8 +4,11 @@ instances) and the symmetric case, combined over the graph and its reverse.
 
 Every separator extracted from a sparsified instance is re-validated in the
 original digraph before it can become a candidate, so the returned cut is
-always sound; at verification scale the symmetric branch's pair families are
-complete, which makes the combined driver unconditionally exact.
+always sound.  Where the symmetric branch's pair families are complete (on
+every digraph measured so far), its search evaluates every ordered
+non-adjacent pair and is exact by itself; the driver runs the lopsided
+branch only where it can still change the cut (see
+`vertex_connectivity_weighted`).
 
 A pair skips its capped flow by the flow engine's one skip rule
 (`maxflow.packing_reaches`, counted as `path_skips`): a greedy packing of
@@ -37,7 +40,8 @@ decided, so the pairs evaluated, and their order, stay the same:
   symmetric difference does not depend on ell.
 - The symmetric branch stops once it has evaluated all n(n-1) - m ordered
   non-adjacent pairs (`WeightedDigraph` has no self-loops and no duplicate
-  arcs, so that is every pair a family can offer).
+  arcs, so that is every pair a family can offer), and says whether it got
+  there (`_symmetric_search`).
 
 The lopsided branch counts the arcs of every evaluated pair's instance
 (they feed the naive/sparsified edge ratio that the instrumentation
@@ -378,9 +382,9 @@ def symmetric_pairs(d: WeightedDigraph, ell, cfg: Config = DEFAULT):
     return PairFamily(dict.fromkeys(pairs), bound, "bucketed-symmetric")
 
 
-def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
-    """Cut search for weight-balanced minimum cuts: pair flows on
-    arc-dropped instances, both orientations per pair."""
+def _symmetric_search(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
+    """`symmetric_vc`'s search: (best cut, complete), where complete says
+    that it evaluated every ordered non-adjacent pair."""
     best = min_out_neighborhood_cut(d)
     total = d.weight_of(range(d.n))
     evaluated = set()
@@ -406,16 +410,45 @@ def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
                     d, h, list(range(d.n)), s, t, limit, stats
                 )
                 best = better_cut(best, cand)
-    return best
+    return best, len(evaluated) == evaluable
+
+
+def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
+    """Cut search for weight-balanced minimum cuts: pair flows on
+    arc-dropped instances, both orientations per pair."""
+    return _symmetric_search(d, cfg, stats)[0]
 
 
 def vertex_connectivity_weighted(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     """Exact minimum weighted vertex cut driver.
 
     Handles non-strongly-connected inputs (weight-0 cut from a sink
-    component) and complete digraphs (NoCut sentinel, no numeric value);
-    otherwise the minimum over the lopsided and symmetric branches on both
-    the graph and its reverse.
+    component) and complete digraphs (NoCut sentinel, no numeric value).
+    Otherwise, on the graph and on its reverse: the symmetric search, then
+    `lopsided_vc` unless that search was complete and returned its
+    baseline B = `min_out_neighborhood_cut` of the orientation.  The
+    result is the key()-minimum of the cuts that validate in d.
+
+    Skipping `lopsided_vc` there leaves the value and the cut unchanged
+    (a complete pair search is exact, Even 1975):
+
+    - Both branches start from the same B.  Each replaces its best cut
+      only with a validated cut strictly lighter than it (a capped flow
+      completes only below its limit, the best value so far).
+    - A complete symmetric search evaluated every ordered non-adjacent
+      pair (s, t).  Its instance of (s, t) keeps exactly the digraph's
+      (s, t)-separators, so every extraction validates, and a packing
+      that skips a pair is a flow of that pair's instance.  If the search still
+      returns B, each pair was skipped, capped or solved at weight
+      >= w(B).  So kappa = w(B), and `lopsided_vc`, which can only go
+      strictly below B, returns B as well.
+    - The driver keeps the key()-minimum, and equal keys mean the same
+      cut, so a call that returns B again changes nothing, in any order.
+
+    `lopsided_vc` still runs when the symmetric search went below B, since
+    its first cut of that weight can be key()-smaller, and when the search
+    was incomplete (its families never offered some ordered pair), since
+    then nothing bounds kappa from below.
     """
     if d.n <= 1:
         return NoCut(None)
@@ -428,12 +461,14 @@ def vertex_connectivity_weighted(d: WeightedDigraph, cfg: Config = DEFAULT, stat
         return NoCut(None)
     best = None
     for variant, flip in ((d, False), (d.reverse(), True)):
-        for branch in (lopsided_vc, symmetric_vc):
-            got = branch(variant, cfg, stats)
-            if isinstance(got, VertexCut):
-                if flip:
-                    got = VertexCut(got.R, got.S, got.L, got.value)
-                if validate_cut(d, got):
-                    best = better_cut(best, got)
+        got, complete = _symmetric_search(variant, cfg, stats)
+        found = [got]
+        if not complete or got.value < min_out_neighborhood_cut(variant).value:
+            found.append(lopsided_vc(variant, cfg, stats))
+        for cut in found:
+            if flip:
+                cut = VertexCut(cut.R, cut.S, cut.L, cut.value)
+            if validate_cut(d, cut):
+                best = better_cut(best, cut)
     assert isinstance(best, VertexCut)
     return best

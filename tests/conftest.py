@@ -374,6 +374,31 @@ def every_guess_symmetric(d, cfg=DEFAULT, stats=None):
     return best
 
 
+def four_call_weighted(d, cfg=DEFAULT, stats=None, branches=None):
+    """Reference for `weighted.vertex_connectivity_weighted`: both branches
+    (default: `weighted.lopsided_vc`, `weighted.symmetric_vc`, or the pair
+    `branches` in their place) on the digraph and on its reverse, every
+    time, keeping the key()-minimum of the cuts that validate in d.
+
+    This is the package's former driver, before it skipped `lopsided_vc`
+    where a complete symmetric search returned its baseline; the driver
+    must return the same cut."""
+    if d.n <= 1 or len(d.strongly_connected_components()) > 1 or d.is_complete():
+        return weighted.vertex_connectivity_weighted(d, cfg, stats)
+    if branches is None:
+        branches = (weighted.lopsided_vc, weighted.symmetric_vc)
+    best = None
+    for variant, flip in ((d, False), (d.reverse(), True)):
+        for branch in branches:
+            got = branch(variant, cfg, stats)
+            if isinstance(got, VertexCut):
+                if flip:
+                    got = VertexCut(got.R, got.S, got.L, got.value)
+                if validate_cut(d, got):
+                    best = better_cut(best, got)
+    return best
+
+
 def exhaustive_sparsest(g, terminals):
     """Reference for the exhaustive branch of the sparsest canonical cut:
     every vertex subset A in increasing mask order, scored by h = |N(A)| /

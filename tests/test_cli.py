@@ -115,6 +115,8 @@ class TestCompute:
             "crossing_polylog_exp = 1000000",
             "sketch_backend = nope",
             "selector_budget_mult = 1",
+            "cnc_partition_factor = 2",
+            "cnc_distance_factor = 160",
         ],
     )
     def test_out_of_range_config_is_usage_error(self, tmp_path, line):

@@ -6,7 +6,6 @@ import pytest
 from conftest import complete
 from vcut import cnc as cnc_module
 from vcut.cnc import cnc, sketch_construct, sketch_recover, weighted_cnc
-from vcut.config import DEFAULT
 from vcut.errors import MixedSketchError
 from vcut.graphs import Graph, symdiff_size
 from vcut.oracle import check_clustering, generate_planted, random_digraph, random_graph
@@ -46,7 +45,7 @@ class TestCnc:
             g = random_graph(60, 0.15, seed)
             cl = cnc(g, symdiff_dist(g), 3)
             logn = max(1, math.ceil(math.log2(60)))
-            assert len(cl.partitions) <= DEFAULT.cnc_partition_factor * logn
+            assert len(cl.partitions) <= cnc_module.PARTITION_FACTOR * logn
 
     def test_membership_one_per_partition(self):
         g = random_graph(30, 0.2, 1)

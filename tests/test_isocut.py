@@ -7,7 +7,8 @@ import pytest
 from conftest import assert_matches_reference, complete, cycle, unit_paths
 from vcut.config import DEFAULT
 from vcut.errors import InvariantError
-from vcut.graphs import NoCut, VertexCut, better_cut, min_degree_cut, validate_cut
+from vcut import isocut
+from vcut.graphs import Graph, NoCut, VertexCut, better_cut, min_degree_cut, validate_cut
 from vcut.instrument import Counters
 from vcut.isocut import (
     _remap_candidate,
@@ -319,6 +320,23 @@ class TestSelectorRegime:
                 assert new_stats.get("flow_calls") <= old_stats.get("flow_calls")
                 saved += old_stats.get("flow_calls") - new_stats.get("flow_calls")
         assert saved > 0
+
+    @ENTRY_POINTS
+    def test_clique_terminals_return_nocut(self, entry, former, monkeypatch):
+        """Pairwise adjacent terminals leave no pair to probe: the search
+        returns NoCut, touches no counter and never builds the crossing
+        family of the pair regime."""
+
+        def no_family(*args):
+            raise AssertionError("crossing family built")
+
+        monkeypatch.setattr(isocut, "symmetric_crossing_family", no_family)
+        # K_16 on the terminals (k / eps = 4 <= 16 / 4), and a path 15-16-17
+        g = Graph.from_edges(18, list(itertools.combinations(range(16), 2)) + [(15, 16), (16, 17)])
+        stats = Counters()
+        got = entry(g, range(16), 1, stats=stats)
+        assert isinstance(got, NoCut) and got.value == g.n - 1
+        assert stats.as_dict() == {}
 
     def test_oriented_probes_are_the_isolating_cuts(self):
         checked = 0

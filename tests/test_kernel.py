@@ -4,8 +4,7 @@ import math
 import pytest
 
 from conftest import complete
-from vcut import kernel
-from vcut.config import DEFAULT
+from vcut import cnc, kernel
 from vcut.errors import EmptyKernel, InvariantError
 from vcut.graphs import Graph, NoSeparator, _log2ceil
 from vcut.instrument import Counters
@@ -34,7 +33,7 @@ class TestBuildIndex:
         idx = build_kernel_index(g, 2)
         logn = max(1, math.ceil(math.log2(20)))
         for v in idx.v_low:
-            assert len(idx.clusters_of(v)) <= DEFAULT.cnc_partition_factor * logn
+            assert len(idx.clusters_of(v)) <= cnc.PARTITION_FACTOR * logn
 
 
     def test_shared_cache_over_scales(self, monkeypatch):

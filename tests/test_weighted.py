@@ -10,10 +10,17 @@ from conftest import (
     directed_cycle,
     every_guess_lopsided,
     every_guess_symmetric,
+    four_call_weighted,
     two_hop_weight,
 )
 from vcut.errors import InvariantError
-from vcut.graphs import NoCut, VertexCut, WeightedDigraph, validate_cut
+from vcut.graphs import (
+    NoCut,
+    VertexCut,
+    WeightedDigraph,
+    min_out_neighborhood_cut,
+    validate_cut,
+)
 from vcut.instrument import Counters
 from vcut.maxflow import packing_reaches, vertex_max_flow, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
@@ -461,14 +468,12 @@ def _counting(monkeypatch, calls):
 
 
 def _run(monkeypatch, d, branches):
-    """The driver on d with `branches` (lopsided, symmetric) in place of the
-    package's: (cut, counters, events, helper calls)."""
+    """Both `branches` (lopsided, symmetric) on d and on its reverse
+    (`conftest.four_call_weighted`): (cut, counters, events, helper calls)."""
     calls, stats = Counter(), Counters()
     with monkeypatch.context() as m:
-        m.setattr(weighted, "lopsided_vc", branches[0])
-        m.setattr(weighted, "symmetric_vc", branches[1])
         _counting(m, calls)
-        cut = vertex_connectivity_weighted(d, stats=stats)
+        cut = four_call_weighted(d, stats=stats, branches=branches)
     return cut, stats.as_dict(), stats.events, calls
 
 
@@ -544,3 +549,94 @@ class TestSettledWork:
                 assert every_guess_lopsided(variant, stats=ref) == got
                 assert (mine.as_dict(), mine.events) == (ref.as_dict(), ref.events)
         assert again > 0
+
+
+def _gate_cases():
+    """Seeded random digraphs and planted lopsided and symmetric ones."""
+    rng = random.Random(22)
+    for seed in range(24):
+        n = rng.randrange(5, 19)
+        yield random_digraph(n, rng.choice([0.25, 0.35, 0.5]), rng.choice([1, 4, 64]), 900 + seed)
+    for seed in range(3):
+        yield generate_planted("lopsided", {"l": 2, "s": 3, "r": 10, "W": 8}, seed).graph
+        yield generate_planted("symmetric", {"l": 3, "s": 3, "r": 8, "W": 8}, seed).graph
+
+
+def _spied_driver(monkeypatch, d):
+    """The driver on d, watched: (cut, log), one log entry per orientation
+    [variant, symmetric search's cut, complete, whether lopsided_vc ran]."""
+    log = []
+    search, lopsided = weighted._symmetric_search, weighted.lopsided_vc
+
+    def spy_search(variant, cfg=weighted.DEFAULT, stats=None):
+        got, complete = search(variant, cfg, stats)
+        log.append([variant, got, complete, False])
+        return got, complete
+
+    def spy_lopsided(variant, cfg=weighted.DEFAULT, stats=None):
+        assert log[-1][0] is variant and not log[-1][3]
+        log[-1][3] = True
+        return lopsided(variant, cfg, stats)
+
+    with monkeypatch.context() as m:
+        m.setattr(weighted, "_symmetric_search", spy_search)
+        m.setattr(weighted, "lopsided_vc", spy_lopsided)
+        cut = vertex_connectivity_weighted(d)
+    return cut, log
+
+
+class TestLopsidedGate:
+    """The driver runs `lopsided_vc` on an orientation exactly when the
+    symmetric search there was incomplete or went below its baseline
+    (`min_out_neighborhood_cut`), and returns the cut of the former
+    driver, which ran both branches on both orientations."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_skipped_exactly_where_settled(self, backend, request, monkeypatch):
+        request.getfixturevalue(backend)
+        seen = Counter()
+        for d in _gate_cases():
+            cut, log = _spied_driver(monkeypatch, d)
+            assert cut == four_call_weighted(d), d.n
+            assert len(log) == 2
+            for variant, got, complete, ran in log:
+                assert complete  # the families are complete at these sizes
+                baseline = min_out_neighborhood_cut(variant)
+                below = got.value < baseline.value
+                assert below or got == baseline
+                assert ran == below, (d.n, got, baseline)
+                seen["ran" if ran else "skipped"] += 1
+        assert seen["ran"] > 0 and seen["skipped"] > 0, seen
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_runs_after_an_incomplete_search(self, backend, request, monkeypatch):
+        """With a pair {a, b}, neither an arc, left out of every symmetric
+        family, both orientations' searches are incomplete, and
+        `lopsided_vc` runs on both, also where the complete search returned
+        the baseline and it was skipped."""
+        request.getfixturevalue(backend)
+        real = weighted.symmetric_pairs
+        drop = set()
+
+        def symmetric_pairs(d, ell, cfg=weighted.DEFAULT):
+            fam = real(d, ell, cfg)
+            return PairFamily([p for p in fam if set(p) != drop], fam.degree_bound, fam.method)
+
+        settled = 0
+        for d in _gate_cases():
+            pair = next((
+                (a, b) for a, b in itertools.combinations(range(d.n), 2)
+                if not d.has_arc(a, b) and not d.has_arc(b, a)
+            ), None)
+            if pair is None:
+                continue
+            _, log = _spied_driver(monkeypatch, d)
+            settled += sum(not ran for *_, ran in log)
+            drop.clear()
+            drop.update(pair)
+            with monkeypatch.context() as m:
+                m.setattr(weighted, "symmetric_pairs", symmetric_pairs)
+                cut, log = _spied_driver(monkeypatch, d)
+            assert [(complete, ran) for _, _, complete, ran in log] == [(False, True)] * 2
+            assert cut.value == four_call_weighted(d).value
+        assert settled > 0
