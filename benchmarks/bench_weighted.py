@@ -47,7 +47,7 @@ SIZES = (24, 32, 48)
 COUNTED = ((weighted, "lopsided_pairs"), (weighted, "symmetric_pairs"), (cnc, "weighted_symdiff"))
 
 
-def every_guess_lopsided(d, cfg=weighted.DEFAULT, stats=None):
+def every_guess_lopsided(d, stats=None):
     """The former `weighted.lopsided_vc`: every distinct cluster of every
     guess is bucketed again, and each clustering computes its own
     distances."""
@@ -71,7 +71,7 @@ def every_guess_lopsided(d, cfg=weighted.DEFAULT, stats=None):
             if part is None:
                 part = parts[ckey] = weighted._ClusterParts(d, ckey)
             fam = weighted.lopsided_pairs(
-                d, cluster, v_low, ell, weighted._powers_up_to(total), cfg
+                d, cluster, v_low, ell, weighted._powers_up_to(total)
             )
             for s, t in fam.pairs:
                 if s == t or d.has_arc(s, t):
@@ -97,14 +97,14 @@ def every_guess_lopsided(d, cfg=weighted.DEFAULT, stats=None):
     return best
 
 
-def every_guess_symmetric(d, cfg=weighted.DEFAULT, stats=None):
+def every_guess_symmetric(d, stats=None):
     """The former `weighted.symmetric_vc`: a family for every guess, even
     after every pair has been evaluated."""
     best = min_out_neighborhood_cut(d)
     total = d.weight_of(range(d.n))
     evaluated = set()
     for ell in weighted._powers_up_to(total):
-        fam = weighted.symmetric_pairs(d, ell, cfg)
+        fam = weighted.symmetric_pairs(d, ell)
         for u, v in fam:
             for s, t in ((u, v), (v, u)):
                 if s == t or d.has_arc(s, t) or (s, t) in evaluated:

@@ -6,7 +6,6 @@ objects (crossing families, selectors, dispersers, mixing graphs), a gap-based
 decision algorithm, a brute-force oracle suite, and a batch CLI.
 """
 
-from .config import Config, DEFAULT, load_config
 from .graphs import (
     Graph,
     NoCut,
@@ -19,9 +18,6 @@ from .graphs import (
 )
 
 __all__ = [
-    "Config",
-    "DEFAULT",
-    "load_config",
     "Graph",
     "WeightedDigraph",
     "VertexCut",

@@ -18,11 +18,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import repeat
 
 from . import maxflow
-from .config import DEFAULT, load_config
-from .errors import ConfigError, ConstructionFailed, InvariantError, ParseError, VcutError
+from .errors import ConstructionFailed, InvariantError, ParseError, VcutError
 from .gabow import KConnected, gabow_vc
 from .graphs import Graph, NoCut, VertexCut, parse_graph, validate_cut
 from .instrument import Counters
@@ -51,10 +49,10 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _oracle_too_large(graph, cfg=DEFAULT) -> bool:
+def _oracle_too_large(graph) -> bool:
     """True, after printing a usage error, when `--oracle` cannot run on
     `graph` because it exceeds the brute-force oracle's size guard."""
-    guard = oracle_guard(graph, cfg)
+    guard = oracle_guard(graph)
     if graph.n <= guard:
         return False
     print(
@@ -64,37 +62,37 @@ def _oracle_too_large(graph, cfg=DEFAULT) -> bool:
     return True
 
 
-def _run_algorithm(graph, algo, k, cfg, stats):
+def _run_algorithm(graph, algo, k, stats):
     directed = not isinstance(graph, Graph)
     if algo == "auto":
         algo = "weighted" if directed else "unweighted"
     if algo == "unweighted":
         if directed:
             raise InvariantError("unweighted algorithm needs an undirected graph")
-        return algo, vertex_connectivity_unweighted(graph, cfg, stats)
+        return algo, vertex_connectivity_unweighted(graph, stats)
     if algo == "weighted":
         if not directed:
             raise InvariantError("weighted algorithm needs a directed graph")
-        return algo, vertex_connectivity_weighted(graph, cfg, stats)
+        return algo, vertex_connectivity_weighted(graph, stats)
     if algo == "gabow":
         if directed:
             raise InvariantError("the gap-based algorithm needs an undirected graph")
-        return algo, gabow_vc(graph, k, cfg, stats)
+        return algo, gabow_vc(graph, k, stats)
     if algo == "unbalanced":
         if directed:
             raise InvariantError("the unbalanced algorithm needs an undirected graph")
         if not graph.is_connected():
             rest = set(range(graph.n)) - set(graph.components()[0])
             return algo, VertexCut(graph.components()[0], (), rest, 0)
-        return algo, unbalanced_vc(graph, cfg, stats)
+        return algo, unbalanced_vc(graph, stats)
     if algo == "terminal":
         if directed:
             raise InvariantError("the terminal algorithm needs an undirected graph")
-        return algo, vertex_connectivity_unweighted(graph, cfg, stats, unbalanced=False)
+        return algo, vertex_connectivity_unweighted(graph, stats, unbalanced=False)
     raise InvariantError(f"unknown algorithm {algo!r}")
 
 
-def _report(graph, algo, result, stats, cfg, wall_ms, digest, k):
+def _report(graph, algo, result, stats, wall_ms, digest, k):
     rep = {
         "schema": 1,
         "input": digest,
@@ -104,7 +102,6 @@ def _report(graph, algo, result, stats, cfg, wall_ms, digest, k):
         "m": graph.m,
         "directed": not isinstance(graph, Graph),
         "counters": stats.as_dict(),
-        "config": cfg.as_dict(),
         "wall_time_ms": wall_ms,
     }
     if k is not None:
@@ -142,20 +139,19 @@ def cmd_compute(args) -> int:
     if args.algo == "gabow" and (args.k is None or args.k < 1):
         print("usage error: --algo gabow needs --k >= 1", file=sys.stderr)
         return EXIT_PARSE
-    cfg = load_config(args.config) if args.config else DEFAULT
-    if args.oracle and _oracle_too_large(graph, cfg):
+    if args.oracle and _oracle_too_large(graph):
         return EXIT_PARSE
     stats = Counters()
     start = time.perf_counter()
     try:
-        algo, result = _run_algorithm(graph, args.algo, args.k, cfg, stats)
+        algo, result = _run_algorithm(graph, args.algo, args.k, stats)
     except VcutError as exc:
         print(f"invariant error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     wall = round((time.perf_counter() - start) * 1000.0, 3)
-    rep = _report(graph, algo, result, stats, cfg, wall, _digest(data), args.k)
+    rep = _report(graph, algo, result, stats, wall, _digest(data), args.k)
     if args.oracle:
-        want = brute_kappa(graph, cfg)
+        want = brute_kappa(graph)
         rep["oracle_value"] = want[0] if isinstance(want, tuple) else want.value
     print(json.dumps(rep, sort_keys=True))
     return EXIT_OK
@@ -273,10 +269,10 @@ def cmd_check_pr(args) -> int:
         build_disperser,
         build_mixing_graph,
         build_selector,
+        selector_method,
         symmetric_crossing_family,
     )
 
-    cfg = load_config(args.config) if args.config else DEFAULT
     try:
         eps = Fraction(args.eps) if args.eps else None
     except (ValueError, ZeroDivisionError):
@@ -291,15 +287,17 @@ def cmd_check_pr(args) -> int:
     if args.d < 1:
         print(f"usage error: -d needs a value >= 1, got {args.d}", file=sys.stderr)
         return EXIT_PARSE
+    # The exhaustive checks are gated on n before anything is built: the
+    # families they would check hold n^2 pairs and n(n-1)/2 subsets.
     cert = {"object": args.object, "params": {}, "verdict": None}
     try:
         if args.object == "crossing":
             cert["params"] = {"n": args.n, "alpha": args.alpha}
-            fam = symmetric_crossing_family(args.n, args.alpha, cfg)
             if args.n > 14:
                 cert["verdict"] = "skipped"
                 cert["reason"] = "exhaustive check gated at n <= 14"
             else:
+                fam = symmetric_crossing_family(args.n, args.alpha)
                 ok, witness = check_symmetric_crossing(fam.pairs, args.n, args.alpha)
                 cert["property"] = "crossing"
                 cert["method"] = "exhaustive"
@@ -310,12 +308,12 @@ def cmd_check_pr(args) -> int:
                     cert["counterexample"] = witness
         elif args.object == "selector":
             cert["params"] = {"n": args.n, "k": args.k, "eps": str(eps)}
-            fam = build_selector(args.n, args.k, eps)
-            cert["family"] = fam.method
+            cert["family"] = selector_method(args.n, args.k, eps)
             if args.n > 12:
                 cert["verdict"] = "skipped"
                 cert["reason"] = "exhaustive check gated at n <= 12"
             else:
+                fam = build_selector(args.n, args.k, eps)
                 ok, witness = check_selector(fam.sets, args.n, args.k, eps)
                 cert["property"] = "selection"
                 cert["method"] = "exhaustive"
@@ -325,8 +323,8 @@ def cmd_check_pr(args) -> int:
                     cert["counterexample"] = witness
         elif args.object == "disperser":
             cert["params"] = {"n": args.n, "k": args.k, "d": args.d, "eps": str(eps)}
-            bip = build_disperser(args.n, args.k, args.d, eps, cfg=cfg)
-            ok, method, witness = check_disperser(bip, args.k, eps, cfg)
+            bip = build_disperser(args.n, args.k, args.d, eps)
+            ok, method, witness = check_disperser(bip, args.k, eps)
             cert["property"] = "coverage"
             cert["method"] = method
             cert["verdict"] = bool(ok)
@@ -336,7 +334,7 @@ def cmd_check_pr(args) -> int:
                 cert["counterexample"] = witness
         elif args.object == "mixing":
             cert["params"] = {"n": args.n, "d": args.d}
-            mg = build_mixing_graph(args.n, args.d, cfg)
+            mg = build_mixing_graph(args.n, args.d)
             cert["property"] = "pair-mixing"
             cert["method"] = "eigensolve"
             cert["verdict"] = True
@@ -375,7 +373,7 @@ def _suite_row(line):
     return kind, n, p, seed, wmax
 
 
-def _bench_row(row, cfg):
+def _bench_row(row):
     kind, n, p, seed, wmax = row
     if kind == "graph":
         g = random_graph(n, p, seed)
@@ -385,7 +383,7 @@ def _bench_row(row, cfg):
         algo = "weighted"
     stats = Counters()
     start = time.perf_counter()
-    _, result = _run_algorithm(g, algo, None, cfg, stats)
+    _, result = _run_algorithm(g, algo, None, stats)
     wall = round((time.perf_counter() - start) * 1000.0, 3)
     value = result.value if not isinstance(result, KConnected) else None
     return {
@@ -401,7 +399,6 @@ def _bench_row(row, cfg):
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config) if args.config else DEFAULT
     suite = []
     try:
         with open(args.suite) as fh:
@@ -420,9 +417,9 @@ def cmd_bench(args) -> int:
     if workers > 1:
         # Processes, not threads: the drivers are pure Python and hold the GIL.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_row, suite, repeat(cfg)))
+            rows = list(pool.map(_bench_row, suite))
     else:
-        rows = [_bench_row(row, cfg) for row in suite]
+        rows = [_bench_row(row) for row in suite]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
@@ -444,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *ALGORITHMS],
     )
     p.add_argument("--k", type=int, default=None, help="cut parameter (gabow)")
-    p.add_argument("--config", default=None)
     p.add_argument("--oracle", action="store_true", help="include the brute-force value")
     p.set_defaults(func=cmd_compute)
 
@@ -461,25 +457,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=4)
     p.add_argument("-e", "--eps", default="1/2")
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_check_pr)
 
     p = sub.add_parser("bench", help="run a generated suite, write CSV")
     p.add_argument("suite")
     p.add_argument("out")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_bench)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    return args.func(args)
 
 
 if __name__ == "__main__":

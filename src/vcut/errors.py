@@ -15,10 +15,6 @@ class ParseError(VcutError):
         self.line = line
 
 
-class ConfigError(VcutError, ValueError):
-    """A config file that cannot be read, or names an unknown key or a bad value."""
-
-
 class InvariantError(VcutError):
     """A structural invariant (duplicate edge, bad id, s == t, ...) is violated."""
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .config import DEFAULT, Config
 from .errors import Exhausted, InvariantError
 from .graphs import (
     Graph,
@@ -35,6 +34,10 @@ from .graphs import (
 )
 from .maxflow import even_sweep, min_st_cut, rooted_connectivity, weak_separator
 from .pseudorandom import build_mixing_graph
+
+# Estimate of the mixing-backend constant in the mixing graph's degree
+# formula (the graph's certificate is checked after construction).
+GABOW_MIXING_C = 2.0
 
 
 class KConnected:
@@ -129,7 +132,7 @@ def rich_set_or_cut(g: Graph, k, stats=None):
     return candidates, RichSet(cut_a.S, tau)
 
 
-def large_gap_vc(h: Graph, k, gamma, cfg: Config = DEFAULT, stats=None):
+def large_gap_vc(h: Graph, k, gamma, stats=None):
     """Decision on a graph whose gap delta - kappa is at least gamma.
 
     Rich-set route: a mixing graph sized by the certified spectral constant
@@ -150,10 +153,10 @@ def large_gap_vc(h: Graph, k, gamma, cfg: Config = DEFAULT, stats=None):
             t_size = len(terms)
             rho = max(1, math.ceil(rich.tau))
             rho2 = max(rho, math.ceil(Fraction(t_size - k, 2)))
-            c_est = cfg.gabow_mixing_c
+            c_est = GABOW_MIXING_C
             d = max(1, min(t_size - 1, 1 + math.ceil(4 * (c_est * t_size) ** 2 / (rho * rho2))))
             while True:
-                mix = build_mixing_graph(t_size, d, cfg)
+                mix = build_mixing_graph(t_size, d)
                 if rho * rho2 >= mix.pair_threshold or d >= t_size - 1:
                     break
                 d = min(t_size - 1, 2 * d)
@@ -232,7 +235,7 @@ def _extend_local(g, cut, ids, removed):
     return VertexCut(left, sep, rest, len(sep))
 
 
-def gabow_vc(g: Graph, k, cfg: Config = DEFAULT, stats=None):
+def gabow_vc(g: Graph, k, stats=None):
     """Decide kappa(G) < k (returning a minimum cut) versus KConnected.
 
     Sparsifies to a k-certificate first; small k goes straight to the
@@ -264,7 +267,7 @@ def gabow_vc(g: Graph, k, cfg: Config = DEFAULT, stats=None):
             stats.add("gabow_allpairs_fallback")
         best = even_sweep(gs, best, cap=k, stats=stats)
     elif k < math.isqrt(g.n) + 1:
-        got = large_gap_vc(gs, k, max(0, delta - k), cfg, stats)
+        got = large_gap_vc(gs, k, max(0, delta - k), stats)
         if isinstance(got, VertexCut):
             offer(got)
     else:
@@ -281,7 +284,7 @@ def gabow_vc(g: Graph, k, cfg: Config = DEFAULT, stats=None):
             offer(state.best)
         k_prime = k - len(state.removed)
         if not (isinstance(best, VertexCut) and best.value < k) and k_prime >= 1:
-            got = large_gap_vc(state.h, k_prime, state.gap, cfg, stats)
+            got = large_gap_vc(state.h, k_prime, state.gap, stats)
             if isinstance(got, VertexCut):
                 lifted = _extend_local(g, got, state.ids, state.removed)
                 offer(lifted)

@@ -449,24 +449,6 @@ def weighted_symdiff(d: WeightedDigraph, u: int, v: int) -> int:
     return total
 
 
-def set_neighborhood(g, vertices, direction: str = "out") -> set:
-    """N(A) = (union of neighborhoods of A) - A; `direction` in/out for digraphs."""
-    a = set(vertices)
-    out = set()
-    if isinstance(g, Graph):
-        for v in a:
-            out.update(g.adj[v])
-    elif direction == "out":
-        for v in a:
-            out.update(g.out_adj[v])
-    elif direction == "in":
-        for v in a:
-            out.update(g.in_adj[v])
-    else:
-        raise ValueError(f"bad direction {direction!r}")
-    return out - a
-
-
 def validate_cut(g, cut: VertexCut) -> bool:
     """True iff (L,S,R) is a disjoint cover of V, no vertex listed twice,
     with no edge/arc from L to R.

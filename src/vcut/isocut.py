@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from .config import DEFAULT, Config
 from .errors import InvariantError
 from .graphs import (
     Graph,
@@ -67,6 +66,12 @@ from .graphs import (
 )
 from .maxflow import _graph_flow, min_s_to_set_separator, min_st_cut
 from .pseudorandom import symmetric_crossing_family
+
+# Epsilon of the balanced-terminal search (replaces the asymptotic
+# n^{-2g(n)}), and its branch switch: the selector regime when
+# k/eps <= |T|/4, the crossing-family regime otherwise.  At most 1: a
+# selector needs eps in (0, 1].
+EPS_BALANCED = 0.25
 
 
 class IsolatingResult:
@@ -147,7 +152,7 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
     return IsolatingResult(cuts)
 
 
-def _balanced_search(g: Graph, terms, k, cfg, best, probe):
+def _balanced_search(g: Graph, terms, k, best, probe):
     """The balanced-terminal search over the sorted terminal list `terms` of
     g (see the module docstring), capped from the caller's `best`.
 
@@ -169,7 +174,7 @@ def _balanced_search(g: Graph, terms, k, cfg, best, probe):
         raise InvariantError("empty terminal set")
     if k < 1:
         raise InvariantError("k must be >= 1")
-    eps = cfg.eps_balanced
+    eps = EPS_BALANCED
     cap = best.value + 1 if isinstance(best, VertexCut) else None
     found = None
     if k / eps <= len(terms) / 4:
@@ -182,15 +187,14 @@ def _balanced_search(g: Graph, terms, k, cfg, best, probe):
             if isinstance(found, VertexCut) and (cap is None or found.value < cap):
                 cap = found.value + 1
     else:
-        family = symmetric_crossing_family(len(terms), 1 / eps, cfg)
+        family = symmetric_crossing_family(len(terms), 1 / eps)
         for i, j in family.unordered():
             limit = found.value if isinstance(found, VertexCut) else cap
             found = better_cut(found, probe(terms[i], terms[j], limit))
     return found if isinstance(found, VertexCut) else NoCut(g.n - 1)
 
 
-def balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                         best=None):
+def balanced_terminal_vc(g: Graph, terminals, k, stats=None, best=None):
     """Always returns a valid cut of g (or NoCut); it is a minimum cut
     whenever some cut splits the terminals with both sides large relative
     to the separator's terminal mass and is no larger than the caller's
@@ -202,7 +206,7 @@ def balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=No
         res = min_st_cut(g, a, b, limit, stats)
         return None if res is NoSeparator else res[1]
 
-    found = _balanced_search(g, sorted(set(terminals)), k, cfg, best, probe)
+    found = _balanced_search(g, sorted(set(terminals)), k, best, probe)
     assert not isinstance(found, VertexCut) or validate_cut(g, found)
     return found
 
@@ -249,8 +253,7 @@ def _remap_candidate(g: Graph, separator):
     return cut if validate_cut(g, cut) else None
 
 
-def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                                  best=None):
+def subgraph_balanced_terminal_vc(g: Graph, terminals, k, stats=None, best=None):
     """balanced_terminal_vc confined to the edges incident to the terminal
     set, with a super-vertex standing in for the rest of the graph.
 
@@ -278,4 +281,4 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, cfg: Config = DEFAULT,
             return None
         return _remap_candidate(g, res[1].S if whole else (nodes[x] for x in res[1]))
 
-    return _balanced_search(g, terms, k, cfg, best, probe)
+    return _balanced_search(g, terms, k, best, probe)

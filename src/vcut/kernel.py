@@ -28,10 +28,14 @@ over its 30 driver calls).
 from __future__ import annotations
 
 from .cnc import cnc, sketch_construct, sketch_recover
-from .config import DEFAULT, Config
 from .errors import EmptyKernel, InvariantError
 from .graphs import Graph, _log2ceil, symdiff_size
 from .maxflow import min_st_cut
+
+# Kernel index: V_low threshold |N(v)| <= CLOW_MULT * delta, cluster size
+# gate |V_i| <= KERNEL_GATE_MULT * delta * ceil(log2 n).
+CLOW_MULT = 8
+KERNEL_GATE_MULT = 8
 
 
 class KernelIndex:
@@ -61,8 +65,7 @@ class KernelIndex:
         )
 
 
-def build_kernel_index(g: Graph, ell, cfg: Config = DEFAULT, stats=None,
-                       cache=None) -> KernelIndex:
+def build_kernel_index(g: Graph, ell, stats=None, cache=None) -> KernelIndex:
     """Cluster the low-degree vertices by neighborhood similarity at radius
     4*ell and attach recovery sketches at threshold ell * ceil(log2 n)^2.
 
@@ -72,7 +75,7 @@ def build_kernel_index(g: Graph, ell, cfg: Config = DEFAULT, stats=None,
     if ell < 1:
         raise InvariantError("ell must be >= 1")
     delta = g.min_degree()
-    v_low = [v for v in range(g.n) if g.degree(v) <= cfg.clow_mult * delta]
+    v_low = [v for v in range(g.n) if g.degree(v) <= CLOW_MULT * delta]
     logn = _log2ceil(g.n)
     sub, ids = g.induced(v_low)
 
@@ -86,7 +89,7 @@ def build_kernel_index(g: Graph, ell, cfg: Config = DEFAULT, stats=None,
         for cluster in partition
     ]
     sketches = sketch_construct(g, ell * logn * logn)
-    gate = cfg.kernel_gate_mult * delta * logn
+    gate = KERNEL_GATE_MULT * delta * logn
     return KernelIndex(g, ell, delta, v_low, clusters, sketches, gate)
 
 

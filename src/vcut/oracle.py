@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cnc import DISTANCE_FACTOR, PARTITION_FACTOR
-from .config import DEFAULT, Config
 from .errors import GenerationFailed, InvariantError, SizeGuardError
 from .graphs import (
     Graph,
@@ -28,6 +27,16 @@ from .graphs import (
     serialize_graph,
     validate_cut,
 )
+
+# Brute-force oracle size guards: the largest n `brute_kappa` accepts for an
+# undirected graph and for a weighted digraph.
+ORACLE_UNWEIGHTED_GUARD = 64
+ORACLE_WEIGHTED_GUARD = 24
+# Disperser check: exhaustive up to this many left k-subsets, otherwise this
+# many deterministic samples (the sample count is also the unique-neighbour
+# expansion check's).
+EXHAUSTIVE_SUBSET_LIMIT = 200_000
+SAMPLED_CHECK_TRIALS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +169,19 @@ def brute_s_to_set_kappa(g: Graph, s, terminals, limit=None):
     return value
 
 
-def oracle_guard(g, cfg: Config = DEFAULT) -> int:
+def oracle_guard(g) -> int:
     """The largest n that `brute_kappa` accepts for a graph of g's kind."""
     if isinstance(g, WeightedDigraph):
-        return cfg.oracle_weighted_guard
-    return cfg.oracle_unweighted_guard
+        return ORACLE_WEIGHTED_GUARD
+    return ORACLE_UNWEIGHTED_GUARD
 
 
-def brute_kappa(g, cfg: Config = DEFAULT):
+def brute_kappa(g):
     """Exact connectivity with a witness cut; NoCut for complete graphs,
     (0, cut) for disconnected inputs.  Guarded input size.
     """
     directed = isinstance(g, WeightedDigraph)
-    guard = oracle_guard(g, cfg)
+    guard = oracle_guard(g)
     if g.n > guard:
         raise SizeGuardError(f"n={g.n} beyond oracle guard {guard}")
     if g.n <= 1:
@@ -289,7 +298,7 @@ def check_selector(sets, n, k, eps):
     return True, None
 
 
-def check_disperser(bip, k, eps, cfg: Config = DEFAULT):
+def check_disperser(bip, k, eps):
     """(k,eps)-disperser check: every size-k left set covers >= (1-eps)|W|.
 
     Exhaustive when C(n,k) is small, deterministic sampling otherwise
@@ -303,16 +312,16 @@ def check_disperser(bip, k, eps, cfg: Config = DEFAULT):
     count = 1
     for i in range(k):
         count = count * (n - i) // (i + 1)
-        if count > cfg.exhaustive_subset_limit:
+        if count > EXHAUSTIVE_SUBSET_LIMIT:
             break
-    if count <= cfg.exhaustive_subset_limit:
+    if count <= EXHAUSTIVE_SUBSET_LIMIT:
         for A in itertools.combinations(range(n), k):
             cover = frozenset().union(*(nbrs[v] for v in A))
             if len(cover) < need:
                 return False, "exhaustive", tuple(A)
         return True, "exhaustive", None
     rng = random.Random(0xD15BE5)
-    for _ in range(cfg.sampled_check_trials):
+    for _ in range(SAMPLED_CHECK_TRIALS):
         A = rng.sample(range(n), k)
         cover = frozenset().union(*(nbrs[v] for v in A))
         if len(cover) < need:
@@ -392,10 +401,10 @@ class PlantedInstance:
     params: dict
     seed: int
 
-    def verify(self, cfg: Config = DEFAULT) -> bool:
+    def verify(self) -> bool:
         if not validate_cut(self.graph, self.cut):
             return False
-        got = brute_kappa(self.graph, cfg)
+        got = brute_kappa(self.graph)
         return isinstance(got, tuple) and got[0] == self.cut.value
 
 
@@ -410,7 +419,7 @@ def _random_connected(rng, nodes, p, edges):
             edges.add((u, v))
 
 
-def generate_planted(kind, params, seed, cfg: Config = DEFAULT):
+def generate_planted(kind, params, seed):
     """Build a planted instance whose cut is a verified minimum separator.
 
     Rejection-samples over derived seeds; GenerationFailed after the retry
@@ -425,7 +434,7 @@ def generate_planted(kind, params, seed, cfg: Config = DEFAULT):
         graph, cut = built
         if not validate_cut(graph, cut):
             continue
-        got = brute_kappa(graph, cfg)
+        got = brute_kappa(graph)
         if isinstance(got, tuple) and got[0] == cut.value:
             return PlantedInstance(graph, cut, kind, dict(params), seed)
     raise GenerationFailed(f"could not plant a verified {kind} instance in {tries} tries")
@@ -513,7 +522,7 @@ def save_instance(inst: PlantedInstance) -> str:
     return text
 
 
-def load_instance(text, cfg: Config = DEFAULT) -> PlantedInstance:
+def load_instance(text) -> PlantedInstance:
     graph_lines = []
     cut_parts = {}
     for line in text.splitlines():
@@ -532,7 +541,7 @@ def load_instance(text, cfg: Config = DEFAULT) -> PlantedInstance:
     )
     cut = VertexCut(cut_parts["L"], cut_parts["S"], cut_parts["R"], value)
     inst = PlantedInstance(g, cut, "loaded", {}, -1)
-    if not inst.verify(cfg):
+    if not inst.verify():
         raise InvariantError("instance file failed re-verification")
     return inst
 

@@ -5,10 +5,12 @@ Backends follow one discipline: a construction is only returned together
 with a checked certificate (exhaustive verification when the subset space is
 small, deterministic sampling otherwise), and whenever the parameter
 formulas degenerate at small sizes, the trivial complete fallback takes
-over.  All constructions are deterministic: same parameters, same output.
+over.  Crossing families are always that fallback, or a part of it (see
+`asymmetric_crossing_family`).  All constructions are deterministic: same
+parameters, same output.
 
 Pair families hold distinct pairs.  The single builders (complete,
-single-target, composed, large-r, `map_pairs`) emit distinct pairs by
+single-target, large-r, `map_pairs`) emit distinct pairs by
 construction, so only a union of families de-duplicates, where it is built
 (`symmetric_crossing_family` here, the bucketed unions in `weighted`).
 Callers that need each unordered pair once iterate `PairFamily.unordered()`.
@@ -25,9 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT, Config
 from .errors import ConstructionFailed, InvariantError
 from .graphs import _log2ceil
+
+# Disperser base left degree: max(d, ceil(log2 n)^DISPERSER_BASE_EXP).
+DISPERSER_BASE_EXP = 1
 
 
 class LeftRegularBipartite:
@@ -52,13 +56,6 @@ class LeftRegularBipartite:
 
     def neighbors(self, v) -> frozenset:
         return frozenset(self.table[v])
-
-    def right_degrees(self):
-        deg = [0] * self.n_right
-        for row in self.table:
-            for w in row:
-                deg[w] += 1
-        return deg
 
     def __repr__(self):
         return f"LeftRegularBipartite({self.n_left}x{self.n_right}, d={self.degree})"
@@ -168,15 +165,15 @@ def _subset_count(n, k):
     return c
 
 
-def _verify_disperser(table, n_right, k, eps, cfg):
+def _verify_disperser(table, n_right, k, eps):
     from .oracle import check_disperser
 
     bip = LeftRegularBipartite(len(table), n_right, table)
-    ok, method, _ = check_disperser(bip, k, eps, cfg)
+    ok, method, _ = check_disperser(bip, k, eps)
     return bip if ok else None
 
 
-def _greedy_disperser_table(n, k, d, n_right, cfg):
+def _greedy_disperser_table(n, k, d, n_right):
     """Conditional-expectation greedy slot assignment.
 
     Tracks, per left k-subset, the covered right mask and remaining slots;
@@ -225,7 +222,7 @@ def _greedy_disperser_table(n, k, d, n_right, cfg):
     return table
 
 
-def build_disperser(n, k, d, eps, n_right=None, cfg: Config = DEFAULT):
+def build_disperser(n, k, d, eps, n_right=None):
     """Left-regular bipartite graph where every left set of size >= k covers
     at least a (1-eps) fraction of the right side.
 
@@ -240,17 +237,17 @@ def build_disperser(n, k, d, eps, n_right=None, cfg: Config = DEFAULT):
         raise InvariantError("need 1 <= k <= n")
     if not (0 <= eps < 1):
         raise InvariantError("need 0 <= eps < 1")
-    base = _log2ceil(n) ** cfg.disperser_base_exp
+    base = _log2ceil(n) ** DISPERSER_BASE_EXP
     if d > base:
         gamma = math.ceil(d / base)
-        inner = build_disperser(gamma * n, gamma * k, base, eps, n_right=n_right, cfg=cfg)
+        inner = build_disperser(gamma * n, gamma * k, base, eps, n_right=n_right)
         table = []
         for u in range(n):
             row = []
             for j in range(gamma):
                 row.extend(inner.table[u * gamma + j])
             table.append(row)
-        amplified = _verify_disperser(table, inner.n_right, k, eps, cfg)
+        amplified = _verify_disperser(table, inner.n_right, k, eps)
         if amplified is None:
             raise ConstructionFailed("amplified disperser failed re-verification")
         return amplified
@@ -275,8 +272,8 @@ def build_disperser(n, k, d, eps, n_right=None, cfg: Config = DEFAULT):
             # side, a (1,0)-disperser.
             table = [[i % m for i in range(d_eff)] for _ in range(n)]
         else:
-            table = _greedy_disperser_table(n, k, d_eff, m, cfg)
-        got = _verify_disperser(table, m, k, eps, cfg)
+            table = _greedy_disperser_table(n, k, d_eff, m)
+        got = _verify_disperser(table, m, k, eps)
         if got is not None:
             return got
     raise ConstructionFailed(
@@ -294,96 +291,21 @@ def _complete_pairs(universe_a, universe_b):
     return [(a, b) for a in universe_a for b in universe_b]
 
 
-def _declared_bound(size_b, l, r, cfg):
-    polylog = _log2ceil(size_b) ** cfg.crossing_polylog_exp
-    return cfg.crossing_c * polylog * max(1, -(-(size_b - r) // l))
-
-
-def _align_duplicate(small: LeftRegularBipartite, target_size: int):
-    """Duplicate right vertices of `small` up to `target_size`, returning
-    per-original (start, length) blocks of aligned ids."""
-    w = small.n_right
-    base_dup, extra = divmod(target_size, w)
-    blocks = []
-    pos = 0
-    for j in range(w):
-        length = base_dup + (1 if j < extra else 0)
-        blocks.append((pos, length))
-        pos += length
-    return blocks
-
-
-def _compose_ablr(universe_a, universe_b, l, r, cfg):
-    base = _log2ceil(len(universe_b)) ** cfg.disperser_base_exp
-    d1 = build_disperser(len(universe_b), r, base, Fraction(1, 8), cfg=cfg)
-    d2_degree = max(base, -(-r // l) * base)
-    d2 = build_disperser(len(universe_a), l, d2_degree, Fraction(1, 8), cfg=cfg)
-
-    if d1.n_right >= d2.n_right:
-        blocks = _align_duplicate(d2, d1.n_right)
-        w_total = d1.n_right
-        rdeg = d1.right_degrees()
-        edge_total = len(universe_b) * d1.degree
-        thresh = 4 * edge_total / w_total
-        w_small = {w for w in range(w_total) if rdeg[w] <= thresh}
-        d1_right_index = [[] for _ in range(w_total)]
-        for bv, row in enumerate(d1.table):
-            for w in row:
-                d1_right_index[w].append(bv)
-
-        def d1_nbrs_of(w):
-            return d1_right_index[w]
-
-        def aligned_neighbors(u_idx):
-            out = set()
-            for j in d2.table[u_idx]:
-                start, length = blocks[j]
-                out.update(range(start, start + length))
-            return out
-    else:
-        blocks = _align_duplicate(d1, d2.n_right)
-        w_total = d2.n_right
-        rdeg = d1.right_degrees()
-        edge_total = len(universe_b) * d1.degree
-        thresh = 4 * edge_total / d1.n_right
-        small_orig = {w for w in range(d1.n_right) if rdeg[w] <= thresh}
-        w_small = set()
-        owner = {}
-        for j in range(d1.n_right):
-            start, length = blocks[j]
-            for a in range(start, start + length):
-                owner[a] = j
-                if j in small_orig:
-                    w_small.add(a)
-        d1_right_index = [[] for _ in range(d1.n_right)]
-        for bv, row in enumerate(d1.table):
-            for w in row:
-                d1_right_index[w].append(bv)
-
-        def d1_nbrs_of(w):
-            return d1_right_index[owner[w]]
-
-        def aligned_neighbors(u_idx):
-            return set(d2.table[u_idx])
-
-    pairs = []
-    for ui, u in enumerate(universe_a):
-        hit = set()
-        for w in aligned_neighbors(ui):
-            if w in w_small:
-                hit.update(d1_nbrs_of(w))
-        for bv in sorted(hit):
-            pairs.append((u, universe_b[bv]))
-    return pairs
-
-
-def asymmetric_crossing_family(universe_a, universe_b, l, r, cfg: Config = DEFAULT):
+def asymmetric_crossing_family(universe_a, universe_b, l, r):
     """(A,B,l,r)-crossing family: every L in A, R in B with |L| >= l,
     |R| >= r is crossed by some pair.
 
-    Composed from two verified dispersers when the declared degree bound
-    beats the complete family; otherwise (or on any backend failure) the
-    complete fallback is used.
+    The complete family A x B.  When r > |B|/2, every such R holds at least
+    r' = |B| - r of the first 2r' elements of B, so the family for those
+    elements and (min(l, r'), r') crosses too ("large-r"); when r' = 0, R is
+    B and one target per source suffices ("single-target").
+
+    The paper's smaller family, composed from two dispersers, is not built.
+    It paid only where its declared degree bound
+    2 * ceil(log2 |B|)^2 * ceil((|B| - r) / l) is below |B|, and the guesses
+    of `symmetric_crossing_family` first reach such an (l, r) at n = 487
+    (alpha <= 3/4), 1,536 (alpha = 1) and 3,328 (alpha = 4); no driver call
+    measured (unweighted up to n = 192, weighted up to n = 256) reached one.
     """
     universe_a = tuple(sorted(universe_a))
     universe_b = tuple(sorted(universe_b))
@@ -401,29 +323,20 @@ def asymmetric_crossing_family(universe_a, universe_b, l, r, cfg: Config = DEFAU
             )
         b_dash = universe_b[: 2 * r_dash]
         l_dash = min(l, r_dash)
-        inner = asymmetric_crossing_family(universe_a, b_dash, l_dash, r_dash, cfg)
+        inner = asymmetric_crossing_family(universe_a, b_dash, l_dash, r_dash)
         return PairFamily(inner.pairs, inner.degree_bound, inner.method + "+large-r")
 
-    bound = _declared_bound(len(universe_b), l, r, cfg)
-    if bound < len(universe_b):
-        try:
-            pairs = _compose_ablr(universe_a, universe_b, l, r, cfg)
-            fam = PairFamily(pairs, bound, "composed")
-            if fam.max_degree() <= bound:
-                return fam
-        except ConstructionFailed:
-            pass
     return PairFamily(
         _complete_pairs(universe_a, universe_b), len(universe_b), "complete"
     )
 
 
 @functools.lru_cache(maxsize=32, typed=True)
-def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
+def symmetric_crossing_family(n, alpha):
     """Pair family over [n] crossing every tri-partition (L,S,R) with
     |R| >= |L| >= |S|/alpha.
 
-    Memoized on (n, alpha and its type, cfg) in a bounded cache, since the
+    Memoized on (n, alpha and its type) in a bounded cache, since the
     drivers ask for the same families over and over; callers share the
     returned PairFamily and must not mutate it.
 
@@ -439,7 +352,17 @@ def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
     source degree, so the bounds of a union that gives every source n
     targets sum to at least n).  Only `method` omits the labels of the
     guesses left out.
+
+    The family holds all n * n pairs, for every n and alpha > 0, so a pair
+    search over it is a search over every pair.  Proof for n >= 3 and
+    alpha < n: let R = 2^floor(log2(n/2)), the largest power of two with
+    2R <= n.  Then R > n/4, so (2*alpha + 2)*R + 2*R >= 4R > n, and (R, R) is
+    a guess.  Its family is not large-r (R <= n // 2), so it is the complete
+    family [n] x [n], and the union holds every pair.  The other cases
+    return the complete family directly.
     """
+    if not alpha > 0:
+        raise InvariantError("need alpha > 0")
     universe = tuple(range(n))
     if n <= 2 or alpha >= n:
         return PairFamily(_complete_pairs(universe, universe), n, "complete")
@@ -452,13 +375,11 @@ def symmetric_crossing_family(n, alpha, cfg: Config = DEFAULT):
                 guesses.append((l, r))
             r *= 2
         l *= 2
-    if not guesses:
-        return PairFamily(_complete_pairs(universe, universe), n, "complete")
     pairs = {}
     total_bound = 0
     methods = set()
     for l, r in guesses:
-        fam = asymmetric_crossing_family(universe, universe, l, r, cfg)
+        fam = asymmetric_crossing_family(universe, universe, l, r)
         pairs.update(dict.fromkeys(fam.pairs))
         total_bound += fam.degree_bound
         methods.add(fam.method)
@@ -479,7 +400,7 @@ def map_pairs(family: PairFamily, vertices) -> PairFamily:
 # Unique-neighbor expanders and selectors
 # ---------------------------------------------------------------------------
 
-def check_unique_neighbor_expansion(bip: LeftRegularBipartite, k, alpha, cfg: Config = DEFAULT):
+def check_unique_neighbor_expansion(bip: LeftRegularBipartite, k, alpha):
     """(k,alpha)-unique-neighbor expansion: every left S with |S| <= k has
     at least alpha*d*|S| right vertices with exactly one neighbor in S.
 
@@ -504,15 +425,17 @@ def check_unique_neighbor_expansion(bip: LeftRegularBipartite, k, alpha, cfg: Co
                 if not ok(subset):
                     return False
         return True
+    from .oracle import SAMPLED_CHECK_TRIALS
+
     rng = random.Random(0x00E1)
-    for _ in range(cfg.sampled_check_trials):
+    for _ in range(SAMPLED_CHECK_TRIALS):
         size = rng.randrange(1, min(k, n) + 1)
         if not ok(rng.sample(range(n), size)):
             return False
     return True
 
 
-def build_unique_neighbor_expander(n_left, k, d, m, alpha, forbid=None, cfg: Config = DEFAULT):
+def build_unique_neighbor_expander(n_left, k, d, m, alpha, forbid=None):
     """Greedy d-left-regular (k,alpha)-unique-neighbor expander on [m].
 
     `forbid` pairs (x, y) must differ under every slot index.  Returns None
@@ -551,9 +474,22 @@ def build_unique_neighbor_expander(n_left, k, d, m, alpha, forbid=None, cfg: Con
         if not feasible:
             continue
         bip = LeftRegularBipartite(n_left, m, table)
-        if check_unique_neighbor_expansion(bip, k, alpha, cfg):
+        if check_unique_neighbor_expansion(bip, k, alpha):
             return bip
     return None
+
+
+def selector_method(n, k, eps):
+    """The method of the family `build_selector(n, k, eps)` returns, without
+    building it; raises as `build_selector` does."""
+    eps = Fraction(eps)
+    if k < 1 or not (0 < eps <= 1):
+        raise InvariantError("need k >= 1 and eps in (0,1]")
+    if 2 * k >= n:
+        raise ConstructionFailed(
+            f"no selector with member sets >= 2 exists for 2k={2*k} >= n={n}"
+        )
+    return "2-subsets"
 
 
 def build_selector(n, k, eps):
@@ -574,14 +510,8 @@ def build_selector(n, k, eps):
     2.4-3.3 s at n = 1,024 and 9.3-11.2 s at n = 2,048 on a 2-core machine,
     and this family was built after it anyway, so the route is gone.
     """
-    eps = Fraction(eps)
-    if k < 1 or not (0 < eps <= 1):
-        raise InvariantError("need k >= 1 and eps in (0,1]")
-    if 2 * k >= n:
-        raise ConstructionFailed(
-            f"no selector with member sets >= 2 exists for 2k={2*k} >= n={n}"
-        )
-    return SubsetFamily(n, itertools.combinations(range(n), 2), "2-subsets")
+    method = selector_method(n, k, eps)
+    return SubsetFamily(n, itertools.combinations(range(n), 2), method)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +539,7 @@ def _spectral_lambda(adj) -> float:
     return float(np.max(np.abs(lam), initial=0.0))
 
 
-def build_mixing_graph(n, d, cfg: Config = DEFAULT) -> MixingGraph:
+def build_mixing_graph(n, d) -> MixingGraph:
     """Graph on n vertices, max degree <= 4d, with a certificate
     guaranteeing E(A,B) != empty whenever |A|*|B| >= pair_threshold.
 

@@ -54,7 +54,6 @@ from fractions import Fraction
 import numpy as np
 
 from .cnc import cnc
-from .config import DEFAULT, Config
 from .errors import BudgetExceeded, InvariantError, UndefinedExpansion
 from .graphs import (
     Graph,
@@ -81,6 +80,18 @@ _H_SCALE = 720720
 # Subsets scored per numpy pass of the exhaustive search; it bounds the
 # search's temporaries at a few int64 arrays of this length.
 _SCAN_CHUNK = 4096
+# Expander decomposition: expansion target, separator budget fraction
+# (clamped below at 1 vertex), retry floor.
+EXPANDER_PHI = 0.1
+EXPANDER_BUDGET_FRAC = 0.01
+EXPANDER_PHI_FLOOR = 1.0 / 1024
+# Terminal reduction constants, verbatim from the method description:
+# X_low holds the separator vertices of degree < TR_XLOW_MULT * a in H_low,
+# a cluster adds its first |cluster| // ceil(log2 n)^TR_TSMALL_LOG_EXP
+# pieces' terminals to T_small, and T_bar holds |T| // TR_TBAR_DIV terminals.
+TR_XLOW_MULT = 1000
+TR_TSMALL_LOG_EXP = 2
+TR_TBAR_DIV = 100
 
 
 class PieceStore:
@@ -266,8 +277,7 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats):
     return best[0][0], best[1]
 
 
-def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
-                           stats=None, _cache=None, store=None):
+def expander_decomposition(g: Graph, terminals, phi, stats=None, _cache=None, store=None):
     """Partition V into X plus mutually non-adjacent pieces on which no
     terminal-sparse cut below phi was found.
 
@@ -292,7 +302,7 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
     elif store.graph is not g:
         raise InvariantError("piece store of another graph")
     tset = set(terms)
-    budget = max(1, int(cfg.expander_budget_frac * len(terms)))
+    budget = max(1, int(EXPANDER_BUDGET_FRAC * len(terms)))
     cache = _cache if _cache is not None else {}
     x_set = set()
     pieces = []
@@ -335,16 +345,16 @@ def expander_decomposition(g: Graph, terminals, phi, cfg: Config = DEFAULT,
     return result
 
 
-def _decompose_with_retry(g, terms, cfg, stats, cache, store):
-    phi = cfg.expander_phi
+def _decompose_with_retry(g, terms, stats, cache, store):
+    phi = EXPANDER_PHI
     while True:
         try:
-            return expander_decomposition(g, terms, phi, cfg, stats, _cache=cache, store=store)
+            return expander_decomposition(g, terms, phi, stats, _cache=cache, store=store)
         except BudgetExceeded as exc:
             if stats is not None:
                 stats.add("expander_budget_retries")
             phi /= 2
-            if phi < cfg.expander_phi_floor:
+            if phi < EXPANDER_PHI_FLOOR:
                 return exc.partial
 
 
@@ -369,15 +379,20 @@ def shaving(h: Graph, candidates, a):
     return out
 
 
-def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None,
-                       store=None):
+def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
     """One reduction round: returns (best cut or NoCut, T') with
     |T'| <= 0.9 |T|.
 
-    Follows the decomposition / contraction / shaving / clustering /
-    pruning sequence; every candidate cut comes from the balanced-terminal
+    Follows the decomposition / contraction / shaving / clustering
+    sequence; every candidate cut comes from the balanced-terminal
     subroutine and validates in g.  `store` is the `PieceStore` of g that
     the expander decompositions read (default: a fresh one each).
+
+    The method's pruning step is left out: it drops from X the vertices
+    adjacent to most of a cluster of more than 10 * a * ceil(log2 n)^2
+    small pieces, with a >= 2, and a cluster holds at most n pieces, which
+    is no more than that gate for every n <= 2,880.  So the candidate
+    terminal set of every partition is X plus T_bar.
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -387,7 +402,7 @@ def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None
     n = g.n
     logn = _log2ceil(n)
     cache = {}
-    decomp = _decompose_with_retry(g, terms, cfg, stats, cache, store)
+    decomp = _decompose_with_retry(g, terms, stats, cache, store)
     x_list = list(decomp.x)
     x_set = set(x_list)
     term_set = set(terms)
@@ -399,7 +414,7 @@ def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None
         if isinstance(candidate, VertexCut) and validate_cut(g, candidate):
             best = better_cut(best, candidate)
 
-    t_bar_quota = max(1, len(terms) // cfg.tr_tbar_div)
+    t_bar_quota = max(1, len(terms) // TR_TBAR_DIV)
     t_bar = [t for t in terms if t not in x_set][:t_bar_quota]
 
     small_pieces = []
@@ -440,7 +455,7 @@ def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None
         a = 2 ** i_scale
         x_low = sorted(
             x for x in x_list
-            if hlow.degree(hpos[x_pos[x]]) < cfg.tr_xlow_mult * a
+            if hlow.degree(hpos[x_pos[x]]) < TR_XLOW_MULT * a
         )
         paths = set()
         for x in x_list:
@@ -465,29 +480,18 @@ def terminal_reduction(g: Graph, terminals, k, cfg: Config = DEFAULT, stats=None
             )
 
         clustering = cnc(hconnected, a_dist, 15 * a, stats=stats)
-        prune_gate = cfg.tr_prune_gate_mult * a * logn ** cfg.tr_tsmall_log_exp
-        prune_eps = 1 - 1 / logn ** cfg.tr_prune_log_exp
+        cand_terms = sorted(set(x_list) | set(t_bar))
+        cand_low = sorted(set(x_low) | set(t_bar))
         for partition in clustering.partitions:
-            x_prime = set(x_list)
             for cluster in partition:
-                quota = len(cluster) // (logn ** cfg.tr_tsmall_log_exp)
+                quota = len(cluster) // (logn ** TR_TSMALL_LOG_EXP)
                 for cj in sorted(cluster)[:quota]:
                     piece = small_pieces[hlow_ids[cluster_locals[cj]] - nx]
                     t_small.extend(sorted(term_set.intersection(piece)))
-                if len(cluster) > prune_gate:
-                    members = {cluster_locals[cj] for cj in cluster}
-                    for x in sorted(x_prime):
-                        inside = sum(
-                            1 for w in hlow.neighbors(hpos[x_pos[x]]) if w in members
-                        )
-                        if inside > prune_eps * len(cluster):
-                            x_prime.discard(x)
-            cand_terms = sorted(x_prime | set(t_bar))
             if cand_terms:
-                offer(balanced_terminal_vc(g, cand_terms, k, cfg, stats))
-            cand_low = sorted(set(x_low) | set(t_bar))
+                offer(balanced_terminal_vc(g, cand_terms, k, stats))
             if cand_low:
-                offer(balanced_terminal_vc(g, cand_low, k, cfg, stats))
+                offer(balanced_terminal_vc(g, cand_low, k, stats))
 
     t_prime = sorted(set(x_list) | set(t_big) | set(t_small) | set(t_bar))
     limit = math.floor(0.9 * len(terms))
@@ -509,7 +513,7 @@ def _adj_from_edges(n, edges):
     return [sorted(r) for r in adj]
 
 
-def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
+def unbalanced_vc(g: Graph, stats=None):
     """Cut search targeting minimum cuts with a small side.
 
     Per power-of-two scale: crossing-family pairs answered through the
@@ -554,14 +558,14 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
-        family = symmetric_crossing_family(g.n, alpha, cfg)
-        index = build_kernel_index(g, ell, cfg, stats, cache=distances)
+        family = symmetric_crossing_family(g.n, alpha)
+        index = build_kernel_index(g, ell, stats, cache=distances)
         for cluster in index.clusters:
             key = frozenset(cluster)
             if key in seen_clusters or len(cluster) < 2:
                 continue
             seen_clusters.add(key)
-            cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, cfg, stats, best=best)
+            cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, stats, best=best)
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
         for s, t in family.unordered():
@@ -581,8 +585,7 @@ def unbalanced_vc(g: Graph, cfg: Config = DEFAULT, stats=None):
     return best
 
 
-def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
-                                   unbalanced=True):
+def vertex_connectivity_unweighted(g: Graph, stats=None, unbalanced=True):
     """Exact minimum vertex cut driver.
 
     Disconnected inputs yield a value-0 cut, complete inputs the NoCut
@@ -643,12 +646,12 @@ def vertex_connectivity_unweighted(g: Graph, cfg: Config = DEFAULT, stats=None,
             best = better_cut(best, candidate)
 
     if unbalanced:
-        offer(unbalanced_vc(gs, cfg, stats))
+        offer(unbalanced_vc(gs, stats))
     terms = tuple(range(g.n))
     store = PieceStore(gs)
     while terms:
-        offer(balanced_terminal_vc(gs, terms, k, cfg, stats, best=best))
-        reduced, terms = terminal_reduction(gs, terms, k, cfg, stats, store=store)
+        offer(balanced_terminal_vc(gs, terms, k, stats, best=best))
+        reduced, terms = terminal_reduction(gs, terms, k, stats, store=store)
         offer(reduced)
     assert isinstance(best, VertexCut)
     return best

@@ -4,11 +4,11 @@ instances) and the symmetric case, combined over the graph and its reverse.
 
 Every separator extracted from a sparsified instance is re-validated in the
 original digraph before it can become a candidate, so the returned cut is
-always sound.  Where the symmetric branch's pair families are complete (on
-every digraph measured so far), its search evaluates every ordered
-non-adjacent pair and is exact by itself; the driver runs the lopsided
-branch only where it can still change the cut (see
-`vertex_connectivity_weighted`).
+always sound.  The symmetric branch's pair families hold every pair (the
+completeness proof is in `symmetric_crossing_family`), so its search
+evaluates every ordered non-adjacent pair and is exact by itself; the
+driver runs the lopsided branch only where it can still change the cut
+(see `vertex_connectivity_weighted`).
 
 A pair skips its capped flow by the flow engine's one skip rule
 (`maxflow.packing_reaches`, counted as `path_skips`): a greedy packing of
@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 
 from .cnc import weighted_cnc
-from .config import DEFAULT, Config
 from .errors import InvariantError
 from .graphs import (
     NoCut,
@@ -74,6 +73,12 @@ from .pseudorandom import (
     map_pairs,
     symmetric_crossing_family,
 )
+
+# Lopsidedness threshold (the paper's "sufficiently large constant"), read
+# by the symmetric pair families.  Exactness never hinges on it: every
+# symmetric crossing family holds all pairs, so the symmetric search
+# evaluates every ordered non-adjacent pair.
+LAM = 8
 
 
 def _bucket(w):
@@ -106,7 +111,7 @@ def identify_vlow(d: WeightedDigraph, cluster):
     return [v for v in range(d.n) if 10 * covered[v] <= 9 * wc]
 
 
-def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEFAULT):
+def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r):
     """Bucketed union of asymmetric crossing families between the cluster
     and the low-coverage set, for one (ell, r) guess, or for every guess in
     `r` when it is a list; degenerate bucket parameters clamp to the
@@ -148,7 +153,7 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r, cfg: Config = DEF
                 if r_ij in built_r:
                     continue
                 built_r.add(r_ij)
-                fam = asymmetric_crossing_family(ci, dj, min(l_i, r_ij), r_ij, cfg)
+                fam = asymmetric_crossing_family(ci, dj, min(l_i, r_ij), r_ij)
                 pairs.extend(fam.pairs)
                 bound += fam.degree_bound
     return PairFamily(sorted(set(pairs)), bound, "bucketed")
@@ -293,7 +298,7 @@ def _digraph_pair_cut(d: WeightedDigraph, h: WeightedDigraph, ids, s, t,
     return cut
 
 
-def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
+def lopsided_vc(d: WeightedDigraph, stats=None):
     """Cut search targeting minimum cuts whose far side carries most of the
     weight.  Always returns a valid cut; minimum under the lopsidedness
     promise."""
@@ -319,7 +324,7 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
             part = parts.get(ckey)
             if part is None:
                 part = parts[ckey] = _ClusterParts(d, ckey)
-            fam = lopsided_pairs(d, cluster, v_low, ell, guesses, cfg)
+            fam = lopsided_pairs(d, cluster, v_low, ell, guesses)
             if len(fam.pairs) == len(ckey) * len(v_low):
                 covered.add(ckey)
             for s, t in fam.pairs:
@@ -346,13 +351,12 @@ def lopsided_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     return best
 
 
-def symmetric_pairs(d: WeightedDigraph, ell, cfg: Config = DEFAULT):
+def symmetric_pairs(d: WeightedDigraph, ell):
     """Bucket-pair union of symmetric crossing families with the
     directional inclusion rule (pairs kept when their source sits in the
     heavier bucket), de-duplicated in first-occurrence order."""
     if ell < 1:
         raise InvariantError("ell must be >= 1")
-    lam = cfg.lam
     logw = _log2ceil(d.max_weight)
     logn = _log2ceil(d.n)
     buckets = {}
@@ -373,16 +377,16 @@ def symmetric_pairs(d: WeightedDigraph, ell, cfg: Config = DEFAULT):
                 continue
             alpha = min(
                 d.n,
-                d.n * (2 ** max(i, j) / ell) * logw * lam * lam * logn,
+                d.n * (2 ** max(i, j) / ell) * logw * LAM * LAM * logn,
             )
-            fam = map_pairs(symmetric_crossing_family(len(union), alpha, cfg), union)
+            fam = map_pairs(symmetric_crossing_family(len(union), alpha), union)
             heavy = set(vi if i >= j else vj)
             pairs.extend(p for p in fam.pairs if p[0] in heavy)
             bound += fam.degree_bound
     return PairFamily(dict.fromkeys(pairs), bound, "bucketed-symmetric")
 
 
-def _symmetric_search(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
+def _symmetric_search(d: WeightedDigraph, stats=None):
     """`symmetric_vc`'s search: (best cut, complete), where complete says
     that it evaluated every ordered non-adjacent pair."""
     best = min_out_neighborhood_cut(d)
@@ -392,7 +396,7 @@ def _symmetric_search(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     for ell in _powers_up_to(total):
         if len(evaluated) == evaluable:
             break
-        fam = symmetric_pairs(d, ell, cfg)
+        fam = symmetric_pairs(d, ell)
         for u, v in fam:
             for s, t in ((u, v), (v, u)):
                 if s == t or d.has_arc(s, t) or (s, t) in evaluated:
@@ -413,13 +417,13 @@ def _symmetric_search(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
     return best, len(evaluated) == evaluable
 
 
-def symmetric_vc(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
+def symmetric_vc(d: WeightedDigraph, stats=None):
     """Cut search for weight-balanced minimum cuts: pair flows on
     arc-dropped instances, both orientations per pair."""
-    return _symmetric_search(d, cfg, stats)[0]
+    return _symmetric_search(d, stats)[0]
 
 
-def vertex_connectivity_weighted(d: WeightedDigraph, cfg: Config = DEFAULT, stats=None):
+def vertex_connectivity_weighted(d: WeightedDigraph, stats=None):
     """Exact minimum weighted vertex cut driver.
 
     Handles non-strongly-connected inputs (weight-0 cut from a sink
@@ -448,7 +452,9 @@ def vertex_connectivity_weighted(d: WeightedDigraph, cfg: Config = DEFAULT, stat
     `lopsided_vc` still runs when the symmetric search went below B, since
     its first cut of that weight can be key()-smaller, and when the search
     was incomplete (its families never offered some ordered pair), since
-    then nothing bounds kappa from below.
+    then nothing bounds kappa from below.  The families built here always
+    hold every pair, so the search is incomplete only under a family that
+    drops pairs.
     """
     if d.n <= 1:
         return NoCut(None)
@@ -461,10 +467,10 @@ def vertex_connectivity_weighted(d: WeightedDigraph, cfg: Config = DEFAULT, stat
         return NoCut(None)
     best = None
     for variant, flip in ((d, False), (d.reverse(), True)):
-        got, complete = _symmetric_search(variant, cfg, stats)
+        got, complete = _symmetric_search(variant, stats)
         found = [got]
         if not complete or got.value < min_out_neighborhood_cut(variant).value:
-            found.append(lopsided_vc(variant, cfg, stats))
+            found.append(lopsided_vc(variant, stats))
         for cut in found:
             if flip:
                 cut = VertexCut(cut.R, cut.S, cut.L, cut.value)

@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from vcut import _pyflow, isocut, maxflow, unweighted, weighted
-from vcut.config import DEFAULT
 from vcut.errors import InvariantError
 from vcut.graphs import (
     Graph,
@@ -127,7 +126,7 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
     return best
 
 
-def query_every_pair(g, cfg=DEFAULT, stats=None):
+def query_every_pair(g, stats=None):
     """Reference for `unweighted.unbalanced_vc`: the same scales, cluster
     calls (`unledgered_subgraph_balanced_terminal_vc`) and pair order, but
     every non-adjacent pair goes to the kernel index in both orientations
@@ -145,15 +144,15 @@ def query_every_pair(g, cfg=DEFAULT, stats=None):
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
-        family = symmetric_crossing_family(g.n, alpha, cfg)
-        index = build_kernel_index(g, ell, cfg, stats)
+        family = symmetric_crossing_family(g.n, alpha)
+        index = build_kernel_index(g, ell, stats)
         for cluster in index.clusters:
             key = frozenset(cluster)
             if key in seen_clusters or len(cluster) < 2:
                 continue
             seen_clusters.add(key)
             cand = unledgered_subgraph_balanced_terminal_vc(
-                g, cluster, delta * logn, cfg, stats, best=best
+                g, cluster, delta * logn, stats, best=best
             )
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
@@ -172,7 +171,7 @@ def query_every_pair(g, cfg=DEFAULT, stats=None):
     return best
 
 
-def unledgered_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None, best=None):
+def unledgered_balanced_terminal_vc(g, terminals, k, stats=None, best=None):
     """Reference for `isocut.balanced_terminal_vc`: the same search, but
     each pair probe is its own whole-graph `bare_min_st_cut`.  This is the
     package's former probe closure."""
@@ -181,10 +180,10 @@ def unledgered_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None, be
         res = bare_min_st_cut(g, a, b, limit=limit, stats=stats)
         return None if res is NoSeparator else res[1]
 
-    return isocut._balanced_search(g, sorted(set(terminals)), k, cfg, best, probe)
+    return isocut._balanced_search(g, sorted(set(terminals)), k, best, probe)
 
 
-def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats=None,
+def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, stats=None,
                                              best=None):
     """Reference for `isocut.subgraph_balanced_terminal_vc`: every pair
     probe is a flow to {b, super-vertex} on the auxiliary graph, also when
@@ -200,10 +199,10 @@ def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, cfg=DEFAULT, stats
             return None
         return isocut._remap_candidate(g, (nodes[x] for x in res[1]))
 
-    return isocut._balanced_search(g, terms, k, cfg, best, probe)
+    return isocut._balanced_search(g, terms, k, best, probe)
 
 
-def unledgered_unbalanced_vc(g, cfg=DEFAULT, stats=None):
+def unledgered_unbalanced_vc(g, stats=None):
     """Reference for `unweighted.unbalanced_vc`: the same scales, cluster
     calls and pair order, with the former per-call packing memo (each pair
     {s, t}, s < t, packed from s to N(t) once), the former cluster probes
@@ -223,15 +222,15 @@ def unledgered_unbalanced_vc(g, cfg=DEFAULT, stats=None):
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
-        family = symmetric_crossing_family(g.n, alpha, cfg)
-        index = build_kernel_index(g, ell, cfg, stats)
+        family = symmetric_crossing_family(g.n, alpha)
+        index = build_kernel_index(g, ell, stats)
         for cluster in index.clusters:
             key = frozenset(cluster)
             if key in seen_clusters or len(cluster) < 2:
                 continue
             seen_clusters.add(key)
             cand = unledgered_subgraph_balanced_terminal_vc(
-                g, cluster, delta * logn, cfg, stats, best=best
+                g, cluster, delta * logn, stats, best=best
             )
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
@@ -254,7 +253,7 @@ def unledgered_unbalanced_vc(g, cfg=DEFAULT, stats=None):
     return best
 
 
-def unledgered_driver(g, cfg=DEFAULT, stats=None, unbalanced=True):
+def unledgered_driver(g, stats=None, unbalanced=True):
     """Reference for `unweighted.vertex_connectivity_unweighted`: the same
     driver with no pair ledger.  The unbalanced branch is
     `unledgered_unbalanced_vc`, every balanced-terminal call (the driver's
@@ -263,7 +262,7 @@ def unledgered_driver(g, cfg=DEFAULT, stats=None, unbalanced=True):
     with `maxflow.min_st_cut`, so the piece that is all of V shares no
     probe with the rest of the call."""
     if g.n <= 1 or len(g.components()) > 1 or g.is_complete():
-        return unweighted.vertex_connectivity_unweighted(g, cfg, stats, unbalanced)
+        return unweighted.vertex_connectivity_unweighted(g, stats, unbalanced)
     gs = ni_sparsify(g, g.min_degree())
     k = max(1, gs.min_degree())
     best = min_degree_cut(g)
@@ -274,22 +273,22 @@ def unledgered_driver(g, cfg=DEFAULT, stats=None, unbalanced=True):
             best = better_cut(best, candidate)
 
     if unbalanced:
-        offer(unledgered_unbalanced_vc(gs, cfg, stats))
+        offer(unledgered_unbalanced_vc(gs, stats))
     terms = tuple(range(g.n))
     store = unweighted.PieceStore(gs)
     real = unweighted.balanced_terminal_vc
     unweighted.balanced_terminal_vc = unledgered_balanced_terminal_vc
     try:
         while terms:
-            offer(unledgered_balanced_terminal_vc(gs, terms, k, cfg, stats, best=best))
-            reduced, terms = unweighted.terminal_reduction(gs, terms, k, cfg, stats, store=store)
+            offer(unledgered_balanced_terminal_vc(gs, terms, k, stats, best=best))
+            reduced, terms = unweighted.terminal_reduction(gs, terms, k, stats, store=store)
             offer(reduced)
     finally:
         unweighted.balanced_terminal_vc = real
     return best
 
 
-def every_guess_lopsided(d, cfg=DEFAULT, stats=None):
+def every_guess_lopsided(d, stats=None):
     """Reference for `weighted.lopsided_vc`: the same guesses, clusters and
     pair order, but every distinct cluster of every guess is bucketed again
     (`identify_vlow`, `lopsided_pairs`) and each clustering computes its
@@ -318,7 +317,7 @@ def every_guess_lopsided(d, cfg=DEFAULT, stats=None):
             if part is None:
                 part = parts[ckey] = weighted._ClusterParts(d, ckey)
             fam = weighted.lopsided_pairs(
-                d, cluster, v_low, ell, weighted._powers_up_to(total), cfg
+                d, cluster, v_low, ell, weighted._powers_up_to(total)
             )
             for s, t in fam.pairs:
                 if s == t or d.has_arc(s, t):
@@ -344,7 +343,7 @@ def every_guess_lopsided(d, cfg=DEFAULT, stats=None):
     return best
 
 
-def every_guess_symmetric(d, cfg=DEFAULT, stats=None):
+def every_guess_symmetric(d, stats=None):
     """Reference for `weighted.symmetric_vc`: the same pair order, but a
     family (`symmetric_pairs`, looked up on `vcut.weighted`) is built for
     every guess, even after every pair has been evaluated.
@@ -355,7 +354,7 @@ def every_guess_symmetric(d, cfg=DEFAULT, stats=None):
     total = d.weight_of(range(d.n))
     evaluated = set()
     for ell in weighted._powers_up_to(total):
-        fam = weighted.symmetric_pairs(d, ell, cfg)
+        fam = weighted.symmetric_pairs(d, ell)
         for u, v in fam:
             for s, t in ((u, v), (v, u)):
                 if s == t or d.has_arc(s, t) or (s, t) in evaluated:
@@ -374,7 +373,7 @@ def every_guess_symmetric(d, cfg=DEFAULT, stats=None):
     return best
 
 
-def four_call_weighted(d, cfg=DEFAULT, stats=None, branches=None):
+def four_call_weighted(d, stats=None, branches=None):
     """Reference for `weighted.vertex_connectivity_weighted`: both branches
     (default: `weighted.lopsided_vc`, `weighted.symmetric_vc`, or the pair
     `branches` in their place) on the digraph and on its reverse, every
@@ -384,13 +383,13 @@ def four_call_weighted(d, cfg=DEFAULT, stats=None, branches=None):
     where a complete symmetric search returned its baseline; the driver
     must return the same cut."""
     if d.n <= 1 or len(d.strongly_connected_components()) > 1 or d.is_complete():
-        return weighted.vertex_connectivity_weighted(d, cfg, stats)
+        return weighted.vertex_connectivity_weighted(d, stats)
     if branches is None:
         branches = (weighted.lopsided_vc, weighted.symmetric_vc)
     best = None
     for variant, flip in ((d, False), (d.reverse(), True)):
         for branch in branches:
-            got = branch(variant, cfg, stats)
+            got = branch(variant, stats)
             if isinstance(got, VertexCut):
                 if flip:
                     got = VertexCut(got.R, got.S, got.L, got.value)

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from vcut.cnc import cnc
-from vcut.config import DEFAULT
 from vcut.gabow import KConnected, gabow_vc
 from vcut.graphs import (
     NoCut,
@@ -73,7 +72,7 @@ def unweighted_runs():
         for p in densities:
             seed += 1
             g = random_graph(n, max(p, 1.3 / n), seed)
-            got = vertex_connectivity_unweighted(g, DEFAULT, stats)
+            got = vertex_connectivity_unweighted(g, stats)
             want = brute_kappa(g)
             results.append((g, got, want))
     elapsed = time.perf_counter() - start
@@ -96,7 +95,7 @@ def weighted_runs():
                 seed += 1
                 d = random_digraph(n, p, w, seed)
                 stats = Counters()
-                got = vertex_connectivity_weighted(d, DEFAULT, stats)
+                got = vertex_connectivity_weighted(d, stats)
                 want = brute_kappa(d)
                 results.append((d, got, want))
                 per_graph.append((d.n, stats))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -23,6 +24,54 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_process(*argv, address_space=None):
+    """`python -m vcut.cli argv` in a separate process under a timeout,
+    with its address space capped at `address_space` bytes when given."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        OPENBLAS_NUM_THREADS="1",
+    )
+
+    def cap():
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "vcut.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap,
+    )
+
+
+class TestNoConfig:
+    """Every constant is a module constant: `--config` is an unknown
+    argument, and a report that still carries the former `config` object
+    verifies."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "g.txt"], ["check-pr", "crossing", "-n", "8"], ["bench", "suite.txt", "out.csv"]],
+        ids=["compute", "check-pr", "bench"],
+    )
+    def test_config_flag_is_usage_error(self, argv):
+        done = run_process(*argv, "--config", "vcut.cfg")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage: vcut ")
+        assert "unrecognized arguments: --config vcut.cfg" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_report_with_config_object_verifies(self, petersen_file, tmp_path, capsys):
+        code, out = run(capsys, "compute", petersen_file)
+        rep = json.loads(out)
+        assert code == 0 and "config" not in rep
+        rep["config"] = {"lam": 8, "eps_balanced": 0.25, "crossing_c": 2, "oracle_weighted_guard": 24}
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(rep, sort_keys=True))
+        code, out = run(capsys, "verify", petersen_file, str(rep_path))
+        assert code == 0 and out.strip() == "ok"
 
 
 class TestCompute:
@@ -81,69 +130,6 @@ class TestCompute:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and "--k" in captured.err
-
-    @pytest.mark.parametrize(
-        "text, reason",
-        [
-            ("expander_exhaustive_max = 16\n", "unknown config key"),
-            ("instr_sparsify_factor = 2.0\n", "unknown config key"),
-            ("sketch_backend = exact\n", "unknown config key 'sketch_backend'"),
-            ("lam = eight\n", "lam"),
-            (None, "No such file"),
-        ],
-        ids=["removed-key", "removed-instr-key", "removed-sketch-key", "bad-value", "missing"],
-    )
-    def test_bad_config_is_usage_error(self, petersen_file, tmp_path, capsys, text, reason):
-        cfg = tmp_path / "vcut.cfg"
-        if text is not None:
-            cfg.write_text(text)
-        code = main(["compute", petersen_file, "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("config error") and reason in captured.err
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "eps_balanced = 0",
-            "eps_balanced = 2",
-            "expander_phi = nan",
-            "expander_phi_floor = 0",
-            "expander_phi = inf",
-            "lam = 0",
-            "tr_tbar_div = -3",
-            "crossing_polylog_exp = 1000000",
-            "sketch_backend = nope",
-            "selector_budget_mult = 1",
-            "cnc_partition_factor = 2",
-            "cnc_distance_factor = 160",
-        ],
-    )
-    def test_out_of_range_config_is_usage_error(self, tmp_path, line):
-        """Values the drivers cannot use (a division by zero, an epsilon
-        above 1 that no selector takes, a retry loop that never ends on a nan
-        or zero phi) and removed keys are refused before any run.
-        In a separate process under a timeout, since the run they would
-        start need not end."""
-        graph = tmp_path / "path.g"
-        graph.write_text(serialize_graph(path(4)))
-        cfg = tmp_path / "vcut.cfg"
-        cfg.write_text(line + "\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "vcut.cli", "compute", str(graph), "--config", str(cfg)],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert done.returncode == 2 and done.stdout == ""
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error"), done.stderr
-        assert line.split()[0] in lines[0]
-
-    def test_every_config_field_has_a_range(self):
-        from vcut.config import _FIELD_TYPES, _RANGES
-
-        assert set(_RANGES) == set(_FIELD_TYPES)
 
     def test_deterministic_reports(self, petersen_file, capsys):
         _, a = run(capsys, "compute", petersen_file)
@@ -384,9 +370,11 @@ class TestCheckPr:
         assert cert["family"] == "2-subsets"
 
     def test_degenerate_params_skipped(self, capsys):
-        code, out = run(capsys, "check-pr", "selector", "-n", "4", "-k", "2", "-e", "1/2")
-        cert = json.loads(out)
-        assert code == 0 and cert["verdict"] == "skipped"
+        for n, k in ((4, 2), (20, 10)):  # below and above the exhaustive check's gate
+            code, out = run(capsys, "check-pr", "selector", "-n", str(n), "-k", str(k), "-e", "1/2")
+            cert = json.loads(out)
+            assert code == 0 and cert["verdict"] == "skipped"
+            assert cert["reason"].startswith("no selector with member sets >= 2")
 
     @pytest.mark.parametrize("eps", ["abc", "1/0", "1/2/3"])
     def test_bad_eps_is_usage_error(self, capsys, eps):
@@ -415,13 +403,43 @@ class TestCheckPr:
         assert captured.err.startswith("usage error: -d") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "argv", [["selector", "-n", "8", "-e", "0"], ["selector", "-n", "8", "-k", "0"]]
+        "argv",
+        [
+            ["selector", "-n", "8", "-e", "0"],
+            ["selector", "-n", "8", "-k", "0"],
+            ["selector", "-n", "20", "-k", "0"],
+        ],
     )
     def test_builder_invariant_is_one_line(self, capsys, argv):
         code = main(["check-pr", *argv])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("invariant error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, cert",
+        [
+            (
+                ["crossing", "-n", "100000"],
+                {"object": "crossing", "params": {"alpha": 2.0, "n": 100000},
+                 "reason": "exhaustive check gated at n <= 14", "verdict": "skipped"},
+            ),
+            (
+                ["selector", "-n", "100000"],
+                {"family": "2-subsets", "object": "selector",
+                 "params": {"eps": "1/2", "k": 2, "n": 100000},
+                 "reason": "exhaustive check gated at n <= 12", "verdict": "skipped"},
+            ),
+        ],
+        ids=["crossing", "selector"],
+    )
+    def test_size_gate_before_building(self, argv, cert):
+        """Above the exhaustive check's gate the certificate is "skipped"
+        and nothing is built: the families hold n^2 pairs and n(n-1)/2
+        subsets, far past a 1 GiB address space at n = 100,000."""
+        done = run_process("check-pr", *argv, address_space=1 << 30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == json.dumps(cert, sort_keys=True) + "\n"
 
     def test_crossing_and_disperser_and_mixing(self, capsys):
         code, out = run(capsys, "check-pr", "crossing", "-n", "9", "--alpha", "2")

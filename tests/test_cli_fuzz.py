@@ -4,7 +4,6 @@ raise, and `verify` never says ok to a cut it did not check."""
 
 import contextlib
 import json
-import math
 import os
 import tempfile
 
@@ -16,8 +15,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import path, petersen  # noqa: E402
 from vcut.cli import ALGORITHMS, main  # noqa: E402
-from vcut.config import Config, load_config  # noqa: E402
-from vcut.errors import ConfigError  # noqa: E402
 from vcut.graphs import Graph, serialize_graph  # noqa: E402
 from vcut.oracle import random_digraph  # noqa: E402
 
@@ -195,53 +192,3 @@ class TestVerifyFuzz:
         code, _, _ = _run(capsys, "verify", gpath, rpath)
         assert code == 2
 
-
-# Config file lines: real keys, an unknown one and junk, with values of
-# every kind the parser meets.
-CONFIG_LINE = st.one_of(
-    st.tuples(
-        st.sampled_from(sorted(Config().as_dict()) + ["nope", "", "lam lam"]),
-        st.sampled_from(["=", " = ", "==", ":"]),
-        st.one_of(TOKEN, st.floats().map(str), st.sampled_from(['"exact"', "syndrome", "nan"])),
-    ).map("".join),
-    st.text(max_size=12),
-)
-
-
-class TestLoadConfigFuzz:
-    @FUZZ
-    @given(st.lists(CONFIG_LINE, max_size=6))
-    def test_config_or_config_error(self, lines):
-        """A config file yields a Config whose fields keep their declared
-        types and lie in range, or a ConfigError; nothing else escapes."""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _write(tmp, "vcut.cfg", "\n".join(lines) + "\n")
-            try:
-                cfg = load_config(path)
-            except ConfigError:
-                return
-        for name, default in Config().as_dict().items():
-            value = getattr(cfg, name)
-            assert type(value) is type(default), name
-            if isinstance(value, float):
-                assert math.isfinite(value), name
-            if name == "eps_balanced":
-                assert 0 < value <= 1, name
-            elif name in ("expander_phi", "expander_phi_floor", "gabow_mixing_c"):
-                assert value > 0, name
-            elif isinstance(value, int) and (
-                name == "lam" or name.endswith(("_mult", "_factor", "_div", "_c"))
-            ):
-                assert value >= 1, name  # integer factors and multipliers
-            else:
-                assert value >= 0, name
-
-    @FUZZ
-    @given(st.binary(max_size=40))
-    def test_config_bytes(self, data):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _write(tmp, "vcut.cfg", data)
-            try:
-                load_config(path)
-            except ConfigError:
-                pass

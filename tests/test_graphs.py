@@ -13,7 +13,6 @@ from vcut.graphs import (
     ni_sparsify,
     parse_graph,
     serialize_graph,
-    set_neighborhood,
     symdiff_size,
     validate_cut,
     weighted_symdiff,
@@ -115,33 +114,6 @@ class TestWeightedSymdiff:
         for u, v in itertools.permutations(range(5), 2):
             brute = sum(weights[x] for x in d.out_set(u) ^ d.out_set(v))
             assert weighted_symdiff(d, u, v) == brute
-
-
-class TestSetNeighborhood:
-    def test_whole_vertex_set(self):
-        g = petersen()
-        assert set_neighborhood(g, range(10)) == set()
-
-    def test_star_center(self):
-        from conftest import star
-
-        g = star(5)
-        assert set_neighborhood(g, {0}) == {1, 2, 3, 4, 5}
-
-    def test_matches_definition_random(self):
-        rng = random.Random(3)
-        g = random_graph(15, 0.3, 0)
-        for _ in range(25):
-            a = {v for v in range(15) if rng.random() < 0.4}
-            brute = set()
-            for v in a:
-                brute |= g.neighbor_set(v)
-            assert set_neighborhood(g, a) == brute - a
-
-    def test_digraph_directions(self):
-        d = WeightedDigraph.from_arcs(3, [(0, 1), (1, 2)], [1, 1, 1])
-        assert set_neighborhood(d, {1}, "out") == {2}
-        assert set_neighborhood(d, {1}, "in") == {0}
 
 
 class TestValidateCut:

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from conftest import assert_matches_reference, complete, cycle, unit_paths
-from vcut.config import DEFAULT
 from vcut.errors import InvariantError
 from vcut import isocut
 from vcut.graphs import Graph, NoCut, VertexCut, better_cut, min_degree_cut, validate_cut
@@ -149,12 +148,12 @@ def _terminal_cases():
         yield inst.graph, sorted(set(inst.cut.L) | set(rng.sample(inst.cut.R, 6)))
 
 
-def _pair_branch_unchecked(g, terms, cfg=DEFAULT, stats=None):
+def _pair_branch_unchecked(g, terms, stats=None):
     """The pair branch of subgraph_balanced_terminal_vc without the path
     certificate: one capped flow per crossing-family pair."""
     aux, nodes, virtual = _terminal_subgraph(g, terms)
     pos = {v: j for j, v in enumerate(nodes)}
-    family = map_pairs(symmetric_crossing_family(len(terms), 1 / cfg.eps_balanced, cfg), terms)
+    family = map_pairs(symmetric_crossing_family(len(terms), 1 / isocut.EPS_BALANCED), terms)
     best = None
     seen = set()
     for a, b in family:
@@ -245,11 +244,11 @@ class TestSinkSetCertificate:
         assert skips > 0
 
 
-def _former_selector_route(g, terms, k, isolating_candidates, cfg=DEFAULT):
+def _former_selector_route(g, terms, k, isolating_candidates):
     """The former selector regime of both balanced-terminal entry points:
     the isolating cuts of every member set, uncapped and unscreened, with
     `isolating_candidates(indep)` turning a member set into candidates."""
-    eps = cfg.eps_balanced
+    eps = isocut.EPS_BALANCED
     assert k / eps <= len(terms) / 4  # the selector regime
     best = None
     for members in build_selector(len(terms), math.ceil(k / eps), eps):

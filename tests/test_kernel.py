@@ -134,7 +134,7 @@ class TestQuery:
     def test_sentinel_when_unclustered(self):
         from conftest import star
 
-        g = star(9)  # center degree 9 > clow_mult * delta = 8
+        g = star(9)  # center degree 9 > CLOW_MULT * delta = 8
         idx = build_kernel_index(g, 1)
         assert 0 not in idx.index
         assert query_kappa_upper(idx, 0, 5) == g.n

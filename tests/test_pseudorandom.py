@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from vcut import pseudorandom
-from vcut.config import DEFAULT
 from vcut.errors import ConstructionFailed, InvariantError
 from vcut.oracle import (
     check_crossing_family,
@@ -18,7 +17,6 @@ from vcut.oracle import (
 from vcut.pseudorandom import (
     LeftRegularBipartite,
     PairFamily,
-    _compose_ablr,
     asymmetric_crossing_family,
     build_disperser,
     build_mixing_graph,
@@ -29,7 +27,7 @@ from vcut.pseudorandom import (
     symmetric_crossing_family,
 )
 
-TIGHT = DEFAULT.replace(crossing_c=1, crossing_polylog_exp=0)
+ALPHAS = (1, 2, 3, Fraction(5, 2), Fraction(7, 3), 1.5, 4.0)
 
 
 class TestDisperser:
@@ -78,12 +76,6 @@ class TestAsymmetricCrossing:
         ok, witness = check_crossing_family(fam.pairs, range(10), range(10), 2, 8)
         assert ok, witness
 
-    def test_composed_construction_crosses(self):
-        for (na, nb, l, r) in [(10, 10, 2, 5), (12, 10, 3, 5), (8, 12, 2, 6)]:
-            pairs = _compose_ablr(tuple(range(na)), tuple(range(nb)), l, r, DEFAULT)
-            ok, witness = check_crossing_family(pairs, range(na), range(nb), l, r)
-            assert ok, (na, nb, l, r, witness)
-
     def test_degenerate_r_equals_b(self):
         fam = asymmetric_crossing_family(range(6), range(6), 6, 6)
         ok, _ = check_crossing_family(fam.pairs, range(6), range(6), 6, 6)
@@ -93,6 +85,20 @@ class TestAsymmetricCrossing:
         with pytest.raises(InvariantError):
             asymmetric_crossing_family(range(4), range(4), 3, 2)  # l > r
 
+    def test_never_composed(self):
+        """Every family is the complete one, or a large-r / single-target
+        part of it; the disperser composition is not built, also at
+        (487, 487, 128, 128), where its declared bound beats |B|."""
+        for na in range(1, 13):
+            for nb in range(1, 13):
+                for l in range(1, min(na, nb) + 1):
+                    for r in range(l, nb + 1):
+                        fam = asymmetric_crossing_family(range(na), range(nb), l, r)
+                        assert "composed" not in fam.method, (na, nb, l, r)
+                        assert fam.method.split("+")[0] in ("complete", "single-target")
+        fam = asymmetric_crossing_family(range(487), range(487), 128, 128)
+        assert fam.method == "complete" and len(fam) == 487 * 487
+
 
 class TestSymmetricCrossing:
     @pytest.mark.parametrize("n,alpha", [(9, 2), (8, 1), (10, 3), (7, 1.5)])
@@ -101,6 +107,26 @@ class TestSymmetricCrossing:
         ok, witness = check_symmetric_crossing(fam.pairs, n, alpha)
         assert ok, witness
         assert fam.max_degree() <= fam.degree_bound
+
+    @pytest.mark.parametrize("alpha", (0.5, *ALPHAS))
+    def test_holds_every_pair(self, alpha):
+        """The completeness theorem of `symmetric_crossing_family`."""
+        for n in range(3, 129):
+            fam = symmetric_crossing_family.__wrapped__(n, alpha)
+            assert len(fam.pairs) == n * n, (n, alpha)
+
+    @pytest.mark.parametrize("n", (487, 512))
+    def test_holds_every_pair_past_composition_sizes(self, n):
+        """At n = 487 the former guess arithmetic first tried the composed
+        family (alpha < 1); the family now holds every pair there too."""
+        fam = symmetric_crossing_family.__wrapped__(n, 0.5)
+        assert len(fam.pairs) == n * n
+        assert "composed" not in fam.method
+
+    @pytest.mark.parametrize("alpha", (0, -1, float("nan")))
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(InvariantError):
+            symmetric_crossing_family.__wrapped__(9, alpha)
 
     def test_alpha_at_least_n_complete(self):
         fam = symmetric_crossing_family(6, 6)
@@ -126,19 +152,17 @@ class TestSymmetricCrossing:
 
     def test_repeat_call_is_memoized(self):
         """A repeat call returns the family the first call built, equal to
-        a fresh construction; alpha's type and the config are part of the
-        key, and the cache is bounded."""
-        cfg = DEFAULT.replace(crossing_c=3)
+        a fresh construction; alpha's type is part of the key, and the
+        cache is bounded."""
         for n, alpha in ((9, 2), (9, Fraction(2)), (9, 2.0), (17, Fraction(5, 2)), (30, 3)):
-            fresh = symmetric_crossing_family.__wrapped__(n, alpha, cfg)
-            first = symmetric_crossing_family(n, alpha, cfg)
-            again = symmetric_crossing_family(n, alpha, cfg)
+            fresh = symmetric_crossing_family.__wrapped__(n, alpha)
+            first = symmetric_crossing_family(n, alpha)
+            again = symmetric_crossing_family(n, alpha)
             assert again is first
             assert (again.pairs, again.degree_bound, again.method) == (
                 fresh.pairs, fresh.degree_bound, fresh.method,
             )
-        assert symmetric_crossing_family(9, 2, cfg) is not symmetric_crossing_family(9, 2)
-        assert symmetric_crossing_family(9, 2, cfg) is not symmetric_crossing_family(9, 2.0, cfg)
+        assert symmetric_crossing_family(9, 2) is not symmetric_crossing_family(9, 2.0)
         assert symmetric_crossing_family.cache_parameters() == {"maxsize": 32, "typed": True}
 
 
@@ -165,9 +189,6 @@ def _source_degree(pairs):
     return max(deg.values(), default=0)
 
 
-ALPHAS = (1, 2, 3, Fraction(5, 2), Fraction(7, 3), 1.5, 4.0)
-
-
 def _distinct(pairs):
     return len(set(pairs)) == len(pairs)
 
@@ -186,14 +207,6 @@ class TestPairFamilyContract:
             assert fam.method == method
             assert fam.pairs and _distinct(fam.pairs), method
             assert fam.max_degree() == _source_degree(fam.pairs) <= fam.degree_bound
-
-    @pytest.mark.parametrize("na,nb,l,r", [(10, 10, 2, 5), (12, 10, 3, 5), (8, 12, 2, 6), (16, 16, 2, 4)])
-    def test_composed_pairs_distinct(self, na, nb, l, r):
-        pairs = _compose_ablr(tuple(range(na)), tuple(range(nb)), l, r, TIGHT)
-        assert pairs and _distinct(pairs)
-        fam = PairFamily(pairs, nb, "composed")
-        assert fam.pairs == tuple(pairs)
-        assert fam.max_degree() == _source_degree(pairs)
 
     def test_symmetric_union_is_deduplicated(self):
         for n in range(1, 41):
@@ -258,9 +271,9 @@ class TestSymmetricStop:
             )
             asked = []
 
-            def counted(a, b, l, r, cfg=DEFAULT):
+            def counted(a, b, l, r):
                 if not a == b == universe:  # the large-r builder's inner call
-                    return asymmetric_crossing_family(a, b, l, r, cfg)
+                    return asymmetric_crossing_family(a, b, l, r)
                 asked.append((l, r))
                 return build(l, r)
 

@@ -19,7 +19,6 @@ from conftest import (
     two_cliques_sharing,
 )
 from vcut import kernel, maxflow, unweighted
-from vcut.config import DEFAULT
 from vcut.errors import BudgetExceeded, InvariantError, UndefinedExpansion
 from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, min_degree_cut, validate_cut
 from vcut.instrument import Counters
@@ -429,16 +428,6 @@ class TestTerminalReduction:
         cut, t_prime = terminal_reduction(g, range(24), 3, stats=stats)
         events = [e for e in stats.events if e[0] == "terminal_reduction"]
         assert events and events[0][2] <= 0.9 * events[0][1]
-
-    def test_pruning_path_with_tight_config(self):
-        # Defaults never fire the pruning gate at desk scale; a tightened
-        # config exercises the deletion rule and the result stays sound.
-        cfg = DEFAULT.replace(tr_prune_gate_mult=0, tr_tsmall_log_exp=0, tr_prune_log_exp=0)
-        inst = generate_planted("balanced-terminal", {"side": 9, "s": 2}, seed=2)
-        g = inst.graph
-        cut, t_prime = terminal_reduction(g, range(g.n), max(1, inst.cut.value), cfg)
-        assert isinstance(cut, NoCut) or validate_cut(g, cut)
-        assert len(t_prime) <= math.floor(0.9 * g.n)
 
 
 class TestUnbalanced:

@@ -147,9 +147,9 @@ class TestLopsidedPairsOverGuesses:
         built = []
         original = weighted.asymmetric_crossing_family
 
-        def counting(a, b, l, r, cfg):
+        def counting(a, b, l, r):
             built.append((tuple(a), tuple(b), l, r))
-            return original(a, b, l, r, cfg)
+            return original(a, b, l, r)
 
         monkeypatch.setattr(weighted, "asymmetric_crossing_family", counting)
         several = False
@@ -520,13 +520,13 @@ class TestSettledWork:
         state = {"ell": None, "cluster": None}
         dropped, visits = set(), []
 
-        def lopsided_pairs(d, cluster, v_low, ell, r, cfg=weighted.DEFAULT):
+        def lopsided_pairs(d, cluster, v_low, ell, r):
             state["ell"], state["cluster"] = ell, frozenset(cluster)
             visits.append((ell, state["cluster"]))
-            return real_pairs(d, cluster, v_low, ell, r, cfg)
+            return real_pairs(d, cluster, v_low, ell, r)
 
-        def family(a, b, l, r, cfg):
-            fam = real_family(a, b, l, r, cfg)
+        def family(a, b, l, r):
+            fam = real_family(a, b, l, r)
             if state["ell"] != 1:
                 return fam
             drop = (max(a), max(b))
@@ -568,15 +568,15 @@ def _spied_driver(monkeypatch, d):
     log = []
     search, lopsided = weighted._symmetric_search, weighted.lopsided_vc
 
-    def spy_search(variant, cfg=weighted.DEFAULT, stats=None):
-        got, complete = search(variant, cfg, stats)
+    def spy_search(variant, stats=None):
+        got, complete = search(variant, stats)
         log.append([variant, got, complete, False])
         return got, complete
 
-    def spy_lopsided(variant, cfg=weighted.DEFAULT, stats=None):
+    def spy_lopsided(variant, stats=None):
         assert log[-1][0] is variant and not log[-1][3]
         log[-1][3] = True
-        return lopsided(variant, cfg, stats)
+        return lopsided(variant, stats)
 
     with monkeypatch.context() as m:
         m.setattr(weighted, "_symmetric_search", spy_search)
@@ -618,8 +618,8 @@ class TestLopsidedGate:
         real = weighted.symmetric_pairs
         drop = set()
 
-        def symmetric_pairs(d, ell, cfg=weighted.DEFAULT):
-            fam = real(d, ell, cfg)
+        def symmetric_pairs(d, ell):
+            fam = real(d, ell)
             return PairFamily([p for p in fam if set(p) != drop], fam.degree_bound, fam.method)
 
         settled = 0
