@@ -274,7 +274,7 @@ def cmd_check_pr(args) -> int:
     )
 
     try:
-        eps = Fraction(args.eps) if args.eps else None
+        eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
         print(f"usage error: --eps needs a number such as 1/2, got {args.eps!r}", file=sys.stderr)
         return EXIT_PARSE

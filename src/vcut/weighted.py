@@ -43,12 +43,23 @@ decided, so the pairs evaluated, and their order, stay the same:
   arcs, so that is every pair a family can offer), and says whether it got
   there (`_symmetric_search`).
 
+Both searches take an optional `floor`, the exact kappa that the driver's
+first complete symmetric search proves.  Under it every packing and flow
+is capped at min(best, kappa + 1), and the search returns at once when
+its baseline weighs kappa, else right after its first cut of weight
+kappa.  That is the cut it returns without the floor: which pairs it
+evaluates, and in what order, never depends on the best cut, and a pair
+whose instance weighs kappa is neither skipped nor capped under either
+limit, so it yields the same s-closest minimum cut.  Without the floor no
+flow completes after that cut anyway.
+
 The lopsided branch counts the arcs of every evaluated pair's instance
 (they feed the naive/sparsified edge ratio that the instrumentation
-reports, which must not depend on which pairs were skipped) from
-per-cluster parts (`_ClusterParts`), and selects and builds an instance
-(`lopsided_arcs`, `_instance`) only for the pairs that get a flow.  The
-symmetric branch counts only the instances it builds.
+reports; without a floor they do not depend on which pairs were skipped,
+under one they stop where the search stops) from per-cluster parts
+(`_ClusterParts`), and selects and builds an instance (`lopsided_arcs`,
+`_instance`) only for the pairs that get a flow.  The symmetric branch
+counts only the instances it builds.
 """
 
 from __future__ import annotations
@@ -135,24 +146,25 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r):
         by_bucket_d.setdefault(_bucket(d.weights[v]), []).append(v)
     for bucket in (*by_bucket_c.values(), *by_bucket_d.values()):
         bucket.sort()
+    # r_ij depends on bucket j only through |dj|: the distinct clamped
+    # values are found once per bucket j, outside the loop over i.
+    scale = d.n * ell * logw * logn * logn
+    r_by_bucket = {
+        j: dict.fromkeys(max(1, min(len(dj) - math.ceil(scale / g), len(dj))) for g in guesses)
+        for j, dj in by_bucket_d.items()
+    }
     pairs = []
     bound = 0
     for i in range(1, logw + 1):
         ci = by_bucket_c.get(i)
         if not ci:
             continue
+        l_i = min(max(1, math.ceil(ell / (2**i * logw))), len(ci))
         for j in range(1, logw + 1):
             dj = by_bucket_d.get(j)
             if not dj:
                 continue
-            l_i = min(max(1, math.ceil(ell / (2**i * logw))), len(ci))
-            built_r = set()
-            for guess in guesses:
-                r_ij = len(dj) - math.ceil(d.n * ell * logw * logn * logn / guess)
-                r_ij = max(1, min(r_ij, len(dj)))
-                if r_ij in built_r:
-                    continue
-                built_r.add(r_ij)
+            for r_ij in r_by_bucket[j]:
                 fam = asymmetric_crossing_family(ci, dj, min(l_i, r_ij), r_ij)
                 pairs.extend(fam.pairs)
                 bound += fam.degree_bound
@@ -298,11 +310,34 @@ def _digraph_pair_cut(d: WeightedDigraph, h: WeightedDigraph, ids, s, t,
     return cut
 
 
-def lopsided_vc(d: WeightedDigraph, stats=None):
+def _limit(best, floor):
+    """A pair flow's limit: the best value so far (None: no cut yet), and
+    under a floor kappa at most kappa + 1, so only a flow of weight kappa
+    completes."""
+    limit = best.value if isinstance(best, VertexCut) else None
+    if floor is not None and (limit is None or limit > floor + 1):
+        limit = floor + 1
+    return limit
+
+
+def _at_floor(best, floor):
+    """Whether `best` already weighs the floor, so no pair can beat it."""
+    return floor is not None and isinstance(best, VertexCut) and best.value <= floor
+
+
+def lopsided_vc(d: WeightedDigraph, stats=None, floor=None):
     """Cut search targeting minimum cuts whose far side carries most of the
     weight.  Always returns a valid cut; minimum under the lopsidedness
-    promise."""
+    promise.
+
+    `floor`, when given, must be kappa(d) (see the module docstring): the
+    search returns its first cut of weight kappa, the cut it returns
+    without the floor, or where it finds none a cut heavier than kappa.
+    The `sparsified_*` and `naive_edges*` counters then stop where the
+    search stops; without a floor they count every evaluated pair."""
     best = min_out_neighborhood_cut(d)
+    if _at_floor(best, floor):
+        return best
     guesses = _powers_up_to(d.weight_of(range(d.n)))
     naive = d.m
     evaluated = set()
@@ -341,13 +376,15 @@ def lopsided_vc(d: WeightedDigraph, stats=None):
                     stats.add("naive_edges", naive)
                     stats.add("sparsified_edges_lopsided", count)
                     stats.add("naive_edges_lopsided", naive)
-                limit = best.value if isinstance(best, VertexCut) else None
+                limit = _limit(best, floor)
                 if packing_reaches(d.out_adj, d.weights, s, part.ends(t), limit, stats):
                     continue
                 ids, arcs = lopsided_arcs(d, s, t, cluster)
                 h = _instance(d, ids, arcs)
                 cand = _digraph_pair_cut(d, h, ids, s, t, limit, stats)
                 best = better_cut(best, cand)
+                if _at_floor(best, floor):
+                    return best
     return best
 
 
@@ -386,10 +423,13 @@ def symmetric_pairs(d: WeightedDigraph, ell):
     return PairFamily(dict.fromkeys(pairs), bound, "bucketed-symmetric")
 
 
-def _symmetric_search(d: WeightedDigraph, stats=None):
+def _symmetric_search(d: WeightedDigraph, stats=None, floor=None):
     """`symmetric_vc`'s search: (best cut, complete), where complete says
-    that it evaluated every ordered non-adjacent pair."""
+    that it evaluated every ordered non-adjacent pair, or reached `floor`
+    (kappa(d), see the module docstring), which no pair can beat."""
     best = min_out_neighborhood_cut(d)
+    if _at_floor(best, floor):
+        return best, True
     total = d.weight_of(range(d.n))
     evaluated = set()
     evaluable = d.n * (d.n - 1) - d.m
@@ -402,7 +442,7 @@ def _symmetric_search(d: WeightedDigraph, stats=None):
                 if s == t or d.has_arc(s, t) or (s, t) in evaluated:
                     continue
                 evaluated.add((s, t))
-                limit = best.value if isinstance(best, VertexCut) else None
+                limit = _limit(best, floor)
                 if packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
                     continue
                 h = sparsify_symmetric(d, s, t)
@@ -414,6 +454,8 @@ def _symmetric_search(d: WeightedDigraph, stats=None):
                     d, h, list(range(d.n)), s, t, limit, stats
                 )
                 best = better_cut(best, cand)
+                if _at_floor(best, floor):
+                    return best, True
     return best, len(evaluated) == evaluable
 
 
@@ -452,9 +494,18 @@ def vertex_connectivity_weighted(d: WeightedDigraph, stats=None):
     `lopsided_vc` still runs when the symmetric search went below B, since
     its first cut of that weight can be key()-smaller, and when the search
     was incomplete (its families never offered some ordered pair), since
-    then nothing bounds kappa from below.  The families built here always
-    hold every pair, so the search is incomplete only under a family that
-    drops pairs.
+    then nothing bounds kappa from below.  Every symmetric crossing family
+    holds all pairs, so the `not complete` arm is reachable only under a
+    family that drops pairs.
+
+    The first complete search proves kappa = its value, so every later
+    search (the other orientation's symmetric search, and `lopsided_vc` on
+    both) runs under `floor=kappa`.  Each still returns its first cut of
+    weight kappa, the cut it returns without the floor, and stops there: no
+    later pair could beat it.  A search that finds no kappa cut returns a
+    heavier one, which loses to the first search's kappa cut here as it
+    did without the floor.  So the result is unchanged.  An incomplete
+    search proves no kappa and sets no floor.
     """
     if d.n <= 1:
         return NoCut(None)
@@ -465,12 +516,14 @@ def vertex_connectivity_weighted(d: WeightedDigraph, stats=None):
         return VertexCut(sink, (), rest, 0)
     if d.is_complete():
         return NoCut(None)
-    best = None
+    best = kappa = None
     for variant, flip in ((d, False), (d.reverse(), True)):
-        got, complete = _symmetric_search(variant, stats)
+        got, complete = _symmetric_search(variant, stats, floor=kappa)
+        if complete and kappa is None:
+            kappa = got.value
         found = [got]
         if not complete or got.value < min_out_neighborhood_cut(variant).value:
-            found.append(lopsided_vc(variant, stats))
+            found.append(lopsided_vc(variant, stats, floor=kappa))
         for cut in found:
             if flip:
                 cut = VertexCut(cut.R, cut.S, cut.L, cut.value)

@@ -5,8 +5,10 @@ import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,16 @@ from vcut.graphs import (
 from vcut.kernel import build_kernel_index, query_kappa_upper
 from vcut.maxflow import min_s_to_set_separator, weighted_paths
 from vcut.pseudorandom import symmetric_crossing_family
+
+
+def perfbench_graphs(workload, seed):
+    """The graphs of perfbench's `workload` at `seed`, full size."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    make = workloads.GENERATORS[workload]
+    return [i.graph for i in make(seed, workloads.SCALES[workload])]
 
 
 def petersen() -> Graph:

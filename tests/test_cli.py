@@ -382,6 +382,12 @@ class TestCheckPr:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("usage error: --eps") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("obj", ["selector", "disperser"])
+    def test_empty_eps_is_usage_error(self, capsys, obj):
+        code = main(["check-pr", obj, "-n", "8", "-e", ""])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("usage error: --eps") and err.count("\n") == 1
+
     @pytest.mark.parametrize("obj", ["crossing", "selector", "disperser", "mixing"])
     def test_nonpositive_n_is_usage_error(self, capsys, obj):
         code = main(["check-pr", obj, "-n", "-3"])

@@ -1,10 +1,7 @@
-import importlib.util
 import itertools
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -580,15 +577,6 @@ class TestPairCertificate:
         assert kept > 0 and stored > 0
 
 
-def _perfbench_design(seed):
-    """The graphs of perfbench's unweighted workload at `seed`."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [i.graph for i in workloads.unweighted_instances(seed, workloads.SCALES["unweighted"])]
-
-
 class TestPairLedger:
     """The pair ledger of the sparsified graph of a driver call against
     the driver that probes it without one (`conftest.unledgered_driver`:
@@ -623,7 +611,7 @@ class TestPairLedger:
         ]
         assert len(graphs) == 32
         cases = [(g, True) for g in graphs] + [(g, False) for g in graphs]
-        cases += [(g, True) for g in _perfbench_design(7)]
+        cases += [(g, True) for g in conftest.perfbench_graphs("unweighted", 7)]
         cases += [(g, True) for g in _certificate_graphs(40) if g.n > 16]
         totals = [0, 0, 0, 0]
         for g, unbalanced in cases:

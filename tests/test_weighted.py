@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ from conftest import (
     every_guess_lopsided,
     every_guess_symmetric,
     four_call_weighted,
+    perfbench_graphs,
     two_hop_weight,
 )
 from vcut.errors import InvariantError
@@ -18,6 +20,7 @@ from vcut.graphs import (
     NoCut,
     VertexCut,
     WeightedDigraph,
+    _log2ceil,
     min_out_neighborhood_cut,
     validate_cut,
 )
@@ -25,10 +28,12 @@ from vcut.instrument import Counters
 from vcut.maxflow import packing_reaches, vertex_max_flow, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
 from vcut import cnc, weighted
-from vcut.pseudorandom import PairFamily
+from vcut.pseudorandom import PairFamily, asymmetric_crossing_family
 from vcut.weighted import (
     _ClusterParts,
+    _bucket,
     _powers_up_to,
+    _symmetric_search,
     identify_vlow,
     lopsided_arcs,
     lopsided_pairs,
@@ -166,6 +171,68 @@ class TestLopsidedPairsOverGuesses:
                 assert set(built) == once and len(built) > len(once)
                 several |= len({(a, b) for a, b, _, _ in once}) < len(once)
         assert several  # some bucket pair needed more than one family
+
+
+def per_bucket_pair_lopsided_pairs(d, cluster, v_low, ell, r):
+    """Reference for `weighted.lopsided_pairs`: the clamped r_ij of every
+    guess is computed again for every bucket pair (i, j)."""
+    guesses = r if isinstance(r, list) else [r]
+    logw = _log2ceil(d.max_weight)
+    logn = _log2ceil(d.n)
+    by_bucket_c = {}
+    by_bucket_d = {}
+    for u in cluster:
+        by_bucket_c.setdefault(_bucket(d.weights[u]), []).append(u)
+    for v in v_low:
+        by_bucket_d.setdefault(_bucket(d.weights[v]), []).append(v)
+    for bucket in (*by_bucket_c.values(), *by_bucket_d.values()):
+        bucket.sort()
+    pairs = []
+    bound = 0
+    for i in range(1, logw + 1):
+        ci = by_bucket_c.get(i)
+        if not ci:
+            continue
+        for j in range(1, logw + 1):
+            dj = by_bucket_d.get(j)
+            if not dj:
+                continue
+            l_i = min(max(1, math.ceil(ell / (2**i * logw))), len(ci))
+            built_r = set()
+            for guess in guesses:
+                r_ij = len(dj) - math.ceil(d.n * ell * logw * logn * logn / guess)
+                r_ij = max(1, min(r_ij, len(dj)))
+                if r_ij in built_r:
+                    continue
+                built_r.add(r_ij)
+                fam = asymmetric_crossing_family(ci, dj, min(l_i, r_ij), r_ij)
+                pairs.extend(fam.pairs)
+                bound += fam.degree_bound
+    return PairFamily(sorted(set(pairs)), bound, "bucketed")
+
+
+class TestLopsidedPairsPerBucket:
+    """`lopsided_pairs` finds the clamped r values once per bucket j; its
+    pairs, their order and its degree bound are those of the per-bucket-pair
+    loop, on every call `lopsided_vc` makes on the perfbench weighted
+    instances of seed 7 and on the gate cases."""
+
+    def test_matches_per_bucket_pair_loop(self, monkeypatch):
+        real = weighted.lopsided_pairs
+        calls = Counter()
+
+        def checked(d, cluster, v_low, ell, r):
+            got = real(d, cluster, v_low, ell, r)
+            want = per_bucket_pair_lopsided_pairs(d, cluster, v_low, ell, r)
+            assert list(got.pairs) == list(want.pairs)
+            assert got.degree_bound == want.degree_bound
+            calls["checked"] += 1
+            return got
+
+        monkeypatch.setattr(weighted, "lopsided_pairs", checked)
+        for d in [*perfbench_graphs("weighted", 7), *_gate_cases()]:
+            lopsided_vc(d)
+        assert calls["checked"] > 100
 
 
 class TestPackingCaps:
@@ -568,15 +635,15 @@ def _spied_driver(monkeypatch, d):
     log = []
     search, lopsided = weighted._symmetric_search, weighted.lopsided_vc
 
-    def spy_search(variant, stats=None):
-        got, complete = search(variant, stats)
+    def spy_search(variant, stats=None, **kwargs):
+        got, complete = search(variant, stats, **kwargs)
         log.append([variant, got, complete, False])
         return got, complete
 
-    def spy_lopsided(variant, stats=None):
+    def spy_lopsided(variant, stats=None, **kwargs):
         assert log[-1][0] is variant and not log[-1][3]
         log[-1][3] = True
-        return lopsided(variant, stats)
+        return lopsided(variant, stats, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(weighted, "_symmetric_search", spy_search)
@@ -640,3 +707,63 @@ class TestLopsidedGate:
             assert [(complete, ran) for _, _, complete, ran in log] == [(False, True)] * 2
             assert cut.value == four_call_weighted(d).value
         assert settled > 0
+
+
+def _floor_cases():
+    """The gate cases and the four planted kinds of the perfbench weighted
+    workload (the last four graphs of its design), at seed 0."""
+    yield from _gate_cases()
+    yield from perfbench_graphs("weighted", 0)[-4:]
+
+
+class TestKappaFloor:
+    """Under the floor kappa that a complete symmetric search proves, both
+    searches return the cut they return without it wherever that weighs
+    kappa (the lopsided branch a heavier cut elsewhere), with no more
+    flows; the driver still returns the former driver's cut."""
+
+    @staticmethod
+    def _compare(variant, seen):
+        plain, capped = Counters(), Counters()
+        got, complete = _symmetric_search(variant, plain)
+        assert complete
+        kappa = got.value
+        again, complete = _symmetric_search(variant, capped, floor=kappa)
+        assert complete and again == got
+        full = lopsided_vc(variant, plain)
+        floored = lopsided_vc(variant, capped, floor=kappa)
+        if full.value == kappa:
+            assert floored == full
+            seen["kappa"] += 1
+        else:
+            assert full.value > kappa and floored.value > kappa
+            seen["heavier"] += 1
+        assert capped.get("flow_calls") <= plain.get("flow_calls")
+        seen["fewer flows"] += capped.get("flow_calls") < plain.get("flow_calls")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_same_first_kappa_cut(self, backend, request, monkeypatch):
+        """Also with lopsided families thinned to every third pair, so that
+        `lopsided_vc` misses kappa on some orientations (with its own
+        families it finds kappa on all of these)."""
+        request.getfixturevalue(backend)
+        real = weighted.lopsided_pairs
+
+        def thinned(*args):
+            fam = real(*args)
+            return PairFamily(fam.pairs[::3], fam.degree_bound, fam.method)
+
+        seen = Counter()
+        for d in _floor_cases():
+            for variant in (d, d.reverse()):
+                self._compare(variant, seen)
+                with monkeypatch.context() as m:
+                    m.setattr(weighted, "lopsided_pairs", thinned)
+                    self._compare(variant, seen)
+        assert seen["kappa"] > 0 and seen["heavier"] > 0 and seen["fewer flows"] > 0, seen
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_driver_matches_four_calls(self, backend, request):
+        request.getfixturevalue(backend)
+        for d in _floor_cases():
+            assert vertex_connectivity_weighted(d) == four_call_weighted(d), d.n
