@@ -1,8 +1,8 @@
 """Scan the exact drivers for identical cuts on seeded instances.
 
 Weighted: `vertex_connectivity_weighted`, which runs `lopsided_vc` on an
-orientation only where the complete symmetric search did not return its
-baseline, against the former driver, which ran both branches on the digraph
+orientation only where the symmetric search went below its baseline,
+against the former driver, which ran both branches on the digraph
 and on its reverse every time (`four_call_weighted` in `tests/conftest.py`).
 The design has 1,000 digraphs: `random_digraph(n, p, W, seed=n)` for every
 n = 5..48, p in P and W in W_MAX (880), and the four planted kinds of the

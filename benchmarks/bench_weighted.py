@@ -1,7 +1,7 @@
 """Count and time the weighted driver's pair loops: the package's loops,
 which skip covered lopsided clusters, share one distance table over the
-ell guesses and stop the symmetric loop once every pair is evaluated,
-against the former loops, which redo that work at every guess.
+ell guesses and build one symmetric family, against the former loops,
+which redo that work at every guess.
 
 Cases: the perfbench weighted instances (seed 7, full design) and
 `random_digraph(n, 0.3, 64, n)` at n = 24, 32 and 48.  Per case and loop
@@ -98,13 +98,13 @@ def every_guess_lopsided(d, stats=None):
 
 
 def every_guess_symmetric(d, stats=None):
-    """The former `weighted.symmetric_vc`: a family for every guess, even
-    after every pair has been evaluated."""
+    """The former `weighted.symmetric_vc`'s shape: the family built again for
+    every guess of w(L), even after every pair has been evaluated."""
     best = min_out_neighborhood_cut(d)
     total = d.weight_of(range(d.n))
     evaluated = set()
-    for ell in weighted._powers_up_to(total):
-        fam = weighted.symmetric_pairs(d, ell)
+    for _ in weighted._powers_up_to(total):
+        fam = weighted.symmetric_pairs(d)
         for u, v in fam:
             for s, t in ((u, v), (v, u)):
                 if s == t or d.has_arc(s, t) or (s, t) in evaluated:

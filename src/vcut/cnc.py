@@ -169,25 +169,16 @@ def weighted_cnc(d_graph: WeightedDigraph, ell, stats=None, cache=None):
     The distance does not depend on ell, so calls on one digraph may share
     one `cache` dict (see `cnc`).
     """
-    if ell < 0:
-        raise InvariantError("ell must be >= 0")
+    if ell < 1:
+        raise InvariantError("ell must be >= 1")
     clustering = cnc(
         d_graph.n,
         lambda u, v: weighted_symdiff(d_graph, u, v),
-        max(1, 2 * ell),
+        2 * ell,
         candidates="all-pairs",
         stats=stats,
         cache=cache,
     )
-    if ell == 0:
-        # Only identical out-neighborhoods may share a cluster.
-        clusters = []
-        for cluster in clustering.clusters():
-            groups = {}
-            for v in cluster:
-                groups.setdefault(d_graph.out_adj[v], []).append(v)
-            clusters.extend(tuple(sorted(grp)) for grp in groups.values())
-        return clusters
     return [cluster for cluster in clustering.clusters()]
 
 

@@ -43,10 +43,6 @@ class EmptyKernel(VcutError):
     """Kernel graph construction found no cluster vertices left after pruning."""
 
 
-class UndefinedExpansion(VcutError):
-    """Terminal expansion h_T has a zero denominator for this cut."""
-
-
 class MixedSketchError(VcutError):
     """Recovery attempted on sketches built with different parameters."""
 

@@ -54,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cnc import cnc
-from .errors import BudgetExceeded, InvariantError, UndefinedExpansion
+from .errors import BudgetExceeded, InvariantError
 from .graphs import (
     Graph,
     NoCut,
@@ -136,18 +136,6 @@ class ExpanderDecomposition:
             f"ExpanderDecomposition(|X|={len(self.x)}, "
             f"pieces={[len(p) for p in self.pieces]}, phi={self.phi})"
         )
-
-
-def terminal_expansion(g: Graph, terminals, cut: VertexCut) -> Fraction:
-    """h_T of a cut: |S| over the smaller terminal mass of the two closed
-    sides.  Raises UndefinedExpansion when that mass is zero."""
-    tset = set(terminals)
-    ls = len(tset & (set(cut.L) | set(cut.S)))
-    rs = len(tset & (set(cut.R) | set(cut.S)))
-    denom = min(ls, rs)
-    if denom == 0:
-        raise UndefinedExpansion("no terminal mass on one side")
-    return Fraction(len(cut.S), denom)
 
 
 def _exhaustive_sparsest(g: Graph, tset):
@@ -392,7 +380,12 @@ def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
     adjacent to most of a cluster of more than 10 * a * ceil(log2 n)^2
     small pieces, with a >= 2, and a cluster holds at most n pieces, which
     is no more than that gate for every n <= 2,880.  So the candidate
-    terminal set of every partition is X plus T_bar.
+    terminal sets of every partition are X plus T_bar and X_low plus T_bar.
+
+    Neither set depends on the partition, and X_low only on the scale, so
+    each distinct set of a scale whose clustering has partitions gets one
+    balanced-terminal call, after the scale loop.  The round keeps the
+    key()-minimum of their cuts, so the order of the calls does not matter.
     """
     terms = sorted(set(terminals))
     if not terms:
@@ -406,13 +399,6 @@ def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
     x_list = list(decomp.x)
     x_set = set(x_list)
     term_set = set(terms)
-
-    best = None
-
-    def offer(candidate):
-        nonlocal best
-        if isinstance(candidate, VertexCut) and validate_cut(g, candidate):
-            best = better_cut(best, candidate)
 
     t_bar_quota = max(1, len(terms) // TR_TBAR_DIV)
     t_bar = [t for t in terms if t not in x_set][:t_bar_quota]
@@ -450,6 +436,8 @@ def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
     hpos = {v: i for i, v in enumerate(hlow_ids)}
 
     t_small = []
+    cand_terms = tuple(sorted(set(x_list) | set(t_bar)))
+    candidates = {}
     max_scale = math.ceil(math.log2(k)) if k >= 2 else 0
     for i_scale in range(1, max_scale + 1):
         a = 2 ** i_scale
@@ -480,18 +468,22 @@ def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
             )
 
         clustering = cnc(hconnected, a_dist, 15 * a, stats=stats)
-        cand_terms = sorted(set(x_list) | set(t_bar))
-        cand_low = sorted(set(x_low) | set(t_bar))
         for partition in clustering.partitions:
             for cluster in partition:
                 quota = len(cluster) // (logn ** TR_TSMALL_LOG_EXP)
                 for cj in sorted(cluster)[:quota]:
                     piece = small_pieces[hlow_ids[cluster_locals[cj]] - nx]
                     t_small.extend(sorted(term_set.intersection(piece)))
-            if cand_terms:
-                offer(balanced_terminal_vc(g, cand_terms, k, stats))
-            if cand_low:
-                offer(balanced_terminal_vc(g, cand_low, k, stats))
+        if clustering.partitions:
+            candidates[cand_terms] = None
+            candidates[tuple(sorted(set(x_low) | set(t_bar)))] = None
+
+    best = None
+    for cand in candidates:
+        if cand:
+            found = balanced_terminal_vc(g, cand, k, stats)
+            if isinstance(found, VertexCut) and validate_cut(g, found):
+                best = better_cut(best, found)
 
     t_prime = sorted(set(x_list) | set(t_big) | set(t_small) | set(t_bar))
     limit = math.floor(0.9 * len(terms))

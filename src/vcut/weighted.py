@@ -4,11 +4,11 @@ instances) and the symmetric case, combined over the graph and its reverse.
 
 Every separator extracted from a sparsified instance is re-validated in the
 original digraph before it can become a candidate, so the returned cut is
-always sound.  The symmetric branch's pair families hold every pair (the
-completeness proof is in `symmetric_crossing_family`), so its search
-evaluates every ordered non-adjacent pair and is exact by itself; the
-driver runs the lopsided branch only where it can still change the cut
-(see `vertex_connectivity_weighted`).
+always sound.  The symmetric branch's family (`symmetric_pairs`), taken
+in both orientations, offers every ordered pair, so its search evaluates
+every ordered non-adjacent pair and is exact by itself; the driver runs
+the lopsided branch only where it can still change the cut (see
+`vertex_connectivity_weighted`).
 
 A pair skips its capped flow by the flow engine's one skip rule
 (`maxflow.packing_reaches`, counted as `path_skips`): a greedy packing of
@@ -26,32 +26,26 @@ de-duplicates, where they are built: `lopsided_pairs` returns its union
 sorted, the order `lopsided_vc` visits it in, and `symmetric_pairs` in
 first-occurrence order; the pair loops take the pairs as they come.
 
-Both branches guess ell = w(L) over the powers of two up to w(V) and
-evaluate each pair (each (s, t, cluster) in the lopsided branch) at the
-first guess that offers it.  Two rules skip work whose result is already
-decided, so the pairs evaluated, and their order, stay the same:
-
-- A lopsided cluster C is *covered* once its bucketed union has
-  |C| * |v_low(C)| pairs (or v_low(C) is empty).  The union is distinct
-  and lies in C x v_low(C), and v_low depends only on (d, C), so every
-  pair a later guess could offer C has been evaluated or is skipped as
-  s == t or an arc; later guesses skip C before `identify_vlow`.  The
-  clusterings of all guesses share one distance table: the weighted
-  symmetric difference does not depend on ell.
-- The symmetric branch stops once it has evaluated all n(n-1) - m ordered
-  non-adjacent pairs (`WeightedDigraph` has no self-loops and no duplicate
-  arcs, so that is every pair a family can offer), and says whether it got
-  there (`_symmetric_search`).
+The lopsided branch guesses ell = w(L) over the powers of two up to w(V)
+and evaluates each (s, t, cluster) at the first guess that offers it.  A
+cluster C is *covered* once its bucketed union has |C| * |v_low(C)| pairs
+(or v_low(C) is empty).  The union is distinct and lies in C x v_low(C),
+and v_low depends only on (d, C), so every pair a later guess could offer
+C has been evaluated or is skipped as s == t or an arc; later guesses skip
+C before `identify_vlow`, so the pairs evaluated, and their order, stay
+the same.  The clusterings of all guesses share one distance table: the
+weighted symmetric difference does not depend on ell.  The symmetric
+branch needs no guess: it walks its one family once.
 
 Both searches take an optional `floor`, the exact kappa that the driver's
-first complete symmetric search proves.  Under it every packing and flow
-is capped at min(best, kappa + 1), and the search returns at once when
-its baseline weighs kappa, else right after its first cut of weight
-kappa.  That is the cut it returns without the floor: which pairs it
-evaluates, and in what order, never depends on the best cut, and a pair
-whose instance weighs kappa is neither skipped nor capped under either
-limit, so it yields the same s-closest minimum cut.  Without the floor no
-flow completes after that cut anyway.
+first symmetric search proves.  Under it every packing and flow is capped
+at min(best, kappa + 1), and the search returns at once when its baseline
+weighs kappa, else right after its first cut of weight kappa.  That is the
+cut it returns without the floor: which pairs it evaluates, and in what
+order, never depends on the best cut, and a pair whose instance weighs
+kappa is neither skipped nor capped under either limit, so it yields the
+same s-closest minimum cut.  Without the floor no flow completes after
+that cut anyway.
 
 The lopsided branch counts the arcs of every evaluated pair's instance
 (they feed the naive/sparsified edge ratio that the instrumentation
@@ -78,18 +72,7 @@ from .graphs import (
     validate_cut,
 )
 from .maxflow import _graph_flow, packing_reaches
-from .pseudorandom import (
-    PairFamily,
-    asymmetric_crossing_family,
-    map_pairs,
-    symmetric_crossing_family,
-)
-
-# Lopsidedness threshold (the paper's "sufficiently large constant"), read
-# by the symmetric pair families.  Exactness never hinges on it: every
-# symmetric crossing family holds all pairs, so the symmetric search
-# evaluates every ordered non-adjacent pair.
-LAM = 8
+from .pseudorandom import PairFamily, asymmetric_crossing_family
 
 
 def _bucket(w):
@@ -388,81 +371,64 @@ def lopsided_vc(d: WeightedDigraph, stats=None, floor=None):
     return best
 
 
-def symmetric_pairs(d: WeightedDigraph, ell):
-    """Bucket-pair union of symmetric crossing families with the
-    directional inclusion rule (pairs kept when their source sits in the
-    heavier bucket), de-duplicated in first-occurrence order."""
-    if ell < 1:
-        raise InvariantError("ell must be >= 1")
-    logw = _log2ceil(d.max_weight)
-    logn = _log2ceil(d.n)
+def symmetric_pairs(d: WeightedDigraph):
+    """Bucket-pair union of complete pair families with the directional
+    inclusion rule: for each pair (i, j) of non-empty weight buckets whose
+    union holds at least 2 vertices, every pair (a, b) of the sorted union
+    whose source a sits in the heavier bucket, in row-major order;
+    de-duplicated in first-occurrence order.  The degree bound sums the
+    union sizes.
+
+    This is the bucket-pair union of `symmetric_crossing_family`s at the
+    guess w(L) = 1, where each family's alpha clamps to n and the family
+    is the complete one over the union.  Larger guesses only reorder the
+    same pairs (every symmetric crossing family holds all pairs), so no
+    search needs them.  With both orientations of each pair, the family
+    offers every ordered pair of distinct vertices."""
     buckets = {}
     for v in range(d.n):
         buckets.setdefault(_bucket(d.weights[v]), []).append(v)
     pairs = []
     bound = 0
-    for i in range(1, logw + 1):
-        vi = buckets.get(i, [])
-        if not vi:
-            continue
-        for j in range(1, logw + 1):
-            vj = buckets.get(j, [])
-            if not vj:
-                continue
-            union = sorted(set(vi) | set(vj))
+    for i in sorted(buckets):
+        for j in sorted(buckets):
+            union = sorted(set(buckets[i]) | set(buckets[j]))
             if len(union) < 2:
                 continue
-            alpha = min(
-                d.n,
-                d.n * (2 ** max(i, j) / ell) * logw * LAM * LAM * logn,
-            )
-            fam = map_pairs(symmetric_crossing_family(len(union), alpha), union)
-            heavy = set(vi if i >= j else vj)
-            pairs.extend(p for p in fam.pairs if p[0] in heavy)
-            bound += fam.degree_bound
+            heavy = set(buckets[max(i, j)])
+            pairs.extend((a, b) for a in union if a in heavy for b in union)
+            bound += len(union)
     return PairFamily(dict.fromkeys(pairs), bound, "bucketed-symmetric")
 
 
-def _symmetric_search(d: WeightedDigraph, stats=None, floor=None):
-    """`symmetric_vc`'s search: (best cut, complete), where complete says
-    that it evaluated every ordered non-adjacent pair, or reached `floor`
-    (kappa(d), see the module docstring), which no pair can beat."""
+def symmetric_vc(d: WeightedDigraph, stats=None, floor=None):
+    """Cut search for weight-balanced minimum cuts: pair flows on
+    arc-dropped instances, both orientations of each pair of
+    `symmetric_pairs(d)`, so every ordered non-adjacent pair once; exact
+    (Even 1975).  `floor`, when given, must be kappa(d): the search then
+    returns its first cut of weight kappa (see the module docstring)."""
     best = min_out_neighborhood_cut(d)
     if _at_floor(best, floor):
-        return best, True
-    total = d.weight_of(range(d.n))
+        return best
     evaluated = set()
-    evaluable = d.n * (d.n - 1) - d.m
-    for ell in _powers_up_to(total):
-        if len(evaluated) == evaluable:
-            break
-        fam = symmetric_pairs(d, ell)
-        for u, v in fam:
-            for s, t in ((u, v), (v, u)):
-                if s == t or d.has_arc(s, t) or (s, t) in evaluated:
-                    continue
-                evaluated.add((s, t))
-                limit = _limit(best, floor)
-                if packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
-                    continue
-                h = sparsify_symmetric(d, s, t)
-                if stats is not None:
-                    stats.add("sparsified_instances")
-                    stats.add("sparsified_edges", h.m)
-                    stats.add("naive_edges", d.m)
-                cand = _digraph_pair_cut(
-                    d, h, list(range(d.n)), s, t, limit, stats
-                )
-                best = better_cut(best, cand)
-                if _at_floor(best, floor):
-                    return best, True
-    return best, len(evaluated) == evaluable
-
-
-def symmetric_vc(d: WeightedDigraph, stats=None):
-    """Cut search for weight-balanced minimum cuts: pair flows on
-    arc-dropped instances, both orientations per pair."""
-    return _symmetric_search(d, stats)[0]
+    for u, v in symmetric_pairs(d):
+        for s, t in ((u, v), (v, u)):
+            if s == t or d.has_arc(s, t) or (s, t) in evaluated:
+                continue
+            evaluated.add((s, t))
+            limit = _limit(best, floor)
+            if packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
+                continue
+            h = sparsify_symmetric(d, s, t)
+            if stats is not None:
+                stats.add("sparsified_instances")
+                stats.add("sparsified_edges", h.m)
+                stats.add("naive_edges", d.m)
+            cand = _digraph_pair_cut(d, h, list(range(d.n)), s, t, limit, stats)
+            best = better_cut(best, cand)
+            if _at_floor(best, floor):
+                return best
+    return best
 
 
 def vertex_connectivity_weighted(d: WeightedDigraph, stats=None):
@@ -470,42 +436,37 @@ def vertex_connectivity_weighted(d: WeightedDigraph, stats=None):
 
     Handles non-strongly-connected inputs (weight-0 cut from a sink
     component) and complete digraphs (NoCut sentinel, no numeric value).
-    Otherwise, on the graph and on its reverse: the symmetric search, then
-    `lopsided_vc` unless that search was complete and returned its
-    baseline B = `min_out_neighborhood_cut` of the orientation.  The
-    result is the key()-minimum of the cuts that validate in d.
+    Otherwise, on the graph and on its reverse: `symmetric_vc`, then
+    `lopsided_vc` unless that search returned its baseline B =
+    `min_out_neighborhood_cut` of the orientation.  The result is the
+    key()-minimum of the cuts that validate in d.
 
     Skipping `lopsided_vc` there leaves the value and the cut unchanged
-    (a complete pair search is exact, Even 1975):
+    (a search over every ordered non-adjacent pair is exact, Even 1975):
 
     - Both branches start from the same B.  Each replaces its best cut
       only with a validated cut strictly lighter than it (a capped flow
       completes only below its limit, the best value so far).
-    - A complete symmetric search evaluated every ordered non-adjacent
-      pair (s, t).  Its instance of (s, t) keeps exactly the digraph's
+    - The symmetric search evaluates every ordered non-adjacent pair
+      (s, t).  Its instance of (s, t) keeps exactly the digraph's
       (s, t)-separators, so every extraction validates, and a packing
-      that skips a pair is a flow of that pair's instance.  If the search still
-      returns B, each pair was skipped, capped or solved at weight
+      that skips a pair is a flow of that pair's instance.  If the search
+      still returns B, each pair was skipped, capped or solved at weight
       >= w(B).  So kappa = w(B), and `lopsided_vc`, which can only go
       strictly below B, returns B as well.
     - The driver keeps the key()-minimum, and equal keys mean the same
       cut, so a call that returns B again changes nothing, in any order.
 
     `lopsided_vc` still runs when the symmetric search went below B, since
-    its first cut of that weight can be key()-smaller, and when the search
-    was incomplete (its families never offered some ordered pair), since
-    then nothing bounds kappa from below.  Every symmetric crossing family
-    holds all pairs, so the `not complete` arm is reachable only under a
-    family that drops pairs.
+    its first cut of that weight can be key()-smaller.
 
-    The first complete search proves kappa = its value, so every later
-    search (the other orientation's symmetric search, and `lopsided_vc` on
-    both) runs under `floor=kappa`.  Each still returns its first cut of
-    weight kappa, the cut it returns without the floor, and stops there: no
-    later pair could beat it.  A search that finds no kappa cut returns a
+    The first search proves kappa = its value, so every later search (the
+    other orientation's symmetric search, and `lopsided_vc` on both) runs
+    under `floor=kappa`.  Each still returns its first cut of weight
+    kappa, the cut it returns without the floor, and stops there: no later
+    pair could beat it.  A search that finds no kappa cut returns a
     heavier one, which loses to the first search's kappa cut here as it
-    did without the floor.  So the result is unchanged.  An incomplete
-    search proves no kappa and sets no floor.
+    did without the floor.  So the result is unchanged.
     """
     if d.n <= 1:
         return NoCut(None)
@@ -518,11 +479,11 @@ def vertex_connectivity_weighted(d: WeightedDigraph, stats=None):
         return NoCut(None)
     best = kappa = None
     for variant, flip in ((d, False), (d.reverse(), True)):
-        got, complete = _symmetric_search(variant, stats, floor=kappa)
-        if complete and kappa is None:
+        got = symmetric_vc(variant, stats, floor=kappa)
+        if kappa is None:
             kappa = got.value
         found = [got]
-        if not complete or got.value < min_out_neighborhood_cut(variant).value:
+        if got.value < min_out_neighborhood_cut(variant).value:
             found.append(lopsided_vc(variant, stats, floor=kappa))
         for cut in found:
             if flip:

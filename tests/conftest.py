@@ -356,17 +356,18 @@ def every_guess_lopsided(d, stats=None):
 
 
 def every_guess_symmetric(d, stats=None):
-    """Reference for `weighted.symmetric_vc`: the same pair order, but a
-    family (`symmetric_pairs`, looked up on `vcut.weighted`) is built for
-    every guess, even after every pair has been evaluated.
+    """Reference for `weighted.symmetric_vc`: the same pair order, but the
+    family (`symmetric_pairs`, looked up on `vcut.weighted`) is built again
+    for every guess of w(L) over the powers of two up to w(V), even after
+    every pair has been evaluated.
 
-    This is the package's former symmetric loop; `symmetric_vc` must return
-    the same cut and counters, with no more families."""
+    This is the shape of the package's former symmetric loop; `symmetric_vc`
+    must return the same cut and counters, with no more families."""
     best = min_out_neighborhood_cut(d)
     total = d.weight_of(range(d.n))
     evaluated = set()
-    for ell in weighted._powers_up_to(total):
-        fam = weighted.symmetric_pairs(d, ell)
+    for _ in weighted._powers_up_to(total):
+        fam = weighted.symmetric_pairs(d)
         for u, v in fam:
             for s, t in ((u, v), (v, u)):
                 if s == t or d.has_arc(s, t) or (s, t) in evaluated:

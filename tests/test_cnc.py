@@ -6,7 +6,7 @@ import pytest
 from conftest import complete
 from vcut import cnc as cnc_module
 from vcut.cnc import cnc, sketch_construct, sketch_recover, weighted_cnc
-from vcut.errors import MixedSketchError
+from vcut.errors import InvariantError, MixedSketchError
 from vcut.graphs import Graph, symdiff_size
 from vcut.oracle import check_clustering, generate_planted, random_digraph, random_graph
 from vcut.weighted import _powers_up_to
@@ -84,14 +84,12 @@ class TestWeightedCnc:
         clusters = weighted_cnc(d, ell)
         assert any(set(inst.cut.L) <= set(c) for c in clusters)
 
-    def test_ell_zero_groups_identical_outsets(self):
+    def test_ell_zero_raises(self):
         from vcut.graphs import WeightedDigraph
 
         d = WeightedDigraph.from_arcs(4, [(0, 2), (1, 2), (2, 3), (3, 2)], [1, 1, 1, 1])
-        clusters = weighted_cnc(d, 0)
-        for c in clusters:
-            outs = {d.out_adj[v] for v in c}
-            assert len(outs) == 1
+        with pytest.raises(InvariantError):
+            weighted_cnc(d, 0)
 
     def test_shared_cache_over_guesses(self, monkeypatch):
         """One `cache` over every guess of the weighted driver gives the

@@ -16,7 +16,7 @@ from conftest import (
     two_cliques_sharing,
 )
 from vcut import kernel, maxflow, unweighted
-from vcut.errors import BudgetExceeded, InvariantError, UndefinedExpansion
+from vcut.errors import BudgetExceeded, InvariantError
 from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, min_degree_cut, validate_cut
 from vcut.instrument import Counters
 from vcut.isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
@@ -29,41 +29,10 @@ from vcut.unweighted import (
     _sparsest_canonical_cut,
     expander_decomposition,
     shaving,
-    terminal_expansion,
     terminal_reduction,
     unbalanced_vc,
     vertex_connectivity_unweighted,
 )
-
-
-class TestTerminalExpansion:
-    def test_direct_formula(self):
-        g = cycle(6)
-        cut = VertexCut([0, 1], [2, 5], [3, 4], 2)
-        assert terminal_expansion(g, range(6), cut) == Fraction(2, 4)
-
-    def test_undefined_when_one_side_empty(self):
-        g = cycle(6)
-        cut = VertexCut([0, 1], [2, 5], [3, 4], 2)
-        with pytest.raises(UndefinedExpansion):
-            terminal_expansion(g, [3], cut)
-
-    def test_matches_recomputation(self):
-        rng = random.Random(2)
-        g = random_graph(12, 0.3, 0)
-        got = brute_kappa(g)
-        if not isinstance(got, tuple):
-            return
-        _, cut = got
-        terms = sorted(rng.sample(range(12), 8))
-        tset = set(terms)
-        denom = min(
-            len(tset & (set(cut.L) | set(cut.S))),
-            len(tset & (set(cut.R) | set(cut.S))),
-        )
-        if denom == 0:
-            return
-        assert terminal_expansion(g, terms, cut) == Fraction(len(cut.S), denom)
 
 
 class TestExpanderDecomposition:

@@ -28,12 +28,16 @@ from vcut.instrument import Counters
 from vcut.maxflow import packing_reaches, vertex_max_flow, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
 from vcut import cnc, weighted
-from vcut.pseudorandom import PairFamily, asymmetric_crossing_family
+from vcut.pseudorandom import (
+    PairFamily,
+    asymmetric_crossing_family,
+    map_pairs,
+    symmetric_crossing_family,
+)
 from vcut.weighted import (
     _ClusterParts,
     _bucket,
     _powers_up_to,
-    _symmetric_search,
     identify_vlow,
     lopsided_arcs,
     lopsided_pairs,
@@ -416,33 +420,91 @@ class TestSparsifyLopsided:
         assert hits > 0
 
 
+def crossing_symmetric_pairs(d):
+    """Reference for `weighted.symmetric_pairs`: the bucket-pair union of
+    symmetric crossing families at the guess w(L) = 1, with the lopsidedness
+    constant 8.  This is the package's former family of that guess, the
+    first its symmetric search built and the only one it used."""
+    logw = _log2ceil(d.max_weight)
+    logn = _log2ceil(d.n)
+    buckets = {}
+    for v in range(d.n):
+        buckets.setdefault(_bucket(d.weights[v]), []).append(v)
+    pairs = []
+    bound = 0
+    for i in range(1, logw + 1):
+        vi = buckets.get(i, [])
+        if not vi:
+            continue
+        for j in range(1, logw + 1):
+            vj = buckets.get(j, [])
+            if not vj:
+                continue
+            union = sorted(set(vi) | set(vj))
+            if len(union) < 2:
+                continue
+            alpha = min(d.n, d.n * 2 ** max(i, j) * logw * 8 * 8 * logn)
+            fam = map_pairs(symmetric_crossing_family(len(union), alpha), union)
+            heavy = set(vi if i >= j else vj)
+            pairs.extend(p for p in fam.pairs if p[0] in heavy)
+            bound += fam.degree_bound
+    return PairFamily(dict.fromkeys(pairs), bound, "bucketed-symmetric")
+
+
 class TestSymmetric:
     def test_single_bucket_unit_weights(self):
         d = WeightedDigraph.from_arcs(6, [(i, (i + 1) % 6) for i in range(6)], [1] * 6)
-        fam = symmetric_pairs(d, 1)
+        fam = symmetric_pairs(d)
         assert len(fam) > 0
 
     def test_union_is_distinct(self):
         for seed, wmax in enumerate((1, 4, 64, 200)):
             d = random_digraph(12 + seed, 0.3, wmax, seed)
-            for ell in _powers_up_to(d.weight_of(range(d.n))):
-                pairs = symmetric_pairs(d, ell).pairs
-                assert pairs and len(set(pairs)) == len(pairs), (seed, ell)
+            pairs = symmetric_pairs(d).pairs
+            assert pairs and len(set(pairs)) == len(pairs), seed
 
     def test_planted_crossing_pair_exists(self):
         inst = generate_planted("symmetric", {"l": 4, "s": 3, "r": 5}, seed=0)
-        d = inst.graph
         lset, rset = set(inst.cut.L), set(inst.cut.R)
-        total = d.weight_of(range(d.n))
-        ell = 1
-        found = False
-        while ell <= total:
-            fam = symmetric_pairs(d, ell)
-            for u, v in fam:
-                if (u in lset and v in rset) or (v in lset and u in rset):
-                    found = True
-            ell *= 2
-        assert found
+        assert any(
+            (u in lset and v in rset) or (v in lset and u in rset)
+            for u, v in symmetric_pairs(inst.graph)
+        )
+
+    def test_same_as_crossing_families(self):
+        """The closed form gives the crossing families' pairs, in their
+        order, and their degree bound."""
+        digraphs = list(_gate_cases())
+        for seed in (7, 8, 11):
+            digraphs.extend(perfbench_graphs("weighted", seed))
+        for n in range(1, 41):
+            for wmax in (1, 4, 64, 2**40):
+                digraphs.append(random_digraph(n, 0.3, wmax, n))
+        for d in digraphs:
+            got, want = symmetric_pairs(d), crossing_symmetric_pairs(d)
+            assert (got.pairs, got.degree_bound) == (want.pairs, want.degree_bound), d.n
+
+    def test_one_packing_per_ordered_pair(self, monkeypatch):
+        """Without a floor, `symmetric_vc` asks the packing once for each
+        ordered non-adjacent pair (s, t), with the ends N_in(t): n(n - 1) - m
+        questions in all."""
+        asked = Counter()
+
+        def counted(out_adj, weights, s, ends, limit, stats):
+            asked[s, ends] += 1
+            return packing_reaches(out_adj, weights, s, ends, limit, stats)
+
+        monkeypatch.setattr(weighted, "packing_reaches", counted)
+        for d in _gate_cases():
+            asked.clear()
+            symmetric_vc(d)
+            want = Counter(
+                (s, d.in_set(t))
+                for s, t in itertools.permutations(range(d.n), 2)
+                if not d.has_arc(s, t)
+            )
+            assert asked.total() == d.n * (d.n - 1) - d.m, d.n
+            assert asked == want, d.n
 
     def test_sparsify_preserves_pair_value(self):
         for seed in range(4):
@@ -546,8 +608,8 @@ def _run(monkeypatch, d, branches):
 
 class TestSettledWork:
     """`lopsided_vc` skips the clusters it has covered and shares one
-    distance table over its guesses, and `symmetric_vc` stops once every
-    pair is evaluated.  The former loops (`conftest.every_guess_lopsided`,
+    distance table over its guesses, and `symmetric_vc` builds one family.
+    The former loops (`conftest.every_guess_lopsided`,
     `every_guess_symmetric`) give the same cuts, counters and events, with
     no more calls of the helpers on any digraph and fewer on some."""
 
@@ -631,22 +693,22 @@ def _gate_cases():
 
 def _spied_driver(monkeypatch, d):
     """The driver on d, watched: (cut, log), one log entry per orientation
-    [variant, symmetric search's cut, complete, whether lopsided_vc ran]."""
+    [variant, symmetric search's cut, whether lopsided_vc ran]."""
     log = []
-    search, lopsided = weighted._symmetric_search, weighted.lopsided_vc
+    search, lopsided = weighted.symmetric_vc, weighted.lopsided_vc
 
     def spy_search(variant, stats=None, **kwargs):
-        got, complete = search(variant, stats, **kwargs)
-        log.append([variant, got, complete, False])
-        return got, complete
+        got = search(variant, stats, **kwargs)
+        log.append([variant, got, False])
+        return got
 
     def spy_lopsided(variant, stats=None, **kwargs):
-        assert log[-1][0] is variant and not log[-1][3]
-        log[-1][3] = True
+        assert log[-1][0] is variant and not log[-1][2]
+        log[-1][2] = True
         return lopsided(variant, stats, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(weighted, "_symmetric_search", spy_search)
+        m.setattr(weighted, "symmetric_vc", spy_search)
         m.setattr(weighted, "lopsided_vc", spy_lopsided)
         cut = vertex_connectivity_weighted(d)
     return cut, log
@@ -654,7 +716,7 @@ def _spied_driver(monkeypatch, d):
 
 class TestLopsidedGate:
     """The driver runs `lopsided_vc` on an orientation exactly when the
-    symmetric search there was incomplete or went below its baseline
+    symmetric search there went below its baseline
     (`min_out_neighborhood_cut`), and returns the cut of the former
     driver, which ran both branches on both orientations."""
 
@@ -666,47 +728,13 @@ class TestLopsidedGate:
             cut, log = _spied_driver(monkeypatch, d)
             assert cut == four_call_weighted(d), d.n
             assert len(log) == 2
-            for variant, got, complete, ran in log:
-                assert complete  # the families are complete at these sizes
+            for variant, got, ran in log:
                 baseline = min_out_neighborhood_cut(variant)
                 below = got.value < baseline.value
                 assert below or got == baseline
                 assert ran == below, (d.n, got, baseline)
                 seen["ran" if ran else "skipped"] += 1
         assert seen["ran"] > 0 and seen["skipped"] > 0, seen
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_runs_after_an_incomplete_search(self, backend, request, monkeypatch):
-        """With a pair {a, b}, neither an arc, left out of every symmetric
-        family, both orientations' searches are incomplete, and
-        `lopsided_vc` runs on both, also where the complete search returned
-        the baseline and it was skipped."""
-        request.getfixturevalue(backend)
-        real = weighted.symmetric_pairs
-        drop = set()
-
-        def symmetric_pairs(d, ell):
-            fam = real(d, ell)
-            return PairFamily([p for p in fam if set(p) != drop], fam.degree_bound, fam.method)
-
-        settled = 0
-        for d in _gate_cases():
-            pair = next((
-                (a, b) for a, b in itertools.combinations(range(d.n), 2)
-                if not d.has_arc(a, b) and not d.has_arc(b, a)
-            ), None)
-            if pair is None:
-                continue
-            _, log = _spied_driver(monkeypatch, d)
-            settled += sum(not ran for *_, ran in log)
-            drop.clear()
-            drop.update(pair)
-            with monkeypatch.context() as m:
-                m.setattr(weighted, "symmetric_pairs", symmetric_pairs)
-                cut, log = _spied_driver(monkeypatch, d)
-            assert [(complete, ran) for _, _, complete, ran in log] == [(False, True)] * 2
-            assert cut.value == four_call_weighted(d).value
-        assert settled > 0
 
 
 def _floor_cases():
@@ -717,7 +745,7 @@ def _floor_cases():
 
 
 class TestKappaFloor:
-    """Under the floor kappa that a complete symmetric search proves, both
+    """Under the floor kappa that the symmetric search proves, both
     searches return the cut they return without it wherever that weighs
     kappa (the lopsided branch a heavier cut elsewhere), with no more
     flows; the driver still returns the former driver's cut."""
@@ -725,11 +753,9 @@ class TestKappaFloor:
     @staticmethod
     def _compare(variant, seen):
         plain, capped = Counters(), Counters()
-        got, complete = _symmetric_search(variant, plain)
-        assert complete
+        got = symmetric_vc(variant, plain)
         kappa = got.value
-        again, complete = _symmetric_search(variant, capped, floor=kappa)
-        assert complete and again == got
+        assert symmetric_vc(variant, capped, floor=kappa) == got
         full = lopsided_vc(variant, plain)
         floored = lopsided_vc(variant, capped, floor=kappa)
         if full.value == kappa:
