@@ -1,13 +1,13 @@
 """Count and time the weighted driver's pair loops: the package's loops,
 which skip covered lopsided clusters, share one distance table over the
-ell guesses and build one symmetric family, against the former loops,
+ell guesses and build one symmetric pair list, against the former loops,
 which redo that work at every guess.
 
 Cases: the perfbench weighted instances (seed 7, full design) and
 `random_digraph(n, 0.3, 64, n)` at n = 24, 32 and 48.  Per case and loop
-("settled", the package's; "every_guess", a copy of the former loops kept
-in this file) it records one call of `four_call_weighted` (in
-`tests/conftest.py`), which runs both loops on the digraph and on its
+("settled", the package's; "every_guess", the copies of the former loops
+in `tests/conftest.py`) it records one call of `four_call_weighted` (also
+there), which runs both loops on the digraph and on its
 reverse, where the package's driver skips some `lopsided_vc` calls: the
 best wall time over `--rounds` calls, and from one further call with counting
 wrappers the calls of `lopsided_pairs`, `symmetric_pairs` and
@@ -35,93 +35,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from conftest import four_call_weighted  # noqa: E402
+from conftest import every_guess_lopsided, every_guess_symmetric, four_call_weighted  # noqa: E402
 from vcut import cnc, weighted  # noqa: E402
-from vcut.graphs import VertexCut, better_cut, min_out_neighborhood_cut  # noqa: E402
 from vcut.instrument import Counters  # noqa: E402
-from vcut.maxflow import BACKEND, packing_reaches  # noqa: E402
+from vcut.maxflow import BACKEND  # noqa: E402
 from vcut.oracle import random_digraph  # noqa: E402
 
 PERFBENCH_SEED = 7
 SIZES = (24, 32, 48)
 COUNTED = ((weighted, "lopsided_pairs"), (weighted, "symmetric_pairs"), (cnc, "weighted_symdiff"))
-
-
-def every_guess_lopsided(d, stats=None):
-    """The former `weighted.lopsided_vc`: every distinct cluster of every
-    guess is bucketed again, and each clustering computes its own
-    distances."""
-    best = min_out_neighborhood_cut(d)
-    total = d.weight_of(range(d.n))
-    naive = d.m
-    evaluated = set()
-    parts = {}
-    for ell in weighted._powers_up_to(total):
-        clusters = weighted.weighted_cnc(d, ell, stats=stats)
-        seen_clusters = set()
-        for cluster in clusters:
-            ckey = frozenset(cluster)
-            if ckey in seen_clusters:
-                continue
-            seen_clusters.add(ckey)
-            v_low = weighted.identify_vlow(d, cluster)
-            if not v_low:
-                continue
-            part = parts.get(ckey)
-            if part is None:
-                part = parts[ckey] = weighted._ClusterParts(d, ckey)
-            fam = weighted.lopsided_pairs(
-                d, cluster, v_low, ell, weighted._powers_up_to(total)
-            )
-            for s, t in fam.pairs:
-                if s == t or d.has_arc(s, t):
-                    continue
-                key = (s, t, ckey)
-                if key in evaluated:
-                    continue
-                evaluated.add(key)
-                if stats is not None:
-                    count = part.arc_count(s, t)
-                    stats.add("sparsified_instances")
-                    stats.add("sparsified_edges", count)
-                    stats.add("naive_edges", naive)
-                    stats.add("sparsified_edges_lopsided", count)
-                    stats.add("naive_edges_lopsided", naive)
-                limit = best.value if isinstance(best, VertexCut) else None
-                if packing_reaches(d.out_adj, d.weights, s, part.ends(t), limit, stats):
-                    continue
-                ids, arcs = weighted.lopsided_arcs(d, s, t, cluster)
-                h = weighted._instance(d, ids, arcs)
-                cand = weighted._digraph_pair_cut(d, h, ids, s, t, limit, stats)
-                best = better_cut(best, cand)
-    return best
-
-
-def every_guess_symmetric(d, stats=None):
-    """The former `weighted.symmetric_vc`'s shape: the family built again for
-    every guess of w(L), even after every pair has been evaluated."""
-    best = min_out_neighborhood_cut(d)
-    total = d.weight_of(range(d.n))
-    evaluated = set()
-    for _ in weighted._powers_up_to(total):
-        fam = weighted.symmetric_pairs(d)
-        for u, v in fam:
-            for s, t in ((u, v), (v, u)):
-                if s == t or d.has_arc(s, t) or (s, t) in evaluated:
-                    continue
-                evaluated.add((s, t))
-                limit = best.value if isinstance(best, VertexCut) else None
-                if packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
-                    continue
-                h = weighted.sparsify_symmetric(d, s, t)
-                if stats is not None:
-                    stats.add("sparsified_instances")
-                    stats.add("sparsified_edges", h.m)
-                    stats.add("naive_edges", d.m)
-                cand = weighted._digraph_pair_cut(d, h, list(range(d.n)), s, t, limit, stats)
-                best = better_cut(best, cand)
-    return best
-
 
 LOOPS = {
     "settled": (weighted.lopsided_vc, weighted.symmetric_vc),

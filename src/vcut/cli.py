@@ -370,6 +370,8 @@ def _suite_row(line):
         raise ParseError(f"{exc} in {line!r}") from None
     if n < 0 or not 0 <= p <= 1 or wmax < 1:
         raise ParseError(f"need n >= 0, 0 <= p <= 1 and wmax >= 1, got {line!r}")
+    if n * wmax >= 2**62:
+        raise ParseError(f"n*wmax must be below 2^62 (64-bit weight sums), got {line!r}")
     return kind, n, p, seed, wmax
 
 
@@ -406,6 +408,8 @@ def cmd_bench(args) -> int:
                 line = line.strip()
                 if line and not line.startswith("#"):
                     suite.append(_suite_row(line))
+        # Opened before any row runs, so a bad path costs no computation.
+        out = open(args.out, "w", newline="")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -414,14 +418,14 @@ def cmd_bench(args) -> int:
         return EXIT_PARSE
     fields = ["kind", "n", "m", "seed", "algo", "value", "wall_ms", "flow_calls"]
     workers = min(args.jobs, len(suite), os.cpu_count() or 1)
-    if workers > 1:
-        # Processes, not threads: the drivers are pure Python and hold the GIL.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_row, suite))
-    else:
-        rows = [_bench_row(row) for row in suite]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+    with out:
+        if workers > 1:
+            # Processes, not threads: the drivers are pure Python and hold the GIL.
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_bench_row, suite))
+        else:
+            rows = [_bench_row(row) for row in suite]
+        writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -31,7 +31,7 @@ when `packing_reaches` says the packing reaches L.  That is the one skip
 rule; a limit <= 0 is never a skip, because `_flow` answers it without a
 flow.  `min_st_cut` (and `min_st_separator` and the kernel query through
 it) and `min_s_to_set_separator` apply it before their flow, and the
-weighted pair loops apply it to the sparsified pair instances.
+weighted lopsided loop applies it to its sparsified pair instances.
 `_graph_flow` itself never screens, so its counters stay those of the
 bypass-arc network.
 
@@ -43,8 +43,9 @@ The answers are exact because graphs are immutable and a probe's answer
 depends only on the graph, the pair, the cap and the s-closest cut; on an
 undirected Graph a bound also answers the mirror pair, since kappa(s,t) =
 kappa(t,s).  The drivers probe only graphs they build per call (the
-sparsified graph, induced pieces, auxiliary and kernel graphs), so a
-ledger lives as long as one driver call.
+sparsified graph, induced pieces, auxiliary and kernel graphs, and the
+copy of the digraph a weighted symmetric search asks), so a ledger lives
+as long as one driver call.
 
 There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set

@@ -2,29 +2,22 @@
 in-weight split, bucketed crossing families, per-pair sparsified flow
 instances) and the symmetric case, combined over the graph and its reverse.
 
-Every separator extracted from a sparsified instance is re-validated in the
+Every separator extracted from a lopsided instance is re-validated in the
 original digraph before it can become a candidate, so the returned cut is
-always sound.  The symmetric branch's family (`symmetric_pairs`), taken
-in both orientations, offers every ordered pair, so its search evaluates
-every ordered non-adjacent pair and is exact by itself; the driver runs
-the lopsided branch only where it can still change the cut (see
-`vertex_connectivity_weighted`).
+always sound.  The symmetric branch asks `maxflow.min_st_cut` on d itself
+for every ordered non-adjacent pair of `symmetric_pairs`, so it is exact
+by itself; the driver runs the lopsided branch only where it can still
+change the cut (see `vertex_connectivity_weighted`).
 
 A pair skips its capped flow by the flow engine's one skip rule
 (`maxflow.packing_reaches`, counted as `path_skips`): a greedy packing of
-vertex-capacitated paths of its instance already carries the current best
-value, so the flow could only report "no better".  The packing runs on d
-itself, to ends that keep every packed path a path of the pair's instance,
-so no instance is built for it: the symmetric instance of (s, t) drops the
-arcs inside N_out(s) and inside N_in(t), and its ends are N_in(t); the
-lopsided instance's ends are `_ClusterParts.ends`.  The packing takes
-every two-hop path s -> v -> t first, so it skips every pair the two-hop
-weight alone would skip.
-
-The two bucketed unions are the only pair families this module
-de-duplicates, where they are built: `lopsided_pairs` returns its union
-sorted, the order `lopsided_vc` visits it in, and `symmetric_pairs` in
-first-occurrence order; the pair loops take the pairs as they come.
+vertex-capacitated paths already carries the current best value, so the
+flow could only report "no better".  `min_st_cut` applies it to the
+symmetric pairs, packing on d to N_in(t).  The lopsided loop applies it on
+d itself, to ends that keep every packed path a path of the pair's
+instance (`_ClusterParts.ends`), so no instance is built for it.  The
+packing takes every two-hop path s -> v -> t first, so it skips every pair
+the two-hop weight alone would skip.
 
 The lopsided branch guesses ell = w(L) over the powers of two up to w(V)
 and evaluates each (s, t, cluster) at the first guess that offers it.  A
@@ -35,14 +28,14 @@ C has been evaluated or is skipped as s == t or an arc; later guesses skip
 C before `identify_vlow`, so the pairs evaluated, and their order, stay
 the same.  The clusterings of all guesses share one distance table: the
 weighted symmetric difference does not depend on ell.  The symmetric
-branch needs no guess: it walks its one family once.
+branch needs no guess: it walks its one pair list once.
 
 Both searches take an optional `floor`, the exact kappa that the driver's
 first symmetric search proves.  Under it every packing and flow is capped
 at min(best, kappa + 1), and the search returns at once when its baseline
 weighs kappa, else right after its first cut of weight kappa.  That is the
 cut it returns without the floor: which pairs it evaluates, and in what
-order, never depends on the best cut, and a pair whose instance weighs
+order, never depends on the best cut, and a pair whose minimum cut weighs
 kappa is neither skipped nor capped under either limit, so it yields the
 same s-closest minimum cut.  Without the floor no flow completes after
 that cut anyway.
@@ -53,7 +46,8 @@ reports; without a floor they do not depend on which pairs were skipped,
 under one they stop where the search stops) from per-cluster parts
 (`_ClusterParts`), and selects and builds an instance (`lopsided_arcs`,
 `_instance`) only for the pairs that get a flow.  The symmetric branch
-counts only the instances it builds.
+builds no instance, so the `sparsified_*` and `naive_edges` counters are
+the lopsided branch's.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ from .graphs import (
     min_out_neighborhood_cut,
     validate_cut,
 )
-from .maxflow import _graph_flow, packing_reaches
+from .maxflow import _graph_flow, min_st_cut, packing_reaches
 from .pseudorandom import PairFamily, asymmetric_crossing_family
 
 
@@ -372,62 +366,57 @@ def lopsided_vc(d: WeightedDigraph, stats=None, floor=None):
 
 
 def symmetric_pairs(d: WeightedDigraph):
-    """Bucket-pair union of complete pair families with the directional
-    inclusion rule: for each pair (i, j) of non-empty weight buckets whose
-    union holds at least 2 vertices, every pair (a, b) of the sorted union
-    whose source a sits in the heavier bucket, in row-major order;
-    de-duplicated in first-occurrence order.  The degree bound sums the
-    union sizes.
+    """Every ordered pair (s, t) of distinct vertices once, as a tuple.
 
-    This is the bucket-pair union of `symmetric_crossing_family`s at the
-    guess w(L) = 1, where each family's alpha clamps to n and the family
-    is the complete one over the union.  Larger guesses only reorder the
-    same pairs (every symmetric crossing family holds all pairs), so no
-    search needs them.  With both orientations of each pair, the family
-    offers every ordered pair of distinct vertices."""
-    buckets = {}
-    for v in range(d.n):
-        buckets.setdefault(_bucket(d.weights[v]), []).append(v)
-    pairs = []
-    bound = 0
-    for i in sorted(buckets):
-        for j in sorted(buckets):
-            union = sorted(set(buckets[i]) | set(buckets[j]))
-            if len(union) < 2:
-                continue
-            heavy = set(buckets[max(i, j)])
-            pairs.extend((a, b) for a in union if a in heavy for b in union)
-            bound += len(union)
-    return PairFamily(dict.fromkeys(pairs), bound, "bucketed-symmetric")
+    With the non-empty weight buckets B_1 < ... < B_m, each sorted, the
+    pairs come in blocks: (B_1, B_1), then (B_j, B_1 | B_j) for j >= 2 (the
+    union sorted), then (B_j, B_i) for 2 <= i < j, i the outer loop.  The
+    block (H, U) yields, for a in H and b in U, the pair (a, b) followed by
+    (b, a), and skips any b in H with b <= a (given already, or a itself).
+    This is the first-occurrence order of the bucket-pair union of complete
+    pair families (for each bucket pair in row-major order, the sorted
+    union with sources in the heavier bucket), each pair and its reverse."""
+    key = [_bucket(w) for w in d.weights]
+    buckets = [[v for v in range(d.n) if key[v] == k] for k in sorted(set(key))]
+    if not buckets:
+        return ()
+    first, *rest = buckets
+    blocks = [(first, first), *((h, sorted(first + h)) for h in rest)]
+    blocks += [(h, u) for i, u in enumerate(rest) for h in rest[i + 1:]]
+    return tuple(
+        pair
+        for heavy, union in blocks
+        for a in heavy
+        for b in union
+        if b > a or key[b] != key[a]
+        for pair in ((a, b), (b, a))
+    )
 
 
 def symmetric_vc(d: WeightedDigraph, stats=None, floor=None):
-    """Cut search for weight-balanced minimum cuts: pair flows on
-    arc-dropped instances, both orientations of each pair of
-    `symmetric_pairs(d)`, so every ordered non-adjacent pair once; exact
-    (Even 1975).  `floor`, when given, must be kappa(d): the search then
-    returns its first cut of weight kappa (see the module docstring)."""
+    """Cut search for weight-balanced minimum cuts: `maxflow.min_st_cut`
+    of every ordered non-adjacent pair of `symmetric_pairs(d)` under the
+    best value so far; exact (Even 1975).  `floor`, when given, must be
+    kappa(d): the search then returns its first cut of weight kappa (see
+    the module docstring).  The pairs are asked of a copy of d, so its pair
+    ledger lives for this call only and a later call flows as this one.
+
+    The flows run on d itself.  The instance `sparsify_symmetric(d, s, t)`
+    drops only the arcs inside N_out(s) and inside N_in(t), so it has
+    exactly d's (s, t)-separators, each with the same source side: a vertex
+    of N_out(s) outside the separator is reached from s directly, and no
+    vertex of N_in(t) outside it is reachable, or t would be.  So its
+    s-closest minimum cut, and every capped answer, are those of d."""
     best = min_out_neighborhood_cut(d)
     if _at_floor(best, floor):
         return best
-    evaluated = set()
-    for u, v in symmetric_pairs(d):
-        for s, t in ((u, v), (v, u)):
-            if s == t or d.has_arc(s, t) or (s, t) in evaluated:
-                continue
-            evaluated.add((s, t))
-            limit = _limit(best, floor)
-            if packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
-                continue
-            h = sparsify_symmetric(d, s, t)
-            if stats is not None:
-                stats.add("sparsified_instances")
-                stats.add("sparsified_edges", h.m)
-                stats.add("naive_edges", d.m)
-            cand = _digraph_pair_cut(d, h, list(range(d.n)), s, t, limit, stats)
-            best = better_cut(best, cand)
-            if _at_floor(best, floor):
-                return best
+    g = WeightedDigraph(d.n, d.out_adj, d.weights)
+    for s, t in symmetric_pairs(d):
+        if d.has_arc(s, t):
+            continue
+        best = better_cut(best, min_st_cut(g, s, t, _limit(best, floor), stats)[1])
+        if _at_floor(best, floor):
+            return best
     return best
 
 
@@ -445,15 +434,13 @@ def vertex_connectivity_weighted(d: WeightedDigraph, stats=None):
     (a search over every ordered non-adjacent pair is exact, Even 1975):
 
     - Both branches start from the same B.  Each replaces its best cut
-      only with a validated cut strictly lighter than it (a capped flow
+      only with a cut of d strictly lighter than it (a capped flow
       completes only below its limit, the best value so far).
-    - The symmetric search evaluates every ordered non-adjacent pair
-      (s, t).  Its instance of (s, t) keeps exactly the digraph's
-      (s, t)-separators, so every extraction validates, and a packing
-      that skips a pair is a flow of that pair's instance.  If the search
-      still returns B, each pair was skipped, capped or solved at weight
-      >= w(B).  So kappa = w(B), and `lopsided_vc`, which can only go
-      strictly below B, returns B as well.
+    - The symmetric search asks `min_st_cut` on d of every ordered
+      non-adjacent pair (s, t).  If it still returns B, each pair was
+      skipped, capped or solved at weight >= w(B).  So kappa = w(B), and
+      `lopsided_vc`, which can only go strictly below B, returns B as
+      well.
     - The driver keeps the key()-minimum, and equal keys mean the same
       cut, so a call that returns B again changes nothing, in any order.
 

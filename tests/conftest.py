@@ -357,32 +357,24 @@ def every_guess_lopsided(d, stats=None):
 
 def every_guess_symmetric(d, stats=None):
     """Reference for `weighted.symmetric_vc`: the same pair order, but the
-    family (`symmetric_pairs`, looked up on `vcut.weighted`) is built again
-    for every guess of w(L) over the powers of two up to w(V), even after
-    every pair has been evaluated.
+    pair list (`symmetric_pairs`, looked up on `vcut.weighted`) is built
+    again for every guess of w(L) over the powers of two up to w(V), even
+    after every pair has been evaluated.  Each evaluated pair is asked of
+    `maxflow.min_st_cut` on a copy of d made for this call, as
+    `symmetric_vc` asks it.
 
     This is the shape of the package's former symmetric loop; `symmetric_vc`
-    must return the same cut and counters, with no more families."""
+    must return the same cut and counters, with no more pair lists."""
     best = min_out_neighborhood_cut(d)
-    total = d.weight_of(range(d.n))
+    g = WeightedDigraph(d.n, d.out_adj, d.weights)
     evaluated = set()
-    for _ in weighted._powers_up_to(total):
-        fam = weighted.symmetric_pairs(d)
-        for u, v in fam:
-            for s, t in ((u, v), (v, u)):
-                if s == t or d.has_arc(s, t) or (s, t) in evaluated:
-                    continue
-                evaluated.add((s, t))
-                limit = best.value if isinstance(best, VertexCut) else None
-                if maxflow.packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
-                    continue
-                h = weighted.sparsify_symmetric(d, s, t)
-                if stats is not None:
-                    stats.add("sparsified_instances")
-                    stats.add("sparsified_edges", h.m)
-                    stats.add("naive_edges", d.m)
-                cand = weighted._digraph_pair_cut(d, h, list(range(d.n)), s, t, limit, stats)
-                best = better_cut(best, cand)
+    for _ in weighted._powers_up_to(d.weight_of(range(d.n))):
+        for s, t in weighted.symmetric_pairs(d):
+            if d.has_arc(s, t) or (s, t) in evaluated:
+                continue
+            evaluated.add((s, t))
+            limit = best.value if isinstance(best, VertexCut) else None
+            best = better_cut(best, maxflow.min_st_cut(g, s, t, limit, stats)[1])
     return best
 
 

@@ -470,6 +470,8 @@ class TestBench:
             "graph 10 nan 1",
             "graph -2 0.3 1",
             "digraph 5 0.5 1 0",
+            # n * wmax reaches 2^62, past the 64-bit weight sums
+            "digraph 5 0.5 1 4611686018427387904",
         ],
     )
     def test_malformed_row_is_parse_error(self, tmp_path, capsys, row):
@@ -501,6 +503,15 @@ class TestBench:
         suite = tmp_path / "suite.txt"
         suite.write_bytes(b"graph 8 0.3 1\n\xff\xfe\n")
         code = main(["bench", str(suite), str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys, monkeypatch):
+        """The output is opened before any row runs."""
+        suite = tmp_path / "suite.txt"
+        suite.write_text("graph 8 0.3 1\n")
+        monkeypatch.setattr("vcut.cli._bench_row", lambda row: pytest.fail("a row ran"))
+        code = main(["bench", str(suite), str(tmp_path / "missing" / "o.csv")])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 

@@ -21,13 +21,14 @@ from vcut.graphs import (
     VertexCut,
     WeightedDigraph,
     _log2ceil,
+    better_cut,
     min_out_neighborhood_cut,
     validate_cut,
 )
 from vcut.instrument import Counters
-from vcut.maxflow import packing_reaches, vertex_max_flow, weighted_paths
+from vcut.maxflow import min_st_cut, packing_reaches, vertex_max_flow, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_digraph
-from vcut import cnc, weighted
+from vcut import cnc, maxflow, weighted
 from vcut.pseudorandom import (
     PairFamily,
     asymmetric_crossing_family,
@@ -296,7 +297,7 @@ class TestPackingCaps:
         its place; each skip stands in for one flow, and the packing never
         leaves a flow that the two-hop weight would skip."""
 
-        def two_hop_caps(out_adj, weights, s, ends, limit, stats):
+        def two_hop_caps(out_adj, weights, s, ends, limit, stats, *memo):
             if limit is None or sum(weights[v] for v in out_adj[s] if v in ends) < limit:
                 return False
             stats.add("path_skips")
@@ -310,9 +311,13 @@ class TestPackingCaps:
                 mine, bare, hop = Counters(), Counters(), Counters()
                 got = branch(d, stats=mine)
                 with monkeypatch.context() as m:
-                    m.setattr(weighted, "packing_reaches", lambda *args, **kw: False)
+                    # `lopsided_vc` packs through its own binding, and
+                    # `symmetric_vc` through `maxflow.min_st_cut`.
+                    for module in (weighted, maxflow):
+                        m.setattr(module, "packing_reaches", lambda *args, **kw: False)
                     assert branch(d, stats=bare) == got
-                    m.setattr(weighted, "packing_reaches", two_hop_caps)
+                    for module in (weighted, maxflow):
+                        m.setattr(module, "packing_reaches", two_hop_caps)
                     assert branch(d, stats=hop) == got
                 assert mine.get("flow_calls") + mine.get("path_skips") == bare.get("flow_calls")
                 assert hop.get("flow_calls") + hop.get("path_skips") == bare.get("flow_calls")
@@ -460,8 +465,9 @@ class TestSymmetric:
     def test_union_is_distinct(self):
         for seed, wmax in enumerate((1, 4, 64, 200)):
             d = random_digraph(12 + seed, 0.3, wmax, seed)
-            pairs = symmetric_pairs(d).pairs
+            pairs = symmetric_pairs(d)
             assert pairs and len(set(pairs)) == len(pairs), seed
+            assert set(pairs) == set(itertools.permutations(range(d.n), 2)), seed
 
     def test_planted_crossing_pair_exists(self):
         inst = generate_planted("symmetric", {"l": 4, "s": 3, "r": 5}, seed=0)
@@ -472,8 +478,8 @@ class TestSymmetric:
         )
 
     def test_same_as_crossing_families(self):
-        """The closed form gives the crossing families' pairs, in their
-        order, and their degree bound."""
+        """The closed form gives the crossing families' pairs, each followed
+        by its reverse, in first-occurrence order with s == t left out."""
         digraphs = list(_gate_cases())
         for seed in (7, 8, 11):
             digraphs.extend(perfbench_graphs("weighted", seed))
@@ -481,8 +487,10 @@ class TestSymmetric:
             for wmax in (1, 4, 64, 2**40):
                 digraphs.append(random_digraph(n, 0.3, wmax, n))
         for d in digraphs:
-            got, want = symmetric_pairs(d), crossing_symmetric_pairs(d)
-            assert (got.pairs, got.degree_bound) == (want.pairs, want.degree_bound), d.n
+            want = dict.fromkeys(
+                (s, t) for u, v in crossing_symmetric_pairs(d) for s, t in ((u, v), (v, u)) if s != t
+            )
+            assert symmetric_pairs(d) == tuple(want), d.n
 
     def test_one_packing_per_ordered_pair(self, monkeypatch):
         """Without a floor, `symmetric_vc` asks the packing once for each
@@ -490,11 +498,12 @@ class TestSymmetric:
         questions in all."""
         asked = Counter()
 
-        def counted(out_adj, weights, s, ends, limit, stats):
+        def counted(out_adj, weights, s, ends, limit, stats, *memo):
             asked[s, ends] += 1
-            return packing_reaches(out_adj, weights, s, ends, limit, stats)
+            return packing_reaches(out_adj, weights, s, ends, limit, stats, *memo)
 
-        monkeypatch.setattr(weighted, "packing_reaches", counted)
+        for module in (weighted, maxflow):
+            monkeypatch.setattr(module, "packing_reaches", counted)
         for d in _gate_cases():
             asked.clear()
             symmetric_vc(d)
@@ -793,3 +802,86 @@ class TestKappaFloor:
         request.getfixturevalue(backend)
         for d in _floor_cases():
             assert vertex_connectivity_weighted(d) == four_call_weighted(d), d.n
+
+
+def _fresh(d):
+    """A copy of d with an empty pair ledger and no split network."""
+    return WeightedDigraph(d.n, d.out_adj, d.weights)
+
+
+def instance_symmetric_vc(d, stats=None, floor=None):
+    """Reference for `weighted.symmetric_vc`: the package's former loop,
+    which walked the crossing families in both orientations, dropped repeats
+    through an `evaluated` set, packed on d to N_in(t), and flowed each
+    remaining pair on its own `sparsify_symmetric` instance through
+    `_digraph_pair_cut`."""
+    best = min_out_neighborhood_cut(d)
+    if weighted._at_floor(best, floor):
+        return best
+    evaluated = set()
+    for u, v in crossing_symmetric_pairs(d):
+        for s, t in ((u, v), (v, u)):
+            if s == t or d.has_arc(s, t) or (s, t) in evaluated:
+                continue
+            evaluated.add((s, t))
+            limit = weighted._limit(best, floor)
+            if packing_reaches(d.out_adj, d.weights, s, d.in_set(t), limit, stats):
+                continue
+            h = sparsify_symmetric(d, s, t)
+            cand = weighted._digraph_pair_cut(d, h, list(range(d.n)), s, t, limit, stats)
+            best = better_cut(best, cand)
+            if weighted._at_floor(best, floor):
+                return best
+    return best
+
+
+class TestEngineRoute:
+    """`symmetric_vc` asks `maxflow.min_st_cut` on d where the former loop
+    flowed each pair on its `sparsify_symmetric` instance: the instance has
+    exactly d's (s, t)-separators, each with the same source side, so both
+    routes give the same answers."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_min_st_cut_matches_instance(self, backend, request):
+        """For every ordered non-adjacent pair and the limits None,
+        kappa(s, t) and kappa(s, t) + 1: the same s-closest cut, or both
+        capped."""
+        request.getfixturevalue(backend)
+        seen = Counter()
+        for seed in range(6):
+            d = random_digraph(9 + seed % 3, (0.3, 0.45)[seed % 2], (1, 8, 64)[seed % 3], seed)
+            for s, t in itertools.permutations(range(d.n), 2):
+                if d.has_arc(s, t):
+                    continue
+                kappa = min_st_cut(_fresh(d), s, t)[0]
+                h = sparsify_symmetric(d, s, t)
+                for limit in (None, kappa, kappa + 1):
+                    value, cut = min_st_cut(_fresh(d), s, t, limit)
+                    want = weighted._digraph_pair_cut(d, h, range(d.n), s, t, limit, None)
+                    assert cut == want, (seed, s, t, limit)
+                    assert value == (limit if cut is None else cut.value) == kappa, (seed, s, t)
+                    seen["capped" if cut is None else "cut"] += 1
+        assert seen["capped"] > 0 and seen["cut"] > 0, seen
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_driver_matches_instance_search(self, backend, request, monkeypatch):
+        """The driver with the former instance loop in place of
+        `symmetric_vc` returns the same cut and events, with the same flows
+        and packing skips."""
+        request.getfixturevalue(backend)
+        digraphs = list(_floor_cases())
+        for seed in (7, 8, 11):
+            digraphs.extend(perfbench_graphs("weighted", seed))
+        flows = 0
+        for d in digraphs:
+            mine, ref = Counters(), Counters()
+            got = vertex_connectivity_weighted(d, mine)
+            with monkeypatch.context() as m:
+                m.setattr(weighted, "symmetric_vc", instance_symmetric_vc)
+                want = vertex_connectivity_weighted(d, ref)
+            assert got == want, d.n
+            assert mine.events == ref.events, d.n
+            for key in ("flow_calls", "path_skips"):
+                assert mine.get(key) == ref.get(key), (d.n, key)
+            flows += mine.get("flow_calls")
+        assert flows > 0
