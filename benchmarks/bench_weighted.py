@@ -1,7 +1,8 @@
 """Count and time the weighted driver's pair loops: the package's loops,
-which skip covered lopsided clusters, share one distance table over the
-ell guesses and build one symmetric pair list, against the former loops,
-which redo that work at every guess.
+which visit each distinct lopsided cluster once and walk its pairs with
+no crossing family (so they make 0 `lopsided_pairs` calls), share one
+distance table over the ell guesses and build one symmetric pair list,
+against the former loops, which redo that work at every guess.
 
 Cases: the perfbench weighted instances (seed 7, full design) and
 `random_digraph(n, 0.3, 64, n)` at n = 24, 32 and 48.  Per case and loop

@@ -1,5 +1,5 @@
 """The weighted directed pipeline: lopsided case (clustering, the 0.9
-in-weight split, bucketed crossing families, per-pair sparsified flow
+in-weight split, every cluster-to-low-set pair, per-pair sparsified flow
 instances) and the symmetric case, combined over the graph and its reverse.
 
 Every separator extracted from a lopsided instance is re-validated in the
@@ -20,15 +20,13 @@ packing takes every two-hop path s -> v -> t first, so it skips every pair
 the two-hop weight alone would skip.
 
 The lopsided branch guesses ell = w(L) over the powers of two up to w(V)
-and evaluates each (s, t, cluster) at the first guess that offers it.  A
-cluster C is *covered* once its bucketed union has |C| * |v_low(C)| pairs
-(or v_low(C) is empty).  The union is distinct and lies in C x v_low(C),
-and v_low depends only on (d, C), so every pair a later guess could offer
-C has been evaluated or is skipped as s == t or an arc; later guesses skip
-C before `identify_vlow`, so the pairs evaluated, and their order, stay
-the same.  The clusterings of all guesses share one distance table: the
-weighted symmetric difference does not depend on ell.  The symmetric
-branch needs no guess: it walks its one pair list once.
+and visits each distinct cluster C once, evaluating all of C x v_low(C):
+the union of the paper's bucketed crossing families over every guess
+(`lopsided_pairs`) is all of it, since the guess 1 makes each bucket
+pair's family complete (see `lopsided_vc`).  The clusterings of all
+guesses share one distance table: the weighted symmetric difference does
+not depend on ell.  The symmetric branch needs no guess: it walks its one
+pair list once.
 
 Both searches take an optional `floor`, the exact kappa that the driver's
 first symmetric search proves.  Under it every packing and flow is capped
@@ -44,14 +42,14 @@ The lopsided branch counts the arcs of every evaluated pair's instance
 (they feed the naive/sparsified edge ratio that the instrumentation
 reports; without a floor they do not depend on which pairs were skipped,
 under one they stop where the search stops) from per-cluster parts
-(`_ClusterParts`), and selects and builds an instance (`lopsided_arcs`,
-`_instance`) only for the pairs that get a flow.  The symmetric branch
-builds no instance, so the `sparsified_*` and `naive_edges` counters are
-the lopsided branch's.
+(`_ClusterParts`), and builds an instance (`sparsify_lopsided`) only for
+the pairs that get a flow.  The symmetric branch builds no instance, so
+the `sparsified_*` and `naive_edges` counters are the lopsided branch's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .cnc import weighted_cnc
@@ -108,8 +106,9 @@ def lopsided_pairs(d: WeightedDigraph, cluster, v_low, ell, r):
     A guess enters a bucket pair's family only through the clamped r_ij,
     so over a list of guesses each distinct (i, j, l_ij, r_ij) family is
     built once; the pairs are the union of the per-guess pairs, distinct
-    and sorted (the order `lopsided_vc` visits them in), and the degree
-    bound sums over the distinct families."""
+    and sorted, and the degree bound sums over the distinct families.
+    Over a list that holds the guess 1 the pairs are all of
+    cluster x v_low, which `lopsided_vc` walks without building them."""
     guesses = r if isinstance(r, list) else [r]
     if ell < 1 or min(guesses, default=0) < 1:
         raise InvariantError("ell and r must be >= 1 (powers of two)")
@@ -307,6 +306,19 @@ def lopsided_vc(d: WeightedDigraph, stats=None, floor=None):
     weight.  Always returns a valid cut; minimum under the lopsidedness
     promise.
 
+    Each distinct cluster C is visited once, at the first guess whose
+    clustering yields it, and its pairs (s, t) are sorted C x v_low(C),
+    less s == t and arcs.  That is `lopsided_pairs(d, C, v_low, ell,
+    guesses)` at every ell, so no guess could offer C a new pair:
+    - the guesses (powers of two up to w(V) >= 1) hold g = 1;
+    - at g = 1, r_ij = max(1, min(|D_j| - ceil(n ell logW log^2 n), |D_j|))
+      = 1, since ell >= 1 and `_log2ceil` >= 1 give n ell logW log^2 n
+      >= n >= |D_j|;
+    - `asymmetric_crossing_family(C_i, D_j, 1, 1)` is then C_i x D_j
+      ("complete" for |D_j| >= 2, "single-target" for |D_j| = 1);
+    - each weight lies in one bucket 1..logW, so the union over (i, j) is
+      C x v_low, which sorted is the product of sorted C and v_low.
+
     `floor`, when given, must be kappa(d) (see the module docstring): the
     search returns its first cut of weight kappa, the cut it returns
     without the floor, or where it finds none a cut heavier than kappa.
@@ -315,37 +327,22 @@ def lopsided_vc(d: WeightedDigraph, stats=None, floor=None):
     best = min_out_neighborhood_cut(d)
     if _at_floor(best, floor):
         return best
-    guesses = _powers_up_to(d.weight_of(range(d.n)))
     naive = d.m
-    evaluated = set()
-    parts = {}
-    covered = set()
+    seen = set()
     distances = {}
-    for ell in guesses:
-        clusters = weighted_cnc(d, ell, stats=stats, cache=distances)
-        seen_clusters = set()
-        for cluster in clusters:
+    for ell in _powers_up_to(d.weight_of(range(d.n))):
+        for cluster in weighted_cnc(d, ell, stats=stats, cache=distances):
             ckey = frozenset(cluster)
-            if ckey in seen_clusters or ckey in covered:
+            if ckey in seen:
                 continue
-            seen_clusters.add(ckey)
+            seen.add(ckey)
             v_low = identify_vlow(d, cluster)
             if not v_low:
-                covered.add(ckey)
                 continue
-            part = parts.get(ckey)
-            if part is None:
-                part = parts[ckey] = _ClusterParts(d, ckey)
-            fam = lopsided_pairs(d, cluster, v_low, ell, guesses)
-            if len(fam.pairs) == len(ckey) * len(v_low):
-                covered.add(ckey)
-            for s, t in fam.pairs:
+            part = _ClusterParts(d, ckey)
+            for s, t in itertools.product(sorted(ckey), v_low):
                 if s == t or d.has_arc(s, t):
                     continue
-                key = (s, t, ckey)
-                if key in evaluated:
-                    continue
-                evaluated.add(key)
                 if stats is not None:
                     count = part.arc_count(s, t)
                     stats.add("sparsified_instances")
@@ -356,8 +353,7 @@ def lopsided_vc(d: WeightedDigraph, stats=None, floor=None):
                 limit = _limit(best, floor)
                 if packing_reaches(d.out_adj, d.weights, s, part.ends(t), limit, stats):
                     continue
-                ids, arcs = lopsided_arcs(d, s, t, cluster)
-                h = _instance(d, ids, arcs)
+                h, ids = sparsify_lopsided(d, s, t, ckey)
                 cand = _digraph_pair_cut(d, h, ids, s, t, limit, stats)
                 best = better_cut(best, cand)
                 if _at_floor(best, floor):

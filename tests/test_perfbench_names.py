@@ -13,11 +13,15 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _layers():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.LAYERS
+    return spans
+
+
+def _layers():
+    return _spans().LAYERS
 
 
 def test_every_traced_function_resolves():
@@ -29,3 +33,18 @@ def test_every_traced_function_resolves():
                 assert callable(getattr(module, name, None)), (layer, module_name, name)
                 named += 1
     assert named > 20
+
+
+def test_lopsided_instances_are_traced():
+    from vcut.oracle import generate_planted
+    from vcut.weighted import vertex_connectivity_weighted
+
+    spans = _spans()
+    for modules in spans.LAYERS.values():
+        for module_name in modules:
+            importlib.import_module(module_name)
+    tracer = spans.Tracer()
+    d = generate_planted("lopsided", {"l": 2, "s": 3, "r": 10, "W": 8}, seed=0).graph
+    tracer.call(0, vertex_connectivity_weighted, d)
+    names = [tracer.names[name_id] for _, _, name_id, *_ in tracer.spans]
+    assert names.count("sparsify_lopsided") > 0, names

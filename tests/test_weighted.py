@@ -219,25 +219,23 @@ def per_bucket_pair_lopsided_pairs(d, cluster, v_low, ell, r):
 class TestLopsidedPairsPerBucket:
     """`lopsided_pairs` finds the clamped r values once per bucket j; its
     pairs, their order and its degree bound are those of the per-bucket-pair
-    loop, on every call `lopsided_vc` makes on the perfbench weighted
-    instances of seed 7 and on the gate cases."""
+    loop, on every cluster with a low set that `lopsided_vc` visits on the
+    perfbench weighted instances of seed 7 and on the gate cases, over
+    every guess."""
 
     def test_matches_per_bucket_pair_loop(self, monkeypatch):
-        real = weighted.lopsided_pairs
-        calls = Counter()
-
-        def checked(d, cluster, v_low, ell, r):
-            got = real(d, cluster, v_low, ell, r)
-            want = per_bucket_pair_lopsided_pairs(d, cluster, v_low, ell, r)
+        checked = 0
+        digraphs = [*perfbench_graphs("weighted", 7), *_gate_cases()]
+        for d, cluster, v_low, ell in _lopsided_visits(monkeypatch, digraphs):
+            if not v_low:
+                continue
+            guesses = _powers_up_to(d.weight_of(range(d.n)))
+            got = lopsided_pairs(d, cluster, v_low, ell, guesses)
+            want = per_bucket_pair_lopsided_pairs(d, cluster, v_low, ell, guesses)
             assert list(got.pairs) == list(want.pairs)
             assert got.degree_bound == want.degree_bound
-            calls["checked"] += 1
-            return got
-
-        monkeypatch.setattr(weighted, "lopsided_pairs", checked)
-        for d in [*perfbench_graphs("weighted", 7), *_gate_cases()]:
-            lopsided_vc(d)
-        assert calls["checked"] > 100
+            checked += 1
+        assert checked > 100
 
 
 class TestPackingCaps:
@@ -590,7 +588,12 @@ class TestDriver:
 BACKENDS = ("python_backend", "compiled_backend")
 # The helpers whose calls the settled loops save, where the pair loops and
 # the clustering look them up.
-COUNTED = ((weighted, "lopsided_pairs"), (weighted, "symmetric_pairs"), (cnc, "weighted_symdiff"))
+COUNTED = (
+    (weighted, "lopsided_pairs"),
+    (weighted, "asymmetric_crossing_family"),
+    (weighted, "symmetric_pairs"),
+    (cnc, "weighted_symdiff"),
+)
 
 
 def _counting(monkeypatch, calls):
@@ -605,6 +608,30 @@ def _counting(monkeypatch, calls):
         monkeypatch.setattr(module, name, counted)
 
 
+def _lopsided_visits(monkeypatch, digraphs):
+    """(d, cluster, v_low, ell) of every cluster that `lopsided_vc` visits
+    on `digraphs`, in order, through spies on the `weighted_cnc` and
+    `identify_vlow` it looks up on `vcut.weighted`."""
+    visits, guess = [], [None]
+    real_cnc, real_vlow = weighted.weighted_cnc, weighted.identify_vlow
+
+    def cnc_spy(d, ell, **kwargs):
+        guess[0] = ell
+        return real_cnc(d, ell, **kwargs)
+
+    def vlow_spy(d, cluster):
+        low = real_vlow(d, cluster)
+        visits.append((d, cluster, low, guess[0]))
+        return low
+
+    with monkeypatch.context() as m:
+        m.setattr(weighted, "weighted_cnc", cnc_spy)
+        m.setattr(weighted, "identify_vlow", vlow_spy)
+        for d in digraphs:
+            lopsided_vc(d)
+    return visits
+
+
 def _run(monkeypatch, d, branches):
     """Both `branches` (lopsided, symmetric) on d and on its reverse
     (`conftest.four_call_weighted`): (cut, counters, events, helper calls)."""
@@ -616,8 +643,9 @@ def _run(monkeypatch, d, branches):
 
 
 class TestSettledWork:
-    """`lopsided_vc` skips the clusters it has covered and shares one
-    distance table over its guesses, and `symmetric_vc` builds one family.
+    """`lopsided_vc` visits each distinct cluster once, builds no crossing
+    family and shares one distance table over its guesses, and
+    `symmetric_vc` builds one pair list.
     The former loops (`conftest.every_guess_lopsided`,
     `every_guess_symmetric`) give the same cuts, counters and events, with
     no more calls of the helpers on any digraph and fewer on some."""
@@ -644,49 +672,44 @@ class TestSettledWork:
             old_cut, old_data, old_events, old_calls = _run(monkeypatch, d, self.OLD)
             # VertexCut equality compares value, L, S and R
             assert (cut, data, events) == (old_cut, old_data, old_events), d.n
+            assert calls["lopsided_pairs"] == calls["asymmetric_crossing_family"] == 0
             for _, name in COUNTED:
                 assert calls[name] <= old_calls[name], (d.n, name)
                 fewer[name] += calls[name] < old_calls[name]
         assert all(fewer[name] > 0 for _, name in COUNTED), fewer
 
-    def test_uncovered_cluster_is_visited_again(self, monkeypatch):
-        """With a pair (max A, max B) left out of every crossing family built
-        at the first guess, no cluster with a low set is covered there: the
-        later guesses must bucket it again and reach the old answer."""
-        real_pairs = weighted.lopsided_pairs
-        real_family = weighted.asymmetric_crossing_family
-        state = {"ell": None, "cluster": None}
-        dropped, visits = set(), []
+    def test_visited_clusters_are_covered(self, monkeypatch):
+        """The bucketed union of crossing families over every guess is the
+        product of the sorted cluster and its low set, on every cluster
+        `lopsided_vc` visits (both orientations) of the perfbench weighted
+        instances of seeds 7, 8 and 11 and of the gate cases."""
+        digraphs = [d for seed in (7, 8, 11) for d in perfbench_graphs("weighted", seed)]
+        digraphs += _gate_cases()
+        checked = 0
+        for d, cluster, low, ell in _lopsided_visits(
+            monkeypatch, [v for d in digraphs for v in (d, d.reverse())]
+        ):
+            if not low:
+                continue
+            fam = lopsided_pairs(d, cluster, low, ell, _powers_up_to(d.weight_of(range(d.n))))
+            assert fam.pairs == tuple(itertools.product(sorted(cluster), low)), (d.n, ell)
+            checked += 1
+        assert checked > 100
 
-        def lopsided_pairs(d, cluster, v_low, ell, r):
-            state["ell"], state["cluster"] = ell, frozenset(cluster)
-            visits.append((ell, state["cluster"]))
-            return real_pairs(d, cluster, v_low, ell, r)
-
-        def family(a, b, l, r):
-            fam = real_family(a, b, l, r)
-            if state["ell"] != 1:
-                return fam
-            drop = (max(a), max(b))
-            dropped.add(state["cluster"])
-            return PairFamily([p for p in fam.pairs if p != drop], fam.degree_bound, fam.method)
-
-        monkeypatch.setattr(weighted, "lopsided_pairs", lopsided_pairs)
-        monkeypatch.setattr(weighted, "asymmetric_crossing_family", family)
-        again = 0
-        for seed in range(3):
-            d = random_digraph(12, 0.3, 64, seed)
-            for variant in (d, d.reverse()):
-                dropped.clear()
-                visits.clear()
-                mine = Counters()
-                got = lopsided_vc(variant, stats=mine)
-                later = {c for ell, c in visits if ell > 1}
-                again += len(dropped & later)
-                ref = Counters()
-                assert every_guess_lopsided(variant, stats=ref) == got
-                assert (mine.as_dict(), mine.events) == (ref.as_dict(), ref.events)
-        assert again > 0
+    def test_random_sets_are_covered(self):
+        """The same on random (cluster, low set) pairs at every guess ell,
+        with weights up to 2^40."""
+        rng = random.Random(27)
+        for _ in range(60):
+            n = rng.randrange(2, 31)
+            wmax = rng.choice([1, 2, 4, 64, 1000, 2**40])
+            d = random_digraph(n, rng.choice([0.2, 0.4]), wmax, rng.randrange(10**6))
+            cluster = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+            low = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+            guesses = _powers_up_to(d.weight_of(range(n)))
+            want = tuple(itertools.product(cluster, low))
+            for ell in guesses:
+                assert lopsided_pairs(d, cluster, low, ell, guesses).pairs == want, (n, wmax, ell)
 
 
 def _gate_cases():
@@ -778,22 +801,21 @@ class TestKappaFloor:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_same_first_kappa_cut(self, backend, request, monkeypatch):
-        """Also with lopsided families thinned to every third pair, so that
-        `lopsided_vc` misses kappa on some orientations (with its own
-        families it finds kappa on all of these)."""
+        """Also with low sets thinned to every third vertex, so that
+        `lopsided_vc` misses kappa on some orientations (with its own low
+        sets it finds kappa on all of these)."""
         request.getfixturevalue(backend)
-        real = weighted.lopsided_pairs
+        real = weighted.identify_vlow
 
-        def thinned(*args):
-            fam = real(*args)
-            return PairFamily(fam.pairs[::3], fam.degree_bound, fam.method)
+        def thinned(d, cluster):
+            return real(d, cluster)[::3]
 
         seen = Counter()
         for d in _floor_cases():
             for variant in (d, d.reverse()):
                 self._compare(variant, seen)
                 with monkeypatch.context() as m:
-                    m.setattr(weighted, "lopsided_pairs", thinned)
+                    m.setattr(weighted, "identify_vlow", thinned)
                     self._compare(variant, seen)
         assert seen["kappa"] > 0 and seen["heavier"] > 0 and seen["fewer flows"] > 0, seen
 
