@@ -13,7 +13,12 @@ tau <= 0 inside `large_gap_vc`), the decision falls back to Even's sweep
 value of the best cut so far (else k).  A minimum separator S misses some
 v_i with i <= |S|, and every vertex on its far side has a larger index, so
 the sweep meets a pair that S separates unless the limit is already <= |S|.
-The fallback is recorded as the `gabow_allpairs_fallback` counter.
+The sweep returns early, with the same cut and a prefix of its flows, once
+`maxflow.connectivity_at_least` proves kappa >= the limit from packings
+over the Esfahanian-Hakimi pair set (a minimum-degree vertex v with its
+non-neighbours, and the non-adjacent pairs of N(v)), which no minimum
+separator misses.  The fallback is recorded as the
+`gabow_allpairs_fallback` counter.
 """
 
 from __future__ import annotations

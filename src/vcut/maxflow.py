@@ -47,6 +47,13 @@ sparsified graph, induced pieces, auxiliary and kernel graphs, and the
 copy of the digraph a weighted symmetric search asks), so a ledger lives
 as long as one driver call.
 
+`connectivity_at_least` proves kappa(g) >= L from the ledger alone, over
+the pair set of Esfahanian and Hakimi (1984): about n + C(delta, 2) pairs
+around a vertex of minimum degree, each settled by a packing or a stored
+probe, never by a flow.  `even_sweep` returns as soon as it holds at the
+sweep's limit, and the unweighted driver's unbalanced branch skips a
+scale's pair loop when it holds at the best cut's value.
+
 There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set
 of end vertices, taking every two-hop path first.  A flow to a sink set
@@ -363,6 +370,40 @@ def kappa_at_least(g, s, t, limit, stats=None):
     return True
 
 
+def _certificate_pairs(g: Graph):
+    """The pair set of Esfahanian and Hakimi (1984), sorted, each pair as
+    (min, max): with v the least-index vertex of minimum degree, {v, w} for
+    every w outside N[v] and every non-adjacent {x, y} in N(v).  Some pair
+    of it is separated by every minimum separator of g.
+
+    Let S be a minimum separator.  If v is not in S, a vertex w of a
+    component of g - S without v lies outside N[v].  If v is in S, every
+    component C of g - S has N(C) = S (else S minus a vertex outside N(C)
+    would separate C), so v has a neighbour in each of two components, and
+    those two are non-adjacent."""
+    v = min(range(g.n), key=g.degree)
+    near = g.neighbor_set(v)
+    pairs = [(min(v, w), max(v, w)) for w in range(g.n) if w != v and w not in near]
+    pairs += [(x, y) for x, y in itertools.combinations(g.adj[v], 2) if not g.has_edge(x, y)]
+    return sorted(pairs)
+
+
+def connectivity_at_least(g: Graph, limit, stats=None):
+    """True when kappa(g) >= `limit` follows from g's ledger: every pair of
+    `_certificate_pairs(g)` passes `kappa_at_least` at `limit`, so no flow
+    runs, and the first pair left open ends the check with False.  A limit
+    of None is never reached.
+
+    Sound: a separator S with |S| < limit would separate a pair of the set
+    (see `_certificate_pairs`), whose kappa is then below `limit`, so
+    neither its packing nor a stored probe reaches `limit`."""
+    if limit is None:
+        return False
+    if g.n == 0:
+        return True
+    return all(kappa_at_least(g, a, b, limit, stats) for a, b in _certificate_pairs(g))
+
+
 def min_st_cut(g, s, t, limit=None, stats=None):
     """Minimum (s,t) vertex cut (L, S, R) of a Graph or WeightedDigraph,
     the s-closest one; NoSeparator when s has an arc into t.
@@ -455,17 +496,31 @@ def even_sweep(g: Graph, best=None, cap=None, stats=None):
     a larger index, so source v_i finds a cut of value |S| unless the
     limit is already <= |S|.  Once s reaches the limit, no later pair can
     improve the result, so it equals that of probing every pair.
+
+    The sweep also returns `best` as soon as `connectivity_at_least(g,
+    limit)` holds, checked before the first pair and after each improvement
+    of `best`.  Exact: the check holds only when kappa(g) >= limit (the
+    proof is in `_certificate_pairs`), and then every pair left has
+    kappa(s, t) >= limit and would answer (limit, None), leaving `best` and
+    the limit alone.  The check runs no flow, so the sweep's flows are a
+    prefix of those of the sweep without it, with the same result; only
+    `path_skips` moves.
     """
+    limit = best.value if isinstance(best, VertexCut) else cap
+    if connectivity_at_least(g, limit, stats):
+        return best
     for s in range(g.n):
+        if limit is not None and s >= limit:
+            return best
         for t in range(s + 1, g.n):
-            limit = best.value if isinstance(best, VertexCut) else cap
-            if limit is not None and s >= limit:
-                return best
             if g.has_edge(s, t):
                 continue
             res = min_st_cut(g, s, t, limit=limit, stats=stats)
             if res[1] is not None:
                 best = better_cut(best, res[1])
+                limit = best.value
+                if s >= limit or connectivity_at_least(g, limit, stats):
+                    return best
     return best
 
 

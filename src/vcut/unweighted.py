@@ -67,7 +67,7 @@ from .graphs import (
 )
 from .isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
 from .kernel import build_kernel_index, query_kappa_upper
-from .maxflow import kappa_at_least, min_st_cut
+from .maxflow import connectivity_at_least, kappa_at_least, min_st_cut
 from .pseudorandom import symmetric_crossing_family
 
 
@@ -538,6 +538,12 @@ def unbalanced_vc(g: Graph, stats=None):
     `path_skips`, `kernel_edges` and the flow counts move.  The kernel
     index decides only the pairs the ledger leaves open, and the flow it
     asks for is an uncapped `min_st_cut` of the pair.
+
+    A scale's pair loop is skipped whole when `maxflow.connectivity_at_least`
+    proves kappa(g) >= the cap from the ledger: then every pair has
+    kappa_G(s,t) >= cap, so by the same argument no query in the loop could
+    change `best`.  The cluster calls still run, since a cut of equal value
+    can win on key().
     """
     if g.is_complete():
         return NoCut(max(0, g.n - 1))
@@ -560,6 +566,8 @@ def unbalanced_vc(g: Graph, stats=None):
             cand = subgraph_balanced_terminal_vc(g, cluster, delta * logn, stats, best=best)
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
+        if connectivity_at_least(g, best.value if isinstance(best, VertexCut) else g.n, stats):
+            continue  # kappa(g) >= the cap: every pair below is settled
         for s, t in family.unordered():
             if isinstance(best, VertexCut) and best.value <= 1:
                 break  # connected graphs cannot do better

@@ -138,6 +138,24 @@ def all_pairs_probe(g, best=None, cap=None, stats=None):
     return best
 
 
+def former_even_sweep(g, best=None, cap=None, stats=None):
+    """Reference for `maxflow.even_sweep`: the package's former sweep, with
+    no connectivity certificate.  Non-adjacent pairs (s, t), t > s, in
+    lexicographic order through `maxflow.min_st_cut`, each limited by
+    `best.value` (else `cap`), from sources s below that limit only."""
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            limit = best.value if isinstance(best, VertexCut) else cap
+            if limit is not None and s >= limit:
+                return best
+            if g.has_edge(s, t):
+                continue
+            res = maxflow.min_st_cut(g, s, t, limit=limit, stats=stats)
+            if res[1] is not None:
+                best = better_cut(best, res[1])
+    return best
+
+
 def query_every_pair(g, stats=None):
     """Reference for `unweighted.unbalanced_vc`: the same scales, cluster
     calls (`unledgered_subgraph_balanced_terminal_vc`) and pair order, but

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from conftest import all_pairs_probe, complete, cycle, petersen, separator_first, two_cliques_sharing
+from conftest import (
+    all_pairs_probe,
+    complete,
+    cycle,
+    former_even_sweep,
+    perfbench_graphs,
+    petersen,
+    separator_first,
+    two_cliques_sharing,
+)
 import vcut.gabow
 from vcut.errors import Exhausted
 from vcut.gabow import (
@@ -172,6 +181,35 @@ class TestEvenSweepFallback:
             assert flowless == {key: v for key, v in ref.data.items() if not key.startswith(per_query)}
             fallbacks += mine.get("gabow_allpairs_fallback") > 0
         assert fallbacks > 0
+
+    def test_perfbench_matches_former_sweep(self, monkeypatch):
+        # The benchmark's gabow decisions, every one a fallback: the
+        # certificate leaves verdicts, cuts, events and flows as the former
+        # sweep had them.  One decision can pack more paths (the certificate
+        # packs pairs the sweep never reached), but the workload packs fewer.
+        decisions = 0
+        skips = {"mine": 0, "ref": 0}
+        for seed in (7, 8, 11):
+            graphs = {id(g): g for g in perfbench_graphs("gabow", seed)}.values()
+            for g in graphs:
+                for k in (g.min_degree() - 1, g.min_degree() + 1):
+                    mine, ref = Counters(), Counters()
+                    got = gabow_vc(Graph(g.n, g.adj), k, stats=mine)
+                    with monkeypatch.context() as m:
+                        m.setattr(vcut.gabow, "even_sweep", former_even_sweep)
+                        want = gabow_vc(Graph(g.n, g.adj), k, stats=ref)
+                    assert repr(got) == repr(want), (seed, g, k)
+                    if isinstance(got, VertexCut):
+                        assert got == want and validate_cut(g, got)
+                    assert mine.events == ref.events
+                    assert mine.get("flow_calls") == ref.get("flow_calls")
+                    skips["mine"] += mine.get("path_skips")
+                    skips["ref"] += ref.get("path_skips")
+                    others = {key: v for key, v in mine.data.items() if key != "path_skips"}
+                    assert others == {key: v for key, v in ref.data.items() if key != "path_skips"}
+                    decisions += mine.get("gabow_allpairs_fallback")
+        assert decisions == 84
+        assert skips["mine"] <= skips["ref"]
 
     def test_minimum_separator_on_lowest_ids(self):
         # kappa = |S| and delta = kappa + 1, so k = kappa + 1 takes the

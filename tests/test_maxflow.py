@@ -11,7 +11,9 @@ from conftest import (
     assert_matches_reference,
     bare_min_st_cut,
     bypass_network,
+    complete,
     cycle,
+    former_even_sweep,
     path,
     petersen,
     separator_first,
@@ -33,8 +35,10 @@ from vcut.graphs import (
 from vcut.instrument import Counters
 from vcut.maxflow import (
     BACKEND,
+    _certificate_pairs,
     _graph_flow,
     _ledger,
+    connectivity_at_least,
     even_sweep,
     kappa_at_least,
     min_s_to_set_separator,
@@ -47,7 +51,13 @@ from vcut.maxflow import (
     weak_separator,
     weighted_paths,
 )
-from vcut.oracle import brute_pair_kappa, brute_s_to_set_kappa, random_digraph, random_graph
+from vcut.oracle import (
+    brute_kappa,
+    brute_pair_kappa,
+    brute_s_to_set_kappa,
+    random_digraph,
+    random_graph,
+)
 
 
 class TestMinStSeparator:
@@ -184,6 +194,76 @@ class TestRootedConnectivity:
                 assert validate_cut(g, cut) and a in cut.L
 
 
+def hubs_between_cliques(hubs, k, links):
+    """Two K_k's joined only through vertices 0..hubs-1, each adjacent to
+    the first `links` vertices of both cliques: kappa = hubs when links >
+    hubs, and with 2 * links < k the hubs have the minimum degree."""
+    cliques = [range(hubs + i * k, hubs + (i + 1) * k) for i in (0, 1)]
+    edges = [e for c in cliques for e in itertools.combinations(c, 2)]
+    edges += [(h, c[j]) for h in range(hubs) for c in cliques for j in range(links)]
+    return Graph.from_edges(hubs + 2 * k, edges)
+
+
+def fresh(g):
+    """A copy of g with no pair ledger or network yet."""
+    return Graph(g.n, g.adj)
+
+
+class TestConnectivityCertificate:
+    """`connectivity_at_least` over the Esfahanian-Hakimi pair set."""
+
+    def _graphs(self):
+        rng = random.Random(28)
+        for seed in range(40):
+            n = rng.randrange(2, 15)
+            yield random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), seed)
+        for seed in range(10):
+            yield random_graph(4 + seed, 0.2, seed, connected=False)
+        for n in (1, 2, 5, 8):
+            yield complete(n)
+        for kappa, side in ((1, 2), (3, 2), (2, 4)):
+            yield separator_first(kappa, side)
+        # Vertex 0 has minimum degree and lies in the only minimum
+        # separator, so only a pair inside N(0) is separated by it.
+        for hubs, k, links in ((1, 5, 2), (1, 7, 3), (2, 7, 3)):
+            yield hubs_between_cliques(hubs, k, links)
+        yield Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)])
+
+    @staticmethod
+    def _kappa(g):
+        got = brute_kappa(g)
+        return None if isinstance(got, NoCut) else got[0]
+
+    def test_pair_set_is_complete(self):
+        for g in self._graphs():
+            pairs = _certificate_pairs(g)
+            assert pairs == sorted(set(pairs))
+            assert all(a < b and not g.has_edge(a, b) for a, b in pairs)
+            kappa = self._kappa(g)
+            if kappa is None:
+                assert pairs == [], g
+            else:
+                assert min(brute_pair_kappa(g, a, b) for a, b in pairs) == kappa, g
+
+    def test_sound_at_every_limit(self):
+        held = 0
+        for g in self._graphs():
+            kappa = self._kappa(g)
+            for limit in range(g.n + 1):
+                stats = Counters()
+                if connectivity_at_least(fresh(g), limit, stats):
+                    held += 1
+                    assert kappa is None or kappa >= limit, (g, limit)
+                assert stats.get("flow_calls") == 0
+            assert not connectivity_at_least(fresh(g), None)
+        assert held > 0
+
+    def test_holds_at_kappa_on_a_cycle(self):
+        # kappa(C_8) = 2: two paths around the cycle reach every pair.
+        assert connectivity_at_least(cycle(8), 2)
+        assert not connectivity_at_least(cycle(8), 3)
+
+
 class TestEvenSweep:
     """Even's sweep returns exactly what probing every pair returns, with
     no more flows."""
@@ -207,6 +287,19 @@ class TestEvenSweep:
                     assert mine.get("flow_calls") <= ref.get("flow_calls")
                     if isinstance(got, VertexCut) and got is not start:
                         assert validate_cut(g, got) and got.value == kappa
+
+    def test_matches_former_sweep(self):
+        # The certificate only ends the sweep early: the same cut from the
+        # same flows, on graphs with no ledger yet.
+        for g in self._graphs():
+            kappa = all_pairs_probe(g).value
+            for cap in (None, 0, 1, max(kappa, 1), kappa + 1):
+                for start in (None, min_degree_cut(g)):
+                    mine, ref = Counters(), Counters()
+                    got = even_sweep(fresh(g), start, cap=cap, stats=mine)
+                    want = former_even_sweep(fresh(g), start, cap=cap, stats=ref)
+                    assert got == want, (g, cap, start)
+                    assert mine.get("flow_calls") == ref.get("flow_calls"), (g, cap, start)
 
     def test_reaches_first_vertex_outside_separator(self):
         # Sources below kappa dominate the graph; with limit kappa+1 (from
