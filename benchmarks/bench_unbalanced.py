@@ -6,8 +6,8 @@ as the driver does (`ni_sparsify` at the min degree), plus one planted
 `unbalanced` instance with n = 47, whose cut is below the min degree.  Per
 case it records the value, the best wall time over `--rounds` calls, and
 the `flow_calls`, `path_skips` and `kernel_edges` counters of one call.
-The pair families are cached per process (`symmetric_crossing_family`),
-so with more than one round the best time leaves out building them.
+No pair family is built or cached: each call walks its pairs in closed
+form (`crossing_pairs`), so every round pays the same work.
 The rows go into `BENCH_unbalanced.json` in the repository root under
 `--label`, so the file holds runs of several source trees side by side.
 vcut is imported from the repository's `src/` unless `--src` names

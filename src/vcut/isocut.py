@@ -25,11 +25,11 @@ edges at the terminals.
   This regime is a search over both orientations of every non-adjacent
   pair, in the family's lexicographic order.
 - *Pair regime* (otherwise):
-  the crossing family over positions in the sorted terminal list, visited
-  as `PairFamily.unordered()`: each unordered pair (i, j), i < j, once,
+  the symmetric crossing family over positions in the sorted terminal
+  list, walked by `crossing_pairs` with no family built: each unordered
+  pair (i, j), i < j, once, in the family's first-occurrence order,
   mapped to terminals (terms[i], terms[j]).  The map is monotone, so the
-  pairs come in the family's first-occurrence order with the smaller
-  terminal first.
+  smaller terminal comes first.
 
 Every probe is capped, so the engine's one skip rule applies: when a
 unit-capacity packing of paths reaches the cap, the capped flow would stop
@@ -65,7 +65,7 @@ from .graphs import (
     validate_cut,
 )
 from .maxflow import _graph_flow, min_s_to_set_separator, min_st_cut
-from .pseudorandom import symmetric_crossing_family
+from .pseudorandom import crossing_pairs
 
 # Epsilon of the balanced-terminal search (replaces the asymptotic
 # n^{-2g(n)}), and its branch switch: the selector regime when
@@ -187,8 +187,7 @@ def _balanced_search(g: Graph, terms, k, best, probe):
             if isinstance(found, VertexCut) and (cap is None or found.value < cap):
                 cap = found.value + 1
     else:
-        family = symmetric_crossing_family(len(terms), 1 / eps)
-        for i, j in family.unordered():
+        for i, j in crossing_pairs(len(terms), 1 / eps):
             limit = found.value if isinstance(found, VertexCut) else cap
             found = better_cut(found, probe(terms[i], terms[j], limit))
     return found if isinstance(found, VertexCut) else NoCut(g.n - 1)

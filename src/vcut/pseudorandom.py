@@ -10,15 +10,14 @@ over.  Crossing families are always that fallback, or a part of it (see
 parameters, same output.
 
 Pair families hold distinct pairs.  The single builders (complete,
-single-target, large-r, `map_pairs`) emit distinct pairs by
-construction, so only a union of families de-duplicates, where it is built
-(`symmetric_crossing_family` here, the bucketed unions in `weighted`).
-Callers that need each unordered pair once iterate `PairFamily.unordered()`.
+single-target, large-r, `map_pairs`) emit distinct pairs by construction,
+and `symmetric_crossing_family` by its column bands, so only the bucketed
+unions in `weighted` de-duplicate.  Callers that need each unordered pair
+of a symmetric family once iterate `crossing_pairs`, which builds nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -62,31 +61,18 @@ class LeftRegularBipartite:
 
 
 class PairFamily:
-    """Ordered list of distinct (source, target) pairs, stored as given.
+    """Ordered list of distinct (source, target) pairs, stored as given."""
 
-    Builders pass distinct pairs; `unordered()` is the cached view of the
-    pairs {u, v} with u != v, each written (min, max), in first-occurrence
-    order: the visit order of every caller that tries each unordered pair
-    once."""
-
-    __slots__ = ("pairs", "degree_bound", "method", "_unordered")
+    __slots__ = ("pairs", "degree_bound", "method")
 
     def __init__(self, pairs, degree_bound, method):
         self.pairs = tuple(pairs)
         self.degree_bound = degree_bound
         self.method = method
-        self._unordered = None
 
     def max_degree(self) -> int:
         """Largest number of pairs sharing a source."""
         return max(Counter(u for u, _ in self.pairs).values(), default=0)
-
-    def unordered(self):
-        if self._unordered is None:
-            # A pair already written (min, max) is reused, not copied.
-            keys = (p if p[0] < p[1] else p[::-1] for p in self.pairs if p[0] != p[1])
-            self._unordered = tuple(dict.fromkeys(keys))
-        return self._unordered
 
     def __len__(self):
         return len(self.pairs)
@@ -285,12 +271,6 @@ def build_disperser(n, k, d, eps, n_right=None):
 # Crossing families
 # ---------------------------------------------------------------------------
 
-def _complete_pairs(universe_a, universe_b):
-    # Self-pairs stay in: when the universes overlap, the crossing contract
-    # quantifies over all L, R of the stated sizes, including L = R = {a}.
-    return [(a, b) for a in universe_a for b in universe_b]
-
-
 def asymmetric_crossing_family(universe_a, universe_b, l, r):
     """(A,B,l,r)-crossing family: every L in A, R in B with |L| >= l,
     |R| >= r is crossed by some pair.
@@ -326,32 +306,69 @@ def asymmetric_crossing_family(universe_a, universe_b, l, r):
         inner = asymmetric_crossing_family(universe_a, b_dash, l_dash, r_dash)
         return PairFamily(inner.pairs, inner.degree_bound, inner.method + "+large-r")
 
-    return PairFamily(
-        _complete_pairs(universe_a, universe_b), len(universe_b), "complete"
+    # Self-pairs stay in: when the universes overlap, the crossing contract
+    # quantifies over all L, R of the stated sizes, including L = R = {a}.
+    return PairFamily(itertools.product(universe_a, universe_b), len(universe_b), "complete")
+
+
+def _bands(n, alpha):
+    """Column bands [lo, hi) of `symmetric_crossing_family(n, alpha)`, in
+    order (see `crossing_pairs`)."""
+    if not alpha > 0:
+        raise InvariantError("need alpha > 0")
+    if n <= 2 or alpha >= n:
+        return [(0, n)]
+    bands = []
+    powers = [1 << i for i in range(n.bit_length())]
+    for l, r in itertools.combinations_with_replacement(powers, 2):
+        if l + r <= n < (2 * alpha + 2) * l + 2 * r:
+            lo = bands[-1][1] if bands else 0
+            hi = n if r <= n // 2 else 2 * (n - r)
+            if hi > lo:
+                bands.append((lo, hi))
+            if hi == n:
+                break
+    return bands
+
+
+def _band_pairs(n, lo, hi):
+    yield from itertools.combinations(range(lo, hi), 2)
+    for a in range(hi, n):
+        for b in range(lo, hi):
+            yield b, a
+
+
+def crossing_pairs(n, alpha):
+    """Each pair (a, b) of [n], a < b, once, in the order in which
+    `symmetric_crossing_family(n, alpha)` first meets {a, b}, with no
+    family built; InvariantError for alpha <= 0 or NaN.
+
+    Each guess (l, r) of the family adds [n] x [0, m) row-major, with m = n
+    if r <= n // 2, else m = 2(n - r) >= 2 (large-r; l + r <= n).  So the
+    family is a run of column bands [lo, hi), hi the running maxima of m,
+    each written row by row over all of [n], the last ending at n (the
+    guess (R, R) has m = n; see `symmetric_crossing_family`).  In the band
+    [lo, hi), a row a < lo meets only pairs met as (b, a) in the band of
+    column a; a row lo <= a < hi meets {a, b} first for b in (a, hi) (b < a
+    was met in row b); a row a >= hi meets every {a, b} first, as no
+    earlier band holds column a or b, and yields it as (b, a).
+    """
+    return itertools.chain.from_iterable(
+        _band_pairs(n, lo, hi) for lo, hi in _bands(n, alpha)
     )
 
 
-@functools.lru_cache(maxsize=32, typed=True)
 def symmetric_crossing_family(n, alpha):
     """Pair family over [n] crossing every tri-partition (L,S,R) with
     |R| >= |L| >= |S|/alpha.
 
-    Memoized on (n, alpha and its type) in a bounded cache, since the
-    drivers ask for the same families over and over; callers share the
-    returned PairFamily and must not mutate it.
-
-    Union over power-of-two guesses (l, r) with l <= r, l + r <= n and
-    n < (2*alpha+2)*l + 2*r (the exact compatibility test for partitions
-    whose floor-power-of-two sizes are (l, r)), de-duplicated in
-    first-occurrence order.  Ground sets of size <= 2 or alpha >= n
-    short-circuit to the complete family.
-
-    The union stops at the first guess after which it holds all n * n
-    pairs: later guesses could add no pair and move none, and the bound is
-    n either way (each family's degree bound is at least its largest
-    source degree, so the bounds of a union that gives every source n
-    targets sum to at least n).  Only `method` omits the labels of the
-    guesses left out.
+    The union, de-duplicated in first-occurrence order, over power-of-two
+    guesses (l, r) with l <= r, l + r <= n and n < (2*alpha+2)*l + 2*r
+    (the exact compatibility test for partitions whose floor-power-of-two
+    sizes are (l, r)), up to the first guess that completes it; n <= 2 or
+    alpha >= n gives the complete family.  It is built band by band (see
+    `crossing_pairs`), with degree bound n and method "complete", or
+    "complete+complete+large-r" when large-r guesses came first.
 
     The family holds all n * n pairs, for every n and alpha > 0, so a pair
     search over it is a search over every pair.  Proof for n >= 3 and
@@ -361,31 +378,10 @@ def symmetric_crossing_family(n, alpha):
     family [n] x [n], and the union holds every pair.  The other cases
     return the complete family directly.
     """
-    if not alpha > 0:
-        raise InvariantError("need alpha > 0")
-    universe = tuple(range(n))
-    if n <= 2 or alpha >= n:
-        return PairFamily(_complete_pairs(universe, universe), n, "complete")
-    guesses = []
-    l = 1
-    while l <= n:
-        r = l
-        while r <= n:
-            if l + r <= n and n < (2 * alpha + 2) * l + 2 * r:
-                guesses.append((l, r))
-            r *= 2
-        l *= 2
-    pairs = {}
-    total_bound = 0
-    methods = set()
-    for l, r in guesses:
-        fam = asymmetric_crossing_family(universe, universe, l, r)
-        pairs.update(dict.fromkeys(fam.pairs))
-        total_bound += fam.degree_bound
-        methods.add(fam.method)
-        if len(pairs) == n * n:
-            break
-    return PairFamily(pairs, min(total_bound, n), "+".join(sorted(methods)))
+    bands = _bands(n, alpha)
+    pairs = [(a, b) for lo, hi in bands for a in range(n) for b in range(lo, hi)]
+    method = "complete" if len(bands) == 1 else "complete+complete+large-r"
+    return PairFamily(pairs, n, method)
 
 
 def map_pairs(family: PairFamily, vertices) -> PairFamily:

@@ -68,7 +68,7 @@ from .graphs import (
 from .isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
 from .kernel import build_kernel_index, query_kappa_upper
 from .maxflow import connectivity_at_least, kappa_at_least, min_st_cut
-from .pseudorandom import symmetric_crossing_family
+from .pseudorandom import crossing_pairs
 
 
 # Largest graph whose sparsest canonical cut is found by exhaustive search;
@@ -510,8 +510,8 @@ def unbalanced_vc(g: Graph, stats=None):
 
     Per power-of-two scale: crossing-family pairs answered through the
     kernel index, each unordered non-adjacent pair once in the family's
-    first-occurrence order (`PairFamily.unordered()`), early-stopped by the
-    best cut so far, with any improvement realized by one full-graph flow;
+    first-occurrence order (`crossing_pairs`, which builds no family),
+    early-stopped by the best cut so far, with any improvement realized by one full-graph flow;
     plus one balanced-terminal call per distinct cluster.  Always returns a
     valid cut; minimum whenever some minimum cut has |L| <= lambda * delta
     with |L| <= |R|.  The kernel indexes of all scales share one table of
@@ -556,7 +556,6 @@ def unbalanced_vc(g: Graph, stats=None):
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
-        family = symmetric_crossing_family(g.n, alpha)
         index = build_kernel_index(g, ell, stats, cache=distances)
         for cluster in index.clusters:
             key = frozenset(cluster)
@@ -568,7 +567,7 @@ def unbalanced_vc(g: Graph, stats=None):
                 best = better_cut(best, cand)
         if connectivity_at_least(g, best.value if isinstance(best, VertexCut) else g.n, stats):
             continue  # kappa(g) >= the cap: every pair below is settled
-        for s, t in family.unordered():
+        for s, t in crossing_pairs(g.n, alpha):
             if isinstance(best, VertexCut) and best.value <= 1:
                 break  # connected graphs cannot do better
             if g.has_edge(s, t):

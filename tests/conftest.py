@@ -29,7 +29,7 @@ from vcut.graphs import (
 )
 from vcut.kernel import build_kernel_index, query_kappa_upper
 from vcut.maxflow import min_s_to_set_separator, weighted_paths
-from vcut.pseudorandom import symmetric_crossing_family
+from vcut.pseudorandom import asymmetric_crossing_family
 
 
 def perfbench_graphs(workload, seed):
@@ -124,6 +124,61 @@ def bare_min_st_cut(g, s, t, limit=None, stats=None):
     return value, maxflow._reach_cut(g.n, value, sep, reach)
 
 
+def _guesses(n, alpha):
+    """Power-of-two guesses (l, r), l <= r, l + r <= n and
+    n < (2 * alpha + 2) * l + 2 * r, in the order l, then r."""
+    out = []
+    l = 1
+    while l <= n:
+        r = l
+        while r <= n:
+            if l + r <= n and n < (2 * alpha + 2) * l + 2 * r:
+                out.append((l, r))
+            r *= 2
+        l *= 2
+    return out
+
+
+def every_guess_union(n, alpha):
+    """Reference for `pseudorandom.symmetric_crossing_family`: the union, in
+    first-occurrence order, of the asymmetric families over [n] of every
+    compatible guess (`_guesses`), with degree bound min(sum of the
+    families' bounds, n) and method the sorted family methods joined by
+    "+"; for n <= 2 or alpha >= n the complete family with bound n.  This
+    is the package's former union.  Returns (pairs, bound, method).
+
+    Once the union holds all n * n pairs and the bounds sum to at least n,
+    no later guess can change either, so the walk ends there, as the
+    former union's did; the method names the families walked."""
+    universe = range(n)
+    if n <= 2 or alpha >= n:
+        return tuple(itertools.product(universe, universe)), n, "complete"
+    pairs, total, methods = {}, 0, set()
+    for l, r in _guesses(n, alpha):
+        if len(pairs) == n * n and total >= n:
+            break
+        fam = asymmetric_crossing_family(universe, universe, l, r)
+        pairs.update(zip(fam.pairs, itertools.repeat(None)))
+        total += fam.degree_bound
+        methods.add(fam.method)
+    return tuple(pairs), min(total, n), "+".join(sorted(methods))
+
+
+def _seen_loop(pairs):
+    """Each unordered pair {u, v}, u != v, once as (min, max), in
+    first-occurrence order: the de-duplication the pair loops of
+    unbalanced_vc and the balanced-terminal searches used to carry."""
+    seen = set()
+    out = []
+    for u, v in pairs:
+        key = (u, v) if u < v else (v, u)
+        if u == v or key in seen:
+            continue
+        seen.add(key)
+        out.append(key)
+    return out
+
+
 def all_pairs_probe(g, best=None, cap=None, stats=None):
     """Reference for Even's sweep: every non-adjacent pair (s,t), t > s, in
     lexicographic order, each limited by `best.value` (else `cap`)."""
@@ -174,7 +229,6 @@ def query_every_pair(g, stats=None):
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
-        family = symmetric_crossing_family(g.n, alpha)
         index = build_kernel_index(g, ell, stats)
         for cluster in index.clusters:
             key = frozenset(cluster)
@@ -186,7 +240,7 @@ def query_every_pair(g, stats=None):
             )
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
-        for s, t in family.unordered():
+        for s, t in _seen_loop(every_guess_union(g.n, alpha)[0]):
             if isinstance(best, VertexCut) and best.value <= 1:
                 break
             if g.has_edge(s, t):
@@ -252,7 +306,6 @@ def unledgered_unbalanced_vc(g, stats=None):
     for i in range(1, max_scale + 1):
         ell = 2 ** i
         alpha = max(1, Fraction(2 * delta, ell))
-        family = symmetric_crossing_family(g.n, alpha)
         index = build_kernel_index(g, ell, stats)
         for cluster in index.clusters:
             key = frozenset(cluster)
@@ -264,7 +317,7 @@ def unledgered_unbalanced_vc(g, stats=None):
             )
             if isinstance(cand, VertexCut) and validate_cut(g, cand):
                 best = better_cut(best, cand)
-        for s, t in family.unordered():
+        for s, t in _seen_loop(every_guess_union(g.n, alpha)[0]):
             if isinstance(best, VertexCut) and best.value <= 1:
                 break
             if g.has_edge(s, t):

@@ -323,13 +323,13 @@ class TestSelectorRegime:
     @ENTRY_POINTS
     def test_clique_terminals_return_nocut(self, entry, former, monkeypatch):
         """Pairwise adjacent terminals leave no pair to probe: the search
-        returns NoCut, touches no counter and never builds the crossing
-        family of the pair regime."""
+        returns NoCut, touches no counter and never walks the crossing
+        pairs of the pair regime."""
 
-        def no_family(*args):
-            raise AssertionError("crossing family built")
+        def no_pairs(*args):
+            raise AssertionError("crossing pairs walked")
 
-        monkeypatch.setattr(isocut, "symmetric_crossing_family", no_family)
+        monkeypatch.setattr(isocut, "crossing_pairs", no_pairs)
         # K_16 on the terminals (k / eps = 4 <= 16 / 4), and a path 15-16-17
         g = Graph.from_edges(18, list(itertools.combinations(range(16), 2)) + [(15, 16), (16, 17)])
         stats = Counters()

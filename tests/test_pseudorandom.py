@@ -1,10 +1,10 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import _guesses, _seen_loop, every_guess_union
 
 from vcut import pseudorandom
 from vcut.errors import ConstructionFailed, InvariantError
@@ -16,13 +16,13 @@ from vcut.oracle import (
 )
 from vcut.pseudorandom import (
     LeftRegularBipartite,
-    PairFamily,
     asymmetric_crossing_family,
     build_disperser,
     build_mixing_graph,
     build_selector,
     build_unique_neighbor_expander,
     check_unique_neighbor_expansion,
+    crossing_pairs,
     map_pairs,
     symmetric_crossing_family,
 )
@@ -112,21 +112,23 @@ class TestSymmetricCrossing:
     def test_holds_every_pair(self, alpha):
         """The completeness theorem of `symmetric_crossing_family`."""
         for n in range(3, 129):
-            fam = symmetric_crossing_family.__wrapped__(n, alpha)
+            fam = symmetric_crossing_family(n, alpha)
             assert len(fam.pairs) == n * n, (n, alpha)
 
     @pytest.mark.parametrize("n", (487, 512))
     def test_holds_every_pair_past_composition_sizes(self, n):
         """At n = 487 the former guess arithmetic first tried the composed
         family (alpha < 1); the family now holds every pair there too."""
-        fam = symmetric_crossing_family.__wrapped__(n, 0.5)
+        fam = symmetric_crossing_family(n, 0.5)
         assert len(fam.pairs) == n * n
         assert "composed" not in fam.method
 
     @pytest.mark.parametrize("alpha", (0, -1, float("nan")))
     def test_alpha_must_be_positive(self, alpha):
         with pytest.raises(InvariantError):
-            symmetric_crossing_family.__wrapped__(9, alpha)
+            symmetric_crossing_family(9, alpha)
+        with pytest.raises(InvariantError):
+            crossing_pairs(9, alpha)
 
     def test_alpha_at_least_n_complete(self):
         fam = symmetric_crossing_family(6, 6)
@@ -150,36 +152,6 @@ class TestSymmetricCrossing:
         b = symmetric_crossing_family(9, 2)
         assert a.pairs == b.pairs
 
-    def test_repeat_call_is_memoized(self):
-        """A repeat call returns the family the first call built, equal to
-        a fresh construction; alpha's type is part of the key, and the
-        cache is bounded."""
-        for n, alpha in ((9, 2), (9, Fraction(2)), (9, 2.0), (17, Fraction(5, 2)), (30, 3)):
-            fresh = symmetric_crossing_family.__wrapped__(n, alpha)
-            first = symmetric_crossing_family(n, alpha)
-            again = symmetric_crossing_family(n, alpha)
-            assert again is first
-            assert (again.pairs, again.degree_bound, again.method) == (
-                fresh.pairs, fresh.degree_bound, fresh.method,
-            )
-        assert symmetric_crossing_family(9, 2) is not symmetric_crossing_family(9, 2.0)
-        assert symmetric_crossing_family.cache_parameters() == {"maxsize": 32, "typed": True}
-
-
-def _seen_loop(pairs):
-    """Each unordered pair {u, v}, u != v, once as (min, max), in
-    first-occurrence order: the de-duplication the pair loops of
-    unbalanced_vc and the balanced-terminal searches used to carry."""
-    seen = set()
-    out = []
-    for u, v in pairs:
-        key = (u, v) if u < v else (v, u)
-        if u == v or key in seen:
-            continue
-        seen.add(key)
-        out.append(key)
-    return out
-
 
 def _source_degree(pairs):
     """Largest number of distinct pairs sharing a source."""
@@ -194,8 +166,8 @@ def _distinct(pairs):
 
 
 class TestPairFamilyContract:
-    """Every builder returns distinct pairs; `unordered()` is the pair
-    loops' old de-duplication."""
+    """Every builder returns distinct pairs; `crossing_pairs` is the pair
+    loops' old de-duplication of the symmetric family."""
 
     def test_single_builders_emit_distinct_pairs(self):
         cases = {
@@ -219,8 +191,7 @@ class TestPairFamilyContract:
         for n in range(1, 41):
             for alpha in ALPHAS:
                 fam = symmetric_crossing_family(n, alpha)
-                assert list(fam.unordered()) == _seen_loop(fam.pairs), (n, alpha)
-                assert fam.unordered() is fam.unordered()
+                assert list(crossing_pairs(n, alpha)) == _seen_loop(fam.pairs), (n, alpha)
 
     def test_mapped_unordered_matches_map_pairs(self):
         rng = random.Random(5)
@@ -228,69 +199,57 @@ class TestPairFamilyContract:
             ids = sorted(rng.sample(range(3 * n), n))
             for alpha in ALPHAS:
                 fam = symmetric_crossing_family(n, alpha)
-                mapped = [(ids[i], ids[j]) for i, j in fam.unordered()]
+                mapped = [(ids[i], ids[j]) for i, j in crossing_pairs(n, alpha)]
                 assert mapped == _seen_loop(map_pairs(fam, ids).pairs), (n, alpha)
 
     def test_unordered_drops_self_pairs_and_reversals(self):
-        fam = PairFamily([(2, 1), (1, 1), (0, 3), (1, 2), (3, 0), (4, 2)], 3, "test")
-        assert fam.unordered() == ((1, 2), (0, 3), (2, 4))
-        assert len(fam) == 6 and fam.max_degree() == 2
-
-
-def every_guess_union(n, alpha, build):
-    """Reference for `symmetric_crossing_family` at n >= 3, alpha < n: the
-    union over every compatible (l, r) guess, with no early stop, of
-    `build(l, r)` (the asymmetric family over [n]).  This is the package's
-    former union.  Returns (pairs, degree bound, number of guesses)."""
-    pairs, total, guesses = [], 0, 0
-    l = 1
-    while l <= n:
-        r = l
-        while r <= n:
-            if l + r <= n and n < (2 * alpha + 2) * l + 2 * r:
-                fam = build(l, r)
-                pairs.extend(fam.pairs)
-                total += fam.degree_bound
-                guesses += 1
-            r *= 2
-        l *= 2
-    return tuple(dict.fromkeys(pairs)), min(total, n), guesses
+        for n in range(41):
+            for alpha in ALPHAS:
+                got = list(crossing_pairs(n, alpha))
+                assert all(a < b for a, b in got), (n, alpha)
+                assert len(got) == len(set(got)) == n * (n - 1) // 2, (n, alpha)
 
 
 class TestSymmetricStop:
     """The union stops once it holds all n * n pairs; its pairs, their
-    order, `unordered()` and the bound stay those of the full union
-    (`every_guess_union`), and some unions build fewer families."""
+    order and the bound stay those of the former union
+    (`every_guess_union`)."""
 
-    def test_same_family_as_every_guess(self, monkeypatch):
-        saved = 0
+    def test_same_family_as_every_guess(self):
         for n in range(3, 81):
-            universe = tuple(range(n))
-            build = functools.lru_cache(maxsize=None)(
-                lambda l, r: asymmetric_crossing_family(universe, universe, l, r)
-            )
-            asked = []
-
-            def counted(a, b, l, r):
-                if not a == b == universe:  # the large-r builder's inner call
-                    return asymmetric_crossing_family(a, b, l, r)
-                asked.append((l, r))
-                return build(l, r)
-
-            monkeypatch.setattr(pseudorandom, "asymmetric_crossing_family", counted)
             for alpha in ALPHAS:
                 if alpha >= n:
                     continue
-                asked.clear()
-                # Past the cache, so that the union is built here.
-                fam = pseudorandom.symmetric_crossing_family.__wrapped__(n, alpha)
-                pairs, bound, guesses = every_guess_union(n, alpha, build)
+                fam = symmetric_crossing_family(n, alpha)
+                pairs, bound, _ = every_guess_union(n, alpha)
                 assert fam.pairs == pairs, (n, alpha)
-                assert fam.degree_bound == bound, (n, alpha)
-                assert fam.unordered() == PairFamily(pairs, bound, "").unordered()
-                assert len(asked) <= guesses
-                saved += guesses - len(asked)
-        assert saved > 0
+                assert fam.degree_bound == bound == n, (n, alpha)
+
+
+# Every alpha the unweighted driver asks, max(1, 2 delta / ell) for
+# delta <= 16 and ell = 2 .. 128, plus the balanced search's 1 / eps.
+PINNED_ALPHAS = sorted(
+    {4.0, Fraction(1, 2)}
+    | {max(1, Fraction(2 * delta, 2**i)) for delta in range(17) for i in range(1, 8)}
+)
+
+
+@pytest.mark.parametrize("n", (*range(129), 487, 512))
+def test_crossing_pairs_pinned_to_every_guess_union(n):
+    """`crossing_pairs` and `symmetric_crossing_family` against the former
+    union (`every_guess_union`), de-duplicated as the pair loops did.  The
+    reference depends on alpha only through its guesses, so it is built
+    once per distinct guess list."""
+    refs = {}
+    for alpha in PINNED_ALPHAS:
+        key = None if n <= 2 or alpha >= n else tuple(_guesses(n, alpha))
+        if key not in refs:
+            union = every_guess_union(n, alpha)
+            refs[key] = union, _seen_loop(union[0])
+        union, unordered = refs[key]
+        assert list(crossing_pairs(n, alpha)) == unordered, (n, alpha)
+        fam = symmetric_crossing_family(n, alpha)
+        assert (fam.pairs, fam.degree_bound, fam.method) == union, (n, alpha)
 
 
 class TestSelector:
