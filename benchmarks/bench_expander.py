@@ -8,25 +8,25 @@ driver's `expander_decomposition` calls: `vertex_connectivity_unweighted`
 with the unbalanced branch left out and `balanced_terminal_vc` answering
 NoCut.  Neither feeds the terminal sets of later rounds, so the replay
 makes the decompositions of a full driver call at a fraction of its cost.
-Per case and probe loop ("capped", the package's; "uncapped", a copy of the
-former loop kept in this file) it records the decomposition calls, the
+Per case and probe loop ("capped", the package's; "uncapped", the former
+loop `conftest.uncapped_sparsest_cut`, at every piece size as the capped
+loop runs now) it records the decomposition calls, the
 `flow_calls` and `path_skips` made inside them and their summed wall time
 (best of `--rounds` replays), and checks that both loops give the same
 decompositions.  The rows and the mean and median per call over the
-perfbench instances go into `BENCH_expander.json` in the repository root under `--label`.  Run:
+perfbench instances go into `BENCH_expander.json` in the repository root
+under `--label`.  Run:
 
     python3 benchmarks/bench_expander.py --label change [--rounds 3]
 """
 
 import argparse
-import itertools
 import json
 import os
 import platform
 import statistics
 import sys
 import time
-from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.join(HERE, os.pardir)
@@ -35,9 +35,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from conftest import bare_min_st_cut  # noqa: E402
+import conftest  # noqa: E402
 from vcut import unweighted  # noqa: E402
-from vcut.graphs import NoCut, VertexCut  # noqa: E402
+from vcut.graphs import NoCut  # noqa: E402
 from vcut.instrument import Counters  # noqa: E402
 from vcut.maxflow import BACKEND  # noqa: E402
 from vcut.oracle import random_graph  # noqa: E402
@@ -53,36 +53,11 @@ PROBES = {}
 
 
 def uncapped_sparsest_cut(g, terminals, phi, probe_budget, stats):
-    """The former `unweighted._sparsest_canonical_cut` probe loop: every
-    pair probe an uncapped flow (`conftest.bare_min_st_cut`), kept per
-    piece for the replay.  Graphs of at most EXHAUSTIVE_MAX vertices go to
-    the package's exhaustive scan, as before."""
-    if g.n <= unweighted.EXHAUSTIVE_MAX:
-        return CAPPED(g, terminals, phi, probe_budget, stats)
-    tset = set(terminals)
-    best = None
-
-    def consider(left, sep, rest):
-        nonlocal best
-        denom = min(len(tset & (left | sep)), len(tset & (rest | sep)))
-        if not left or not rest or denom == 0:
-            return
-        key = (Fraction(len(sep), denom), tuple(sorted(sep)), tuple(sorted(left)))
-        if best is None or key < best[0]:
-            best = (key, VertexCut(left, sep, rest, len(sep)))
-
+    """The former `unweighted._sparsest_canonical_cut` probe loop
+    (`conftest.uncapped_sparsest_cut`: every pair probe an uncapped flow),
+    kept per piece for the replay, at every piece size."""
     probes = PROBES.setdefault(id(g), {})
-    comps = g.components()
-    if len(comps) > 1:
-        for comp in comps:
-            consider(set(comp), set(), set(range(g.n)) - set(comp))
-    pairs = [(u, v) for u, v in itertools.combinations(sorted(tset), 2) if not g.has_edge(u, v)]
-    for u, v in pairs[:probe_budget]:
-        if (u, v) not in probes:
-            probes[u, v] = bare_min_st_cut(g, u, v, stats=stats)
-        cut = probes[u, v][1]
-        consider(set(cut.L), set(cut.S), set(cut.R))
-    return None if best is None else (best[0][0], best[1])
+    return conftest.uncapped_sparsest_cut(g, terminals, probe_budget, stats, probes)
 
 
 CAPPED = unweighted._sparsest_canonical_cut

@@ -72,21 +72,20 @@ class RichSet:
 
 
 class GapState:
-    """Current enlarged graph (compact ids + map), removed vertices, the
-    best cut seen (original ids), and the round counter."""
+    """Current enlarged graph (compact ids + map), removed vertices, and the
+    best cut seen (original ids)."""
 
-    __slots__ = ("h", "ids", "removed", "best", "gap")
+    __slots__ = ("h", "ids", "removed", "best")
 
-    def __init__(self, h, ids, removed, best, gap):
+    def __init__(self, h, ids, removed, best):
         self.h = h
         self.ids = list(ids)
         self.removed = tuple(sorted(removed))
         self.best = best
-        self.gap = gap
 
     def __repr__(self):
         bv = self.best.value if isinstance(self.best, VertexCut) else None
-        return f"GapState(n={self.h.n}, removed={len(self.removed)}, best={bv}, gap={self.gap})"
+        return f"GapState(n={self.h.n}, removed={len(self.removed)}, best={bv})"
 
 
 def _offer(g, best, cut):
@@ -137,8 +136,9 @@ def rich_set_or_cut(g: Graph, k, stats=None):
     return candidates, RichSet(cut_a.S, tau)
 
 
-def large_gap_vc(h: Graph, k, gamma, stats=None):
-    """Decision on a graph whose gap delta - kappa is at least gamma.
+def large_gap_vc(h: Graph, k, stats=None):
+    """Decision kappa(h) < k (a cut) versus KConnected, for a graph whose
+    gap delta - kappa is large.
 
     Rich-set route: a mixing graph sized by the certified spectral constant
     enumerates candidate pairs across the rich set.  Degenerate tau falls
@@ -228,7 +228,7 @@ def increase_gap(state: GapState, k, g: Graph, stats=None) -> GapState:
         adj[w].add(u)
     new_h = Graph(sub.n, [sorted(r) for r in adj])
     removed = set(state.removed) | {ids[x_local]}
-    return GapState(new_h, new_ids, removed, best, state.gap + 1)
+    return GapState(new_h, new_ids, removed, best)
 
 
 def _extend_local(g, cut, ids, removed):
@@ -272,11 +272,11 @@ def gabow_vc(g: Graph, k, stats=None):
             stats.add("gabow_allpairs_fallback")
         best = even_sweep(gs, best, cap=k, stats=stats)
     elif k < math.isqrt(g.n) + 1:
-        got = large_gap_vc(gs, k, max(0, delta - k), stats)
+        got = large_gap_vc(gs, k, stats)
         if isinstance(got, VertexCut):
             offer(got)
     else:
-        state = GapState(gs, list(range(gs.n)), (), min_degree_cut(gs), 0)
+        state = GapState(gs, list(range(gs.n)), (), min_degree_cut(gs))
         rounds = max(1, math.ceil(delta / math.sqrt(g.n)))
         for _ in range(rounds):
             if isinstance(state.best, VertexCut) and state.best.value < k:
@@ -289,7 +289,7 @@ def gabow_vc(g: Graph, k, stats=None):
             offer(state.best)
         k_prime = k - len(state.removed)
         if not (isinstance(best, VertexCut) and best.value < k) and k_prime >= 1:
-            got = large_gap_vc(state.h, k_prime, state.gap, stats)
+            got = large_gap_vc(state.h, k_prime, stats)
             if isinstance(got, VertexCut):
                 lifted = _extend_local(g, got, state.ids, state.removed)
                 offer(lifted)

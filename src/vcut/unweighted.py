@@ -35,8 +35,9 @@ shared so that no piece's search is repeated:
 
 Answers, cuts, decompositions and events are those of uncapped probes and a
 fresh store per round; only `flow_calls`, `flow_edges` and `path_skips`
-move.  Pieces of at most EXHAUSTIVE_MAX vertices are searched by one numpy
-scan over all vertex subsets (`_exhaustive_sparsest`), which needs no flows.
+move.  Pieces of every size are searched this way: at the driver's phi a
+piece of at most 16 vertices splits only at a whole component, which needs
+no flow (the proof is in `_sparsest_canonical_cut`).
 
 Every (s, t) question of the driver is a `maxflow.min_st_cut` (or
 `maxflow.kappa_at_least`) on a graph the call builds, so the graph's pair
@@ -50,8 +51,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .cnc import cnc
 from .errors import BudgetExceeded, InvariantError
@@ -71,15 +70,6 @@ from .maxflow import connectivity_at_least, kappa_at_least, min_st_cut
 from .pseudorandom import crossing_pairs
 
 
-# Largest graph whose sparsest canonical cut is found by exhaustive search;
-# that search fills a uint16 table of 2^n neighbourhood masks.
-EXHAUSTIVE_MAX = 16
-# lcm(1..16): h = |S| / denom with denom <= EXHAUSTIVE_MAX terminals, so
-# h * _H_SCALE is an exact integer.
-_H_SCALE = 720720
-# Subsets scored per numpy pass of the exhaustive search; it bounds the
-# search's temporaries at a few int64 arrays of this length.
-_SCAN_CHUNK = 4096
 # Expander decomposition: expansion target, separator budget fraction
 # (clamped below at 1 vertex), retry floor.
 EXPANDER_PHI = 0.1
@@ -138,53 +128,6 @@ class ExpanderDecomposition:
         )
 
 
-def _exhaustive_sparsest(g: Graph, tset):
-    """(subset mask, separator mask) of the sparsest canonical cut of g over
-    all vertex subsets A, or None when no subset qualifies.
-
-    The separator N(A) is the set of neighbours of A outside A.  A qualifies
-    when some vertex lies outside A | N(A) and both closed sides hold
-    terminal mass; the sparsest has the least h = |N(A)| / denom (denom the
-    smaller terminal mass) and, among those, the least (separator mask,
-    subset mask).  The neighbourhood unions come from a uint16 table built
-    by doubling (entry A | 2^v is entry A or'ed with v's row, A < 2^v).  The
-    subsets are scored in numpy chunks of _SCAN_CHUNK on the exact integer
-    key (|N(A)| * _H_SCALE // denom, separator, subset), packed into one
-    int64, so the minimum follows that order exactly.
-    """
-    n = g.n
-    size = 1 << n
-    nbr = np.zeros(size, dtype=np.uint16)
-    for v in range(n):
-        mask = 0
-        for w in g.adj[v]:
-            mask |= 1 << w
-        lo = 1 << v
-        nbr[lo:2 * lo] = nbr[:lo] | mask
-    tmask = 0
-    for v in tset:
-        tmask |= 1 << v
-    full = size - 1
-    best = None
-    for start in range(0, size, _SCAN_CHUNK):
-        bits = np.arange(start, min(size, start + _SCAN_CHUNK), dtype=np.int64)
-        closed = nbr[start:start + len(bits)] | bits
-        lt = np.bitwise_count(closed & tmask)
-        rt = len(tset) - np.bitwise_count(bits & tmask)
-        denom = np.minimum(lt, rt)
-        ok = np.flatnonzero((denom > 0) & (closed != full))
-        if not ok.size:
-            continue
-        sep = closed[ok] ^ bits[ok]
-        key = np.bitwise_count(sep).astype(np.int64) * _H_SCALE // denom[ok]
-        low = int((key << 32 | sep << 16 | bits[ok]).min())
-        if best is None or low < best:
-            best = low
-    if best is None:
-        return None
-    return best & 0xFFFF, best >> 16 & 0xFFFF
-
-
 def _probe_cap(terminals, phi):
     """Least c >= 1 with 2c / (terminals + c) >= phi, compared exactly
     (`Fraction(phi)`, as `expander_decomposition` compares h with phi), or
@@ -203,15 +146,38 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats):
     """Best (lowest h_T) canonical cut (A, N(A), rest) of g whenever some
     cut has h_T < phi.
 
-    Exhaustive over all vertex subsets for graphs of at most EXHAUSTIVE_MAX
-    vertices (`_exhaustive_sparsest`), which finds the sparsest cut whatever
-    phi is; terminal-pair flow probing otherwise.  Each probe is a
-    `min_st_cut` capped at `_probe_cap(|T|, phi)`: a pair at or above the
-    cap has every cut at h_T >= phi, and a probe below it returns the cut
-    of an uncapped flow.  So when the sparsest probed cut has h_T < phi it
-    is returned as uncapped probes would return it; otherwise the result
-    is some cut with h_T >= phi, or None.  None also when nothing with
-    positive terminal mass on both sides exists.  Returns (h, cut) or None.
+    One cut per component when g is disconnected, then terminal-pair flow
+    probes (a pair in two components counts against `probe_budget` but needs
+    no flow: its cut is its first vertex's component, already offered).
+    Each probe is a `min_st_cut` capped at `_probe_cap(|T|, phi)`:
+    a pair at or above the cap has every cut at h_T >= phi, and a probe
+    below it returns the cut of an uncapped flow.  So when the sparsest
+    probed cut has h_T < phi it is returned as uncapped probes would return
+    it; otherwise the result is some cut with h_T >= phi, or None.  None
+    also when nothing with positive terminal mass on both sides exists.
+    Returns (h, cut) or None.
+
+    The same search serves pieces of every size.  On a piece of at most 16
+    vertices it splits as a scan of all 2^n vertex subsets for the sparsest
+    cut would (least h, then least separator and subset masks), at the phi
+    the driver asks (EXPANDER_PHI = 0.1 and its halvings):
+
+    - A cut (L, S, R) of a piece with terminal set T has
+      h_T >= 2|S| / (|T| + |S|) >= 2 / (|T| + 1) when S is non-empty.
+    - With |T| <= 16 that bound is at least 2/17 > 0.1.  So a piece of at
+      most 16 vertices splits only where it is disconnected and at least
+      two of its components hold terminals.
+    - Both searches then split off one whole component with S empty.  Here
+      `_probe_cap` is 1, so no probe inside a component completes (a path
+      settles it), and a pair in two components makes no flow.
+    - They differ only in which component goes first: the scan takes the
+      least vertex mask, the terminal-bearing component with the least
+      largest vertex; this search takes the least sorted tuple, the one
+      with the least smallest vertex.
+
+    The final pieces therefore differ only when the piece also holds a
+    terminal-free component: that component stays with the last
+    terminal-bearing one, which the two orders can choose differently.
     """
     tset = set(terminals)
     n = g.n
@@ -232,34 +198,31 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats):
             cut = VertexCut(left, sep, rest, len(sep))
             best = (key, cut)
 
-    if n <= EXHAUSTIVE_MAX:
-        found = _exhaustive_sparsest(g, tset)
-        if found is not None:
-            left = {v for v in range(n) if found[0] >> v & 1}
-            sep = {v for v in range(n) if found[1] >> v & 1}
-            consider(left, sep, set(range(n)) - left - sep)
-    else:
-        comps = g.components()
-        if len(comps) > 1:
-            universe = set(range(n))
-            for comp in comps:
-                left = set(comp)
-                consider(left, set(), universe - left)
-        cap = _probe_cap(len(tset), phi)
-        terms = sorted(tset)
-        count = 0
-        for i, u in enumerate(terms):
-            for v in terms[i + 1:]:
-                if count >= probe_budget:
-                    break
-                if g.has_edge(u, v):
-                    continue
-                count += 1
-                cut = min_st_cut(g, u, v, cap, stats)[1]
-                if cut is not None:
-                    consider(set(cut.L), set(cut.S), set(cut.R))
+    comps = g.components()
+    component = {}
+    if len(comps) > 1:
+        universe = set(range(n))
+        for i, comp in enumerate(comps):
+            left = set(comp)
+            consider(left, set(), universe - left)
+            component.update(dict.fromkeys(comp, i))
+    cap = _probe_cap(len(tset), phi)
+    terms = sorted(tset)
+    count = 0
+    for i, u in enumerate(terms):
+        for v in terms[i + 1:]:
             if count >= probe_budget:
                 break
+            if g.has_edge(u, v):
+                continue
+            count += 1
+            if component.get(u) != component.get(v):
+                continue  # kappa 0: the cut is u's component, offered above
+            cut = min_st_cut(g, u, v, cap, stats)[1]
+            if cut is not None:
+                consider(set(cut.L), set(cut.S), set(cut.R))
+        if count >= probe_budget:
+            break
     if best is None:
         return None
     return best[0][0], best[1]
@@ -281,6 +244,12 @@ def expander_decomposition(g: Graph, terminals, phi, stats=None, _cache=None, st
     stored probes, for the whole driver call; a stored probe answers a
     later cap as a new capped flow would, so sharing it leaves the
     decomposition unchanged.
+
+    At phi <= 0.1 a piece of at most 16 vertices has no cut with h_T < phi
+    and a non-empty separator, so it splits only into whole components, one
+    terminal-bearing component at a time in the order of their least
+    vertices; a terminal-free component stays with the last one
+    (`_sparsest_canonical_cut` has the proof).
     """
     terms = sorted(set(terminals))
     if not terms:

@@ -475,15 +475,16 @@ def four_call_weighted(d, stats=None, branches=None):
 
 
 def exhaustive_sparsest(g, terminals):
-    """Reference for the exhaustive branch of the sparsest canonical cut:
-    every vertex subset A in increasing mask order, scored by h = |N(A)| /
+    """Reference sparsest canonical cut over all vertex subsets: every
+    vertex subset A in increasing mask order, scored by h = |N(A)| /
     min(terminals in A | N(A), terminals outside A) over the subsets with a
     non-empty rest and terminal mass on both closed sides, the least h
     winning and ties broken by the least (separator mask, subset mask).
     Returns (h, L, S, R) as a Fraction and sorted tuples, or None.
 
-    This is the package's former pure-Python subset loop; the numpy scan
-    of `unweighted._sparsest_canonical_cut` must pick the same cut."""
+    On graphs of at most 16 vertices, at the driver's phi, the probe search
+    `unweighted._sparsest_canonical_cut` must find a cut below phi exactly
+    when this one is below phi."""
     n = g.n
     adj_mask = [0] * n
     for v in range(n):
@@ -522,16 +523,16 @@ def exhaustive_sparsest(g, terminals):
 
 
 def uncapped_sparsest_cut(g, terminals, probe_budget, stats=None, probes=None):
-    """Reference for the probe branch of the sparsest canonical cut (graphs
-    above `unweighted.EXHAUSTIVE_MAX` vertices): a cut per component when g
-    is disconnected, then every non-adjacent terminal pair (u, v), u < v,
-    in order, up to `probe_budget` pairs, each probed by an uncapped
-    `bare_min_st_cut` (kept in the dict `probes`, when given, and reused
-    from it).  The least (h, sorted S, sorted L) wins.  Returns (h, cut) or None.
+    """Reference for the sparsest canonical cut with uncapped probes: a cut
+    per component when g is disconnected, then every non-adjacent terminal
+    pair (u, v), u < v, in order, up to `probe_budget` pairs, each probed by
+    an uncapped `bare_min_st_cut` (kept in the dict `probes`, when given,
+    and reused from it).  The least (h, sorted S, sorted L) wins.  Returns
+    (h, cut) or None.
 
     This is the package's former probe loop; with probes capped at
     `unweighted._probe_cap`, `expander_decomposition` must give the same X
-    and pieces."""
+    and pieces at every piece size."""
     tset = set(terminals)
     n = g.n
     best = None

@@ -66,9 +66,8 @@ class TestIncreaseGap:
         g = Graph.from_edges(n, edges)
         from vcut.graphs import min_degree_cut
 
-        state = GapState(g, list(range(n)), (), min_degree_cut(g), 0)
+        state = GapState(g, list(range(n)), (), min_degree_cut(g))
         new = increase_gap(state, 4, g)
-        assert new.gap == 1
         assert len(new.removed) == 1
         assert new.h.m <= g.m
         if isinstance(new.best, VertexCut):
@@ -78,7 +77,7 @@ class TestIncreaseGap:
         g = random_graph(14, 0.5, 3)
         from vcut.graphs import min_degree_cut
 
-        state = GapState(g, list(range(g.n)), (), min_degree_cut(g), 0)
+        state = GapState(g, list(range(g.n)), (), min_degree_cut(g))
         before = state.best.value
         try:
             after = increase_gap(state, 4, g)
@@ -88,23 +87,23 @@ class TestIncreaseGap:
 
     def test_complete_graph_exhausted(self):
         g = complete(6)
-        state = GapState(g, list(range(6)), (), None, 0)
+        state = GapState(g, list(range(6)), (), None)
         with pytest.raises(Exhausted):
             increase_gap(state, 3, g)
 
 
 class TestLargeGap:
     def test_cycle_small_cut(self):
-        got = large_gap_vc(cycle(8), 3, 0)
+        got = large_gap_vc(cycle(8), 3)
         assert isinstance(got, VertexCut) and got.value == 2
 
     def test_complete_k_connected(self):
-        got = large_gap_vc(complete(8), 3, 0)
+        got = large_gap_vc(complete(8), 3)
         assert isinstance(got, KConnected)
 
     def test_planted_exact(self):
         inst = generate_planted("balanced-terminal", {"side": 7, "s": 2}, seed=4)
-        got = large_gap_vc(inst.graph, inst.cut.value + 3, 0)
+        got = large_gap_vc(inst.graph, inst.cut.value + 3)
         assert isinstance(got, VertexCut) and got.value == inst.cut.value
 
 

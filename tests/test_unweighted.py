@@ -24,7 +24,7 @@ from vcut.kernel import build_kernel_index, query_kappa_upper
 from vcut.maxflow import _ledger, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_graph
 from vcut.unweighted import (
-    EXHAUSTIVE_MAX,
+    EXPANDER_PHI,
     PieceStore,
     _sparsest_canonical_cut,
     expander_decomposition,
@@ -76,11 +76,11 @@ class TestExpanderDecomposition:
 
 
 def _scan_cases():
-    """(graph, terminals) for the exhaustive scan: 220 seeded G(n, p) with
+    """(graph, terminals) of at most 16 vertices: 220 seeded G(n, p) with
     n <= 12 (every fifth one possibly disconnected), tie-heavy cycles,
-    K_{a,b} and two cliques sharing vertices, and four graphs of n = 13..16
-    whose scan runs over several chunks.  Each graph gets a random terminal
-    subset of random size (often too small for any cut), and all vertices."""
+    K_{a,b} and two cliques sharing vertices, and four graphs of n = 13..16.
+    Each graph gets a random terminal subset of random size (often too
+    small for any cut), and all vertices."""
     rng = random.Random(11)
     graphs = [
         random_graph(2 + i % 11, (0.15, 0.3, 0.5, 0.8)[i % 4], 700 + i, connected=i % 5 != 0)
@@ -92,30 +92,39 @@ def _scan_cases():
         for a, b in ((1, 3), (2, 2), (2, 5), (3, 3), (4, 4), (3, 6))
     ]
     graphs += [two_cliques_sharing(k, s) for k, s in ((3, 1), (4, 1), (4, 2), (5, 2), (6, 3))]
-    graphs += [random_graph(n, 0.3, 900 + n) for n in range(13, EXHAUSTIVE_MAX + 1)]
+    graphs += [random_graph(n, 0.3, 900 + n) for n in range(13, 17)]
     for g in graphs:
         yield g, sorted(rng.sample(range(g.n), rng.randrange(g.n + 1)))
         yield g, list(range(g.n))
 
 
-class TestExhaustiveScan:
-    """The numpy scan picks the cut of the former pure-Python subset loop
-    (`conftest.exhaustive_sparsest`), with the same h and tie-break."""
+class TestSmallPieces:
+    """On graphs of at most 16 vertices, at the driver's phi (EXPANDER_PHI
+    and its halvings), the probe search finds a cut below phi exactly when
+    the sparsest cut over all vertex subsets (`conftest.exhaustive_sparsest`)
+    is below phi, and that cut splits off one terminal-bearing component
+    with no separator (the proof is in `_sparsest_canonical_cut`), with no
+    flow: each probe is capped at 1, so a pair in one component is settled
+    by a path and a pair in two components is not probed."""
 
-    def test_matches_subset_loop(self):
-        found = none = 0
+    def test_splits_only_at_components(self):
+        splits = 0
         for g, terms in _scan_cases():
-            got = _sparsest_canonical_cut(g, terms, 1, probe_budget=0, stats=None)
             want = exhaustive_sparsest(g, terms)
-            if want is None:
-                assert got is None, (g.adj, terms)
-                none += 1
-            else:
-                h, cut = got
-                assert (h, cut.L, cut.S, cut.R) == want, (g.adj, terms)
-                assert cut.value == len(cut.S)
-                found += 1
-        assert found > 200 and none > 20
+            comps = {tuple(sorted(c)) for c in g.components()}
+            stats = Counters()
+            for j in range(7):
+                phi = EXPANDER_PHI / 2**j
+                got = _sparsest_canonical_cut(g, terms, phi, min(48, 4 * g.n), stats)
+                below = got is not None and got[0] < phi
+                assert below == (want is not None and want[0] < phi), (g.adj, terms, phi)
+                if below:
+                    h, cut = got
+                    assert h == 0 and cut.S == (), (g.adj, terms, phi)
+                    assert cut.L in comps and set(cut.L) & set(terms), (g.adj, terms, phi)
+                    splits += 1
+            assert stats.get("flow_calls") == 0, (g.adj, terms)
+        assert splits > 100
 
 
 def _fingerprint(cut):
@@ -218,17 +227,15 @@ def _clique_chain(k, m):
 def _split_cases():
     """(graph, terminal sets): chains of cliques joined by single vertices,
     sparse G(n, p) and the two cliques of `TestProbeCap.test_float_boundary`,
-    all above EXHAUSTIVE_MAX vertices, each with a seeded third of the
-    vertices, every second vertex and all vertices as terminals (growing,
-    so the probe caps of one store grow too).  G(n, 1.5/n) has cut
-    vertices and splits; G(n, 3.5/n) mostly does not, and there the cap
-    settles probes."""
+    each with a seeded third of the vertices, every second vertex and all
+    vertices as terminals (growing, so the probe caps of one store grow
+    too).  G(n, 1.5/n) has cut vertices and splits; G(n, 3.5/n) mostly does
+    not, and there the cap settles probes."""
     graphs = [_clique_chain(k, m) for k, m in ((4, 6), (5, 5), (6, 4), (7, 3), (5, 8))]
     graphs += [random_graph(n, c / n, 500 + n) for n in range(18, 40, 3) for c in (1.5, 3.5)]
     graphs.append(two_cliques_sharing(10, 1))
     rng = random.Random(5)
     for g in graphs:
-        assert g.n > EXHAUSTIVE_MAX
         yield g, [
             sorted(rng.sample(range(g.n), g.n // 3)),
             list(range(0, g.n, 2)),
@@ -266,13 +273,10 @@ class TestProbeCap:
     def _uncapped(monkeypatch):
         """The former probe loop, which keeps the probes of each piece (by
         the identity of its subgraph, which the piece store keeps alive)
-        across terminal sets, as the store does."""
-        real = unweighted._sparsest_canonical_cut
+        across terminal sets, as the store does, at every piece size."""
         kept = {}
 
         def probe(g, terminals, phi, probe_budget, stats):
-            if g.n <= EXHAUSTIVE_MAX:
-                return real(g, terminals, phi, probe_budget, stats)
             probes = kept.setdefault(id(g), {})
             return conftest.uncapped_sparsest_cut(g, terminals, probe_budget, stats, probes)
 
