@@ -21,9 +21,9 @@ with counting wrappers
 
 The counts and times of a row are totals over its `calls`.  It checks
 that both paths give the same cut (value, L, S, R) and the same
-`Counters.events`.  The expander pieces of both paths use the package's
-`PieceStore`, so the former path's piece probes are counted as this
-package makes them.  The rows go into `BENCH_ledger.json` in the
+`Counters.events`.  The expander pieces of both paths are kept on the
+sparsified graph (`unweighted._piece`), so the former path's piece probes
+are counted as this package makes them.  The rows go into `BENCH_ledger.json` in the
 repository root under `--label`.  Run:
 
     python3 benchmarks/bench_ledger.py --label change [--rounds 3]

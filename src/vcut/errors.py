@@ -27,14 +27,6 @@ class ConstructionFailed(VcutError):
     """A pseudorandom-object backend could not certify the requested property."""
 
 
-class BudgetExceeded(VcutError):
-    """Expander decomposition exceeded its separator budget; carries the partial result."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class GenerationFailed(VcutError):
     """Planted-instance generator exhausted its retry budget."""
 

@@ -20,7 +20,7 @@ def _log2ceil(x) -> int:
 class Graph:
     """Undirected unweighted graph with per-vertex sorted adjacency."""
 
-    __slots__ = ("n", "adj", "_adjsets", "_min_degree", "_network", "_ledger")
+    __slots__ = ("n", "adj", "_adjsets", "_min_degree", "_network", "_ledger", "_pieces")
 
     def __init__(self, n: int, adj):
         self.n = n
@@ -45,6 +45,7 @@ class Graph:
         self._min_degree = None
         self._network = None  # split network, built by maxflow._graph_flow
         self._ledger = None  # pair ledger, made by maxflow.min_st_cut
+        self._pieces = None  # induced expander pieces, kept by unweighted._piece
 
     def flow_arcs(self):
         """Both orientations of every edge."""

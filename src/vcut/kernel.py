@@ -3,7 +3,7 @@ instances (kernels) answering one-sided connectivity queries.
 
 The kernel of (cluster, s, t) keeps the cluster minus N[t] (the core):
 each core vertex u keeps its edges to N(u) \\ N(s), read from the
-recovery sketches; the boundary N(core) \\ core is joined to t; and s is
+graph's neighbour sets; the boundary N(core) \\ core is joined to t; and s is
 joined to every neighbour it has in the kernel.  `kernel_graph` builds it
 as a Graph.  A query kappa~(s,t) asks `maxflow.min_st_cut` on the kernel of
 each usable cluster containing s, capped at the smallest value found so
@@ -27,7 +27,7 @@ over its 30 driver calls).
 
 from __future__ import annotations
 
-from .cnc import cnc, sketch_construct, sketch_recover
+from .cnc import cnc
 from .errors import EmptyKernel, InvariantError
 from .graphs import Graph, _log2ceil, symdiff_size
 from .maxflow import min_st_cut
@@ -39,15 +39,14 @@ KERNEL_GATE_MULT = 8
 
 
 class KernelIndex:
-    __slots__ = ("graph", "ell", "delta", "v_low", "clusters", "index", "sketches", "size_gate")
+    __slots__ = ("graph", "ell", "delta", "v_low", "clusters", "index", "size_gate")
 
-    def __init__(self, graph, ell, delta, v_low, clusters, sketches, size_gate):
+    def __init__(self, graph, ell, delta, v_low, clusters, size_gate):
         self.graph = graph
         self.ell = ell
         self.delta = delta
         self.v_low = v_low
         self.clusters = clusters
-        self.sketches = sketches
         self.size_gate = size_gate
         index = {}
         for i, cluster in enumerate(clusters):
@@ -67,7 +66,7 @@ class KernelIndex:
 
 def build_kernel_index(g: Graph, ell, stats=None, cache=None) -> KernelIndex:
     """Cluster the low-degree vertices by neighborhood similarity at radius
-    4*ell and attach recovery sketches at threshold ell * ceil(log2 n)^2.
+    4*ell.
 
     Neither the low-degree set nor the distances depend on ell, so the
     indexes of one graph at several scales may share one distance `cache`
@@ -88,9 +87,8 @@ def build_kernel_index(g: Graph, ell, stats=None, cache=None) -> KernelIndex:
         for partition in clustering.partitions
         for cluster in partition
     ]
-    sketches = sketch_construct(g, ell * logn * logn)
     gate = KERNEL_GATE_MULT * delta * logn
-    return KernelIndex(g, ell, delta, v_low, clusters, sketches, gate)
+    return KernelIndex(g, ell, delta, v_low, clusters, gate)
 
 
 def kernel_graph(index: KernelIndex, i, s, t):
@@ -106,17 +104,17 @@ def kernel_graph(index: KernelIndex, i, s, t):
     if not core:
         raise EmptyKernel(f"cluster {i} is contained in N[t]")
     adj = {v: set() for v in (*core, s, t)}
-    sketch_s = index.sketches[s]
+    n_s = g.neighbor_set(s)
     for u in core:
-        reduced = sketch_recover(index.sketches[u], sketch_s) & g.neighbor_set(u)
-        adj[u] |= reduced  # N(u) \ N(s)
+        reduced = g.neighbor_set(u) - n_s  # N(u) \ N(s)
+        adj[u] |= reduced
         for v in reduced:
             adj.setdefault(v, set()).add(u)
     boundary = set().union(*(g.adj[u] for u in core)) - core
     adj[t] |= boundary
     for v in boundary:
         adj.setdefault(v, set()).add(t)
-    near_s = g.neighbor_set(s) & adj.keys()
+    near_s = n_s & adj.keys()
     adj[s] |= near_s
     for v in near_s:
         adj[v].add(s)

@@ -19,32 +19,27 @@ unique; so decompositions are those of uncapped probes.
 
 The driver searches the same expander pieces again and again: each
 terminal-reduction round decomposes the graph anew for a smaller terminal
-set, and each phi retry of a round decomposes it again.  Two things are
-shared so that no piece's search is repeated:
+set, and each phi retry of a round decomposes it again.  `_piece` keeps
+each piece's induced subgraph on the graph it was cut from, so its split
+network and its pair ledger (`maxflow`) keep every pair probe made on it
+for as long as that graph lives: a stored completed probe answers every
+later cap; a stored (L, None) says kappa >= L and answers any later cap
+<= L, and a larger cap (|T| grows when X holds non-terminals) solves the
+pair again.
 
-- within a round, the sparsest cut of each piece for that round's terminal
-  set (the `_cache` of `expander_decomposition`), across its phi retries;
-  an entry is found under its filling call's cap, so it is valid for that
-  phi and any smaller one, which is all a halving retry asks of it;
-- within a driver call, one `PieceStore`: each piece's induced subgraph,
-  built once, so its split network and its pair ledger (`maxflow`) keep
-  every pair probe made on it across all rounds.  A stored completed
-  probe answers every later cap; a stored (L, None) says kappa >= L and
-  answers any later cap <= L, and a larger cap (|T| grows when X holds
-  non-terminals) solves the pair again.
-
-Answers, cuts, decompositions and events are those of uncapped probes and a
-fresh store per round; only `flow_calls`, `flow_edges` and `path_skips`
-move.  Pieces of every size are searched this way: at the driver's phi a
-piece of at most 16 vertices splits only at a whole component, which needs
-no flow (the proof is in `_sparsest_canonical_cut`).
+Answers, cuts, decompositions and events are those of uncapped probes on
+pieces built afresh for every decomposition; only `flow_calls`,
+`flow_edges` and `path_skips` move.  Pieces of every size are searched
+this way: at the driver's phi a piece of at most 16 vertices splits only
+at a whole component, which needs no flow (the proof is in
+`_sparsest_canonical_cut`).
 
 Every (s, t) question of the driver is a `maxflow.min_st_cut` (or
 `maxflow.kappa_at_least`) on a graph the call builds, so the graph's pair
 ledger answers it if the call already knows the answer.  The sparsified
 graph gs is asked by the unbalanced branch, every balanced-terminal call
 and the expander piece that is all of V; the other pieces are induced
-subgraphs kept in the `PieceStore`.
+subgraphs that `_piece` keeps on gs.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ import math
 from fractions import Fraction
 
 from .cnc import cnc
-from .errors import BudgetExceeded, InvariantError
+from .errors import InvariantError
 from .graphs import (
     Graph,
     NoCut,
@@ -82,35 +77,6 @@ EXPANDER_PHI_FLOOR = 1.0 / 1024
 TR_XLOW_MULT = 1000
 TR_TSMALL_LOG_EXP = 2
 TR_TBAR_DIV = 100
-
-
-class PieceStore:
-    """What one driver call learns about the expander pieces of its graph,
-    shared by every terminal-reduction round and phi retry of the call.
-
-    A piece (its sorted vertex tuple) maps to its induced subgraph and the
-    subgraph's id map (local id -> id in the graph).  The subgraph is built
-    once, so its split network and its pair ledger, which keeps the capped
-    `min_st_cut` probes made on it (`maxflow.stored_probe`), last the whole
-    call.  The piece that is all of V is the graph itself.
-    """
-
-    __slots__ = ("graph", "pieces")
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.pieces = {}
-
-    def piece(self, piece):
-        """(subgraph, ids) of `piece`, built on first use."""
-        entry = self.pieces.get(piece)
-        if entry is None:
-            if len(piece) == self.graph.n:
-                entry = (self.graph, range(self.graph.n))
-            else:
-                entry = self.graph.induced(piece)
-            self.pieces[piece] = entry
-        return entry
 
 
 class ExpanderDecomposition:
@@ -168,8 +134,9 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats):
       most 16 vertices splits only where it is disconnected and at least
       two of its components hold terminals.
     - Both searches then split off one whole component with S empty.  Here
-      `_probe_cap` is 1, so no probe inside a component completes (a path
-      settles it), and a pair in two components makes no flow.
+      `_probe_cap` is 1, so the pair loop is skipped: a pair in one
+      component has kappa >= 1 = cap, and a pair in two components is
+      already offered as its component.
     - They differ only in which component goes first: the scan takes the
       least vertex mask, the terminal-bearing component with the least
       largest vertex; this search takes the least sorted tuple, the one
@@ -207,7 +174,7 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats):
             consider(left, set(), universe - left)
             component.update(dict.fromkeys(comp, i))
     cap = _probe_cap(len(tset), phi)
-    terms = sorted(tset)
+    terms = sorted(tset) if cap != 1 else ()  # at cap 1 no pair gives a cut
     count = 0
     for i, u in enumerate(terms):
         for v in terms[i + 1:]:
@@ -228,20 +195,29 @@ def _sparsest_canonical_cut(g: Graph, terminals, phi, probe_budget, stats):
     return best[0][0], best[1]
 
 
-def expander_decomposition(g: Graph, terminals, phi, stats=None, _cache=None, store=None):
+def _piece(g: Graph, piece):
+    """(subgraph, ids) of `piece`, a sorted vertex tuple of g (ids maps a
+    local id to its id in g): g itself for the whole of V, else
+    `g.induced(piece)`, built on first use and kept in g's `_pieces` slot,
+    so its split network and pair ledger live as long as g."""
+    if len(piece) == g.n:
+        return g, range(g.n)
+    if g._pieces is None:
+        g._pieces = {}
+    entry = g._pieces.get(piece)
+    if entry is None:
+        entry = g._pieces[piece] = g.induced(piece)
+    return entry
+
+
+def expander_decomposition(g: Graph, terminals, phi, stats=None):
     """Partition V into X plus mutually non-adjacent pieces on which no
     terminal-sparse cut below phi was found.
 
-    Raises BudgetExceeded (carrying the partial result) when the separator
-    mass exceeds max(1, budget_frac * |T|); callers retry with smaller phi.
-
-    `_cache` maps a piece to its `_sparsest_canonical_cut` for this terminal
-    set, so the phi retries of one round search no piece twice.  An entry
-    is found with probes capped for the phi of the call that fills it, so
-    it decides a piece exactly for that phi and any smaller one, and a
-    cache must never be read at a larger phi.  `store`, a `PieceStore` of g
-    (default: a fresh one), keeps each piece's induced subgraph, and so its
-    stored probes, for the whole driver call; a stored probe answers a
+    Each piece is searched on `_piece(g, piece)`.  The driver builds its
+    sparsified graph gs once per call, so the pieces kept on gs, and the
+    probes their ledgers hold, are shared by every terminal-reduction round
+    and phi retry of that call and die with it.  A stored probe answers a
     later cap as a new capped flow would, so sharing it leaves the
     decomposition unchanged.
 
@@ -251,16 +227,9 @@ def expander_decomposition(g: Graph, terminals, phi, stats=None, _cache=None, st
     vertices; a terminal-free component stays with the last one
     (`_sparsest_canonical_cut` has the proof).
     """
-    terms = sorted(set(terminals))
-    if not terms:
+    tset = set(terminals)
+    if not tset:
         raise InvariantError("empty terminal set")
-    if store is None:
-        store = PieceStore(g)
-    elif store.graph is not g:
-        raise InvariantError("piece store of another graph")
-    tset = set(terms)
-    budget = max(1, int(EXPANDER_BUDGET_FRAC * len(terms)))
-    cache = _cache if _cache is not None else {}
     x_set = set()
     pieces = []
     stack = [tuple(range(g.n))]
@@ -271,48 +240,50 @@ def expander_decomposition(g: Graph, terminals, phi, stats=None, _cache=None, st
         if len(piece) == 1:
             pieces.append(piece)
             continue
-        key = piece
-        if key not in cache:
-            sub, ids = store.piece(piece)
-            local_terms = [j for j, v in enumerate(ids) if v in tset]
-            got = _sparsest_canonical_cut(
-                sub, local_terms, phi, probe_budget=min(48, 4 * len(piece)), stats=stats
-            )
-            if got is None:
-                cache[key] = None
-            else:
-                h, cut = got
-                cache[key] = (
-                    h,
-                    tuple(ids[j] for j in cut.L),
-                    tuple(ids[j] for j in cut.S),
-                    tuple(ids[j] for j in cut.R),
-                )
-        entry = cache[key]
-        if entry is None or entry[0] >= phi:
+        sub, ids = _piece(g, piece)
+        local_terms = [j for j, v in enumerate(ids) if v in tset]
+        got = _sparsest_canonical_cut(sub, local_terms, phi, min(48, 4 * len(piece)), stats)
+        if got is None or got[0] >= phi:
             pieces.append(piece)
             continue
-        _, left, sep, rest = entry
-        x_set.update(sep)
-        stack.append(rest)
-        stack.append(left)
-    result = ExpanderDecomposition(x_set, pieces, phi)
-    if len(x_set) > budget:
-        raise BudgetExceeded(f"|X|={len(x_set)} over budget {budget}", partial=result)
-    return result
+        cut = got[1]
+        x_set.update(ids[j] for j in cut.S)
+        stack.append(tuple(ids[j] for j in cut.R))
+        stack.append(tuple(ids[j] for j in cut.L))
+    return ExpanderDecomposition(x_set, pieces, phi)
 
 
-def _decompose_with_retry(g, terms, stats, cache, store):
+def _decompose_with_retry(g, terms, stats):
+    """`expander_decomposition` of g for the sorted terminals `terms` at
+    EXPANDER_PHI, with phi halved while X holds more than
+    max(1, int(EXPANDER_BUDGET_FRAC * |T|)) vertices; once phi would fall
+    below EXPANDER_PHI_FLOOR the last decomposition is returned as it is.
+
+    A retry searches each piece again, on the same kept subgraph, and makes
+    no flow and no packing:
+
+    - `_probe_cap` does not decrease as phi grows, so a halving retry asks
+      a cap no larger than the one stored.
+    - The pair ledger answers every such probe: a completed probe answers
+      every cap, and an (L, None) probe answers any cap <= L.
+    - The split is the same.  A cut that the lower cap no longer finds has
+      value >= cap(phi / 2), so h_T >= phi / 2, and it could not split the
+      piece at phi / 2.  The least-key cut below phi / 2 lies in both
+      candidate sets.
+    - By induction on the stack, a retry meets no piece that the first
+      pass did not search.
+    """
+    budget = max(1, int(EXPANDER_BUDGET_FRAC * len(terms)))
     phi = EXPANDER_PHI
     while True:
-        try:
-            return expander_decomposition(g, terms, phi, stats, _cache=cache, store=store)
-        except BudgetExceeded as exc:
-            if stats is not None:
-                stats.add("expander_budget_retries")
-            phi /= 2
-            if phi < EXPANDER_PHI_FLOOR:
-                return exc.partial
+        decomp = expander_decomposition(g, terms, phi, stats)
+        if len(decomp.x) <= budget:
+            return decomp
+        if stats is not None:
+            stats.add("expander_budget_retries")
+        phi /= 2
+        if phi < EXPANDER_PHI_FLOOR:
+            return decomp
 
 
 def shaving(h: Graph, candidates, a):
@@ -336,14 +307,14 @@ def shaving(h: Graph, candidates, a):
     return out
 
 
-def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
+def terminal_reduction(g: Graph, terminals, k, stats=None):
     """One reduction round: returns (best cut or NoCut, T') with
     |T'| <= 0.9 |T|.
 
     Follows the decomposition / contraction / shaving / clustering
     sequence; every candidate cut comes from the balanced-terminal
-    subroutine and validates in g.  `store` is the `PieceStore` of g that
-    the expander decompositions read (default: a fresh one each).
+    subroutine and validates in g.  The expander decompositions keep their
+    pieces on g (`_piece`).
 
     The method's pruning step is left out: it drops from X the vertices
     adjacent to most of a cluster of more than 10 * a * ceil(log2 n)^2
@@ -363,8 +334,7 @@ def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
         raise InvariantError("k must be >= 1")
     n = g.n
     logn = _log2ceil(n)
-    cache = {}
-    decomp = _decompose_with_retry(g, terms, stats, cache, store)
+    decomp = _decompose_with_retry(g, terms, stats)
     x_list = list(decomp.x)
     x_set = set(x_list)
     term_set = set(terms)
@@ -422,12 +392,9 @@ def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
                 paths.add((p, q))
         cluster_locals = [hpos[v] for v in hlow_ids if v in low_set]
         remap = {h: j for j, h in enumerate(cluster_locals)}
-        hconnected = Graph(
+        hconnected = Graph.from_edges(
             len(cluster_locals),
-            _adj_from_edges(
-                len(cluster_locals),
-                [(remap[p], remap[q]) for (p, q) in paths if p in remap and q in remap],
-            ),
+            [(remap[p], remap[q]) for (p, q) in paths if p in remap and q in remap],
         )
 
         def a_dist(ui, vi):
@@ -463,15 +430,6 @@ def terminal_reduction(g: Graph, terminals, k, stats=None, store=None):
         stats.event("terminal_reduction", len(terms), len(t_prime), s_prime_ok)
         stats.add("terminal_reduction_rounds")
     return (best if best is not None else NoCut(None)), tuple(t_prime)
-
-
-def _adj_from_edges(n, edges):
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return [sorted(r) for r in adj]
 
 
 def unbalanced_vc(g: Graph, stats=None):
@@ -616,10 +574,9 @@ def vertex_connectivity_unweighted(g: Graph, stats=None, unbalanced=True):
     if unbalanced:
         offer(unbalanced_vc(gs, stats))
     terms = tuple(range(g.n))
-    store = PieceStore(gs)
     while terms:
         offer(balanced_terminal_vc(gs, terms, k, stats, best=best))
-        reduced, terms = terminal_reduction(gs, terms, k, stats, store=store)
+        reduced, terms = terminal_reduction(gs, terms, k, stats)
         offer(reduced)
     assert isinstance(best, VertexCut)
     return best

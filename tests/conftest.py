@@ -358,13 +358,12 @@ def unledgered_driver(g, stats=None, unbalanced=True):
     if unbalanced:
         offer(unledgered_unbalanced_vc(gs, stats))
     terms = tuple(range(g.n))
-    store = unweighted.PieceStore(gs)
     real = unweighted.balanced_terminal_vc
     unweighted.balanced_terminal_vc = unledgered_balanced_terminal_vc
     try:
         while terms:
             offer(unledgered_balanced_terminal_vc(gs, terms, k, stats, best=best))
-            reduced, terms = unweighted.terminal_reduction(gs, terms, k, stats, store=store)
+            reduced, terms = unweighted.terminal_reduction(gs, terms, k, stats)
             offer(reduced)
     finally:
         unweighted.balanced_terminal_vc = real

@@ -1,8 +1,8 @@
 """The benchmark harness's own self-test, `python3 perfbench/selftest.py`.
 
 It runs every workload on tiny instances, untraced and traced, so it also
-runs the traced `kernel` and `cnc.sketch_*` spans, which the rest of the
-test suite does not.  It writes only into the git-ignored `.perfbench_out/`.
+runs the traced `kernel` spans, which the rest of the test suite does not.
+It writes only into the git-ignored `.perfbench_out/`.
 """
 
 import subprocess

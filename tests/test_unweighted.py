@@ -3,8 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 import conftest
 from conftest import (
     complete,
@@ -16,7 +14,6 @@ from conftest import (
     two_cliques_sharing,
 )
 from vcut import kernel, maxflow, unweighted
-from vcut.errors import BudgetExceeded, InvariantError
 from vcut.graphs import Graph, NoCut, VertexCut, _log2ceil, min_degree_cut, validate_cut
 from vcut.instrument import Counters
 from vcut.isocut import balanced_terminal_vc, subgraph_balanced_terminal_vc
@@ -25,7 +22,6 @@ from vcut.maxflow import _ledger, weighted_paths
 from vcut.oracle import brute_kappa, brute_pair_kappa, generate_planted, random_graph
 from vcut.unweighted import (
     EXPANDER_PHI,
-    PieceStore,
     _sparsest_canonical_cut,
     expander_decomposition,
     shaving,
@@ -45,10 +41,7 @@ class TestExpanderDecomposition:
         # Cliques {0..4} and {4..8} share vertex 4; their sparsest cut has
         # h = 1/5, so any phi above that splits them at the joint.
         g = two_cliques_sharing(5, 1)
-        try:
-            decomp = expander_decomposition(g, range(g.n), 0.25)
-        except BudgetExceeded as exc:
-            decomp = exc.partial
+        decomp = expander_decomposition(g, range(g.n), 0.25)
         assert 4 in decomp.x
         sides = [p for p in decomp.pieces if len(p) > 1]
         assert all(4 not in p for p in decomp.pieces)
@@ -63,10 +56,7 @@ class TestExpanderDecomposition:
     def test_partition_structure(self):
         for seed in range(4):
             g = random_graph(14, 0.25, seed)
-            try:
-                decomp = expander_decomposition(g, range(14), 0.1)
-            except BudgetExceeded as exc:
-                decomp = exc.partial
+            decomp = expander_decomposition(g, range(14), 0.1)
             flat = sorted(v for p in decomp.pieces for v in p) + sorted(decomp.x)
             assert sorted(flat) == list(range(14))
             piece_sets = [set(p) for p in decomp.pieces]
@@ -104,8 +94,7 @@ class TestSmallPieces:
     the sparsest cut over all vertex subsets (`conftest.exhaustive_sparsest`)
     is below phi, and that cut splits off one terminal-bearing component
     with no separator (the proof is in `_sparsest_canonical_cut`), with no
-    flow: each probe is capped at 1, so a pair in one component is settled
-    by a path and a pair in two components is not probed."""
+    flow and no packing: the probe cap is 1, so no pair is probed."""
 
     def test_splits_only_at_components(self):
         splits = 0
@@ -124,6 +113,7 @@ class TestSmallPieces:
                     assert cut.L in comps and set(cut.L) & set(terms), (g.adj, terms, phi)
                     splits += 1
             assert stats.get("flow_calls") == 0, (g.adj, terms)
+            assert stats.get("path_skips") == 0, (g.adj, terms)
         assert splits > 100
 
 
@@ -134,35 +124,30 @@ def _fingerprint(cut):
 
 
 class TestPieceStore:
-    """The driver's one PieceStore per call, and the one pair ledger of its
-    sparsified graph, against a fresh store and a fresh copy of that graph
-    (so an empty ledger) per terminal-reduction round: the same
-    decompositions, cuts, T' sequences, events and counters but the flow
-    and skip counts, never more flows and never more probes solved (flows
-    plus packing skips)."""
+    """The expander pieces that the driver keeps on its sparsified graph gs
+    (`unweighted._piece`), and the one pair ledger of gs, against a fresh
+    copy of gs per terminal-reduction round (so no kept piece and an empty
+    ledger): the same decompositions, cuts, T' sequences, events and
+    counters but the flow and skip counts, never more flows and never more
+    probes solved (flows plus packing skips)."""
 
     @staticmethod
     def _run(g, monkeypatch, fresh):
-        decomps, rounds, stores = [], [], []
+        decomps, rounds, graphs = [], [], []
         real_decomp = unweighted.expander_decomposition
         real_round = unweighted.terminal_reduction
 
         def decomp(*args, **kwargs):
-            try:
-                d = real_decomp(*args, **kwargs)
-            except BudgetExceeded as exc:
-                d = exc.partial
-                decomps.append((d.x, d.pieces, d.phi, "over budget"))
-                raise
+            d = real_decomp(*args, **kwargs)
             decomps.append((d.x, d.pieces, d.phi))
             return d
 
-        def round_(gs, *args, store):
-            stores.append(store)
+        def round_(gs, *args):
+            graphs.append(gs)
             if fresh:
-                gs, store = Graph(gs.n, gs.adj), None
-            cut, t_prime = real_round(gs, *args, store=store)
-            rounds.append((args[1], _fingerprint(cut), t_prime))
+                gs = Graph(gs.n, gs.adj)
+            cut, t_prime = real_round(gs, *args)
+            rounds.append((args[0], _fingerprint(cut), t_prime))
             return cut, t_prime
 
         stats = Counters()
@@ -170,14 +155,14 @@ class TestPieceStore:
             patch.setattr(unweighted, "expander_decomposition", decomp)
             patch.setattr(unweighted, "terminal_reduction", round_)
             cut = vertex_connectivity_unweighted(g, stats=stats)
-        # A probe reused from the shared store repeats neither a fresh
-        # store's flow nor its packing skip.
+        # A probe reused from a kept piece repeats neither a fresh piece's
+        # flow nor its packing skip.
         flows = stats.data.pop("flow_calls", 0)
         skips = stats.data.pop("path_skips", 0)
         stats.data.pop("flow_edges", None)
-        assert len(set(map(id, stores))) == 1
+        assert len(set(map(id, graphs))) == 1
         report = (_fingerprint(cut), decomps, rounds, stats.data, stats.events)
-        return report, flows, skips, stores[0]
+        return report, flows, skips, graphs[0]
 
     def _check(self, monkeypatch):
         graphs = [random_graph(n, p, 40 + n) for n in (18, 21, 24, 27) for p in (0.1, 0.3)]
@@ -187,13 +172,13 @@ class TestPieceStore:
         ]
         saved = split = probes = 0
         for g in graphs:
-            shared, shared_flows, shared_skips, store = self._run(g, monkeypatch, fresh=False)
+            shared, shared_flows, shared_skips, gs = self._run(g, monkeypatch, fresh=False)
             alone, alone_flows, alone_skips, _ = self._run(g, monkeypatch, fresh=True)
             assert shared == alone
-            # Every stored probe is what a new flow returns: a completed
-            # one that of an uncapped flow, an (L, None) one that of a flow
-            # capped at L.
-            for sub, _ in store.pieces.values():
+            # Every stored probe, on gs and on each piece kept on it, is
+            # what a new flow returns: a completed one that of an uncapped
+            # flow, an (L, None) one that of a flow capped at L.
+            for sub in (gs, *(piece for piece, _ in (gs._pieces or {}).values())):
                 for (u, v), res in _ledger(sub).probes.items():
                     limit = None if res[1] is not None else res[0]
                     assert res == conftest.bare_min_st_cut(sub, u, v, limit=limit)
@@ -211,9 +196,24 @@ class TestPieceStore:
     def test_shared_store_matches_fresh_stores_compiled(self, compiled_backend, monkeypatch):
         self._check(monkeypatch)
 
-    def test_store_of_another_graph_rejected(self):
-        with pytest.raises(InvariantError):
-            expander_decomposition(cycle(6), range(6), 0.1, store=PieceStore(cycle(6)))
+    def test_halving_retry_repeats_no_probe(self):
+        """A decomposition at phi / 2 after one at phi, on the same graph
+        and terminals, is answered by the pieces kept on the graph: no flow
+        and no packing (the proof is in `_decompose_with_retry`)."""
+        # Two Petersen graphs sharing vertex 0: at both phi, X = {0} and
+        # each piece is a Petersen graph less a vertex, probed at cap >= 2.
+        p = petersen()
+        shift = [0, *range(10, 19)]
+        g = Graph.from_edges(19, [*p.edges(), *((shift[u], shift[v]) for u, v in p.edges())])
+        stats = Counters()
+        first = expander_decomposition(g, range(g.n), 0.5, stats)
+        assert first.x == (0,) and len(first.pieces) == 2
+        assert unweighted._probe_cap(9, 0.25) == 2
+        before = stats.get("flow_calls"), stats.get("path_skips")
+        assert before[0] > 0
+        again = expander_decomposition(g, range(g.n), 0.25, stats)
+        assert (again.x, again.pieces) == (first.x, first.pieces)
+        assert (stats.get("flow_calls"), stats.get("path_skips")) == before
 
 
 def _clique_chain(k, m):
@@ -228,9 +228,9 @@ def _split_cases():
     """(graph, terminal sets): chains of cliques joined by single vertices,
     sparse G(n, p) and the two cliques of `TestProbeCap.test_float_boundary`,
     each with a seeded third of the vertices, every second vertex and all
-    vertices as terminals (growing, so the probe caps of one store grow
-    too).  G(n, 1.5/n) has cut vertices and splits; G(n, 3.5/n) mostly does
-    not, and there the cap settles probes."""
+    vertices as terminals (growing, so the probe caps of one graph's kept
+    pieces grow too).  G(n, 1.5/n) has cut vertices and splits; G(n, 3.5/n)
+    mostly does not, and there the cap settles probes."""
     graphs = [_clique_chain(k, m) for k, m in ((4, 6), (5, 5), (6, 4), (7, 3), (5, 8))]
     graphs += [random_graph(n, c / n, 500 + n) for n in range(18, 40, 3) for c in (1.5, 3.5)]
     graphs.append(two_cliques_sharing(10, 1))
@@ -243,24 +243,20 @@ def _split_cases():
         ]
 
 
-def _halving_decompositions(g, term_sets, store, stats):
+def _halving_decompositions(g, term_sets, stats):
     """expander_decomposition of g for each terminal set, over phi = 0.4
-    halved down to 0.0125 with one `_cache` per terminal set and `store`
-    shared by all: a list of (X, pieces, over budget), and how many of those
-    calls split the whole graph at a non-empty separator."""
+    halved down to 0.0125, all on g, so every call shares the pieces kept
+    on it: a list of (X, pieces), and how many of those calls split the
+    whole graph at a non-empty separator (the whole graph's search asked
+    again, which its ledger answers)."""
     out, splits = [], 0
     for terms in term_sets:
-        cache = {}
         phi = 0.4
         while phi >= 0.0125:
-            try:
-                d = expander_decomposition(g, terms, phi, stats=stats, _cache=cache, store=store)
-                over = False
-            except BudgetExceeded as exc:
-                d, over = exc.partial, True
-            out.append((d.x, d.pieces, over))
-            entry = cache[tuple(range(g.n))]
-            splits += entry is not None and entry[0] < phi and bool(entry[2])
+            d = expander_decomposition(g, terms, phi, stats=stats)
+            out.append((d.x, d.pieces))
+            whole = unweighted._sparsest_canonical_cut(g, terms, phi, min(48, 4 * g.n), None)
+            splits += whole is not None and whole[0] < phi and bool(whole[1].S)
             phi /= 2
     return out, splits
 
@@ -272,8 +268,8 @@ class TestProbeCap:
     @staticmethod
     def _uncapped(monkeypatch):
         """The former probe loop, which keeps the probes of each piece (by
-        the identity of its subgraph, which the piece store keeps alive)
-        across terminal sets, as the store does, at every piece size."""
+        the identity of its subgraph, which the graph keeps alive) across
+        terminal sets, as the kept pieces do, at every piece size."""
         kept = {}
 
         def probe(g, terminals, phi, probe_budget, stats):
@@ -286,11 +282,11 @@ class TestProbeCap:
         flows = ref_flows = splits = 0
         for g, term_sets in _split_cases():
             stats = Counters()
-            got, split = _halving_decompositions(g, term_sets, PieceStore(g), stats)
+            got, split = _halving_decompositions(Graph(g.n, g.adj), term_sets, stats)
             ref_stats = Counters()
             with monkeypatch.context() as patch:
                 self._uncapped(patch)
-                want, _ = _halving_decompositions(g, term_sets, PieceStore(g), ref_stats)
+                want, _ = _halving_decompositions(Graph(g.n, g.adj), term_sets, ref_stats)
             assert got == want, g.adj
             flows += stats.get("flow_calls")
             ref_flows += ref_stats.get("flow_calls")
