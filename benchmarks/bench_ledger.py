@@ -90,14 +90,14 @@ def counted(driver, graphs):
             return saved[name](*args, **kwargs)
         return inner
 
-    def search(g, terms, k, best, probe):
+    def search(g, terms, k, best, probe, stats):
         def counted_probe(a, b, limit):
             before = sum(calls.values())
             got = probe(a, b, limit)
             counts["probes"] += 1
             counts["probes_to_maxflow"] += sum(calls.values()) > before
             return got
-        return real_search(g, terms, k, best, counted_probe)
+        return real_search(g, terms, k, best, counted_probe, stats)
 
     answers, events = [], []
     for name in ENGINE:

@@ -23,8 +23,7 @@ class Graph:
     __slots__ = ("n", "adj", "_adjsets", "_min_degree", "_network", "_ledger", "_pieces")
 
     def __init__(self, n: int, adj):
-        self.n = n
-        self.adj = tuple(tuple(row) for row in adj)
+        self._fill(n, adj)
         if len(self.adj) != n:
             raise InvariantError("adjacency length does not match n")
         for u, row in enumerate(self.adj):
@@ -37,11 +36,24 @@ class Graph:
                 if v <= prev:
                     raise InvariantError(f"adjacency of {u} not sorted/duplicate-free")
                 prev = v
-        self._adjsets = tuple(frozenset(row) for row in self.adj)
         for u, row in enumerate(self.adj):
             for v in row:
                 if u not in self._adjsets[v]:
                     raise InvariantError(f"asymmetric edge ({u},{v})")
+
+    @classmethod
+    def _unchecked(cls, n: int, adj) -> "Graph":
+        """The Graph of rows its caller builds sorted, duplicate-free, in
+        [0, n), loop-free and symmetric, without the constructor's checks
+        of those properties."""
+        g = cls.__new__(cls)
+        g._fill(n, adj)
+        return g
+
+    def _fill(self, n, adj):
+        self.n = n
+        self.adj = tuple(tuple(row) for row in adj)
+        self._adjsets = tuple(frozenset(row) for row in self.adj)
         self._min_degree = None
         self._network = None  # split network, built by maxflow._graph_flow
         self._ledger = None  # pair ledger, made by maxflow.min_st_cut
@@ -136,7 +148,7 @@ class Graph:
         pos = {v: i for i, v in enumerate(ids)}
         keep = set(ids)
         adj = [[pos[v] for v in self.adj[u] if v in keep] for u in ids]
-        return Graph(len(ids), adj), ids
+        return Graph._unchecked(len(ids), adj), ids
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

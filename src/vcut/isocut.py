@@ -29,7 +29,10 @@ edges at the terminals.
   list, walked by `crossing_pairs` with no family built: each unordered
   pair (i, j), i < j, once, in the family's first-occurrence order,
   mapped to terminals (terms[i], terms[j]).  The map is monotone, so the
-  smaller terminal comes first.
+  smaller terminal comes first.  The walk ends as soon as
+  `maxflow.connectivity_at_least` proves kappa(g) >= the value found,
+  checked after each improvement and answered from g's pair ledger with
+  no flow: no later probe can then return a cut (see `_balanced_search`).
 
 Every probe is capped, so the engine's one skip rule applies: when a
 unit-capacity packing of paths reaches the cap, the capped flow would stop
@@ -42,12 +45,13 @@ caller's best.  In the pair regime, once a cut is found, the cap is its
 value: only a strictly smaller cut replaces it.
 
 Whole-graph probes are `min_st_cut` calls, answered from the graph's own
-pair ledger where it can (see `maxflow`); the search still asks every
-probe, in the same order.  The subgraph entry point sends its probes there
-too when T is all of V: its auxiliary graph is then g plus an isolated
-super-vertex, so the flow from a to {b, super-vertex} has the value and the
-a-closest separator of the a-b flow in g, and the candidate is remapped
-from that separator as before.
+pair ledger where it can (see `maxflow`); the ledger decides which probes
+need a packing or a flow, not which are asked or what they answer.  The
+subgraph entry point sends its probes there too when T is all of V: its
+auxiliary graph is then g plus an isolated super-vertex, so the flow from
+a to {b, super-vertex} has the value and the a-closest separator of the
+a-b flow in g, and the candidate is remapped from that separator as
+before.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from .graphs import (
     better_cut,
     validate_cut,
 )
-from .maxflow import _graph_flow, min_s_to_set_separator, min_st_cut
+from .maxflow import _graph_flow, connectivity_at_least, min_s_to_set_separator, min_st_cut
 from .pseudorandom import crossing_pairs
 
 # Epsilon of the balanced-terminal search (replaces the asymptotic
@@ -152,7 +156,7 @@ def isolating_vertex_cuts(g: Graph, terminals, stats=None) -> IsolatingResult:
     return IsolatingResult(cuts)
 
 
-def _balanced_search(g: Graph, terms, k, best, probe):
+def _balanced_search(g: Graph, terms, k, best, probe, stats):
     """The balanced-terminal search over the sorted terminal list `terms` of
     g (see the module docstring), capped from the caller's `best`.
 
@@ -169,6 +173,24 @@ def _balanced_search(g: Graph, terms, k, best, probe):
     k/eps <= |T|/4, with eps <= 1 and k >= 1, gives |T| >= 4 and
     2*ceil(k/eps) < |T|/2 + 2 <= |T|.  When every two terminals are
     adjacent, the selector regime makes no probe and returns NoCut.
+
+    The pair regime returns `found` as soon as `connectivity_at_least(g,
+    found.value, stats)` holds, asked each time a probe lowers `found`.
+    The result is that of walking every pair, for both probe closures:
+
+    - every later probe is capped at `found.value`, so it can only return
+      a cut of g of smaller value;
+    - the whole-graph probe (`min_st_cut` on g) then answers (limit, None),
+      since kappa(a, b) >= kappa(g) >= `found.value`;
+    - the auxiliary-graph probe (`min_s_to_set_separator`) returns a
+      candidate only when `_remap_candidate` validates it in g, and a cut
+      of g weighs at least kappa(g) >= `found.value`, so it returns None.
+
+    So `found` can no longer change.  The check runs no flow; the search's
+    flows are a prefix of those of the full walk, and only `path_skips`
+    and the flow counts move.  The selector regime does not ask it: its cap
+    is `found.value + 1`, and a cut of equal value can still win on
+    `key()`.
     """
     if not terms:
         raise InvariantError("empty terminal set")
@@ -189,7 +211,11 @@ def _balanced_search(g: Graph, terms, k, best, probe):
     else:
         for i, j in crossing_pairs(len(terms), 1 / eps):
             limit = found.value if isinstance(found, VertexCut) else cap
-            found = better_cut(found, probe(terms[i], terms[j], limit))
+            cut = better_cut(found, probe(terms[i], terms[j], limit))
+            if cut is not found:
+                found = cut
+                if connectivity_at_least(g, found.value, stats):
+                    break
     return found if isinstance(found, VertexCut) else NoCut(g.n - 1)
 
 
@@ -205,7 +231,7 @@ def balanced_terminal_vc(g: Graph, terminals, k, stats=None, best=None):
         res = min_st_cut(g, a, b, limit, stats)
         return None if res is NoSeparator else res[1]
 
-    found = _balanced_search(g, sorted(set(terminals)), k, best, probe)
+    found = _balanced_search(g, sorted(set(terminals)), k, best, probe, stats)
     assert not isinstance(found, VertexCut) or validate_cut(g, found)
     return found
 
@@ -229,7 +255,7 @@ def _terminal_subgraph(g: Graph, terms):
     for b in sorted(halo):
         adj[pos[b]].add(virtual)
         adj[virtual].add(pos[b])
-    aux = Graph(virtual + 1, [sorted(r) for r in adj])
+    aux = Graph._unchecked(virtual + 1, [sorted(r) for r in adj])
     return aux, nodes, virtual
 
 
@@ -280,4 +306,4 @@ def subgraph_balanced_terminal_vc(g: Graph, terminals, k, stats=None, best=None)
             return None
         return _remap_candidate(g, res[1].S if whole else (nodes[x] for x in res[1]))
 
-    return _balanced_search(g, terms, k, best, probe)
+    return _balanced_search(g, terms, k, best, probe, stats)

@@ -120,7 +120,7 @@ def kernel_graph(index: KernelIndex, i, s, t):
         adj[v].add(s)
     ids = sorted(adj)
     pos = {v: j for j, v in enumerate(ids)}
-    kernel = Graph(len(ids), [[pos[v] for v in sorted(adj[u])] for u in ids])
+    kernel = Graph._unchecked(len(ids), [[pos[v] for v in sorted(adj[u])] for u in ids])
     return kernel, ids, pos[s], pos[t]
 
 

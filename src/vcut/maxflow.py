@@ -51,8 +51,14 @@ as long as one driver call.
 the pair set of Esfahanian and Hakimi (1984): about n + C(delta, 2) pairs
 around a vertex of minimum degree, each settled by a packing or a stored
 probe, never by a flow.  `even_sweep` returns as soon as it holds at the
-sweep's limit, and the unweighted driver's unbalanced branch skips a
-scale's pair loop when it holds at the best cut's value.
+sweep's limit, the unweighted driver's unbalanced branch skips a scale's
+pair loop when it holds at the best cut's value, and the pair regime of
+the balanced-terminal search (`isocut._balanced_search`) returns when it
+holds at the value found.  The ledger keeps the largest limit proved as
+`certified`, so a later check at or below it returns True with no pair
+asked: the driver repeats the check on its sparsified graph in every
+balanced round and every unbalanced scale.  A False is never kept, since
+a probe stored later can settle the pair left open.
 
 There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set
@@ -327,13 +333,16 @@ class PairLedger:
     runs along `out_adj` with vertex capacities `weights` (1 per vertex on
     a Graph) to `near[t]`, the vertices with an arc into t (t's neighbours
     on a Graph); `min_s_to_set_separator` packs along the same view.
-    `mirror` says whether kappa is symmetric (a Graph)."""
+    `mirror` says whether kappa is symmetric (a Graph).  `certified` is the
+    largest limit L >= 1 at which `connectivity_at_least` has proved
+    kappa(g) >= L, or 0 before any such proof."""
 
-    __slots__ = ("packs", "probes", "out_adj", "weights", "near", "mirror")
+    __slots__ = ("packs", "probes", "out_adj", "weights", "near", "mirror", "certified")
 
     def __init__(self, g):
         self.packs = {}
         self.probes = {}
+        self.certified = 0
         self.mirror = isinstance(g, Graph)
         if self.mirror:
             self.out_adj, self.weights, self.near = g.adj, [1] * g.n, g._adjsets
@@ -396,12 +405,23 @@ def connectivity_at_least(g: Graph, limit, stats=None):
 
     Sound: a separator S with |S| < limit would separate a pair of the set
     (see `_certificate_pairs`), whose kappa is then below `limit`, so
-    neither its packing nor a stored probe reaches `limit`."""
+    neither its packing nor a stored probe reaches `limit`.
+
+    A limit L >= 1 that holds is kept as the ledger's `certified` when it
+    is the largest so far, and a later limit in [1, certified] returns True
+    with no pair asked: kappa(g) >= certified proves it.  A False is not
+    kept, since a probe stored later can settle the pair that was open."""
     if limit is None:
         return False
     if g.n == 0:
         return True
-    return all(kappa_at_least(g, a, b, limit, stats) for a, b in _certificate_pairs(g))
+    ledger = _ledger(g)
+    if 0 < limit <= ledger.certified:
+        return True
+    if not all(kappa_at_least(g, a, b, limit, stats) for a, b in _certificate_pairs(g)):
+        return False
+    ledger.certified = max(ledger.certified, limit)
+    return True
 
 
 def min_st_cut(g, s, t, limit=None, stats=None):

@@ -544,7 +544,10 @@ def vertex_connectivity_unweighted(g: Graph, stats=None, unbalanced=True):
     - (b) The pair regime (k/eps > n/4), which holds for every perfbench
       unweighted instance (n <= 28 < 16 delta).  There the round probes
       one orientation of each pair, and once it has found a cut its cap is
-      strict, so a later cut of the same value is not offered.
+      strict, so a later cut of the same value is not offered.  The round
+      also ends as soon as `maxflow.connectivity_at_least` proves kappa
+      >= the value found, often after a few probes, so it does not visit
+      every pair either.
     - (c) The driver validates every offer in g, not in gs.  When the
       round's key()-smaller cut of gs fails that check, the pair loop's
       cut can still win.

@@ -29,7 +29,7 @@ from vcut.graphs import (
 )
 from vcut.kernel import build_kernel_index, query_kappa_upper
 from vcut.maxflow import min_s_to_set_separator, weighted_paths
-from vcut.pseudorandom import asymmetric_crossing_family
+from vcut.pseudorandom import asymmetric_crossing_family, crossing_pairs
 
 
 def perfbench_graphs(workload, seed):
@@ -264,7 +264,7 @@ def unledgered_balanced_terminal_vc(g, terminals, k, stats=None, best=None):
         res = bare_min_st_cut(g, a, b, limit=limit, stats=stats)
         return None if res is NoSeparator else res[1]
 
-    return isocut._balanced_search(g, sorted(set(terminals)), k, best, probe)
+    return isocut._balanced_search(g, sorted(set(terminals)), k, best, probe, stats)
 
 
 def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, stats=None,
@@ -283,7 +283,23 @@ def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, stats=None,
             return None
         return isocut._remap_candidate(g, (nodes[x] for x in res[1]))
 
-    return isocut._balanced_search(g, terms, k, best, probe)
+    return isocut._balanced_search(g, terms, k, best, probe, stats)
+
+
+def certificate_free_search(g, terms, k, best, probe, stats):
+    """Reference for `isocut._balanced_search` in its pair regime (k / eps
+    > |T| / 4): the same `crossing_pairs` walk and caps, but with no stop
+    at the Esfahanian-Hakimi certificate, so every pair is probed.  `stats`
+    is unused; it is there for the search's signature.  This is the
+    package's former pair loop."""
+    eps = isocut.EPS_BALANCED
+    assert k / eps > len(terms) / 4  # the pair regime
+    cap = best.value + 1 if isinstance(best, VertexCut) else None
+    found = None
+    for i, j in crossing_pairs(len(terms), 1 / eps):
+        limit = found.value if isinstance(found, VertexCut) else cap
+        found = better_cut(found, probe(terms[i], terms[j], limit))
+    return found if isinstance(found, VertexCut) else NoCut(g.n - 1)
 
 
 def unledgered_unbalanced_vc(g, stats=None):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import complete, cycle, path, petersen
-from vcut.errors import InvariantError, ParseError
+from vcut.errors import EmptyKernel, InvariantError, ParseError
 from vcut.graphs import (
     Graph,
     NoCut,
@@ -17,6 +17,8 @@ from vcut.graphs import (
     validate_cut,
     weighted_symdiff,
 )
+from vcut.isocut import _terminal_subgraph
+from vcut.kernel import build_kernel_index, kernel_graph
 from vcut.oracle import brute_kappa, random_graph
 
 
@@ -191,3 +193,45 @@ class TestGraphBasics:
         assert complete(5).is_complete()
         assert not petersen().is_complete()
         assert NoCut(4).value == 4
+
+
+class TestUncheckedConstructor:
+    """`Graph._unchecked` builds a Graph without the constructor's row
+    checks.  The builders that use it emit rows that pass them, and the
+    public constructor keeps every check."""
+
+    def test_builders_emit_checked_rows(self):
+        built = 0
+        for seed in range(6):
+            g = random_graph(14, (0.2, 0.4)[seed % 2], seed)
+            terms = sorted(random.Random(seed).sample(range(g.n), 5))
+            graphs = [g.induced(range(0, g.n, 2))[0], g.induced(range(g.n))[0],
+                      _terminal_subgraph(g, terms)[0]]
+            index = build_kernel_index(g, 2)
+            for i, cluster in enumerate(index.clusters):
+                s = cluster[0]
+                for t in range(g.n):
+                    if t == s or g.has_edge(s, t):
+                        continue
+                    try:
+                        graphs.append(kernel_graph(index, i, s, t)[0])
+                    except EmptyKernel:
+                        continue
+            for h in graphs:
+                checked = Graph(h.n, h.adj)
+                assert checked == h and checked._adjsets == h._adjsets
+                assert (h._network, h._ledger, h._pieces, h._min_degree) == (None,) * 4
+                built += 1
+        assert built > 50
+
+    @pytest.mark.parametrize("n, adj", [
+        (1, [[], []]),  # length
+        (2, [[2], []]),  # range
+        (2, [[0], []]),  # self-loop
+        (3, [[2, 1], [0], [0]]),  # order
+        (2, [[1, 1], [0]]),  # duplicate
+        (2, [[1], []]),  # symmetry
+    ])
+    def test_public_constructor_keeps_its_checks(self, n, adj):
+        with pytest.raises(InvariantError):
+            Graph(n, adj)

@@ -4,10 +4,25 @@ import random
 
 import pytest
 
-from conftest import assert_matches_reference, complete, cycle, unit_paths
+from conftest import (
+    assert_matches_reference,
+    certificate_free_search,
+    complete,
+    cycle,
+    perfbench_graphs,
+    unit_paths,
+)
 from vcut.errors import InvariantError
 from vcut import isocut
-from vcut.graphs import Graph, NoCut, VertexCut, better_cut, min_degree_cut, validate_cut
+from vcut.graphs import (
+    Graph,
+    NoCut,
+    VertexCut,
+    better_cut,
+    min_degree_cut,
+    ni_sparsify,
+    validate_cut,
+)
 from vcut.instrument import Counters
 from vcut.isocut import (
     _remap_candidate,
@@ -229,7 +244,11 @@ class TestSinkSetCertificate:
                 saved += plain_stats.get("flow_calls") - flows
         assert saved > 0
 
-    def test_matches_unchecked_pair_branch(self):
+    @staticmethod
+    def _against_unchecked(counts):
+        """Runs the pair branch and `_pair_branch_unchecked` on every case,
+        asserts the same cut, and checks `counts(mine, ref)` per case.
+        Returns the summed `path_skips`."""
         skips = 0
         for g, terms in _terminal_cases():
             k = len(terms)  # k / eps > |T| / 4: the pair branch runs
@@ -239,9 +258,101 @@ class TestSinkSetCertificate:
             assert type(got) is type(want)
             if isinstance(want, VertexCut):
                 assert got == want
-            assert mine.get("flow_calls") + mine.get("path_skips") == ref.get("flow_calls")
+            assert counts(mine, ref), (g, terms)
             skips += mine.get("path_skips")
+        return skips
+
+    def test_matches_unchecked_pair_branch(self):
+        # The search ends at the connectivity certificate, so it runs no
+        # more flows than the branch that probes every pair.
+        skips = self._against_unchecked(
+            lambda mine, ref: mine.get("flow_calls") <= ref.get("flow_calls")
+        )
         assert skips > 0
+
+    def test_matches_unchecked_pair_branch_flow_for_flow(self, monkeypatch):
+        # With the certificate never holding, every pair is probed: each of
+        # the unchecked branch's flows is a flow or a path skip here.
+        monkeypatch.setattr(isocut, "connectivity_at_least", lambda *args: False)
+        skips = self._against_unchecked(
+            lambda mine, ref: mine.get("flow_calls") + mine.get("path_skips")
+            == ref.get("flow_calls")
+        )
+        assert skips > 0
+
+
+BALANCED_SEARCH = isocut._balanced_search
+
+
+def _pair_regime_cases():
+    """(graph, terminals, k) in the pair regime: `_terminal_cases()` with
+    k = |T|, and the driver's first round on the sparsified graph of every
+    instance of the perfbench unweighted workload at seeds 1 and 7."""
+    for g, terms in _terminal_cases():
+        yield g, terms, len(terms)
+    for seed in (1, 7):
+        for graph in perfbench_graphs("unweighted", seed):
+            gs = ni_sparsify(graph, graph.min_degree())
+            yield gs, list(range(gs.n)), max(1, gs.min_degree())
+
+
+class TestPairRegimeCertificate:
+    """The pair regime returns once `connectivity_at_least` proves kappa(g)
+    >= the value found: both entry points return the cut of the search
+    that probes every pair (`conftest.certificate_free_search`), with no
+    more flows and no more probes."""
+
+    @staticmethod
+    def _run(entry, search, g, terms, k, best, monkeypatch):
+        """(cut, flows, probes) of `entry` on a fresh copy of g, with
+        `search` as its balanced search."""
+        probes = []
+
+        def counted(g, terms, k, best, probe, stats):
+            def counted_probe(a, b, limit):
+                probes.append((a, b))
+                return probe(a, b, limit)
+
+            return search(g, terms, k, best, counted_probe, stats)
+
+        stats = Counters()
+        with monkeypatch.context() as patch:
+            patch.setattr(isocut, "_balanced_search", counted)
+            got = entry(Graph(g.n, g.adj), terms, k, stats=stats, best=best)
+        return got, stats.get("flow_calls"), len(probes)
+
+    @pytest.mark.parametrize("entry", [balanced_terminal_vc, subgraph_balanced_terminal_vc])
+    def test_matches_search_without_certificate(self, entry, monkeypatch):
+        cases = stopped = 0
+        for g, terms, k in _pair_regime_cases():
+            assert k / isocut.EPS_BALANCED > len(terms) / 4
+            plain = self._run(entry, BALANCED_SEARCH, g, terms, k, None, monkeypatch)[0]
+            callers = [None, min_degree_cut(g)]
+            if isinstance(plain, VertexCut):
+                callers.append(plain)
+            for best in callers:
+                got, flows, probes = self._run(
+                    entry, BALANCED_SEARCH, g, terms, k, best, monkeypatch
+                )
+                want, ref_flows, ref_probes = self._run(
+                    entry, certificate_free_search, g, terms, k, best, monkeypatch
+                )
+                assert type(got) is type(want) and got.value == want.value
+                if isinstance(want, VertexCut):
+                    assert got == want, (g, terms, best)
+                assert flows <= ref_flows and probes <= ref_probes
+                stopped += probes < ref_probes
+                cases += 1
+        assert cases > 100 and stopped > 0
+
+    def test_certificate_not_asked_in_the_selector_regime(self, monkeypatch):
+        def no_certificate(*args):
+            raise AssertionError("certificate asked")
+
+        monkeypatch.setattr(isocut, "connectivity_at_least", no_certificate)
+        for g, terms, k in itertools.islice(_selector_cases(), 4):
+            assert isinstance(balanced_terminal_vc(g, terms, k), VertexCut)
+            assert isinstance(subgraph_balanced_terminal_vc(g, terms, k), VertexCut)
 
 
 def _former_selector_route(g, terms, k, isolating_candidates):

@@ -264,6 +264,78 @@ class TestConnectivityCertificate:
         assert not connectivity_at_least(cycle(8), 3)
 
 
+class TestCertifiedLimit:
+    """The ledger's `certified`: the largest limit `connectivity_at_least`
+    has proved on its graph, which answers every limit in [1, certified]."""
+
+    @staticmethod
+    def _check(g, limit, monkeypatch):
+        """(answer, packings, pairs asked) of one `connectivity_at_least`."""
+        packings, asked = [], []
+        real_paths, real_pair = maxflow.weighted_paths, maxflow.kappa_at_least
+
+        def paths(*args):
+            packings.append(args)
+            return real_paths(*args)
+
+        def pair(*args):
+            asked.append(args)
+            return real_pair(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(maxflow, "weighted_paths", paths)
+            patch.setattr(maxflow, "kappa_at_least", pair)
+            got = connectivity_at_least(g, limit)
+        return got, len(packings), len(asked)
+
+    def test_certified_limit_answers_every_lower_limit(self, monkeypatch):
+        g = petersen()  # kappa 3
+        got, packings, asked = self._check(g, 3, monkeypatch)
+        assert got and packings > 0 and asked == len(_certificate_pairs(g))
+        assert _ledger(g).certified == 3
+        for limit in (3, 2, 1):
+            assert self._check(g, limit, monkeypatch) == (True, 0, 0)
+        assert _ledger(g).certified == 3
+
+    def test_next_limit_checks_the_pairs_again(self, monkeypatch):
+        g = petersen()
+        assert connectivity_at_least(g, 3)
+        got, packings, asked = self._check(g, 4, monkeypatch)
+        assert not got and packings > 0 and asked > 0
+        assert _ledger(g).certified == 3
+        # K_8 minus an edge, kappa 6: each proof raises the certified limit.
+        g = Graph.from_edges(8, [e for e in itertools.combinations(range(8), 2) if e != (0, 1)])
+        assert connectivity_at_least(g, 3) and _ledger(g).certified == 3
+        got, _, asked = self._check(g, 4, monkeypatch)
+        assert got and asked == len(_certificate_pairs(g))
+        assert _ledger(g).certified == 4
+
+    def test_false_is_not_remembered(self):
+        # kappa 2, but a greedy packing of some certificate pair stops at 1.
+        g = random_graph(7, 0.3, 15)
+        assert brute_kappa(g)[0] == 2
+        assert not connectivity_at_least(g, 2)
+        assert _ledger(g).certified == 0
+        for a, b in _certificate_pairs(g):
+            min_st_cut(g, a, b)  # a completed probe stores kappa(a, b)
+        assert connectivity_at_least(g, 2)
+        assert _ledger(g).certified == 2
+
+    def test_limits_below_one_and_none_as_before(self):
+        """Limits <= 0 and None get the answer of the pair rule itself,
+        before and after a proof, and leave `certified` alone."""
+        for make in (lambda: cycle(8), petersen, lambda: complete(4)):
+            for proved in (None, 2):
+                g = make()
+                if proved is not None:
+                    assert connectivity_at_least(g, proved)
+                for limit in (-1, 0):
+                    want = all(kappa_at_least(g, a, b, limit) for a, b in _certificate_pairs(g))
+                    assert connectivity_at_least(g, limit) is want
+                assert connectivity_at_least(g, None) is False
+                assert _ledger(g).certified == (proved or 0)
+
+
 class TestEvenSweep:
     """Even's sweep returns exactly what probing every pair returns, with
     no more flows."""
