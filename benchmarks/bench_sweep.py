@@ -1,19 +1,24 @@
-"""Time Even's sweep with and without its connectivity certificate.
+"""Time Even's sweep with its connectivity certificate, with the former
+pairwise certificate, and with none.
 
 The new sweep is `maxflow.even_sweep`, which returns as soon as
-`maxflow.connectivity_at_least` proves kappa >= the sweep's limit from
-packings over the Esfahanian-Hakimi pair set; the former sweep is
-`former_even_sweep` in `tests/conftest.py`, which probes every pair from
-sources below the limit.
+`maxflow.connectivity_at_least` proves kappa >= the sweep's limit: it
+packs the non-adjacent pairs of N(v), v a vertex of minimum degree, and
+settles the vertices far from v by propagation, packing a pair of v only
+when that runs dry.  The "pairwise" path is the same sweep with the former
+check, `pairwise_connectivity_at_least` in `tests/conftest.py`, which packs
+every pair of the Esfahanian-Hakimi set.  The "former" sweep is
+`former_even_sweep` there, which probes every pair from sources below the
+limit.
 
 Cases: the perfbench gabow design at seeds 7, 8 and 11 (28 decisions
-each, every one taking the sweep fallback, run as one pass of `gabow_vc`
-with the former sweep patched in for the "former" path), and G(n, 8/n),
-seed 3, at n = 96, 192, 384 and 768, swept from the min-degree cut.  Per
-case and path it records the best wall time over `--rounds` calls (the
-two paths take turns, each call on a fresh copy of the graph, so no pair
-ledger carries over), the `flow_calls` and `path_skips` of one call, and
-whether both paths gave the same answers (`same_cut`).  The rows go into
+each, every one taking the sweep fallback under k, run as one pass of
+`gabow_vc` with the path's sweep patched in), and G(n, 8/n), seed 3, at n
+= 96, 192, 384, 768 and 1,536, swept from the min-degree cut.  Per case
+and path it records the best wall time over `--rounds` calls (the paths
+take turns, each call on a fresh copy of the graph, so no pair ledger
+carries over), the `flow_calls` and `path_skips` of one call, and whether
+every path gave the answers of the new one (`same_cut`).  The rows go into
 `BENCH_sweep.json` in the repository root under `--label`.  Run:
 
     python3 benchmarks/bench_sweep.py --label change [--rounds 3]
@@ -32,7 +37,11 @@ OUT = os.path.join(ROOT, "BENCH_sweep.json")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from conftest import former_even_sweep, perfbench_graphs  # noqa: E402
+from conftest import (  # noqa: E402
+    former_even_sweep,
+    pairwise_connectivity_at_least,
+    perfbench_graphs,
+)
 from vcut import gabow, maxflow  # noqa: E402
 from vcut.gabow import gabow_vc  # noqa: E402
 from vcut.graphs import Graph, min_degree_cut  # noqa: E402
@@ -40,9 +49,21 @@ from vcut.instrument import Counters  # noqa: E402
 from vcut.oracle import random_graph  # noqa: E402
 
 GABOW_SEEDS = (7, 8, 11)
-SIZES = (96, 192, 384, 768)
+SIZES = (96, 192, 384, 768, 1536)
 SEED = 3
-SWEEPS = {"new": maxflow.even_sweep, "former": former_even_sweep}
+CHECK = maxflow.connectivity_at_least
+
+
+def pairwise_sweep(g, best=None, cap=None, stats=None):
+    """`maxflow.even_sweep` with the former, pairwise certificate."""
+    maxflow.connectivity_at_least = pairwise_connectivity_at_least
+    try:
+        return maxflow.even_sweep(g, best, cap, stats)
+    finally:
+        maxflow.connectivity_at_least = CHECK
+
+
+SWEEPS = {"new": maxflow.even_sweep, "pairwise": pairwise_sweep, "former": former_even_sweep}
 
 
 def gabow_pass(graphs, sweep, stats):
@@ -82,7 +103,8 @@ def measure(case, rounds):
             answers[path] = run(graph, sweep, stats[path])
             dt = time.perf_counter() - t0
             best[path] = min(best.get(path, dt), dt)
-    row = {"case": name, "calls": calls, "same_cut": answers["new"] == answers["former"]}
+    same = all(answers[path] == answers["new"] for path in SWEEPS)
+    row = {"case": name, "calls": calls, "same_cut": same}
     for path in SWEEPS:
         row[path] = {
             "wall_s": round(best[path], 4),

@@ -10,15 +10,16 @@ of them has size exactly kappa whenever kappa < k.
 When no positive rich-set margin exists (sparsified minimum degree <= k, or
 tau <= 0 inside `large_gap_vc`), the decision falls back to Even's sweep
 (`maxflow.even_sweep`): pairwise flows from sources v_0..v_{L-1} only, L the
-value of the best cut so far (else k).  A minimum separator S misses some
-v_i with i <= |S|, and every vertex on its far side has a larger index, so
-the sweep meets a pair that S separates unless the limit is already <= |S|.
-The sweep returns early, with the same cut and a prefix of its flows, once
-`maxflow.connectivity_at_least` proves kappa >= the limit from packings
-over the Esfahanian-Hakimi pair set (a minimum-degree vertex v with its
+value of the best cut so far when it is below k, else k (`_sweep_below`).
+A minimum separator S misses some v_i with i <= |S|, and every vertex on
+its far side has a larger index, so the sweep meets a pair that S
+separates unless the limit is already <= |S|.  The sweep returns early,
+with the same cut and a prefix of its flows, once
+`maxflow.connectivity_at_least` proves kappa >= the limit over the
+Esfahanian-Hakimi pair set (a minimum-degree vertex v with its
 non-neighbours, and the non-adjacent pairs of N(v)), which no minimum
-separator misses.  The fallback is recorded as the
-`gabow_allpairs_fallback` counter.
+separator misses: C(delta, 2) packings plus propagation.  The fallback is
+recorded as the `gabow_allpairs_fallback` counter.
 """
 
 from __future__ import annotations
@@ -94,6 +95,23 @@ def _offer(g, best, cut):
     return best
 
 
+def _sweep_below(h: Graph, best, k, stats):
+    """Even's sweep of h under k: `maxflow.even_sweep(h, best, cap=k)` when
+    `best` is a cut below k, else with no `best`, so the sweep's limit is k
+    rather than a `best.value >= k`.  None when h has no cut below k.
+
+    A cut of value >= k cannot decide, and it would only raise the sweep's
+    limit: its certificate would be asked at `best.value` and its sources
+    would run up to it, to find at best a cut that still cannot decide.
+    The cut below k is the same under either limit when kappa(h) < k: the
+    sweep's limit only falls, and it is still above kappa at the first
+    pair, in the sweep's order, whose kappa is kappa(h), so both sweeps
+    return that pair's cut."""
+    if not (isinstance(best, VertexCut) and best.value < k):
+        best = None
+    return even_sweep(h, best, cap=k, stats=stats)
+
+
 def rich_set_or_cut(g: Graph, k, stats=None):
     """Either candidate cuts of size < k or a tau-rich set, tau = (delta-k)/2.
 
@@ -142,7 +160,8 @@ def large_gap_vc(h: Graph, k, stats=None):
 
     Rich-set route: a mixing graph sized by the certified spectral constant
     enumerates candidate pairs across the rich set.  Degenerate tau falls
-    back to Even's exact sweep (recorded in the counters).
+    back to Even's exact sweep under k (`_sweep_below`, recorded in the
+    counters).
     """
     best = None
     candidates, rich = rich_set_or_cut(h, k, stats=stats)
@@ -152,7 +171,7 @@ def large_gap_vc(h: Graph, k, stats=None):
         if rich.tau <= 0:
             if stats is not None:
                 stats.add("gabow_allpairs_fallback")
-            best = even_sweep(h, best, cap=k, stats=stats)
+            best = _sweep_below(h, best, k, stats)
         else:
             terms = list(rich.vertices)
             t_size = len(terms)
@@ -243,9 +262,12 @@ def _extend_local(g, cut, ids, removed):
 def gabow_vc(g: Graph, k, stats=None):
     """Decide kappa(G) < k (returning a minimum cut) versus KConnected.
 
-    Sparsifies to a k-certificate first; small k goes straight to the
-    large-gap routine, larger k runs gap enlargement for ceil(delta/sqrt n)
-    rounds.  Complete graphs surface the NoCut sentinel (kappa = n-1).
+    Sparsifies to a k-certificate first (`ni_sparsify`).  A sparsified
+    minimum degree <= k leaves no rich-set margin and goes to Even's sweep
+    under k (`_sweep_below`: the min-degree cut limits it only when it is
+    below k); small k goes straight to the large-gap routine, larger k runs
+    gap enlargement for ceil(delta/sqrt n) rounds.  Complete graphs surface
+    the NoCut sentinel (kappa = n-1).
     """
     if k < 1:
         raise InvariantError("k must be >= 1")
@@ -270,7 +292,7 @@ def gabow_vc(g: Graph, k, stats=None):
         # tau would be nonpositive; resolve by Even's exact sweep.
         if stats is not None:
             stats.add("gabow_allpairs_fallback")
-        best = even_sweep(gs, best, cap=k, stats=stats)
+        best = _sweep_below(gs, best, k, stats)
     elif k < math.isqrt(g.n) + 1:
         got = large_gap_vc(gs, k, stats)
         if isinstance(got, VertexCut):

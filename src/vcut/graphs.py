@@ -621,34 +621,40 @@ def ni_sparsify(g: Graph, k: int) -> Graph:
 
     The result has at most k*(n-1) edges, and min(kappa, k) is preserved;
     every separator of the output smaller than k is a separator of g.
+
+    Each forest is a breadth-first scan, roots in index order, over the
+    edges no earlier forest took, so a round scans only the edges still
+    live.  A vertex's row is rewritten as it is scanned, without the edge
+    to its parent and the edges to the children it finds; no later step of
+    the round takes an edge of it, and the row keeps its sorted order.  The
+    result's rows are sorted and symmetric by construction.
     """
     if k < 1:
         raise InvariantError("k must be >= 1")
-    remaining = [list(g.adj[u]) for u in range(g.n)]
-    alive = [set(row) for row in remaining]
-    kept = set()
+    rows = list(g.adj)
+    kept = [[] for _ in range(g.n)]
+    live = g.m
     for _ in range(k):
-        if not any(alive):
+        if not live:
             break
-        # One scan-first-search forest over the edges still alive.
-        visited = [False] * g.n
-        forest = []
+        # One scan-first-search forest over the live edges.
+        parent = [None] * g.n
         for root in range(g.n):
-            if visited[root]:
+            if parent[root] is not None:
                 continue
-            visited[root] = True
+            parent[root] = root
             queue = [root]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
-                for v in remaining[u]:
-                    if not visited[v] and v in alive[u]:
-                        visited[v] = True
-                        forest.append((u, v))
+            for u in queue:
+                up = parent[u]
+                row = []
+                for v in rows[u]:
+                    if parent[v] is None:
+                        parent[v] = u
                         queue.append(v)
-        for u, v in forest:
-            kept.add((min(u, v), max(u, v)))
-            alive[u].discard(v)
-            alive[v].discard(u)
-    return Graph.from_edges(g.n, sorted(kept))
+                        kept[u].append(v)
+                        kept[v].append(u)
+                    elif v != up:
+                        row.append(v)
+                rows[u] = row
+            live -= len(queue) - 1
+    return Graph._unchecked(g.n, [sorted(row) for row in kept])

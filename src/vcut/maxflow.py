@@ -48,17 +48,21 @@ copy of the digraph a weighted symmetric search asks), so a ledger lives
 as long as one driver call.
 
 `connectivity_at_least` proves kappa(g) >= L from the ledger alone, over
-the pair set of Esfahanian and Hakimi (1984): about n + C(delta, 2) pairs
-around a vertex of minimum degree, each settled by a packing or a stored
-probe, never by a flow.  `even_sweep` returns as soon as it holds at the
-sweep's limit, the unweighted driver's unbalanced branch skips a scale's
-pair loop when it holds at the best cut's value, and the pair regime of
-the balanced-terminal search (`isocut._balanced_search`) returns when it
+the pair set of Esfahanian and Hakimi (1984) around a vertex v of minimum
+degree: C(delta, 2) packings plus propagation.  The non-adjacent pairs of
+N(v) are packed; a vertex far from v is settled once L of its neighbours
+are (N(v) counting as settled), and only when that runs dry is the pair
+of v and the least unsettled far vertex packed.  No flow runs.
+`even_sweep` returns as soon as it holds at the sweep's limit, the
+unweighted driver's unbalanced branch skips a scale's pair loop when it
+holds at the best cut's value, and the pair regime of the
+balanced-terminal search (`isocut._balanced_search`) returns when it
 holds at the value found.  The ledger keeps the largest limit proved as
 `certified`, so a later check at or below it returns True with no pair
-asked: the driver repeats the check on its sparsified graph in every
-balanced round and every unbalanced scale.  A False is never kept, since
-a probe stored later can settle the pair left open.
+asked, and so does `kappa_at_least` for any non-adjacent pair: the driver
+repeats the check on its sparsified graph in every balanced round and
+every unbalanced scale.  A False is never kept, since a probe stored
+later can settle the pair left open.
 
 There is one packer, `weighted_paths`: a greedy shortest-path BFS without
 residual arcs that packs vertex-capacitated paths along out-arcs to a set
@@ -335,7 +339,8 @@ class PairLedger:
     on a Graph); `min_s_to_set_separator` packs along the same view.
     `mirror` says whether kappa is symmetric (a Graph).  `certified` is the
     largest limit L >= 1 at which `connectivity_at_least` has proved
-    kappa(g) >= L, or 0 before any such proof."""
+    kappa(g) >= L, or 0 before any such proof; `kappa_at_least` reads it
+    too."""
 
     __slots__ = ("packs", "probes", "out_adj", "weights", "near", "mirror", "certified")
 
@@ -362,10 +367,17 @@ def kappa_at_least(g, s, t, limit, stats=None):
     """True when kappa(s, t) >= `limit` follows from g's ledger: a stored
     probe of (s, t), or on a Graph of (t, s), or the packing from s to the
     vertices with an arc into t, which is then recorded as (limit, None).
-    A limit of None is never reached; s must not have an arc into t."""
+    A limit of None is never reached; s must not have an arc into t.
+
+    A limit in [1, `certified`] returns True with nothing asked: s and t
+    are non-adjacent, so kappa(s, t) >= kappa(g) >= certified.  Only
+    `connectivity_at_least` raises `certified`, on a Graph, so a digraph's
+    ledger keeps it 0."""
     if limit is None:
         return False
     ledger = _ledger(g)
+    if 0 < limit <= ledger.certified:
+        return True
     probes = ledger.probes
     for key in ((s, t), (t, s)) if ledger.mirror else ((s, t),):
         got = probes.get(key)
@@ -398,14 +410,33 @@ def _certificate_pairs(g: Graph):
 
 
 def connectivity_at_least(g: Graph, limit, stats=None):
-    """True when kappa(g) >= `limit` follows from g's ledger: every pair of
-    `_certificate_pairs(g)` passes `kappa_at_least` at `limit`, so no flow
-    runs, and the first pair left open ends the check with False.  A limit
-    of None is never reached.
+    """True when kappa(g) >= `limit` follows from g's ledger, with no flow
+    run.  A limit of None is never reached.
 
-    Sound: a separator S with |S| < limit would separate a pair of the set
-    (see `_certificate_pairs`), whose kappa is then below `limit`, so
-    neither its packing nor a stored probe reaches `limit`.
+    With v the least-index vertex of minimum degree and L = `limit` >= 1,
+    every non-adjacent pair {x, y} of N(v) must pass `kappa_at_least` at L,
+    and every far vertex w (outside N[v]) must be settled, that is shown to
+    have kappa(v, w) >= L.  Call a vertex good when it lies in N(v) or is a
+    settled far vertex.  A far vertex with L good neighbours is settled
+    with no packing:
+
+        Let S be a v-x separator with |S| < L, x far with L good
+        neighbours.  Some good neighbour u of x lies outside S, on x's side
+        of g - S.  If u is in N(v), the path v-u-x avoids S.  Otherwise S
+        separates v from u, yet kappa(v, u) >= L > |S|.  Either way S is
+        not a separator, so kappa(v, x) >= L.
+
+    Settled vertices pass their goodness on along a worklist; when it runs
+    dry, the least unsettled far w is asked by `kappa_at_least` on the pair
+    (min(v, w), max(v, w)), and settled when it passes.  The first pair
+    that fails ends the check with False.  Every pair asked is a pair of
+    `_certificate_pairs(g)` in its orientation there, so the check holds
+    wherever asking every pair of that set holds, and costs about C(delta,
+    2) packings plus propagation.  It is sound: a separator S with |S| <
+    limit separates a pair of that set (see `_certificate_pairs`), so
+    either a pair in N(v) fails, or some far w has kappa(v, w) < limit and
+    is never settled.  A limit <= 0 asks every pair of the set, as before
+    the propagation: `kappa_at_least` passes it only on a stored probe.
 
     A limit L >= 1 that holds is kept as the ledger's `certified` when it
     is the largest so far, and a later limit in [1, certified] returns True
@@ -418,8 +449,35 @@ def connectivity_at_least(g: Graph, limit, stats=None):
     ledger = _ledger(g)
     if 0 < limit <= ledger.certified:
         return True
-    if not all(kappa_at_least(g, a, b, limit, stats) for a, b in _certificate_pairs(g)):
-        return False
+    if limit <= 0:
+        return all(kappa_at_least(g, a, b, limit, stats) for a, b in _certificate_pairs(g))
+    adj = g.adj
+    v = min(range(g.n), key=g.degree)
+    for x, y in itertools.combinations(adj[v], 2):
+        if not g.has_edge(x, y) and not kappa_at_least(g, x, y, limit, stats):
+            return False
+    # missing[w]: good neighbours a far w still lacks; 0 once w is settled,
+    # and for v and N(v), which are never counted.
+    missing = [limit] * g.n
+    missing[v] = 0
+    for u in adj[v]:
+        missing[u] = 0
+
+    def spread(good):
+        while good:
+            for x in adj[good.pop()]:
+                if missing[x] > 0:
+                    missing[x] -= 1
+                    if not missing[x]:
+                        good.append(x)
+
+    spread(list(adj[v]))
+    for w in range(g.n):
+        if missing[w]:
+            if not kappa_at_least(g, min(v, w), max(v, w), limit, stats):
+                return False
+            missing[w] = 0
+            spread([w])
     ledger.certified = max(ledger.certified, limit)
     return True
 
@@ -520,11 +578,12 @@ def even_sweep(g: Graph, best=None, cap=None, stats=None):
     The sweep also returns `best` as soon as `connectivity_at_least(g,
     limit)` holds, checked before the first pair and after each improvement
     of `best`.  Exact: the check holds only when kappa(g) >= limit (the
-    proof is in `_certificate_pairs`), and then every pair left has
+    proof is in `connectivity_at_least`), and then every pair left has
     kappa(s, t) >= limit and would answer (limit, None), leaving `best` and
     the limit alone.  The check runs no flow, so the sweep's flows are a
     prefix of those of the sweep without it, with the same result; only
-    `path_skips` moves.
+    `path_skips` moves.  A check costs C(delta, 2) packings plus
+    propagation, where source v_0 alone asks a pair per non-neighbour.
     """
     limit = best.value if isinstance(best, VertexCut) else cap
     if connectivity_at_least(g, limit, stats):

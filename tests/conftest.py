@@ -211,6 +211,68 @@ def former_even_sweep(g, best=None, cap=None, stats=None):
     return best
 
 
+def pairwise_connectivity_at_least(g, limit, stats=None):
+    """Reference for `maxflow.connectivity_at_least`: the package's former
+    check, which asks `maxflow.kappa_at_least` for every pair of
+    `maxflow._certificate_pairs(g)` in sorted order, stopping at the first
+    that fails, and keeps a proved limit >= 1 as the ledger's `certified`
+    the same way."""
+    if limit is None:
+        return False
+    if g.n == 0:
+        return True
+    ledger = maxflow._ledger(g)
+    if 0 < limit <= ledger.certified:
+        return True
+    pairs = maxflow._certificate_pairs(g)
+    if not all(maxflow.kappa_at_least(g, a, b, limit, stats) for a, b in pairs):
+        return False
+    ledger.certified = max(ledger.certified, limit)
+    return True
+
+
+def former_ni_sparsify(g, k):
+    """Reference for `graphs.ni_sparsify`: the package's former loop, which
+    rescans every original row in each round and skips the edges an
+    earlier forest took through per-vertex `alive` sets."""
+    if k < 1:
+        raise InvariantError("k must be >= 1")
+    remaining = [list(g.adj[u]) for u in range(g.n)]
+    alive = [set(row) for row in remaining]
+    kept = set()
+    for _ in range(k):
+        if not any(alive):
+            break
+        visited = [False] * g.n
+        forest = []
+        for root in range(g.n):
+            if visited[root]:
+                continue
+            visited[root] = True
+            queue = [root]
+            qi = 0
+            while qi < len(queue):
+                u = queue[qi]
+                qi += 1
+                for v in remaining[u]:
+                    if not visited[v] and v in alive[u]:
+                        visited[v] = True
+                        forest.append((u, v))
+                        queue.append(v)
+        for u, v in forest:
+            kept.add((min(u, v), max(u, v)))
+            alive[u].discard(v)
+            alive[v].discard(u)
+    return Graph.from_edges(g.n, sorted(kept))
+
+
+def former_sweep_below(h, best, k, stats=None):
+    """Reference for `gabow._sweep_below`: the package's former fallback,
+    `maxflow.even_sweep(h, best, cap=k)` with whatever `best` the decision
+    had, so a cut of value >= k sets the sweep's limit."""
+    return maxflow.even_sweep(h, best, cap=k, stats=stats)
+
+
 def query_every_pair(g, stats=None):
     """Reference for `unweighted.unbalanced_vc`: the same scales, cluster
     calls (`unledgered_subgraph_balanced_terminal_vc`) and pair order, but

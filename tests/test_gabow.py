@@ -8,6 +8,7 @@ from conftest import (
     complete,
     cycle,
     former_even_sweep,
+    former_sweep_below,
     perfbench_graphs,
     petersen,
     separator_first,
@@ -209,6 +210,29 @@ class TestEvenSweepFallback:
                     decisions += mine.get("gabow_allpairs_fallback")
         assert decisions == 84
         assert skips["mine"] <= skips["ref"]
+
+    def test_sweep_under_k_matches_former_limit(self, monkeypatch):
+        # The fallback sweeps under k when the best cut cannot decide; the
+        # former one swept under that cut's value.  Same verdicts and cuts
+        # at every k, with no more flows.
+        rng = random.Random(34)
+        graphs = [random_graph(n, rng.choice([0.15, 0.3, 0.5]), n) for n in range(6, 30)]
+        graphs += [separator_first(kappa, 3) for kappa in (1, 2, 3)]
+        fallbacks = 0
+        for g in graphs:
+            for k in range(1, g.min_degree() + 3):
+                mine, ref = Counters(), Counters()
+                got = gabow_vc(Graph(g.n, g.adj), k, stats=mine)
+                with monkeypatch.context() as m:
+                    m.setattr(vcut.gabow, "_sweep_below", former_sweep_below)
+                    want = gabow_vc(Graph(g.n, g.adj), k, stats=ref)
+                assert repr(got) == repr(want), (g, k)
+                if isinstance(got, VertexCut):
+                    assert got == want, (g, k)
+                assert mine.events == ref.events
+                assert mine.get("flow_calls") <= ref.get("flow_calls"), (g, k)
+                fallbacks += mine.get("gabow_allpairs_fallback") > 0
+        assert fallbacks > 0
 
     def test_minimum_separator_on_lowest_ids(self):
         # kappa = |S| and delta = kappa + 1, so k = kappa + 1 takes the

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import complete, cycle, path, petersen
+from conftest import complete, cycle, former_ni_sparsify, path, petersen
 from vcut.errors import EmptyKernel, InvariantError, ParseError
 from vcut.graphs import (
     Graph,
@@ -177,6 +177,18 @@ class TestNiSparsify:
                 kp = got[0] if isinstance(got, tuple) else got.value
                 assert min(kp, k) == min(kappa, k), (seed, k)
                 assert kp <= kappa
+
+    def test_matches_former_rescan(self):
+        # Dropping each forest's edges from the rows leaves every forest,
+        # and so the result, as the former loop over `alive` sets built it.
+        rng = random.Random(33)
+        for seed in range(60):
+            n = rng.randrange(1, 30)
+            g = random_graph(n, rng.choice([0.1, 0.25, 0.5, 0.9]), seed, connected=seed % 3 > 0)
+            for k in range(1, g.min_degree() + 3):
+                got, want = ni_sparsify(g, k), former_ni_sparsify(g, k)
+                assert got.adj == want.adj, (seed, k)
+                assert got == Graph(got.n, got.adj)  # the constructor's checks pass
 
 
 class TestGraphBasics:

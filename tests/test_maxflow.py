@@ -14,6 +14,7 @@ from conftest import (
     complete,
     cycle,
     former_even_sweep,
+    pairwise_connectivity_at_least,
     path,
     petersen,
     separator_first,
@@ -258,6 +259,26 @@ class TestConnectivityCertificate:
             assert not connectivity_at_least(fresh(g), None)
         assert held > 0
 
+    def test_propagation_holds_wherever_every_pair_does(self):
+        # Against the former check, which asks every pair of the set: sound,
+        # True wherever it is True, and never a flow.  On the last graph
+        # (kappa 2) the packing of a far pair stops at 1 at limit 2, where
+        # its two settled neighbours settle it.
+        held = {"mine": 0, "ref": 0}
+        for g in itertools.chain(self._graphs(), [random_graph(7, 0.3, 15)]):
+            kappa = self._kappa(g)
+            for limit in range(-1, g.n + 2):
+                stats = Counters()
+                mine = connectivity_at_least(fresh(g), limit, stats)
+                ref = pairwise_connectivity_at_least(fresh(g), limit)
+                assert mine >= ref, (g, limit)
+                if mine and limit >= 1:
+                    assert kappa is None or kappa >= limit, (g, limit)
+                assert stats.get("flow_calls") == 0
+                held["mine"] += mine
+                held["ref"] += ref
+        assert held["mine"] > held["ref"]
+
     def test_holds_at_kappa_on_a_cycle(self):
         # kappa(C_8) = 2: two paths around the cycle reach every pair.
         assert connectivity_at_least(cycle(8), 2)
@@ -278,41 +299,54 @@ class TestCertifiedLimit:
             packings.append(args)
             return real_paths(*args)
 
-        def pair(*args):
-            asked.append(args)
-            return real_pair(*args)
+        def pair(g, s, t, *rest):
+            asked.append((s, t))
+            return real_pair(g, s, t, *rest)
 
         with monkeypatch.context() as patch:
             patch.setattr(maxflow, "weighted_paths", paths)
             patch.setattr(maxflow, "kappa_at_least", pair)
             got = connectivity_at_least(g, limit)
-        return got, len(packings), len(asked)
+        return got, len(packings), asked
+
+    @staticmethod
+    def _asks_within_the_pair_set(g, asked):
+        """Every pair asked is a certificate pair, asked once, and every
+        non-adjacent pair of N(v) is among them."""
+        pairs = _certificate_pairs(g)
+        assert len(asked) == len(set(asked)) and set(asked) <= set(pairs)
+        v = min(range(g.n), key=g.degree)
+        inner = [(x, y) for x, y in itertools.combinations(g.adj[v], 2) if not g.has_edge(x, y)]
+        assert set(inner) <= set(asked)
 
     def test_certified_limit_answers_every_lower_limit(self, monkeypatch):
         g = petersen()  # kappa 3
         got, packings, asked = self._check(g, 3, monkeypatch)
-        assert got and packings > 0 and asked == len(_certificate_pairs(g))
+        assert got and packings > 0
+        self._asks_within_the_pair_set(g, asked)
         assert _ledger(g).certified == 3
         for limit in (3, 2, 1):
-            assert self._check(g, limit, monkeypatch) == (True, 0, 0)
+            assert self._check(g, limit, monkeypatch) == (True, 0, [])
         assert _ledger(g).certified == 3
 
     def test_next_limit_checks_the_pairs_again(self, monkeypatch):
         g = petersen()
         assert connectivity_at_least(g, 3)
         got, packings, asked = self._check(g, 4, monkeypatch)
-        assert not got and packings > 0 and asked > 0
+        assert not got and packings > 0 and asked
         assert _ledger(g).certified == 3
         # K_8 minus an edge, kappa 6: each proof raises the certified limit.
         g = Graph.from_edges(8, [e for e in itertools.combinations(range(8), 2) if e != (0, 1)])
         assert connectivity_at_least(g, 3) and _ledger(g).certified == 3
         got, _, asked = self._check(g, 4, monkeypatch)
-        assert got and asked == len(_certificate_pairs(g))
+        assert got
+        self._asks_within_the_pair_set(g, asked)
         assert _ledger(g).certified == 4
 
     def test_false_is_not_remembered(self):
-        # kappa 2, but a greedy packing of some certificate pair stops at 1.
-        g = random_graph(7, 0.3, 15)
+        # kappa 2, but a greedy packing the check asks stops at 1 and no
+        # propagation settles its far vertex.
+        g = random_graph(8, 0.3, 16)
         assert brute_kappa(g)[0] == 2
         assert not connectivity_at_least(g, 2)
         assert _ledger(g).certified == 0
@@ -320,6 +354,22 @@ class TestCertifiedLimit:
             min_st_cut(g, a, b)  # a completed probe stores kappa(a, b)
         assert connectivity_at_least(g, 2)
         assert _ledger(g).certified == 2
+
+    def test_pair_questions_read_the_certified_limit(self, monkeypatch):
+        # A non-adjacent pair has kappa(s, t) >= kappa(g) >= certified.
+        g = petersen()
+        assert connectivity_at_least(g, 3)
+        packings = []
+        real_paths = maxflow.weighted_paths
+        monkeypatch.setattr(maxflow, "weighted_paths", lambda *a: packings.append(a) or real_paths(*a))
+        stats = Counters()
+        for s, t in itertools.combinations(range(g.n), 2):
+            if not g.has_edge(s, t):
+                assert all(kappa_at_least(g, s, t, limit, stats) for limit in (1, 2, 3))
+                assert min_st_cut(g, s, t, limit=3, stats=stats) == (3, None)
+        assert packings == [] and stats.get("path_skips") == 0
+        assert stats.get("flow_calls") == 0
+        assert not kappa_at_least(g, 0, 2, 4, stats) and packings
 
     def test_limits_below_one_and_none_as_before(self):
         """Limits <= 0 and None get the answer of the pair rule itself,
