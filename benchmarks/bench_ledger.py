@@ -2,8 +2,10 @@
 driver, whose (s, t) questions on the sparsified graph of one call are
 all answered through that graph's pair ledger (`maxflow.min_st_cut`),
 against the former driver, which solves each balanced-search probe,
-cluster probe and unbalanced-branch pair on its own (`unledgered_driver`
-in `tests/conftest.py`, probing with `bare_min_st_cut`).
+cluster probe and unbalanced-branch pair on its own, and walks every pair
+of the balanced search's pair regime, with no stop at the connectivity
+certificate (`unledgered_driver` in `tests/conftest.py`, probing with
+`bare_min_st_cut`).
 
 Cases: the perfbench unweighted design at seeds 1 and 7 (30 instances
 each), and G(n, 8/n), seed 3, at n = 48, 64 and 96.  Per case and path
@@ -14,7 +16,8 @@ with counting wrappers
 
 - `packings`: `maxflow.weighted_paths` runs (every packing of the call,
   the kernel query's included);
-- `probes`: balanced-search pair probes (`isocut._balanced_search`);
+- `probes`: balanced-search pair probes (`isocut._balanced_search`, and
+  the former path's `conftest.certificate_free_search`);
 - `probes_to_maxflow`: those that ran a packing or a flow, rather than
   being answered from the ledger or the graph's adjacency;
 - `flows`: the `flow_calls` counter.
@@ -43,6 +46,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+import conftest  # noqa: E402
 from conftest import unledgered_driver  # noqa: E402
 from vcut import isocut, maxflow  # noqa: E402
 from vcut.graphs import VertexCut  # noqa: E402
@@ -56,6 +60,9 @@ SEED = 3
 PATHS = {"ledger": vertex_connectivity_unweighted, "former": unledgered_driver}
 # maxflow functions whose call marks a probe as reaching the engine.
 ENGINE = ("weighted_paths", "_flow")
+# The balanced searches whose probes are counted: the package's, and the
+# former path's pair regime.
+SEARCHES = ((isocut, "_balanced_search"), (conftest, "certificate_free_search"))
 
 
 def cases():
@@ -82,7 +89,7 @@ def counted(driver, graphs):
     calls = dict.fromkeys(ENGINE, 0)
     counts = {"packings": 0, "probes": 0, "probes_to_maxflow": 0, "flows": 0}
     saved = {name: getattr(maxflow, name) for name in ENGINE}
-    real_search = isocut._balanced_search
+    real_searches = [getattr(module, name) for module, name in SEARCHES]
 
     def wrap(name):
         def inner(*args, **kwargs):
@@ -90,19 +97,22 @@ def counted(driver, graphs):
             return saved[name](*args, **kwargs)
         return inner
 
-    def search(g, terms, k, best, probe, stats):
-        def counted_probe(a, b, limit):
-            before = sum(calls.values())
-            got = probe(a, b, limit)
-            counts["probes"] += 1
-            counts["probes_to_maxflow"] += sum(calls.values()) > before
-            return got
-        return real_search(g, terms, k, best, counted_probe, stats)
+    def counting(real_search):
+        def search(g, terms, k, best, probe, stats):
+            def counted_probe(a, b, limit):
+                before = sum(calls.values())
+                got = probe(a, b, limit)
+                counts["probes"] += 1
+                counts["probes_to_maxflow"] += sum(calls.values()) > before
+                return got
+            return real_search(g, terms, k, best, counted_probe, stats)
+        return search
 
     answers, events = [], []
     for name in ENGINE:
         setattr(maxflow, name, wrap(name))
-    isocut._balanced_search = search
+    for (module, name), real_search in zip(SEARCHES, real_searches):
+        setattr(module, name, counting(real_search))
     try:
         for g in graphs:
             stats = Counters()
@@ -112,7 +122,8 @@ def counted(driver, graphs):
     finally:
         for name in ENGINE:
             setattr(maxflow, name, saved[name])
-        isocut._balanced_search = real_search
+        for (module, name), real_search in zip(SEARCHES, real_searches):
+            setattr(module, name, real_search)
     counts["packings"] = calls["weighted_paths"]
     return answers, events, counts
 

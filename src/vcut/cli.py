@@ -336,7 +336,9 @@ def cmd_check_pr(args) -> int:
             cert["params"] = {"n": args.n, "d": args.d}
             mg = build_mixing_graph(args.n, args.d)
             cert["property"] = "pair-mixing"
-            cert["method"] = "eigensolve"
+            # A circulant is certified by its closed-form spectrum; the
+            # complete graph needs none (every pair is an edge).
+            cert["method"] = "closed-form" if mg.method == "circulant" else "complete"
             cert["verdict"] = True
             cert["lambda"] = mg.lam
             cert["pair_threshold"] = mg.pair_threshold

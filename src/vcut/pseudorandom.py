@@ -3,11 +3,12 @@ spectrally certified mixing graphs.
 
 Backends follow one discipline: a construction is only returned together
 with a checked certificate (exhaustive verification when the subset space is
-small, deterministic sampling otherwise), and whenever the parameter
-formulas degenerate at small sizes, the trivial complete fallback takes
-over.  Crossing families are always that fallback, or a part of it (see
-`asymmetric_crossing_family`).  All constructions are deterministic: same
-parameters, same output.
+small, deterministic sampling otherwise; for a mixing graph, the closed-form
+spectrum of its circulant, computed with `math.cos`, so no linear algebra
+library is needed), and whenever the parameter formulas degenerate at small
+sizes, the trivial complete fallback takes over.  Crossing families are
+always that fallback, or a part of it (see `asymmetric_crossing_family`).
+All constructions are deterministic: same parameters, same output.
 
 Pair families hold distinct pairs.  The single builders (complete,
 single-target, large-r, `map_pairs`) emit distinct pairs by construction,
@@ -20,11 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ConstructionFailed, InvariantError
 from .graphs import _log2ceil
@@ -530,20 +530,30 @@ def _spectral_lambda(adj) -> float:
     w in N(0) of cos(2 pi w k / n) / deg, k = 0..n-1, with lambda_0 = 1
     the principal one."""
     n = len(adj)
-    ks = np.arange(1, n)
-    lam = np.cos(2 * math.pi * np.outer(ks, adj[0]) / n).sum(axis=1) / len(adj[0])
-    return float(np.max(np.abs(lam), initial=0.0))
+    row = adj[0]
+    return max(
+        (
+            abs(math.fsum(math.cos(2 * math.pi * (k * w) / n) for w in row) / len(row))
+            for k in range(1, n)
+        ),
+        default=0.0,
+    )
 
 
 def build_mixing_graph(n, d) -> MixingGraph:
     """Graph on n vertices, max degree <= 4d, with a certificate
     guaranteeing E(A,B) != empty whenever |A|*|B| >= pair_threshold.
 
-    Backend: deterministic circulant with offsets chosen by a greedy
-    spectral search (closed-form circulant eigenvalues), certified by the
-    closed-form spectrum of the final graph (`_spectral_lambda`).  Complete
-    graph when d >= n-1 (or when n is too small to do better within the
-    degree budget).
+    Backend: deterministic circulant with offsets chosen greedily.  Adding
+    offset o adds 2 cos(2 pi o k / n) to the k-th eigenvalue of the
+    unnormalized adjacency, so each step takes the offset that leaves the
+    smallest largest |eigenvalue|, k = 1..n-1, until the normalized value
+    is at most 0.9 (with at least ceil(d/2) offsets) or the budget of
+    max(ceil(d/2), min(2d, n // 2)) offsets is spent.  Each offset's cosine row is computed
+    once per call.  The graph is certified by the closed-form spectrum of
+    the final circulant (`_spectral_lambda`), method "circulant".  Complete
+    graph, with lambda 0 and threshold 1, when d >= n-1 (or when n is too
+    small to do better within the degree budget), method "complete".
     """
     if n < 1:
         raise InvariantError("n must be >= 1")
@@ -555,34 +565,26 @@ def build_mixing_graph(n, d) -> MixingGraph:
 
     half = n // 2
     target_offsets = max(1, math.ceil(d / 2))
-    budget = max(target_offsets, min(2 * d, half))  # up to 4d degree
+    # Up to 4d degree.  budget <= half, as d <= n - 2 gives
+    # ceil(d/2) <= half, so an offset is always left to choose.
+    budget = max(target_offsets, min(2 * d, half))
+    rows = {
+        o: [2 * math.cos(2 * math.pi * o * k / n) for k in range(1, n)]
+        for o in range(1, half + 1)
+    }
     chosen = []
-    ks = np.arange(1, n)
-    partial = np.zeros(n - 1)
-
-    def lam_of(vec, count):
-        deg = 2 * count
-        return float(np.max(np.abs(vec))) / deg if deg else 1.0
-
-    candidates = list(range(1, half + 1))
+    partial = [0.0] * (n - 1)
     while len(chosen) < budget:
         best_o, best_val = None, None
-        for o in candidates:
-            if o in chosen:
-                continue
-            contrib = 2 * np.cos(2 * math.pi * o * ks / n)
-            val = float(np.max(np.abs(partial + contrib)))
+        for o, row in rows.items():
+            val = max(map(abs, map(operator.add, partial, row)))
             if best_val is None or val < best_val - 1e-12:
                 best_val = val
                 best_o = o
-        if best_o is None:
-            break
         chosen.append(best_o)
-        partial += 2 * np.cos(2 * math.pi * best_o * ks / n)
-        if len(chosen) >= target_offsets:
-            deg_now = 2 * len(chosen)
-            if lam_of(partial, len(chosen)) <= 0.9 or len(chosen) >= budget:
-                break
+        partial = list(map(operator.add, partial, rows.pop(best_o)))
+        if len(chosen) >= target_offsets and max(map(abs, partial)) / (2 * len(chosen)) <= 0.9:
+            break
 
     adj = _circulant_adj(n, chosen)
     if max(len(r) for r in adj) > 4 * d:

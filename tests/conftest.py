@@ -1,6 +1,7 @@
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 import shlex
 import shutil
@@ -10,10 +11,11 @@ import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vcut import _pyflow, isocut, maxflow, unweighted, weighted
-from vcut.errors import InvariantError
+from vcut import _pyflow, isocut, maxflow, pseudorandom, unweighted, weighted
+from vcut.errors import ConstructionFailed, InvariantError
 from vcut.graphs import (
     Graph,
     NoCut,
@@ -29,7 +31,7 @@ from vcut.graphs import (
 )
 from vcut.kernel import build_kernel_index, query_kappa_upper
 from vcut.maxflow import min_s_to_set_separator, weighted_paths
-from vcut.pseudorandom import asymmetric_crossing_family, crossing_pairs
+from vcut.pseudorandom import MixingGraph, asymmetric_crossing_family, crossing_pairs
 
 
 def perfbench_graphs(workload, seed):
@@ -179,6 +181,47 @@ def _seen_loop(pairs):
     return out
 
 
+def numpy_mixing_graph(n, d):
+    """Reference for `pseudorandom.build_mixing_graph`: the package's
+    former numpy builder, the same greedy offset search and closed-form
+    spectrum with each cosine row taken by `np.cos` and each spectrum row
+    summed by `np.sum`."""
+    if d >= n - 1 or (n <= 8 and n - 1 <= 4 * d):
+        adj = [[v for v in range(n) if v != u] for u in range(n)]
+        return MixingGraph(n, adj, 0.0, 1, "complete")
+    half = n // 2
+    target_offsets = max(1, math.ceil(d / 2))
+    budget = max(target_offsets, min(2 * d, half))
+    chosen = []
+    ks = np.arange(1, n)
+    partial = np.zeros(n - 1)
+    while len(chosen) < budget:
+        best_o, best_val = None, None
+        for o in range(1, half + 1):
+            if o in chosen:
+                continue
+            contrib = 2 * np.cos(2 * math.pi * o * ks / n)
+            val = float(np.max(np.abs(partial + contrib)))
+            if best_val is None or val < best_val - 1e-12:
+                best_val = val
+                best_o = o
+        if best_o is None:
+            break
+        chosen.append(best_o)
+        partial += 2 * np.cos(2 * math.pi * best_o * ks / n)
+        if len(chosen) >= target_offsets:
+            if float(np.max(np.abs(partial))) / (2 * len(chosen)) <= 0.9:
+                break
+    adj = pseudorandom._circulant_adj(n, chosen)
+    if max(len(r) for r in adj) > 4 * d:
+        raise ConstructionFailed(f"degree budget 4d={4*d} unreachable at n={n}")
+    cos = np.cos(2 * math.pi * np.outer(ks, adj[0]) / n)
+    lam = float(np.max(np.abs(cos.sum(axis=1) / len(adj[0])), initial=0.0))
+    lam_safe = lam * (1 + 1e-9) + 1e-12
+    threshold = int(lam_safe * lam_safe * n * n) + 1
+    return MixingGraph(n, adj, lam, threshold, "circulant")
+
+
 def all_pairs_probe(g, best=None, cap=None, stats=None):
     """Reference for Even's sweep: every non-adjacent pair (s,t), t > s, in
     lexicographic order, each limited by `best.value` (else `cap`)."""
@@ -317,24 +360,34 @@ def query_every_pair(g, stats=None):
     return best
 
 
+def former_balanced_search(g, terms, k, best, probe, stats):
+    """`isocut._balanced_search` as the former driver ran it: the pair
+    regime walks every pair (`certificate_free_search`, no stop at the
+    certificate and so no question to g's pair ledger); the selector
+    regime, which asks no certificate, is the search itself."""
+    if k / isocut.EPS_BALANCED > len(terms) / 4:
+        return certificate_free_search(g, terms, k, best, probe, stats)
+    return isocut._balanced_search(g, terms, k, best, probe, stats)
+
+
 def unledgered_balanced_terminal_vc(g, terminals, k, stats=None, best=None):
-    """Reference for `isocut.balanced_terminal_vc`: the same search, but
-    each pair probe is its own whole-graph `bare_min_st_cut`.  This is the
-    package's former probe closure."""
+    """Reference for `isocut.balanced_terminal_vc`: the former search
+    (`former_balanced_search`), with each pair probe its own whole-graph
+    `bare_min_st_cut`.  This is the package's former probe closure."""
 
     def probe(a, b, limit):
         res = bare_min_st_cut(g, a, b, limit=limit, stats=stats)
         return None if res is NoSeparator else res[1]
 
-    return isocut._balanced_search(g, sorted(set(terminals)), k, best, probe, stats)
+    return former_balanced_search(g, sorted(set(terminals)), k, best, probe, stats)
 
 
 def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, stats=None,
                                              best=None):
-    """Reference for `isocut.subgraph_balanced_terminal_vc`: every pair
-    probe is a flow to {b, super-vertex} on the auxiliary graph, also when
-    the terminals are all of V.  This is the package's former probe
-    closure."""
+    """Reference for `isocut.subgraph_balanced_terminal_vc`: the former
+    search (`former_balanced_search`), with every pair probe a flow to
+    {b, super-vertex} on the auxiliary graph, also when the terminals are
+    all of V.  This is the package's former probe closure."""
     terms = sorted(set(terminals))
     aux, nodes, virtual = isocut._terminal_subgraph(g, terms)
     pos = {v: j for j, v in enumerate(nodes)}
@@ -345,7 +398,7 @@ def unledgered_subgraph_balanced_terminal_vc(g, terminals, k, stats=None,
             return None
         return isocut._remap_candidate(g, (nodes[x] for x in res[1]))
 
-    return isocut._balanced_search(g, terms, k, best, probe, stats)
+    return former_balanced_search(g, terms, k, best, probe, stats)
 
 
 def certificate_free_search(g, terms, k, best, probe, stats):

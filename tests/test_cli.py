@@ -26,15 +26,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def source_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_process(*argv, address_space=None):
     """`python -m vcut.cli argv` in a separate process under a timeout,
     with its address space capped at `address_space` bytes when given."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        OPENBLAS_NUM_THREADS="1",
-    )
 
     def cap():
         if address_space is not None:
@@ -42,7 +42,7 @@ def run_process(*argv, address_space=None):
 
     return subprocess.run(
         [sys.executable, "-m", "vcut.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=60, env=source_env(), preexec_fn=cap,
     )
 
 
@@ -72,6 +72,31 @@ class TestNoConfig:
         rep_path.write_text(json.dumps(rep, sort_keys=True))
         code, out = run(capsys, "verify", petersen_file, str(rep_path))
         assert code == 0 and out.strip() == "ok"
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import vcut.cli, vcut.gabow, vcut.unweighted, vcut.weighted
+from vcut.oracle import random_graph
+built = []
+real = vcut.gabow.build_mixing_graph
+vcut.gabow.build_mixing_graph = lambda n, d: built.append((n, d)) or real(n, d)
+vcut.gabow.gabow_vc(random_graph(32, 0.7, 0), 16)
+assert built, "no mixing graph built"
+sys.exit(vcut.cli.main(["check-pr", "mixing", "-n", "32", "-d", "4"]))
+"""
+
+
+def test_runs_without_numpy():
+    """The drivers, the gap-based decision's mixing graph and `check-pr
+    mixing` run in a process where `import numpy` fails."""
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY], capture_output=True, text=True, timeout=60,
+        env=source_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["method"] == "closed-form"
 
 
 class TestCompute:
@@ -455,6 +480,11 @@ class TestCheckPr:
         code, out = run(capsys, "check-pr", "mixing", "-n", "32", "-d", "4")
         cert = json.loads(out)
         assert code == 0 and cert["verdict"] is True and cert["max_degree"] <= 16
+        # The method names the certificate used: the circulant's closed-form
+        # spectrum, or the complete fallback, which needs none.
+        assert cert["method"] == "closed-form"
+        code, out = run(capsys, "check-pr", "mixing", "-n", "8", "-d", "7")
+        assert code == 0 and json.loads(out)["method"] == "complete"
 
 
 class TestBench:

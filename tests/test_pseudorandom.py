@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import _guesses, _seen_loop, every_guess_union
+from conftest import _guesses, _seen_loop, every_guess_union, numpy_mixing_graph
 
 from vcut import pseudorandom
 from vcut.errors import ConstructionFailed, InvariantError
@@ -359,13 +359,20 @@ class TestMixingGraph:
         assert abs(eigs[-2] - mg.lam) < 1e-8
 
     def test_closed_form_spectrum_matches_eigensolve(self):
-        """Every circulant that `build_mixing_graph(n, d)` builds for
-        n <= 40: its closed-form lambda is the dense eigensolve's, and so is
-        the pair threshold derived from it."""
+        """Every graph that `build_mixing_graph(n, d)` builds for n <= 40 is
+        the former numpy builder's (`conftest.numpy_mixing_graph`), lambda
+        up to rounding; and for every circulant among them, the closed-form
+        lambda is the dense eigensolve's, and so is the pair threshold
+        derived from it."""
         checked = 0
         for n in range(2, 41):
             for d in range(1, n):
                 mg = build_mixing_graph(n, d)
+                ref = numpy_mixing_graph(n, d)
+                assert (mg.adj, mg.pair_threshold, mg.max_degree, mg.method) == (
+                    ref.adj, ref.pair_threshold, ref.max_degree, ref.method
+                ), (n, d)
+                assert abs(mg.lam - ref.lam) <= 1e-15, (n, d)
                 if mg.method != "circulant":
                     continue
                 a = np.zeros((n, n))
